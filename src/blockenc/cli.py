@@ -125,59 +125,19 @@ def cmd_gen_state(args) -> int:
     return EXIT_OK
 
 
-QUANTITIES = ("von-neumann", "renyi", "tsallis", "trace-power", "rank",
-              "exact-rank", "max-entropy", "trace-distance", "fidelity")
-
-
-def _run_estimate(args) -> est.EstimateReport:
-    doc = load_state(args.state)
-    oracle = _oracle_from_state(doc, "rho")
-    config = est.AmplitudeEstimatorConfig(mode=args.ae_mode, seed=args.seed)
-    r = args.rank_bound if args.rank_bound else doc["rank"]
-    q = args.quantity
-    if q in ("trace-distance", "fidelity"):
-        if not args.state2:
-            raise ValidationError(f"{q} needs --state2")
-        doc2 = load_state(args.state2)
-        sigma = _oracle_from_state(doc2, "sigma")
-        r = max(r, doc2["rank"]) if q == "trace-distance" else min(r, doc2["rank"])
-        if q == "trace-distance":
-            return est.estimate_trace_distance(oracle, sigma,
-                                               args.alpha if args.alpha else 1.0,
-                                               r, args.epsilon, config)
-        if args.alpha is None:
-            raise ValidationError("fidelity needs --alpha in (0, 1)")
-        return est.estimate_fidelity(oracle, sigma, args.alpha, r,
-                                     args.epsilon, config)
-    if q == "von-neumann":
-        return est.estimate_von_neumann(oracle, r, args.epsilon, config)
-    if q == "renyi":
-        return est.estimate_renyi(oracle, args.alpha, r, args.epsilon, config,
-                                  kappa=args.kappa)
-    if q == "tsallis":
-        return est.estimate_tsallis(oracle, args.alpha, r, args.epsilon, config,
-                                    kappa=args.kappa)
-    if q == "trace-power":
-        return est.estimate_trace_power(oracle, args.alpha, r, args.epsilon, config)
-    if q == "rank":
-        return est.estimate_rank(oracle, args.delta, args.epsilon,
-                                 args.epsilon_prime, config)
-    if q == "exact-rank":
-        if args.kappa is None:
-            raise ValidationError("exact-rank needs --kappa")
-        rank = est.estimate_exact_rank(oracle, args.kappa, config)
-        return est.EstimateReport(quantity="exact-rank", estimate=float(rank),
-                                  target_epsilon=0.0,
-                                  true_value=float(nm.operator_rank(doc["matrix_array"])),
-                                  mode=config.mode)
-    if q == "max-entropy":
-        return est.estimate_max_entropy(oracle, args.delta, args.epsilon, config,
-                                        kappa=args.kappa)
-    raise ValidationError(f"unknown quantity {q!r}")
-
-
 def cmd_estimate(args) -> int:
-    report = _run_estimate(args)
+    q = args.quantity
+    spec = nm.QUANTITIES[q]
+    alpha = spec.resolve_alpha(q, args.alpha)
+    if spec.states == 2 and not args.state2:
+        raise ValidationError(f"{q} needs --state2")
+    docs = [load_state(path) for path in (args.state, args.state2)[:spec.states]]
+    oracles = [_oracle_from_state(doc, label) for doc, label in zip(docs, ("rho", "sigma"))]
+    ranks = [args.rank_bound or docs[0]["rank"]] + [doc["rank"] for doc in docs[1:]]
+    config = est.AmplitudeEstimatorConfig(mode=args.ae_mode, seed=args.seed)
+    report = est.RUNNERS[q](oracles, ranks, args.epsilon, config, alpha=alpha,
+                            kappa=args.kappa, delta=args.delta,
+                            epsilon_prime=args.epsilon_prime)
     _dump({"format": REPORT_FORMAT, "tool_version": __version__,
            "generated_at": _timestamp(), "seed": args.seed,
            "report": report.as_dict()}, args.out)
@@ -303,33 +263,19 @@ def cmd_approx_poly(args) -> int:
     return EXIT_OK
 
 
+BENCH_QUANTITIES = ("von-neumann", "renyi", "tsallis", "trace-power",
+                    "trace-distance", "fidelity")
+
+
 def _bench_fixture(quantity: str, r: int, rng: np.random.Generator):
     dim = max(4, 1 << (2 * r - 1).bit_length())
     dim = min(dim, 16)
-    if quantity in ("trace-distance", "fidelity"):
+    if nm.QUANTITIES[quantity].states == 2:
         floor = min(0.2, 0.8 / r)
         a, b = shared_support_pair(dim, r, rng, floor=floor)
         return purification_of(a, label="rho"), purification_of(b, label="sigma")
     rho = floored_spectrum_state(dim, r, rng, floor=min(0.1, 0.8 / r))
     return (purification_of(rho, label="rho"),)
-
-
-def _bench_run(quantity: str, alpha, oracles, r: int, eps: float, config):
-    if quantity == "von-neumann":
-        return est.estimate_von_neumann(oracles[0], r, eps, config)
-    if quantity == "renyi":
-        return est.estimate_renyi(oracles[0], alpha, r, eps, config)
-    if quantity == "tsallis":
-        return est.estimate_tsallis(oracles[0], alpha, r, eps, config)
-    if quantity == "trace-power":
-        return est.estimate_trace_power(oracles[0], alpha, r, eps, config)
-    if quantity == "trace-distance":
-        return est.estimate_trace_distance(oracles[0], oracles[1],
-                                           alpha if alpha else 1.0, r, eps, config)
-    if quantity == "fidelity":
-        return est.estimate_fidelity(oracles[0], oracles[1],
-                                     alpha if alpha else 0.5, r, eps, config)
-    raise ValidationError(f"benchmark does not support quantity {quantity!r}")
 
 
 def _slope(xs, qs) -> float:
@@ -338,31 +284,24 @@ def _slope(xs, qs) -> float:
 
 
 def cmd_bench_scaling(args) -> int:
+    q = args.quantity
+    alpha = nm.QUANTITIES[q].resolve_alpha(q, args.alpha)
     sweep_r = [int(x) for x in args.sweep_r.split(",")] if args.sweep_r else []
     sweep_eps = [float(x) for x in args.sweep_eps.split(",")] if args.sweep_eps else []
     config = est.AmplitudeEstimatorConfig(mode="analytic", seed=args.seed)
-    points, r_qs, e_qs = [], [], []
-    for r in sweep_r:
-        rng = np.random.default_rng((args.seed, r))
-        rep = _bench_run(args.quantity, args.alpha,
-                         _bench_fixture(args.quantity, r, rng), r, args.epsilon,
-                         config)
-        total = rep.ledger.query_count()
-        r_qs.append(total)
-        points.append({"r": r, "eps": args.epsilon, "queries": dict(rep.ledger.queries),
-                       "total": total})
-    for eps in sweep_eps:
-        rng = np.random.default_rng((args.seed, 1000))
-        rep = _bench_run(args.quantity, args.alpha,
-                         _bench_fixture(args.quantity, args.r, rng), args.r, eps,
-                         config)
-        total = rep.ledger.query_count()
-        e_qs.append(total)
-        points.append({"r": args.r, "eps": eps, "queries": dict(rep.ledger.queries),
-                       "total": total})
+    runs = ([(r, args.epsilon, (args.seed, r)) for r in sweep_r]
+            + [(args.r, eps, (args.seed, 1000)) for eps in sweep_eps])
+    points = []
+    for r, eps, key in runs:
+        oracles = _bench_fixture(q, r, np.random.default_rng(key))
+        rep = est.RUNNERS[q](oracles, [r] * len(oracles), eps, config, alpha=alpha)
+        points.append({"r": r, "eps": eps, "queries": dict(rep.ledger.queries),
+                       "total": rep.ledger.query_count()})
+    r_qs = [p["total"] for p in points[:len(sweep_r)]]
+    e_qs = [p["total"] for p in points[len(sweep_r):]]
     payload = {"format": "blockenc-bench-v1", "tool_version": __version__,
-               "generated_at": _timestamp(), "quantity": args.quantity,
-               "alpha": args.alpha, "seed": args.seed, "points": points,
+               "generated_at": _timestamp(), "quantity": q,
+               "alpha": alpha, "seed": args.seed, "points": points,
                "slope_tolerance_note": "fits absorb polylog factors; defaults "
                                        "+-0.5 in r and +-0.7 in 1/eps"}
     if len(r_qs) >= 2:
@@ -391,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_gen_state)
 
     e = sub.add_parser("estimate", help="run an estimator and write its report")
-    e.add_argument("--quantity", choices=QUANTITIES, required=True)
+    e.add_argument("--quantity", choices=tuple(nm.QUANTITIES), required=True)
     e.add_argument("--alpha", type=float, default=None)
     e.add_argument("--epsilon", type=float, default=0.1)
     e.add_argument("--state", required=True)
@@ -423,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_approx_poly)
 
     b = sub.add_parser("bench-scaling", help="ledger query counts across sweeps")
-    b.add_argument("--quantity", required=True)
+    b.add_argument("--quantity", choices=BENCH_QUANTITIES, required=True)
     b.add_argument("--alpha", type=float, default=None)
     b.add_argument("--sweep-r", default=None)
     b.add_argument("--sweep-eps", default=None)

@@ -32,7 +32,8 @@ from .encodings import (PurifiedAccessOracle, StatePreparationPair,
                         encoding_power, evolve, lcu, linear_combination_density,
                         product, unitary_from_first_column)
 from .numerics import ValidationError
-from .polyapprox import (cached_interior_indicator, cached_sqrt_neglog, multiply)
+from .polyapprox import (approx_interior_indicator, approx_sqrt_neglog, certified,
+                         multiply)
 from .resources import (QueryCost, ResourceLedger, ae_repetitions,
                         degree_formula, tree_query, tree_repeat, tree_sum)
 from .transform import (QSVT_PRECISION, eigenvalue_threshold_projector,
@@ -241,15 +242,6 @@ def _validated_rank_bound(rank_bound: int) -> int:
 # Von Neumann entropy
 # ---------------------------------------------------------------------------
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=64)
-def _vn_product_poly(delta: float, eps1: float):
-    return multiply(cached_sqrt_neglog(delta, eps1),
-                    cached_interior_indicator(delta, eps1))
-
-
 def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
                          epsilon: float, config: AmplitudeEstimatorConfig,
                          include_truth: bool = True) -> EstimateReport:
@@ -287,7 +279,8 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
     op = {"delta": max(analysis["delta"], OP_FLOORS["vn_delta"]),
           "eps1": max(analysis["eps1"], OP_FLOORS["vn_eps"]),
           "eps2": analysis["eps2"]}
-    poly = _vn_product_poly(op["delta"], op["eps1"])
+    poly = certified(multiply, certified(approx_sqrt_neglog, op["delta"], op["eps1"]),
+                     certified(approx_interior_indicator, op["delta"], op["eps1"]))
     out = qsvt_density(oracle, poly)
     lo = math.log(1.0 / op["delta"])
     b_op = (math.log(r) / (4.0 * lo) if r > 1 else 0.0) + 1.0
@@ -893,3 +886,47 @@ def weyl_perturbation_bound(a: np.ndarray, b: np.ndarray,
     r = max(nm.operator_rank(np.asarray(a)), nm.operator_rank(np.asarray(b)))
     rhs = 5.0 * r * nm.spectral_norm(np.asarray(a) - np.asarray(b)) ** alpha
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# One runner per quantity
+# ---------------------------------------------------------------------------
+
+def _exact_rank_report(oracle: PurifiedAccessOracle, kappa: float | None,
+                       config: AmplitudeEstimatorConfig) -> EstimateReport:
+    if kappa is None:
+        raise ValidationError("exact-rank needs kappa")
+    rank = estimate_exact_rank(oracle, kappa, config)
+    return EstimateReport(quantity="exact-rank", estimate=float(rank),
+                          target_epsilon=0.0,
+                          true_value=float(nm.operator_rank(oracle.encoded.matrix)),
+                          mode=config.mode)
+
+
+#: ``RUNNERS[name](oracles, ranks, epsilon, config, alpha=, kappa=, delta=,
+#: epsilon_prime=)`` runs the estimator for a name in ``numerics.QUANTITIES``.
+#: ``oracles`` and ``ranks`` hold one entry per state; a two-state estimator
+#: takes the larger rank bound for the trace distance and the smaller for
+#: the fidelity.  The runners call through module globals when they run, so
+#: a function rebound on this module (for instance by a tracing harness) is
+#: the one used.
+RUNNERS = {
+    "von-neumann": lambda o, r, eps, config, **kw: estimate_von_neumann(
+        o[0], r[0], eps, config),
+    "renyi": lambda o, r, eps, config, alpha, kappa=None, **kw: estimate_renyi(
+        o[0], alpha, r[0], eps, config, kappa=kappa),
+    "tsallis": lambda o, r, eps, config, alpha, kappa=None, **kw: estimate_tsallis(
+        o[0], alpha, r[0], eps, config, kappa=kappa),
+    "trace-power": lambda o, r, eps, config, alpha, **kw: estimate_trace_power(
+        o[0], alpha, r[0], eps, config),
+    "rank": lambda o, r, eps, config, delta, epsilon_prime, **kw: estimate_rank(
+        o[0], delta, eps, epsilon_prime, config),
+    "exact-rank": lambda o, r, eps, config, kappa, **kw: _exact_rank_report(
+        o[0], kappa, config),
+    "max-entropy": lambda o, r, eps, config, delta, kappa, **kw: estimate_max_entropy(
+        o[0], delta, eps, config, kappa=kappa),
+    "trace-distance": lambda o, r, eps, config, alpha, **kw: estimate_trace_distance(
+        o[0], o[1], alpha, max(r), eps, config),
+    "fidelity": lambda o, r, eps, config, alpha, **kw: estimate_fidelity(
+        o[0], o[1], alpha, min(r), eps, config),
+}

@@ -70,12 +70,6 @@ def pure_state(dim: int, index: int = 0) -> np.ndarray:
     return rho
 
 
-NAMED_FIXTURES = (
-    "maximally-mixed-2", "maximally-mixed-4", "maximally-mixed-8",
-    "pure-0", "bell-reduced", "diag-3-1", "orthogonal-pure-pair",
-)
-
-
 def curated_single_states(count: int, seed: int = 1000,
                           floor: float = 0.05) -> list[tuple[np.ndarray, int, float]]:
     """Deterministic acceptance fixtures: (state, rank, kappa) triples.

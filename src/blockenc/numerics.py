@@ -8,6 +8,7 @@ matrices are plain ``numpy.ndarray`` of complex128; wrappers stay thin.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,12 +50,6 @@ def require_square(m: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Relative defect ||M - M^dag|| / (1 + ||M||) in spectral norm."""
-    a = require_square(m)
-    return spectral_norm(a - a.conj().T) / (1.0 + spectral_norm(a))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -110,12 +105,6 @@ def matrix_function(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
     return (out + out.conj().T) / 2.0
 
 
-def is_psd(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    h = require_hermitian(m)
-    w = np.linalg.eigvalsh(h)
-    return bool(w.min() >= -tol * max(1.0, float(np.abs(w).max())))
-
-
 def partial_trace(state: np.ndarray, keep_dims: int, trace_dims: int) -> np.ndarray:
     """Trace out the trailing factor of a density operator on C^keep x C^trace."""
     rho = require_square(state)
@@ -124,31 +113,6 @@ def partial_trace(state: np.ndarray, keep_dims: int, trace_dims: int) -> np.ndar
         raise ValidationError(f"dimension mismatch: {keep_dims} * {trace_dims} != {d}")
     r = rho.reshape(keep_dims, trace_dims, keep_dims, trace_dims)
     return np.einsum("ikjk->ij", r)
-
-
-def purify(rho: np.ndarray, min_aux_dim: int = 1) -> np.ndarray:
-    """A purification |psi> of a normalized density operator.
-
-    The auxiliary register has dimension max(min_aux_dim, #nonzero eigenvalues)
-    rounded up to a power of two; the state lives on C^d (x) C^aux with the
-    system factor first.
-    """
-    w, v = spectral_decompose(rho)
-    w = clamp_psd_eigenvalues(w)
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError("purify expects a normalized density operator")
-    support = max(1, int(np.count_nonzero(w > 0)))
-    aux = 1
-    while aux < max(min_aux_dim, support):
-        aux *= 2
-    psi = np.zeros(rho.shape[0] * aux, dtype=complex)
-    for k in range(min(support, len(w))):
-        if w[k] <= 0:
-            continue
-        basis = np.zeros(aux, dtype=complex)
-        basis[k] = 1.0
-        psi += np.sqrt(w[k]) * np.kron(v[:, k], basis)
-    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -229,35 +193,54 @@ def alpha_fidelity(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     return float((s ** (2.0 * alpha)).sum())
 
 
-_TWO_STATE = {"trace-distance", "fidelity"}
-_ALPHA_REQUIRED = {"renyi", "tsallis", "trace-power", "trace-distance", "fidelity"}
+@dataclass(frozen=True)
+class Quantity:
+    """One estimable quantity: how many states it takes, its alpha rule, and
+    its exact value ``exact(rho, sigma, alpha)``.
+
+    ``needs_alpha`` quantities fail without alpha; otherwise a missing alpha
+    becomes ``alpha_default`` (None for quantities that take no alpha).
+    """
+
+    states: int
+    exact: Callable[[np.ndarray, np.ndarray | None, float | None], float]
+    needs_alpha: bool = False
+    alpha_default: float | None = None
+
+    def resolve_alpha(self, kind: str, alpha: float | None) -> float | None:
+        if alpha is not None:
+            return alpha
+        if self.needs_alpha:
+            raise ValidationError(f"{kind} needs alpha")
+        return self.alpha_default
+
+
+# The entries call through module globals when they run, so a function
+# rebound on this module (for instance by a tracing harness) is the one used.
+QUANTITIES = {
+    "von-neumann": Quantity(1, lambda rho, sigma, a: von_neumann_entropy(rho)),
+    "renyi": Quantity(1, lambda rho, sigma, a: renyi_entropy(rho, a), needs_alpha=True),
+    "tsallis": Quantity(1, lambda rho, sigma, a: tsallis_entropy(rho, a),
+                        needs_alpha=True),
+    "trace-power": Quantity(1, lambda rho, sigma, a: trace_power(rho, a),
+                            needs_alpha=True),
+    "rank": Quantity(1, lambda rho, sigma, a: float(operator_rank(rho))),
+    "exact-rank": Quantity(1, lambda rho, sigma, a: float(operator_rank(rho))),
+    "max-entropy": Quantity(1, lambda rho, sigma, a: max_entropy(rho)),
+    "trace-distance": Quantity(2, lambda rho, sigma, a: trace_distance(rho, sigma, a),
+                               alpha_default=1.0),
+    "fidelity": Quantity(2, lambda rho, sigma, a: alpha_fidelity(rho, sigma, a),
+                         needs_alpha=True),
+}
 
 
 def exact_quantity(kind: str, rho: np.ndarray, sigma: np.ndarray | None = None,
                    alpha: float | None = None) -> float:
-    """Dispatch on the quantity selector; the trusted oracle for acceptance."""
+    """Exact value of a quantity in ``QUANTITIES``; the trusted oracle for acceptance."""
     kind = kind.lower()
-    if kind in _TWO_STATE and sigma is None:
+    if kind not in QUANTITIES:
+        raise ValidationError(f"unknown quantity {kind!r}")
+    spec = QUANTITIES[kind]
+    if spec.states == 2 and sigma is None:
         raise ValidationError(f"{kind} needs a second state")
-    if kind in _ALPHA_REQUIRED and alpha is None:
-        if kind == "trace-distance":
-            alpha = 1.0
-        else:
-            raise ValidationError(f"{kind} needs alpha")
-    if kind == "von-neumann":
-        return von_neumann_entropy(rho)
-    if kind == "renyi":
-        return renyi_entropy(rho, alpha)
-    if kind == "tsallis":
-        return tsallis_entropy(rho, alpha)
-    if kind == "trace-power":
-        return trace_power(rho, alpha)
-    if kind == "max-entropy":
-        return max_entropy(rho)
-    if kind == "rank":
-        return float(operator_rank(rho))
-    if kind == "trace-distance":
-        return trace_distance(rho, sigma, alpha)
-    if kind == "fidelity":
-        return alpha_fidelity(rho, sigma, alpha)
-    raise ValidationError(f"unknown quantity {kind!r}")
+    return spec.exact(rho, sigma, spec.resolve_alpha(kind, alpha))

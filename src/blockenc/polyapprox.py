@@ -23,6 +23,7 @@ from scipy.fft import dct
 from scipy.special import erf, erfcinv, gammaln
 
 from .numerics import ValidationError
+from .resources import degree_formula
 
 DEGREE_CAP = 8192
 GRID_POINTS = 10001
@@ -40,9 +41,13 @@ class CertificationError(RuntimeError):
             f"certification of {family} failed up to degree {DEGREE_CAP}: {achieved}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertifiedPolynomial:
-    """Chebyshev-basis polynomial with a grid-checked certificate."""
+    """Chebyshev-basis polynomial with a grid-checked certificate.
+
+    Compared and hashed by identity, so a cached polynomial can key the
+    cached product built from it (see ``certified``).
+    """
 
     coefficients: np.ndarray
     parity: str                      # "even" | "odd" | "none"
@@ -60,9 +65,6 @@ class CertifiedPolynomial:
 
     def __call__(self, x):
         return _cheb.chebval(np.asarray(x, dtype=float), self.coefficients)
-
-    def requested_error(self) -> float:
-        return float(self.params.get("epsilon", self.certified_error))
 
 
 def _global_grid(degree: int) -> np.ndarray:
@@ -226,9 +228,9 @@ def approx_positive_power(c: float, delta: float, epsilon: float) -> CertifiedPo
     def target(x):
         return 0.5 * np.abs(x) ** c
 
-    start = 4.0 / delta * np.log(1.0 / epsilon)
     return _build("pos-power", {"c": c, "delta": delta, "epsilon": epsilon},
-                  surrogate, target, (delta, 1.0), epsilon, 1.0, "even", int(start) + 1)
+                  surrogate, target, (delta, 1.0), epsilon, 1.0, "even",
+                  degree_formula("pos-power", delta, epsilon))
 
 
 def approx_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPolynomial:
@@ -267,9 +269,9 @@ def approx_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPo
     def target(x):
         return (delta ** c / 2.0) * np.abs(x) ** (-c)
 
-    start = 4.0 * (c + 1.0) / delta * np.log(1.0 / epsilon)
     return _build("neg-power", {"c": c, "delta": delta, "epsilon": epsilon},
-                  surrogate, target, (delta, 1.0), epsilon, 1.0, "even", int(start) + 1)
+                  surrogate, target, (delta, 1.0), epsilon, 1.0, "even",
+                  degree_formula("neg-power", delta, epsilon, c))
 
 
 def approx_threshold(t: float, delta: float, epsilon: float) -> CertifiedPolynomial:
@@ -294,13 +296,13 @@ def approx_threshold(t: float, delta: float, epsilon: float) -> CertifiedPolynom
               and vals_in.max() <= 1.0 + 1e-9)
         return ok, detail
 
-    start = 4.0 / delta * np.log(1.0 / epsilon)
     return _build("threshold", {"t": t, "delta": delta, "epsilon": epsilon},
                   surrogate, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                  (0.0, t - delta), epsilon, 1.0, "even", int(start) + 1, extra)
+                  (0.0, t - delta), epsilon, 1.0, "even",
+                  degree_formula("threshold", delta, epsilon), extra)
 
 
-def _indicator_family(family, params, surrogate, one_band, zero_band, epsilon, start):
+def _indicator_family(family, delta, epsilon, surrogate, one_band, zero_band):
     def extra(poly):
         ones = poly(np.linspace(*one_band, GRID_POINTS // 4))
         zeros = np.abs(poly(np.linspace(*zero_band, GRID_POINTS // 4)))
@@ -310,9 +312,10 @@ def _indicator_family(family, params, surrogate, one_band, zero_band, epsilon, s
               and zeros.max() <= epsilon)
         return ok, detail
 
-    return _build(family, params, surrogate,
+    return _build(family, {"delta": delta, "epsilon": epsilon}, surrogate,
                   lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                  one_band, epsilon, 1.0, "even", start, extra)
+                  one_band, epsilon, 1.0, "even",
+                  degree_formula(family, delta, epsilon), extra)
 
 
 def approx_support_indicator(delta: float, epsilon: float) -> CertifiedPolynomial:
@@ -324,10 +327,8 @@ def approx_support_indicator(delta: float, epsilon: float) -> CertifiedPolynomia
     def surrogate(x):
         return 1.0 - _erf_band(np.asarray(x, dtype=float), 1.5 * delta, k)
 
-    start = int(4.0 / delta * np.log(1.0 / epsilon)) + 1
-    return _indicator_family(
-        "support-indicator", {"delta": delta, "epsilon": epsilon}, surrogate,
-        (2.0 * delta, 1.0), (0.0, delta), epsilon, start)
+    return _indicator_family("support-indicator", delta, epsilon, surrogate,
+                             (2.0 * delta, 1.0), (0.0, delta))
 
 
 def approx_interior_indicator(delta: float, epsilon: float) -> CertifiedPolynomial:
@@ -339,10 +340,8 @@ def approx_interior_indicator(delta: float, epsilon: float) -> CertifiedPolynomi
     def surrogate(x):
         return _erf_band(np.asarray(x, dtype=float), 1.0 - 1.5 * delta, k)
 
-    start = int(4.0 / delta * np.log(1.0 / epsilon)) + 1
-    return _indicator_family(
-        "interior-indicator", {"delta": delta, "epsilon": epsilon}, surrogate,
-        (0.0, 1.0 - 2.0 * delta), (1.0 - delta, 1.0), epsilon, start)
+    return _indicator_family("interior-indicator", delta, epsilon, surrogate,
+                             (0.0, 1.0 - 2.0 * delta), (1.0 - delta, 1.0))
 
 
 def approx_sqrt_neglog(delta_prime: float, epsilon: float) -> CertifiedPolynomial:
@@ -361,10 +360,9 @@ def approx_sqrt_neglog(delta_prime: float, epsilon: float) -> CertifiedPolynomia
     def target(x):
         return np.sqrt(-np.log(np.asarray(x, dtype=float))) / (2.0 * np.sqrt(big_l))
 
-    start = 4.0 / delta_prime * np.log(1.0 / (delta_prime * epsilon))
     return _build("sqrt-neglog", {"delta_prime": delta_prime, "epsilon": epsilon},
                   surrogate, target, (delta_prime, 1.0 - delta_prime),
-                  epsilon, 1.0, "even", int(start) + 1)
+                  epsilon, 1.0, "even", degree_formula("sqrt-neglog", delta_prime, epsilon))
 
 
 def approx_taylor(series: np.ndarray, x0: float, r: float, delta: float,
@@ -460,29 +458,13 @@ def multiply(p: CertifiedPolynomial, q: CertifiedPolynomial,
         params={"left": dict(p.params), "right": dict(q.params)})
 
 
-# Cached constructors: the estimators reuse identical parameter tuples across
-# fixtures, and construction dominates their runtime.
+@lru_cache(maxsize=1024)
+def certified(build: Callable[..., CertifiedPolynomial], *args) -> CertifiedPolynomial:
+    """``build(*args)``, memoized.
 
-@lru_cache(maxsize=128)
-def cached_positive_power(c: float, delta: float, epsilon: float) -> CertifiedPolynomial:
-    return approx_positive_power(c, delta, epsilon)
-
-
-@lru_cache(maxsize=128)
-def cached_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPolynomial:
-    return approx_negative_power(c, delta, epsilon)
-
-
-@lru_cache(maxsize=128)
-def cached_support_indicator(delta: float, epsilon: float) -> CertifiedPolynomial:
-    return approx_support_indicator(delta, epsilon)
-
-
-@lru_cache(maxsize=128)
-def cached_interior_indicator(delta: float, epsilon: float) -> CertifiedPolynomial:
-    return approx_interior_indicator(delta, epsilon)
-
-
-@lru_cache(maxsize=128)
-def cached_sqrt_neglog(delta_prime: float, epsilon: float) -> CertifiedPolynomial:
-    return approx_sqrt_neglog(delta_prime, epsilon)
+    The estimators reuse identical parameter tuples across fixtures, and
+    construction dominates their runtime.  ``build`` is one of the
+    constructors above or ``multiply``; a product keyed by two cached
+    polynomials is found again because polynomials hash by identity.
+    """
+    return build(*args)

@@ -18,7 +18,9 @@ import numpy as np
 from .encodings import (PurifiedAccessOracle, SubnormalizedDensityOperator,
                         UnitaryBlockEncoding, dilate, purification_of)
 from .numerics import ValidationError, clamp_psd_eigenvalues, spectral_norm
-from .polyapprox import CertifiedPolynomial, multiply
+from .polyapprox import (CertifiedPolynomial, approx_negative_power,
+                         approx_positive_power, approx_support_indicator,
+                         certified, multiply)
 from .resources import QueryCost
 
 #: Declared precision of the (not synthesized) phase-factor computation.
@@ -167,8 +169,7 @@ def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
         raise ValidationError("delta, epsilon must lie in (0, 1/2]")
     c_neg = (1.0 - c) / 2.0
     if poly is None:
-        from .polyapprox import cached_negative_power
-        poly = cached_negative_power(c_neg, delta, epsilon)
+        poly = certified(approx_negative_power, c_neg, delta, epsilon)
 
     def f(x):
         return (delta ** c_neg / 2.0) * np.asarray(x, dtype=float) ** (-c_neg)
@@ -200,9 +201,8 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
         raise ValidationError("delta, epsilon must lie in (0, 1/4]")
     if abs(u.scale - 1.0) > 1e-12:
         raise ValidationError("positive_power_unitary needs a scale-1 encoding")
-    from .polyapprox import cached_positive_power, cached_support_indicator
-    p = cached_positive_power(c, delta, epsilon)
-    r = cached_support_indicator(delta, epsilon)
+    p = certified(approx_positive_power, c, delta, epsilon)
+    r = certified(approx_support_indicator, delta, epsilon)
     a = _hermitian_block(u)
     w, v = _clipped_eigh(a, -1.0, 1.0)
     bc = (v * (p(w) * r(w))) @ v.conj().T
@@ -234,16 +234,6 @@ def sandwich_coefficients(delta: float, epsilon: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=64)
-def _threshold_product_poly(delta: float, epsilon: float) -> CertifiedPolynomial:
-    from .polyapprox import cached_negative_power, cached_support_indicator
-    return multiply(cached_negative_power(0.5, delta, epsilon),
-                    cached_support_indicator(delta, epsilon))
-
-
 def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
                                    epsilon: float,
                                    precision: float = QSVT_PRECISION) -> TransformResult:
@@ -258,7 +248,8 @@ def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
     if 32.0 * epsilon ** 2 > delta:
         raise ValidationError(f"precondition violated: 32 eps^2 = "
                               f"{32 * epsilon ** 2:.4g} > delta = {delta}")
-    q = _threshold_product_poly(delta, epsilon)
+    q = certified(multiply, certified(approx_negative_power, 0.5, delta, epsilon),
+                  certified(approx_support_indicator, delta, epsilon))
     inner = qsvt_density(oracle, q, precision)
     lo, hi = sandwich_coefficients(delta, epsilon)
     return TransformResult(

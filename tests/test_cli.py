@@ -1,9 +1,14 @@
+import argparse
 import json
+import math
 
 import numpy as np
+import pytest
 
 from blockenc import cli
-from blockenc.fixtures import maximally_mixed
+from blockenc import estimation as est
+from blockenc import numerics as nm
+from blockenc.fixtures import maximally_mixed, shared_support_pair
 
 
 def run(argv):
@@ -156,3 +161,67 @@ def test_approx_poly_certification_failure_exit_code():
     # large exponent at tiny delta cannot certify under the degree cap
     assert run(["approx-poly", "--family", "neg-power", "--c", "3.0",
                 "--delta", "0.002", "--epsilon", "0.001"]) == 3
+
+
+QUANTITY_NAMES = ("von-neumann", "renyi", "tsallis", "trace-power", "rank",
+                  "exact-rank", "max-entropy", "trace-distance", "fidelity")
+ALPHAS = {"renyi": 0.5, "tsallis": 2.0, "trace-power": 3.0, "fidelity": 0.5}
+RANK_DELTA, RANK_EPS_PRIME = 0.05, 0.1
+
+
+def quantity_choices(subcommand):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[subcommand]._actions
+                if a.dest == "quantity")
+
+
+def test_cli_table_and_runners_share_one_set_of_quantities():
+    assert (set(QUANTITY_NAMES) == set(quantity_choices("estimate"))
+            == set(nm.QUANTITIES) == set(est.RUNNERS))
+    assert set(quantity_choices("bench-scaling")) <= set(nm.QUANTITIES)
+
+
+@pytest.mark.parametrize("quantity", ["renyi", "tsallis", "trace-power", "fidelity"])
+def test_estimate_missing_alpha_is_validation_error(tmp_path, capsys, quantity):
+    state = write_state(tmp_path, "s.json")
+    assert run(["estimate", "--quantity", quantity, "--state", state,
+                "--state2", state]) == 2
+    assert f"{quantity} needs alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quantity", ["renyi", "tsallis", "trace-power", "fidelity"])
+def test_bench_scaling_missing_alpha_is_validation_error(capsys, quantity):
+    assert run(["bench-scaling", "--quantity", quantity, "--sweep-r", "1,2"]) == 2
+    assert f"{quantity} needs alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quantity", QUANTITY_NAMES)
+def test_estimate_every_quantity_meets_its_guarantee(tmp_path, quantity):
+    eps = 0.2
+    rho, sigma = shared_support_pair(4, 2, np.random.default_rng(11))
+    argv = ["estimate", "--quantity", quantity, "--epsilon", str(eps),
+            "--state", write_state(tmp_path, "rho.json", rho),
+            "--delta", str(RANK_DELTA), "--epsilon-prime", str(RANK_EPS_PRIME),
+            "--out", str(tmp_path / "rep.json")]
+    if quantity in ("trace-distance", "fidelity"):
+        argv += ["--state2", write_state(tmp_path, "sigma.json", sigma)]
+    if quantity in ALPHAS:
+        argv += ["--alpha", str(ALPHAS[quantity])]
+    w = np.linalg.eigvalsh(rho)
+    if quantity == "exact-rank":
+        argv += ["--kappa", str(1.0 / w[w > 1e-10].min())]
+    assert run(argv) == 0
+    got = json.load(open(tmp_path / "rep.json"))["report"]["estimate"]
+    rank = nm.operator_rank(rho)
+    rank_delta = nm.rank_delta(rho, RANK_DELTA)
+    if quantity == "exact-rank":
+        assert got == rank
+    elif quantity == "rank":
+        assert ((1 - eps) * rank_delta - RANK_EPS_PRIME <= got
+                <= (1 + eps) * rank + RANK_EPS_PRIME)
+    elif quantity == "max-entropy":
+        assert math.log(rank_delta) - eps <= got <= math.log(rank) + eps
+    else:
+        truth = nm.exact_quantity(quantity, rho, sigma, ALPHAS.get(quantity))
+        assert abs(got - truth) <= eps

@@ -111,14 +111,6 @@ def test_partial_trace_dimension_mismatch():
         nm.partial_trace(np.eye(6, dtype=complex) / 6, 4, 2)
 
 
-def test_purify_then_trace_roundtrip():
-    rng = np.random.default_rng(23)
-    rho = ginibre_state(8, 3, rng)
-    psi = nm.purify(rho)
-    aux = psi.size // 8
-    assert nm.spectral_norm(nm.partial_trace(np.outer(psi, psi.conj()), 8, aux) - rho) < 1e-10
-
-
 # -- exact quantities --------------------------------------------------------
 
 def test_von_neumann_maximally_mixed():

@@ -176,8 +176,8 @@ def test_positive_power_unitary_random_hermitian():
 
 
 def test_positive_power_unitary_cost_is_sum_of_degrees():
-    p = pa.cached_positive_power(0.5, 0.05, 0.01)
-    r = pa.cached_support_indicator(0.05, 0.01)
+    p = pa.certified(pa.approx_positive_power, 0.5, 0.05, 0.01)
+    r = pa.certified(pa.approx_support_indicator, 0.05, 0.01)
     u = enc.dilate(maximally_mixed(2), cost=tf.QueryCost.of("rho"))
     out = tf.positive_power_unitary(u, 0.5, 0.05, 0.01)
     assert out.cost.query_count("rho") == 2 * (p.degree + r.degree)
