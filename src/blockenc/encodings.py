@@ -2,15 +2,17 @@
 
 Register convention: system qubits first, block ancillas second, purifying
 ancillas last; every block projection applies the <0| pattern to the block
-ancilla register.  Composition rules (evolution, products, linear
-combinations, LCU) realize the composed operator exactly; transformed
-oracles are re-materialized as minimal purifications of the exact output,
-while each rule's query cost composes per its stated accounting.
+ancilla register.  Each composition rule computes the composed operator and
+its query cost, which is all the estimators read; its literal circuit is built,
+under the dimension cap, the first time ``.unitary`` is read.  Evolution
+re-materializes its output as a minimal purification of the exact product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -23,12 +25,6 @@ PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 UNITARITY_TOL = 1e-9
 
-#: Largest total dimension at which composition rules materialize their
-#: literal select/swap circuits; above it they fall back to a minimal
-#: realization (dilation or re-purification) carrying the same contract,
-#: encoded operator, and cost.
-LITERAL_DIM_LIMIT = 512
-
 
 def _qubits(dim: int, what: str) -> int:
     n = int(dim).bit_length() - 1
@@ -37,9 +33,15 @@ def _qubits(dim: int, what: str) -> int:
     return n
 
 
-def _check_cap(dim: int):
-    if dim > dimension_cap():
-        raise ValidationError(f"total dimension {dim} exceeds the cap {dimension_cap()}")
+def _materialize(builder: Callable[[], np.ndarray], dim: int) -> np.ndarray:
+    """Run a circuit builder for ``dim`` total dimensions, refusing any above the cap."""
+    cap = dimension_cap()
+    if dim > cap:
+        raise ValidationError(f"total dimension {dim} exceeds the cap {cap}")
+    u = as_matrix(builder())
+    if u.shape != (dim, dim):
+        raise ValidationError(f"circuit of shape {u.shape} does not match its registers")
+    return u
 
 
 def permute_subsystems(u: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
@@ -67,18 +69,22 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def unitary_from_first_column(psi: np.ndarray) -> np.ndarray:
-    """Any unitary whose first column is the given unit vector."""
+    """A unitary whose first column is the given unit vector, in O(d^2).
+
+    One Householder reflector (Golub & Van Loan, *Matrix Computations*, 5.1):
+    -phase (I - 2 u u^dag / |u|^2) with u = psi + phase e_0, where
+    phase = psi_0 / |psi_0| keeps the sum in u from cancelling.
+    """
     psi = np.asarray(psi, dtype=complex)
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-9:
         raise ValidationError("state vector is not normalized")
-    d = psi.size
-    m = np.eye(d, dtype=complex)
-    m[:, 0] = psi / nrm
-    q, _ = np.linalg.qr(m)
-    phase = np.vdot(q[:, 0], psi / nrm)
-    q = q * phase  # rotate so column 0 equals psi exactly up to 1e-15
-    q[:, 0] = psi / nrm
+    psi = psi / nrm
+    phase = psi[0] / abs(psi[0]) if psi[0] != 0 else 1.0
+    u = psi + phase * (np.arange(psi.size) == 0)
+    q = (2.0 * phase / np.vdot(u, u).real) * np.outer(u, u.conj())
+    q[np.diag_indices_from(q)] -= phase
+    q[:, 0] = psi  # exactly psi, not psi up to rounding
     return q
 
 
@@ -113,16 +119,13 @@ class SubnormalizedDensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def rank(self, tol: float = 1e-10) -> int:
-        w = np.linalg.eigvalsh(self.matrix)
-        return int(np.count_nonzero(w > tol))
-
 
 @dataclass(frozen=True)
 class PurifiedAccessOracle:
-    """Unitary preparing a purification whose block projection is ``encoded``."""
+    """Unitary preparing a purification whose block projection is ``encoded``,
+    built by ``builder`` the first time ``unitary`` is read."""
 
-    unitary: np.ndarray
+    builder: Callable[[], np.ndarray] = field(repr=False, compare=False)
     system_qubits: int
     block_ancillas: int
     purifying_ancillas: int
@@ -130,11 +133,9 @@ class PurifiedAccessOracle:
     cost: QueryCost = field(default_factory=QueryCost)
     label: str = "oracle"
 
-    def __post_init__(self):
-        dim = 2 ** (self.system_qubits + self.block_ancillas + self.purifying_ancillas)
-        u = as_matrix(self.unitary)
-        if u.shape != (dim, dim):
-            raise ValidationError("oracle unitary does not match declared registers")
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        return _materialize(self.builder, 2 ** self.total_qubits)
 
     @property
     def total_qubits(self) -> int:
@@ -170,26 +171,31 @@ class PurifiedAccessOracle:
 class UnitaryBlockEncoding:
     """(scale, ancillas, error) contract on the top-left block of a unitary.
 
-    ``ancillas`` is the declared contract used by the ledger; the realized
-    matrix may use fewer (minimal dilations), and block() always projects on
-    the realized ancilla register.
+    ``matrix`` is the encoded block; ``builder`` builds the unitary the first
+    time it is read.  ``ancillas`` is the declared contract used by the ledger;
+    the circuit may use another register (a dilation uses one qubit), and
+    block() always projects the built unitary on the realized one.
     """
 
-    unitary: np.ndarray
+    matrix: np.ndarray
+    builder: Callable[[], np.ndarray] = field(repr=False, compare=False)
     system_qubits: int
     ancillas: int
+    realized_ancillas: int
     scale: float
     declared_error: float
     target: np.ndarray | None = None
     cost: QueryCost = field(default_factory=QueryCost)
 
     def __post_init__(self):
-        u = as_matrix(self.unitary)
-        if u.shape[0] < 2 ** self.system_qubits:
-            raise ValidationError("unitary smaller than the system register")
-        _qubits(u.shape[0], "encoding")
+        if np.shape(self.matrix) != (2 ** self.system_qubits,) * 2:
+            raise ValidationError("encoded block does not match the system register")
         if self.scale < 0 or self.declared_error < 0:
             raise ValidationError("scale and declared error must be nonnegative")
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        return _materialize(self.builder, 2 ** (self.system_qubits + self.realized_ancillas))
 
     def validate(self, slack: float = 1e-8) -> "UnitaryBlockEncoding":
         """Unitarity plus the (lazy) contract check."""
@@ -197,10 +203,6 @@ class UnitaryBlockEncoding:
             raise ValidationError("block-encoding matrix is not unitary within tolerance")
         self.check(slack)
         return self
-
-    @property
-    def realized_ancillas(self) -> int:
-        return _qubits(self.unitary.shape[0], "encoding") - self.system_qubits
 
     def block(self) -> np.ndarray:
         a = 2 ** self.realized_ancillas
@@ -211,10 +213,16 @@ class UnitaryBlockEncoding:
         return self.scale * self.block()
 
     def check(self, slack: float = 1e-8) -> float:
-        """Contract invariant: ||scale * block - target|| <= declared_error + slack."""
+        """Circuit invariants: ||block - matrix|| <= slack, and the contract
+        ||scale * block - target|| <= declared_error + slack."""
+        block = self.block()
+        drift = spectral_norm(block - self.matrix)
+        if drift > slack:
+            raise ValidationError(f"circuit block deviates from the encoded matrix "
+                                  f"by {drift:.3e}")
         if self.target is None:
             return 0.0
-        defect = spectral_norm(self.actual() - self.target)
+        defect = spectral_norm(self.scale * block - self.target)
         if defect > self.declared_error + slack:
             raise ValidationError(
                 f"encoding misses its target by {defect:.3e} > "
@@ -227,7 +235,7 @@ class UnitaryBlockEncoding:
             return self
         target = None if self.target is None else self.target / self.scale
         return replace(self, scale=1.0, declared_error=self.declared_error / self.scale,
-                       target=target)
+                       target=target, builder=lambda: self.unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +268,16 @@ def purification_of(a, label: str = "oracle",
     w = clamp_psd_eigenvalues(w)
     support = max(1, int(np.count_nonzero(w > 1e-14)))
     pur = max(1, (support - 1).bit_length())
-    _check_cap(full.shape[0] * 2 ** pur)
-    psi = np.zeros(full.shape[0] * 2 ** pur, dtype=complex)
-    for k in range(support):
-        if w[k] <= 0:
-            continue
-        e = np.zeros(2 ** pur, dtype=complex)
-        e[k] = 1.0
-        psi += np.sqrt(w[k]) * np.kron(v[:, k], e)
-    psi /= np.linalg.norm(psi)
-    unitary = unitary_from_first_column(psi)
+
+    def build():
+        # sum_k sqrt(w_k) |v_k>|k>, purifying index last
+        psi = np.zeros((full.shape[0], 2 ** pur), dtype=complex)
+        psi[:, :support] = v[:, :support] * np.sqrt(np.maximum(w[:support], 0.0))
+        psi = psi.ravel()
+        return unitary_from_first_column(psi / np.linalg.norm(psi))
+
     return PurifiedAccessOracle(
-        unitary=unitary, system_qubits=a.system_qubits, block_ancillas=block,
+        builder=build, system_qubits=a.system_qubits, block_ancillas=block,
         purifying_ancillas=pur, encoded=a,
         cost=cost if cost is not None else QueryCost.of(label), label=label)
 
@@ -281,35 +287,40 @@ def dilate(m: np.ndarray, target: np.ndarray | None = None,
            scale: float = 1.0, declared_error: float = 0.0) -> UnitaryBlockEncoding:
     """Exact two-block unitary dilation of a contraction (one extra qubit).
 
-    Built from the SVD so the result is unitary to machine precision;
-    singular values within tolerance above one are clamped.
+    The norm is checked on the call.  The dilation is built from the SVD, so
+    it is unitary to machine precision; singular values within tolerance
+    above one are clamped.
     """
     m = require_square(m)
     n = _qubits(m.shape[0], "contraction")
-    _check_cap(2 * m.shape[0])
-    wl, s, vr = np.linalg.svd(m)
-    if s.max(initial=0.0) > 1.0 + PSD_TOL:
-        raise ValidationError(f"operator norm {s.max():.6f} exceeds one")
-    s = np.minimum(s, 1.0)
-    comp = np.sqrt(1.0 - s ** 2)
-    top_right = (wl * comp) @ wl.conj().T
-    bottom_left = (vr.conj().T * comp) @ vr
-    m_eff = (wl * s) @ vr
-    blockform = np.block([[m_eff, top_right], [bottom_left, -m_eff.conj().T]])
-    # blockform is ancilla-major; reorder to the system-first convention
-    u = permute_subsystems(blockform, (2, m.shape[0]), (1, 0))
+    norm = spectral_norm(m)
+    if norm > 1.0 + PSD_TOL:
+        raise ValidationError(f"operator norm {norm:.6f} exceeds one")
+
+    def build():
+        wl, s, vr = np.linalg.svd(m)
+        s = np.minimum(s, 1.0)
+        comp = np.sqrt(1.0 - s ** 2)
+        top_right = (wl * comp) @ wl.conj().T
+        bottom_left = (vr.conj().T * comp) @ vr
+        m_eff = (wl * s) @ vr
+        blockform = np.block([[m_eff, top_right], [bottom_left, -m_eff.conj().T]])
+        # blockform is ancilla-major; reorder to the system-first convention
+        return permute_subsystems(blockform, (2, m.shape[0]), (1, 0))
+
     return UnitaryBlockEncoding(
-        unitary=u, system_qubits=n,
+        matrix=m, builder=build, system_qubits=n,
         ancillas=1 if declared_ancillas is None else declared_ancillas,
-        scale=scale, declared_error=declared_error,
+        realized_ancillas=1, scale=scale, declared_error=declared_error,
         target=m if target is None else target,
         cost=cost if cost is not None else QueryCost())
 
 
 def identity_encoding(n: int) -> UnitaryBlockEncoding:
+    eye = np.eye(2 ** n, dtype=complex)
     return UnitaryBlockEncoding(
-        unitary=np.eye(2 ** n, dtype=complex), system_qubits=n, ancillas=0,
-        scale=1.0, declared_error=0.0, target=np.eye(2 ** n, dtype=complex))
+        matrix=eye, builder=lambda: eye, system_qubits=n, ancillas=0,
+        realized_ancillas=0, scale=1.0, declared_error=0.0, target=eye)
 
 
 def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
@@ -318,28 +329,20 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
     Swaps a fresh system register into the prepared purification, controlled
     on the block ancillas being |0>; branches with nonzero block ancillas flag
     an extra qubit so the block projection removes them.  Costs one query to
-    U and U^dag plus O(a) gates.  Above LITERAL_DIM_LIMIT the realization is
-    a minimal dilation with the same contract and cost.
+    U and U^dag plus O(a) gates.
     """
     n = oracle.system_qubits
     dim_n = 2 ** n
     dim_blk = 2 ** oracle.block_ancillas
     dim_pur = 2 ** oracle.purifying_ancillas
-    cost = (oracle.cost + oracle.cost).plus_gates(
-        oracle.block_ancillas + oracle.purifying_ancillas)
-    if dim_n * dim_blk * dim_pur * dim_n * 2 > LITERAL_DIM_LIMIT:
-        return dilate(oracle.encoded.matrix, target=oracle.encoded.matrix,
-                      cost=cost, declared_ancillas=n + oracle.block_ancillas
-                      + oracle.purifying_ancillas)
-    if oracle.block_ancillas == 0:
-        _check_cap(dim_n * dim_pur * dim_n)
-        ext = np.kron(oracle.unitary, np.eye(dim_n))
-        swap = permutation_gate((dim_n, dim_pur, dim_n), (2, 1, 0))
-        tilde = ext.conj().T @ swap @ ext
-        dims = (dim_n, dim_pur, dim_n)
-        tilde = permute_subsystems(tilde, dims, (2, 0, 1))
-    else:
-        _check_cap(dim_n * dim_blk * dim_pur * dim_n * 2)
+    flag = 1 if oracle.block_ancillas else 0
+
+    def build():
+        if not flag:
+            ext = np.kron(oracle.unitary, np.eye(dim_n))
+            swap = permutation_gate((dim_n, dim_pur, dim_n), (2, 1, 0))
+            tilde = ext.conj().T @ swap @ ext
+            return permute_subsystems(tilde, (dim_n, dim_pur, dim_n), (2, 0, 1))
         sub = (dim_n, dim_pur, dim_n, 2)          # [old sys][pur][new][flag]
         swap_branch = np.kron(permutation_gate(sub[:3], (2, 1, 0)), np.eye(2))
         x_branch = np.kron(np.eye(dim_n * dim_pur * dim_n),
@@ -355,11 +358,15 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
         ext = np.kron(oracle.unitary, np.eye(dim_n * 2))
         tilde = ext.conj().T @ gate @ ext
         dims = (dim_n, dim_blk, dim_pur, dim_n, 2)
-        tilde = permute_subsystems(tilde, dims, (3, 0, 1, 2, 4))
+        return permute_subsystems(tilde, dims, (3, 0, 1, 2, 4))
+
+    ancillas = n + oracle.block_ancillas + oracle.purifying_ancillas
     return UnitaryBlockEncoding(
-        unitary=tilde, system_qubits=n,
-        ancillas=n + oracle.block_ancillas + oracle.purifying_ancillas,
-        scale=1.0, declared_error=0.0, target=oracle.encoded.matrix, cost=cost)
+        matrix=oracle.encoded.matrix, builder=build, system_qubits=n,
+        ancillas=ancillas, realized_ancillas=ancillas + flag,
+        scale=1.0, declared_error=0.0, target=oracle.encoded.matrix,
+        cost=(oracle.cost + oracle.cost).plus_gates(
+            oracle.block_ancillas + oracle.purifying_ancillas))
 
 
 def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
@@ -374,7 +381,7 @@ def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
     if abs(v.scale - 1.0) > 1e-12:
         raise ValidationError("evolution requires a scale-1 block-encoding "
                               "(use as_scale_one())")
-    b = v.block()
+    b = v.matrix
     out = b @ oracle.encoded.matrix @ b.conj().T
     out = (out + out.conj().T) / 2.0
     return purification_of(
@@ -391,14 +398,14 @@ def embed(oracle: PurifiedAccessOracle, extra_qubits: int) -> PurifiedAccessOrac
     dim_b = 2 ** extra_qubits
     dims = (2 ** oracle.system_qubits, 2 ** (oracle.block_ancillas + oracle.purifying_ancillas),
             dim_b)
-    _check_cap(int(np.prod(dims)))
-    u = permute_subsystems(np.kron(oracle.unitary, np.eye(dim_b)), dims, (0, 2, 1))
     zero = np.zeros((dim_b, dim_b), dtype=complex)
     zero[0, 0] = 1.0
     enc = SubnormalizedDensityOperator(np.kron(oracle.encoded.matrix, zero),
                                        oracle.system_qubits + extra_qubits)
     return PurifiedAccessOracle(
-        unitary=u, system_qubits=oracle.system_qubits + extra_qubits,
+        builder=lambda: permute_subsystems(np.kron(oracle.unitary, np.eye(dim_b)),
+                                           dims, (0, 2, 1)),
+        system_qubits=oracle.system_qubits + extra_qubits,
         block_ancillas=oracle.block_ancillas,
         purifying_ancillas=oracle.purifying_ancillas,
         encoded=enc, cost=oracle.cost, label=oracle.label)
@@ -413,18 +420,20 @@ def product(u: UnitaryBlockEncoding, v: UnitaryBlockEncoding) -> UnitaryBlockEnc
     target = None
     if u.target is not None and v.target is not None:
         target = u.target @ v.target
-    err = u.scale * v.declared_error + v.scale * u.declared_error
-    cost = u.cost + v.cost
-    if dim_n * dim_a * dim_b > LITERAL_DIM_LIMIT:
-        return dilate(u.block() @ v.block(), target=target, cost=cost,
-                      declared_ancillas=u.ancillas + v.ancillas,
-                      scale=u.scale * v.scale, declared_error=err)
-    u_pad = np.kron(u.unitary, np.eye(dim_b))
-    v_pad = permute_subsystems(np.kron(v.unitary, np.eye(dim_a)),
-                               (dim_n, dim_b, dim_a), (0, 2, 1))
+
+    def build():
+        u_pad = np.kron(u.unitary, np.eye(dim_b))
+        v_pad = permute_subsystems(np.kron(v.unitary, np.eye(dim_a)),
+                                   (dim_n, dim_b, dim_a), (0, 2, 1))
+        return u_pad @ v_pad
+
     return UnitaryBlockEncoding(
-        unitary=u_pad @ v_pad, system_qubits=n, ancillas=u.ancillas + v.ancillas,
-        scale=u.scale * v.scale, declared_error=err, target=target, cost=cost)
+        matrix=u.matrix @ v.matrix, builder=build, system_qubits=n,
+        ancillas=u.ancillas + v.ancillas,
+        realized_ancillas=u.realized_ancillas + v.realized_ancillas,
+        scale=u.scale * v.scale,
+        declared_error=u.scale * v.declared_error + v.scale * u.declared_error,
+        target=target, cost=u.cost + v.cost)
 
 
 def encoding_power(u: UnitaryBlockEncoding, k: int) -> UnitaryBlockEncoding:
@@ -445,9 +454,7 @@ def linear_combination_density(coefficients, oracles,
     sqrt(alpha_k) controls the padded oracles, with register alignment at the
     maxima of the input ancilla counts.  A coefficient deficit 1 - sum(alpha)
     is parked on a branch that flips a block ancilla, so the block projection
-    still returns the declared combination.  One query to each input.  Above
-    LITERAL_DIM_LIMIT the output is re-materialized as a minimal purification
-    of the exact combination with the same cost.
+    still returns the declared combination.  One query to each input.
     """
     alphas = np.asarray(coefficients, dtype=float)
     if alphas.ndim != 1 or alphas.size != len(oracles) or alphas.size == 0:
@@ -474,16 +481,6 @@ def linear_combination_density(coefficients, oracles,
     total_cost = QueryCost(gates=2 * m)
     for o in oracles:
         total_cost = total_cost + o.cost
-    if dim_m * dim_n * dim_a * dim_b > LITERAL_DIM_LIMIT:
-        return purification_of(
-            SubnormalizedDensityOperator(np.asarray(combo_matrix), n),
-            label=label or oracles[0].label, cost=total_cost)
-
-    coeff_state = np.zeros(dim_m, dtype=complex)
-    coeff_state[:alphas.size] = np.sqrt(alphas)
-    if junk:
-        coeff_state[alphas.size] = np.sqrt(deficit)
-    prep = unitary_from_first_column(coeff_state)
 
     def padded(oracle: PurifiedAccessOracle) -> np.ndarray:
         pa, pb = a - oracle.block_ancillas, b - oracle.purifying_ancillas
@@ -492,29 +489,35 @@ def linear_combination_density(coefficients, oracles,
         ext = np.kron(oracle.unitary, np.eye(2 ** (pa + pb)))
         return permute_subsystems(ext, dims, (0, 1, 3, 2, 4))
 
-    sub = dim_n * dim_a * dim_b
-    select = np.zeros((dim_m * sub, dim_m * sub), dtype=complex)
-    flip = np.eye(sub, dtype=complex)
-    if junk:
-        x_first = np.zeros((dim_a, dim_a))
-        half = dim_a // 2
-        x_first[half:, :half] = np.eye(half)
-        x_first[:half, half:] = np.eye(half)
-        flip = np.kron(np.kron(np.eye(dim_n), x_first), np.eye(dim_b))
-    for k in range(dim_m):
-        if k < len(oracles):
-            blockk = padded(oracles[k])
-        elif junk and k == len(oracles):
-            blockk = flip
-        else:
-            blockk = np.eye(sub, dtype=complex)
-        select[k * sub:(k + 1) * sub, k * sub:(k + 1) * sub] = blockk
+    def build():
+        coeff_state = np.zeros(dim_m, dtype=complex)
+        coeff_state[:alphas.size] = np.sqrt(alphas)
+        if junk:
+            coeff_state[alphas.size] = np.sqrt(deficit)
+        prep = unitary_from_first_column(coeff_state)
+        sub = dim_n * dim_a * dim_b
+        select = np.zeros((dim_m * sub, dim_m * sub), dtype=complex)
+        flip = np.eye(sub, dtype=complex)
+        if junk:
+            x_first = np.zeros((dim_a, dim_a))
+            half = dim_a // 2
+            x_first[half:, :half] = np.eye(half)
+            x_first[:half, half:] = np.eye(half)
+            flip = np.kron(np.kron(np.eye(dim_n), x_first), np.eye(dim_b))
+        for k in range(dim_m):
+            if k < len(oracles):
+                blockk = padded(oracles[k])
+            elif junk and k == len(oracles):
+                blockk = flip
+            else:
+                blockk = np.eye(sub, dtype=complex)
+            select[k * sub:(k + 1) * sub, k * sub:(k + 1) * sub] = blockk
+        u_total = select @ np.kron(prep, np.eye(sub))
+        # layout [m][n][a][b] -> [n][a][m][b]; the m register is traced out
+        return permute_subsystems(u_total, (dim_m, dim_n, dim_a, dim_b), (1, 2, 0, 3))
 
-    u_total = select @ np.kron(prep, np.eye(sub))
-    # layout [m][n][a][b] -> [n][a][m][b]; the m register is traced out
-    u_total = permute_subsystems(u_total, (dim_m, dim_n, dim_a, dim_b), (1, 2, 0, 3))
     return PurifiedAccessOracle(
-        unitary=u_total, system_qubits=n, block_ancillas=a, purifying_ancillas=m + b,
+        builder=build, system_qubits=n, block_ancillas=a, purifying_ancillas=m + b,
         encoded=SubnormalizedDensityOperator(np.asarray(combo_matrix), n),
         cost=total_cost, label=label or oracles[0].label)
 
@@ -584,8 +587,6 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
 
     Output contract (alpha beta, a+b, alpha eps1 + alpha beta eps2) on
     sum_k y_k A_k; one query to each controlled input and to the pair members.
-    Above LITERAL_DIM_LIMIT the realization is a minimal dilation of the
-    combined block with the same contract and cost.
     """
     if len(encodings) == 0:
         raise ValidationError("need at least one encoding")
@@ -608,28 +609,22 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
     cost = QueryCost(gates=pair.qubits ** 2)
     for e in encodings:
         cost = cost + e.cost
-    c = pair.left_unitary[:, 0]
-    d = pair.right_unitary[:, 0]
-    if dim_n * dim_a * dim_b > LITERAL_DIM_LIMIT:
-        combined = sum((c[k].conj() * d[k]) * encodings[k].block()
-                       for k in range(len(encodings)))
-        return dilate(np.asarray(combined), target=target, cost=cost,
-                      declared_ancillas=a + pair.qubits,
-                      scale=alpha * pair.norm_bound, declared_error=err)
+    weights = pair.left_unitary[:, 0].conj() * pair.right_unitary[:, 0]
+    combined = sum(wk * e.matrix for wk, e in zip(weights, encodings))
 
-    def padded(e: UnitaryBlockEncoding) -> np.ndarray:
-        pad = a - e.realized_ancillas
-        return np.kron(e.unitary, np.eye(2 ** pad))
+    def build():
+        sub = dim_n * dim_a
+        select = np.eye(dim_b * sub, dtype=complex)
+        for k, e in enumerate(encodings):
+            pad = np.eye(2 ** (a - e.realized_ancillas))
+            select[k * sub:(k + 1) * sub, k * sub:(k + 1) * sub] = np.kron(e.unitary, pad)
+        w = (np.kron(pair.left_unitary.conj().T, np.eye(sub)) @ select
+             @ np.kron(pair.right_unitary, np.eye(sub)))
+        # layout [b][n][a] -> [n][a][b]
+        return permute_subsystems(w, (dim_b, dim_n, dim_a), (1, 2, 0))
 
-    sub = dim_n * dim_a
-    select = np.eye(dim_b * sub, dtype=complex)
-    for k in range(len(encodings)):
-        select[k * sub:(k + 1) * sub, k * sub:(k + 1) * sub] = padded(encodings[k])
-    w = (np.kron(pair.left_unitary.conj().T, np.eye(sub)) @ select
-         @ np.kron(pair.right_unitary, np.eye(sub)))
-    # layout [b][n][a] -> [n][a][b]
-    w = permute_subsystems(w, (dim_b, dim_n, dim_a), (1, 2, 0))
     return UnitaryBlockEncoding(
-        unitary=w, system_qubits=n, ancillas=a + pair.qubits,
+        matrix=np.asarray(combined), builder=build, system_qubits=n,
+        ancillas=a + pair.qubits, realized_ancillas=a + pair.qubits,
         scale=alpha * pair.norm_bound, declared_error=err,
         target=target, cost=cost)

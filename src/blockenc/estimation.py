@@ -587,16 +587,16 @@ def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOra
     n = int(p.size).bit_length() - 1
     if 2 ** n != p.size:
         raise ValidationError("distribution length must be a power of two")
-    dim = p.size
-    prep = unitary_from_first_column(np.sqrt(p).astype(complex))
-    fan = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            fan[i * dim + (i ^ j), i * dim + j] = 1.0
-    unitary = fan @ np.kron(prep, np.eye(dim))
+
+    def build():
+        # the CNOT fan |i>|j> -> |i>|i xor j> permutes the rows
+        i, j = np.divmod(np.arange(p.size ** 2), p.size)
+        prep = unitary_from_first_column(np.sqrt(p).astype(complex))
+        return np.kron(prep, np.eye(p.size))[i * p.size + (i ^ j)]
+
     encoded = SubnormalizedDensityOperator(np.diag(p).astype(complex), n)
     return PurifiedAccessOracle(
-        unitary=unitary, system_qubits=n, block_ancillas=0, purifying_ancillas=n,
+        builder=build, system_qubits=n, block_ancillas=0, purifying_ancillas=n,
         encoded=encoded, cost=QueryCost.of(label, gates=n), label=label)
 
 

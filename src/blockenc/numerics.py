@@ -13,9 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-#: Largest total Hilbert-space dimension the simulator will materialize.
-#: Dense eigendecompositions stay sub-second below this.  Override with the
-#: BLOCKENC_DIM_CAP environment variable.
+#: Largest total dimension of a circuit the simulator will build (a ``.unitary``
+#: read) and of a generated state.  Override with the BLOCKENC_DIM_CAP
+#: environment variable.
 DEFAULT_DIMENSION_CAP = 4096
 
 #: Relative tolerance for Hermiticity checks.
@@ -198,8 +198,8 @@ class Quantity:
     """One estimable quantity: how many states it takes, its alpha rule, and
     its exact value ``exact(rho, sigma, alpha)``.
 
-    ``needs_alpha`` quantities fail without alpha; otherwise a missing alpha
-    becomes ``alpha_default`` (None for quantities that take no alpha).
+    ``needs_alpha`` quantities fail without alpha, and a missing alpha becomes
+    ``alpha_default`` otherwise; a quantity with neither rejects any alpha.
     """
 
     states: int
@@ -209,6 +209,8 @@ class Quantity:
 
     def resolve_alpha(self, kind: str, alpha: float | None) -> float | None:
         if alpha is not None:
+            if not self.needs_alpha and self.alpha_default is None:
+                raise ValidationError(f"{kind} takes no alpha")
             return alpha
         if self.needs_alpha:
             raise ValidationError(f"{kind} needs alpha")

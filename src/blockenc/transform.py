@@ -1,7 +1,8 @@
 """Eigenvalue transformations of block-encodings and density-operator oracles.
 
 Polynomial transforms are realized semantically: the transformed block is
-computed exactly by spectral matrix functions and re-dilated (or re-purified),
+computed exactly by spectral matrix functions of the input's matrix, in a
+dilation or purification whose circuit is built only if ``.unitary`` is read,
 while query costs are charged per the originating analysis.  No phase-factor
 sequences are synthesized; the circuit-precision parameter becomes
 the declared ``QSVT_PRECISION``.  Every declared error bound is the proof's
@@ -69,7 +70,7 @@ def _require_admissible(p: CertifiedPolynomial):
 
 
 def _hermitian_block(u: UnitaryBlockEncoding) -> np.ndarray:
-    b = u.block()
+    b = u.matrix
     if spectral_norm(b - b.conj().T) > 1e-8 * (1.0 + spectral_norm(b)):
         raise ValidationError("block-encoded operator is not Hermitian")
     return (b + b.conj().T) / 2.0

@@ -182,18 +182,32 @@ def test_cli_table_and_runners_share_one_set_of_quantities():
     assert set(quantity_choices("bench-scaling")) <= set(nm.QUANTITIES)
 
 
-@pytest.mark.parametrize("quantity", ["renyi", "tsallis", "trace-power", "fidelity"])
+def broken_alpha_rule(quantity):
+    """Arguments that break the quantity's alpha rule, and the expected error:
+    no --alpha where one is needed, an --alpha where none is taken."""
+    if quantity in ALPHAS:
+        return [], f"{quantity} needs alpha"
+    return ["--alpha", "0.5"], f"{quantity} takes no alpha"
+
+
+@pytest.mark.parametrize("quantity", ["renyi", "tsallis", "trace-power", "fidelity",
+                                      "von-neumann", "rank", "exact-rank",
+                                      "max-entropy"])
 def test_estimate_missing_alpha_is_validation_error(tmp_path, capsys, quantity):
     state = write_state(tmp_path, "s.json")
+    extra, message = broken_alpha_rule(quantity)
     assert run(["estimate", "--quantity", quantity, "--state", state,
-                "--state2", state]) == 2
-    assert f"{quantity} needs alpha" in capsys.readouterr().err
+                "--state2", state] + extra) == 2
+    assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("quantity", ["renyi", "tsallis", "trace-power", "fidelity"])
+@pytest.mark.parametrize("quantity", ["renyi", "tsallis", "trace-power", "fidelity",
+                                      "von-neumann"])
 def test_bench_scaling_missing_alpha_is_validation_error(capsys, quantity):
-    assert run(["bench-scaling", "--quantity", quantity, "--sweep-r", "1,2"]) == 2
-    assert f"{quantity} needs alpha" in capsys.readouterr().err
+    extra, message = broken_alpha_rule(quantity)
+    assert run(["bench-scaling", "--quantity", quantity, "--sweep-r", "1,2"]
+               + extra) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("quantity", QUANTITY_NAMES)

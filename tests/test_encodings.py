@@ -46,6 +46,21 @@ def test_purification_rejects_trace_above_one():
         enc.SubnormalizedDensityOperator.from_matrix(1.5 * maximally_mixed(2))
 
 
+@pytest.mark.parametrize("dim", [2, 8, 2048])
+@pytest.mark.parametrize("kind", ["random", "first-basis-vector", "zero-first-entry"])
+def test_unitary_from_first_column(dim, kind):
+    rng = np.random.default_rng(dim)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if kind == "first-basis-vector":
+        psi = np.eye(dim, dtype=complex)[0]
+    elif kind == "zero-first-entry":
+        psi[0] = 0.0
+    psi /= np.linalg.norm(psi)
+    u = enc.unitary_from_first_column(psi)
+    assert np.abs(u[:, 0] - psi).max() <= 1e-15
+    assert enc.unitarity_defect(u) <= 1e-12
+
+
 # -- block_encode_density -----------------------------------------------------
 
 def test_block_encode_density_examples():

@@ -381,8 +381,8 @@ def test_renyi_alpha_zero_routes_to_max_entropy():
 
 
 def test_higher_alpha_compositions_stay_under_dimension_cap():
-    # nu-power chains on dim-8 states route through the minimal-realization
-    # fallback instead of materializing the literal tensor circuits
+    # nu-power chains on dim-8 states compose matrices and costs only; their
+    # literal tensor circuits, far above the cap, are never built
     rng = np.random.default_rng(67)
     rho, sigma = shared_support_pair(8, 3, rng, floor=0.1)
     o_r, o_s = oracle_for(rho, "rho"), oracle_for(sigma, "sigma")
@@ -392,3 +392,29 @@ def test_higher_alpha_compositions_stay_under_dimension_cap():
     tau = floored_spectrum_state(8, 3, rng, floor=0.1)
     rep = est.estimate_trace_power(oracle_for(tau), 2.5, 3, 0.1, CFG)
     assert rep.error <= 0.1
+
+
+#: (quantity, alpha) pairs that between them run every estimator branch that
+#: calls product, lcu or dilate.
+NO_CIRCUIT_CASES = [("von-neumann", None), ("renyi", 0.5), ("renyi", 2.0),
+                    ("tsallis", 2.0), ("trace-power", 0.5), ("trace-power", 2.5),
+                    ("trace-power", 3.0), ("rank", None), ("exact-rank", None),
+                    ("max-entropy", None), ("trace-distance", 1.0),
+                    ("trace-distance", 1.5), ("trace-distance", 3.0),
+                    ("fidelity", 0.5), ("fidelity", 0.25)]
+
+
+@pytest.mark.parametrize("quantity, alpha", NO_CIRCUIT_CASES)
+def test_estimators_build_no_circuit(monkeypatch, quantity, alpha):
+    # a cap of 16 admits no circuit with an ancilla on a d = 16 system, so a
+    # run that finishes has read only matrices and costs
+    monkeypatch.setenv("BLOCKENC_DIM_CAP", "16")
+    rho, sigma = shared_support_pair(16, 4, np.random.default_rng(3))
+    oracles = [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
+    w = np.linalg.eigvalsh(rho)
+    rep = est.RUNNERS[quantity](oracles, [4, 4], 0.1, CFG, alpha=alpha,
+                                kappa=1.0 / w[w > 1e-10].min(), delta=0.05,
+                                epsilon_prime=0.1)
+    assert math.isfinite(rep.estimate)
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        oracles[0].unitary
