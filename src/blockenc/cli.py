@@ -23,7 +23,7 @@ from . import estimation as est
 from . import numerics as nm
 from . import polyapprox as pa
 from . import transform as tf
-from .encodings import purification_of
+from .encodings import SubnormalizedDensityOperator, purification_of
 from .fixtures import (floored_spectrum_state, ginibre_state, haar_unitary,
                        named_fixture, shared_support_pair)
 from .numerics import ValidationError
@@ -96,9 +96,8 @@ def load_state(path: str) -> dict:
     else:
         raise ValidationError(f"unknown state kind {kind!r}")
     doc["matrix_array"] = matrix
-    # deserialized operator must pass the state invariants
-    from .encodings import SubnormalizedDensityOperator
-    SubnormalizedDensityOperator.from_matrix(matrix)
+    # deserialized operator must pass the state invariants; oracles reuse it
+    doc["operator"] = SubnormalizedDensityOperator.from_matrix(matrix)
     return doc
 
 
@@ -106,7 +105,7 @@ def _oracle_from_state(doc: dict, label: str):
     if doc.get("kind") == "probability-vector":
         return est.distribution_to_purified_oracle(
             np.asarray(doc["payload"]["probabilities"], dtype=float), label=label)
-    return purification_of(doc["matrix_array"], label=label)
+    return purification_of(doc["operator"], label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .numerics import (ValidationError, as_matrix, dimension_cap, partial_trace,
                        require_hermitian, require_square, spectral_decompose,
-                       clamp_psd_eigenvalues, spectral_norm)
+                       spectral_norm)
 from .resources import QueryCost
 
 PSD_TOL = 1e-9
@@ -90,21 +90,29 @@ def unitary_from_first_column(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubnormalizedDensityOperator:
-    """PSD operator with trace at most one on a system of n qubits."""
+    """PSD operator with trace at most one on a system of n qubits.
+
+    Validated and decomposed once, on construction: purifications and
+    transforms read ``eigenvalues`` (descending) and ``eigenvectors``.
+    """
 
     matrix: np.ndarray
     system_qubits: int
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = require_hermitian(self.matrix)
         if m.shape[0] != 2 ** self.system_qubits:
             raise ValidationError("matrix dimension does not match the qubit count")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -PSD_TOL * max(1.0, float(np.abs(w).max())):
-            raise ValidationError(f"matrix is not PSD within tolerance (min eig {w.min():.3e})")
+        w, v = spectral_decompose(m)
+        if w[-1] < -PSD_TOL * max(1.0, float(np.abs(w).max())):
+            raise ValidationError(f"matrix is not PSD within tolerance (min eig {w[-1]:.3e})")
         if w.sum() > 1.0 + TRACE_TOL:
             raise ValidationError(f"trace {w.sum():.12f} exceeds one")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", v)
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "SubnormalizedDensityOperator":
@@ -248,31 +256,32 @@ def purification_of(a, label: str = "oracle",
 
     Normalized inputs need no block ancilla; a trace deficit is stored in the
     |1> sector of one block ancilla so the <0| projection returns the input.
-    The purifying register has ceil(log2 rank) qubits, at least one.
+    The purifying register has ceil(log2 rank) qubits, at least one.  The
+    purification is read off the operator's own eigenpairs.
     """
     if not isinstance(a, SubnormalizedDensityOperator):
         a = SubnormalizedDensityOperator.from_matrix(a)
     deficit = 1.0 - a.trace
     if deficit < -TRACE_TOL:
         raise ValidationError("trace exceeds one")
+    support = a.eigenvalues > 1e-14
+    w, v = a.eigenvalues[support], a.eigenvectors[:, support]
+    block = 0
     if deficit > TRACE_TOL:
         block = 1
-        dim = 2 * a.dim
-        full = np.zeros((dim, dim), dtype=complex)
-        full[::2, ::2] = a.matrix          # (i,0),(j,0) entries: the <0|_a block
-        full[1, 1] += deficit              # junk weight at |0>_n |1>_a
-    else:
-        block = 0
-        full = a.matrix / a.trace if a.trace > 1.0 else a.matrix
-    w, v = spectral_decompose(full)
-    w = clamp_psd_eigenvalues(w)
-    support = max(1, int(np.count_nonzero(w > 1e-14)))
-    pur = max(1, (support - 1).bit_length())
+        # eigenvectors in the <0|_a rows, the deficit on |0>_n |1>_a
+        ext = np.zeros((2 * a.dim, w.size + 1), dtype=complex)
+        ext[::2, :-1] = v
+        ext[1, -1] = 1.0
+        w, v = np.append(w, deficit), ext
+    elif a.trace > 1.0:
+        w = w / a.trace
+    pur = max(1, (w.size - 1).bit_length())
 
     def build():
         # sum_k sqrt(w_k) |v_k>|k>, purifying index last
-        psi = np.zeros((full.shape[0], 2 ** pur), dtype=complex)
-        psi[:, :support] = v[:, :support] * np.sqrt(np.maximum(w[:support], 0.0))
+        psi = np.zeros((v.shape[0], 2 ** pur), dtype=complex)
+        psi[:, :w.size] = v * np.sqrt(w)
         psi = psi.ravel()
         return unitary_from_first_column(psi / np.linalg.norm(psi))
 

@@ -537,7 +537,7 @@ def estimate_exact_rank(oracle: PurifiedAccessOracle, kappa: float,
     if kappa < 1:
         raise ValidationError("kappa must be at least one")
     if verify_assumption:
-        w = np.linalg.eigvalsh(oracle.encoded.matrix)
+        w = oracle.encoded.eigenvalues
         nonzero = w[w > 1e-10]
         if nonzero.size and nonzero.min() < 1.0 / kappa - 1e-9:
             raise ValidationError(
@@ -725,9 +725,7 @@ def trace_distance_truncation_bound(nu: np.ndarray, mu: np.ndarray, alpha: float
                                     rank_bound: int | None = None) -> tuple[float, float]:
     """Measured truncation gap tr(|nu|^(a/2) (P_supp - P_supp_delta) |nu|^(a/2))
     against the inherent-error bound 2 r delta^(min(a,1)/2)."""
-    nu = nm.require_hermitian(np.asarray(nu))
-    mu = nm.require_hermitian(np.asarray(mu))
-    w, v = np.linalg.eigh(mu)
+    w, v = nm.spectral_decompose(mu)
     drop = (w > 1e-12) & (w <= delta)
     abs_nu_a = nm.matrix_function(nu, lambda x: np.abs(x) ** alpha)
     measured = float(sum((v[:, i].conj() @ abs_nu_a @ v[:, i]).real

@@ -53,11 +53,13 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Hermitian part of m; an exactly Hermitian m has defect 0 and needs no norm."""
     a = require_square(m)
-    defect = spectral_norm(a - a.conj().T)
-    if defect > tol * (1.0 + spectral_norm(a)):
+    ah = a.conj().T
+    defect = 0.0 if np.array_equal(a, ah) else spectral_norm(a - ah)
+    if defect > 0 and defect > tol * (1.0 + spectral_norm(a)):
         raise ValidationError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
-    return (a + a.conj().T) / 2.0
+    return (a + ah) / 2.0
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -67,17 +69,19 @@ def spectral_norm(m: np.ndarray) -> float:
 def spectral_decompose(m: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and orthonormal eigenvector columns.
 
-    Validates Hermiticity, and checks the reconstruction V diag(w) V^dag
-    against the input to 1e-8 relative.
+    Validates Hermiticity (``require_hermitian``), and checks the
+    reconstruction: ||V diag(w) V^dag - h||_F <= 1e-8 (1 + ||h||), with h
+    the Hermitian part of m.  ||h|| is max|w|, its spectral norm, and the
+    Frobenius norm is never below the spectral norm, so neither needs an SVD.
     """
     h = require_hermitian(m, tol)
     w, v = np.linalg.eigh(h)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     recon = (v * w) @ v.conj().T
-    if spectral_norm(recon - h) > 1e-8 * (1.0 + spectral_norm(h)):
+    if np.linalg.norm(recon - h) > 1e-8 * (1.0 + float(np.abs(w).max())):
         raise ValidationError("eigendecomposition failed reconstruction check")
-    return w.real, v
+    return w, v
 
 
 def clamp_psd_eigenvalues(w: np.ndarray, clamp: float = EIG_CLAMP) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .encodings import (PurifiedAccessOracle, SubnormalizedDensityOperator,
                         UnitaryBlockEncoding, dilate, purification_of)
-from .numerics import ValidationError, clamp_psd_eigenvalues, spectral_norm
+from .numerics import ValidationError, spectral_decompose, spectral_norm
 from .polyapprox import (CertifiedPolynomial, approx_negative_power,
                          approx_positive_power, approx_support_indicator,
                          certified, multiply)
@@ -69,18 +69,6 @@ def _require_admissible(p: CertifiedPolynomial):
             f"polynomial bound {p.global_bound:.6f} violates the QSVT limit {limit}")
 
 
-def _hermitian_block(u: UnitaryBlockEncoding) -> np.ndarray:
-    b = u.matrix
-    if spectral_norm(b - b.conj().T) > 1e-8 * (1.0 + spectral_norm(b)):
-        raise ValidationError("block-encoded operator is not Hermitian")
-    return (b + b.conj().T) / 2.0
-
-
-def _clipped_eigh(m: np.ndarray, lo: float, hi: float):
-    w, v = np.linalg.eigh(m)
-    return np.clip(w, lo, hi), v
-
-
 def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformResult:
     """(1, a+2, precision)-block-encoding of P(A) from a scale-1 encoding of A.
 
@@ -89,8 +77,8 @@ def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformRe
     if abs(u.scale - 1.0) > 1e-12:
         raise ValidationError("QSVT needs a scale-1 block-encoding")
     _require_admissible(p)
-    a = _hermitian_block(u)
-    w, v = _clipped_eigh(a, -1.0, 1.0)
+    w, v = spectral_decompose(u.matrix, 1e-8)
+    w = np.clip(w, -1.0, 1.0)
     pa = (v * p(w)) @ v.conj().T
     pa = (pa + pa.conj().T) / 2.0
     d = p.degree
@@ -113,9 +101,9 @@ def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial,
     two controlled queries.
     """
     _require_admissible(p)
-    w, v = _clipped_eigh(oracle.encoded.matrix, 0.0, 1.0)
-    w = clamp_psd_eigenvalues(w)
+    w, v = np.clip(oracle.encoded.eigenvalues, 0.0, 1.0), oracle.encoded.eigenvectors
     out = (v * (w * p(w) ** 2)) @ v.conj().T
+    out = (out + out.conj().T) / 2.0
     d = p.degree
     cost = oracle.cost.scaled(2 * d) + QueryCost(
         controlled=oracle.cost.queries,
@@ -204,8 +192,8 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
         raise ValidationError("positive_power_unitary needs a scale-1 encoding")
     p = certified(approx_positive_power, c, delta, epsilon)
     r = certified(approx_support_indicator, delta, epsilon)
-    a = _hermitian_block(u)
-    w, v = _clipped_eigh(a, -1.0, 1.0)
+    w, v = spectral_decompose(u.matrix, 1e-8)
+    w = np.clip(w, -1.0, 1.0)
     bc = (v * (p(w) * r(w))) @ v.conj().T
     bc = (bc + bc.conj().T) / 2.0
     target = (v * np.abs(w) ** c) @ v.conj().T

@@ -1,0 +1,25 @@
+import collections
+
+import numpy as np
+import pytest
+
+from blockenc import encodings, numerics
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counter of the eigh, eigvalsh and SVD spectral-norm calls made from here on."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    for module in (numerics, encodings):
+        monkeypatch.setattr(module, "spectral_norm",
+                            counting("spectral_norm", module.spectral_norm))
+    return calls

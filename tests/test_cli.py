@@ -38,6 +38,11 @@ def test_gen_state_deterministic_and_rank(tmp_path):
     assert int(np.sum(w > 1e-10)) == 3
 
 
+def test_state_file_is_validated_once(tmp_path):
+    doc = cli.load_state(write_state(tmp_path, "s.json", np.diag([0.7, 0.3])))
+    assert cli._oracle_from_state(doc, "rho").encoded is doc["operator"]
+
+
 def test_gen_state_rank_validation(tmp_path):
     assert run(["gen-state", "--dim", "2", "--rank", "4",
                 "--out", str(tmp_path / "x.json")]) == 2

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from blockenc import encodings as enc
-from blockenc.fixtures import ginibre_state, haar_unitary, maximally_mixed
+from blockenc.fixtures import (floored_spectrum_state, ginibre_state, haar_unitary,
+                               maximally_mixed)
 from blockenc.numerics import ValidationError, spectral_norm
 
 
@@ -39,6 +40,32 @@ def test_purification_of_subnormalized_uses_block_ancilla():
     o = oracle_for(a)
     assert o.block_ancillas == 1
     assert spectral_norm(o.extract() - a) < 1e-9
+
+
+@pytest.mark.parametrize("rank, purifying", [(3, 2), (4, 3)])
+def test_purification_of_trace_deficit(rank, purifying):
+    # the deficit takes one more purifying index: rank 3 -> 4 entries, 4 -> 5
+    a = 0.6 * ginibre_state(8, rank, np.random.default_rng(11))
+    o = oracle_for(a)
+    assert (o.block_ancillas, o.purifying_ancillas) == (1, purifying)
+    assert spectral_norm(o.extract() - a) < 1e-9
+
+
+def test_density_operator_is_decomposed_once(linalg_calls):
+    rho = floored_spectrum_state(16, 4, np.random.default_rng(3))
+    a = enc.SubnormalizedDensityOperator.from_matrix(rho)
+    # rho is Hermitian only up to rounding, so the Hermiticity test takes two
+    # norms; the operator's own Hermitian matrix then passes without any
+    assert dict(linalg_calls) == {"eigh": 1, "spectral_norm": 2}
+    linalg_calls.clear()
+    enc.SubnormalizedDensityOperator.from_matrix(a.matrix)
+    assert dict(linalg_calls) == {"eigh": 1}
+    w, v = a.eigenvalues, a.eigenvectors
+    assert np.all(np.diff(w) <= 0)
+    assert np.linalg.norm((v * w) @ v.conj().T - a.matrix) < 1e-12
+    linalg_calls.clear()
+    assert enc.purification_of(a).encoded is a
+    assert not linalg_calls
 
 
 def test_purification_rejects_trace_above_one():

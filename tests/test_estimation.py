@@ -418,3 +418,11 @@ def test_estimators_build_no_circuit(monkeypatch, quantity, alpha):
     assert math.isfinite(rep.estimate)
     with pytest.raises(ValidationError, match="exceeds the cap"):
         oracles[0].unitary
+
+
+def test_von_neumann_estimate_decomposes_once(linalg_calls):
+    # the transform reads the input's eigenpairs; only its output is decomposed
+    oracle = oracle_for(floored_spectrum_state(16, 4, np.random.default_rng(3)))
+    linalg_calls.clear()
+    est.estimate_von_neumann(oracle, 4, 0.1, CFG, include_truth=False)
+    assert dict(linalg_calls) == {"eigh": 1}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockenc import numerics as nm
+from blockenc.encodings import SubnormalizedDensityOperator
 from blockenc.fixtures import ginibre_state, maximally_mixed, random_hermitian
 
 
@@ -54,6 +55,22 @@ def test_non_hermitian_rejected():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(nm.ValidationError):
         nm.spectral_decompose(m)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)])
+def test_hermiticity_tolerance_is_pinned(factor, accepted):
+    # a - a^dag = diag(2 i t, 0) has rank one, so the defect is exactly 2t and
+    # 2t <= HERMITICITY_TOL (1 + ||a||) with ||a|| ~ 0.5 puts the threshold at t*
+    t = factor * nm.HERMITICITY_TOL * 1.5 / 2.0
+    a = np.diag([0.5 + 1j * t, 0.5])
+    checks = (nm.require_hermitian, nm.spectral_decompose,
+              lambda m: SubnormalizedDensityOperator(m, 1))
+    for check in checks:
+        if accepted:
+            check(a)
+        else:
+            with pytest.raises(nm.ValidationError, match="not Hermitian"):
+                check(a)
 
 
 # -- matrix_function ---------------------------------------------------------
