@@ -76,29 +76,42 @@ def state_payload(matrix: np.ndarray, kind: str = "explicit-matrix",
 
 
 def load_state(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != STATE_FORMAT:
-        raise ValidationError(f"{path}: not a {STATE_FORMAT} file")
-    kind = doc.get("kind", "explicit-matrix")
-    if kind == "explicit-matrix":
-        matrix = matrix_from_json(doc["matrix"])
-    elif kind == "named-fixture":
-        matrix = np.asarray(named_fixture(doc["payload"]["name"]), dtype=complex)
-    elif kind == "spectrum-with-seed":
-        spectrum = np.asarray(doc["payload"]["spectrum"], dtype=float)
-        rng = np.random.default_rng(int(doc["payload"]["seed"]))
-        basis = haar_unitary(int(doc["dimension"]), rng)[:, : spectrum.size]
-        matrix = (basis * spectrum) @ basis.conj().T
-    elif kind == "probability-vector":
-        matrix = np.diag(np.asarray(doc["payload"]["probabilities"],
-                                    dtype=float)).astype(complex)
-    else:
-        raise ValidationError(f"unknown state kind {kind!r}")
+    """Read and validate a state file; an unreadable or malformed one raises
+    ``ValidationError`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        matrix = _state_matrix(doc)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing field {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     doc["matrix_array"] = matrix
     # deserialized operator must pass the state invariants; oracles reuse it
     doc["operator"] = SubnormalizedDensityOperator.from_matrix(matrix)
     return doc
+
+
+def _state_matrix(doc) -> np.ndarray:
+    if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
+        raise ValidationError(f"not a {STATE_FORMAT} file")
+    kind = doc.get("kind", "explicit-matrix")
+    if kind == "explicit-matrix":
+        return matrix_from_json(doc["matrix"])
+    if kind == "named-fixture":
+        return np.asarray(named_fixture(doc["payload"]["name"]), dtype=complex)
+    if kind == "spectrum-with-seed":
+        dim = int(doc["dimension"])
+        if dim > nm.dimension_cap():
+            raise ValidationError(f"dimension {dim} exceeds the cap {nm.dimension_cap()}")
+        spectrum = np.asarray(doc["payload"]["spectrum"], dtype=float)
+        rng = np.random.default_rng(int(doc["payload"]["seed"]))
+        basis = haar_unitary(dim, rng)[:, : spectrum.size]
+        return (basis * spectrum) @ basis.conj().T
+    if kind == "probability-vector":
+        return np.diag(np.asarray(doc["payload"]["probabilities"],
+                                  dtype=float)).astype(complex)
+    raise ValidationError(f"unknown state kind {kind!r}")
 
 
 def _oracle_from_state(doc: dict, label: str):
@@ -115,6 +128,8 @@ def _oracle_from_state(doc: dict, label: str):
 def cmd_gen_state(args) -> int:
     if args.rank > args.dim:
         raise ValidationError("rank cannot exceed the dimension")
+    if args.dim < 1 or args.dim & (args.dim - 1):
+        raise ValidationError(f"dimension {args.dim} is not a power of two")
     if args.dim > nm.dimension_cap():
         raise ValidationError("dimension exceeds the cap")
     rng = np.random.default_rng(args.seed)
@@ -231,26 +246,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r["violations"] == 0 for r in results) else EXIT_VERIFY
 
 
-POLY_FAMILIES = ("pos-power", "neg-power", "threshold", "support-indicator",
-                 "interior-indicator", "sqrt-neglog")
+# The entries call through ``pa`` when they run, so a constructor rebound on
+# that module (for instance by a tracing harness) is the one used.
+POLY_FAMILIES = {
+    "pos-power": lambda a: pa.approx_positive_power(a.c, a.delta, a.epsilon),
+    "neg-power": lambda a: pa.approx_negative_power(a.c, a.delta, a.epsilon),
+    "threshold": lambda a: pa.approx_threshold(a.t, a.delta, a.epsilon),
+    "support-indicator": lambda a: pa.approx_support_indicator(a.delta, a.epsilon),
+    "interior-indicator": lambda a: pa.approx_interior_indicator(a.delta, a.epsilon),
+    "sqrt-neglog": lambda a: pa.approx_sqrt_neglog(a.delta, a.epsilon),
+}
 
 
 def cmd_approx_poly(args) -> int:
-    fam = args.family
-    if fam == "pos-power":
-        poly = pa.approx_positive_power(args.c, args.delta, args.epsilon)
-    elif fam == "neg-power":
-        poly = pa.approx_negative_power(args.c, args.delta, args.epsilon)
-    elif fam == "threshold":
-        poly = pa.approx_threshold(args.t, args.delta, args.epsilon)
-    elif fam == "support-indicator":
-        poly = pa.approx_support_indicator(args.delta, args.epsilon)
-    elif fam == "interior-indicator":
-        poly = pa.approx_interior_indicator(args.delta, args.epsilon)
-    elif fam == "sqrt-neglog":
-        poly = pa.approx_sqrt_neglog(args.delta, args.epsilon)
-    else:
-        raise ValidationError(f"unknown family {fam!r}")
+    poly = POLY_FAMILIES[args.family](args)
     _dump({"format": "blockenc-poly-v1", "tool_version": __version__,
            "family": poly.family, "params": poly.params,
            "degree": poly.degree, "parity": poly.parity,
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("approx-poly", help="construct and dump a certified polynomial")
-    p.add_argument("--family", choices=POLY_FAMILIES, required=True)
+    p.add_argument("--family", choices=tuple(POLY_FAMILIES), required=True)
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--delta", type=float, required=True)

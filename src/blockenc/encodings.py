@@ -4,8 +4,10 @@ Register convention: system qubits first, block ancillas second, purifying
 ancillas last; every block projection applies the <0| pattern to the block
 ancilla register.  Each composition rule computes the composed operator and
 its query cost, which is all the estimators read; its literal circuit is built,
-under the dimension cap, the first time ``.unitary`` is read.  Evolution
-re-materializes its output as a minimal purification of the exact product.
+under the dimension cap, the first time ``.unitary`` is read.  A density
+operator is held as its validated spectrum, and its dense matrix is built only
+when read; a rule that makes a new operator (evolution, embedding, a convex
+mixture) decomposes it once, and a purification reads the eigenpairs.
 """
 
 from __future__ import annotations
@@ -90,42 +92,56 @@ def unitary_from_first_column(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubnormalizedDensityOperator:
-    """PSD operator with trace at most one on a system of n qubits.
-
-    Validated and decomposed once, on construction: purifications and
-    transforms read ``eigenvalues`` (descending) and ``eigenvectors``.
+    """PSD operator with trace at most one on n qubits, held as its validated
+    spectrum: ``eigenvalues`` and orthonormal ``eigenvectors`` columns (2^n x k,
+    a thin set allowed).  ``from_matrix`` is the one path that decomposes a
+    matrix (eigenvalues descending); a transform that maps only the spectrum
+    passes new eigenvalues with its input's eigenvectors.  The dense
+    ``matrix`` is built the first time it is read.
     """
 
-    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray = field(repr=False)
     system_qubits: int
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix)
-        if m.shape[0] != 2 ** self.system_qubits:
-            raise ValidationError("matrix dimension does not match the qubit count")
-        w, v = spectral_decompose(m)
-        if w[-1] < -PSD_TOL * max(1.0, float(np.abs(w).max())):
-            raise ValidationError(f"matrix is not PSD within tolerance (min eig {w[-1]:.3e})")
+        w = np.asarray(self.eigenvalues)
+        if w.ndim != 1 or w.size == 0 or np.iscomplexobj(w) or not np.all(np.isfinite(w)):
+            raise ValidationError("eigenvalues must be a nonempty 1-D array of finite reals")
+        v = np.asarray(self.eigenvectors, dtype=complex)
+        if v.shape != (2 ** self.system_qubits, w.size):
+            raise ValidationError(f"eigenvectors of shape {v.shape} do not match {w.size} eigenvalues")
+        if np.linalg.norm(v.conj().T @ v - np.eye(w.size)) > UNITARITY_TOL:
+            raise ValidationError("eigenvectors are not orthonormal within tolerance")
+        if w.min() < -PSD_TOL * max(1.0, float(np.abs(w).max())):
+            raise ValidationError(f"operator is not PSD within tolerance (min eig {w.min():.3e})")
         if w.sum() > 1.0 + TRACE_TOL:
             raise ValidationError(f"trace {w.sum():.12f} exceeds one")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvalues", w.astype(float, copy=False))
         object.__setattr__(self, "eigenvectors", v)
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "SubnormalizedDensityOperator":
         m = require_square(m)
-        return SubnormalizedDensityOperator(m, _qubits(m.shape[0], "state"))
+        n = _qubits(m.shape[0], "state")
+        h = require_hermitian(m)
+        a = SubnormalizedDensityOperator(*spectral_decompose(h), n)
+        a.__dict__["matrix"] = h  # the validated input reads back unchanged
+        return a
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        v = self.eigenvectors
+        m = (v * self.eigenvalues) @ v.conj().T
+        return (m + m.conj().T) / 2.0
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvectors.shape[0]
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(self.eigenvalues.sum())
 
 
 @dataclass(frozen=True)
@@ -391,10 +407,8 @@ def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
         raise ValidationError("evolution requires a scale-1 block-encoding "
                               "(use as_scale_one())")
     b = v.matrix
-    out = b @ oracle.encoded.matrix @ b.conj().T
-    out = (out + out.conj().T) / 2.0
     return purification_of(
-        SubnormalizedDensityOperator(out, oracle.system_qubits),
+        SubnormalizedDensityOperator.from_matrix(b @ oracle.encoded.matrix @ b.conj().T),
         label=label or oracle.label, cost=oracle.cost + v.cost)
 
 
@@ -409,8 +423,7 @@ def embed(oracle: PurifiedAccessOracle, extra_qubits: int) -> PurifiedAccessOrac
             dim_b)
     zero = np.zeros((dim_b, dim_b), dtype=complex)
     zero[0, 0] = 1.0
-    enc = SubnormalizedDensityOperator(np.kron(oracle.encoded.matrix, zero),
-                                       oracle.system_qubits + extra_qubits)
+    enc = SubnormalizedDensityOperator.from_matrix(np.kron(oracle.encoded.matrix, zero))
     return PurifiedAccessOracle(
         builder=lambda: permute_subsystems(np.kron(oracle.unitary, np.eye(dim_b)),
                                            dims, (0, 2, 1)),
@@ -527,7 +540,7 @@ def linear_combination_density(coefficients, oracles,
 
     return PurifiedAccessOracle(
         builder=build, system_qubits=n, block_ancillas=a, purifying_ancillas=m + b,
-        encoded=SubnormalizedDensityOperator(np.asarray(combo_matrix), n),
+        encoded=SubnormalizedDensityOperator.from_matrix(combo_matrix),
         cost=total_cost, label=label or oracles[0].label)
 
 

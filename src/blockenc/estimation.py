@@ -594,7 +594,7 @@ def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOra
         prep = unitary_from_first_column(np.sqrt(p).astype(complex))
         return np.kron(prep, np.eye(p.size))[i * p.size + (i ^ j)]
 
-    encoded = SubnormalizedDensityOperator(np.diag(p).astype(complex), n)
+    encoded = SubnormalizedDensityOperator(p, np.eye(p.size, dtype=complex), n)
     return PurifiedAccessOracle(
         builder=build, system_qubits=n, block_ancillas=0, purifying_ancillas=n,
         encoded=encoded, cost=QueryCost.of(label, gates=n), label=label)

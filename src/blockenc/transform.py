@@ -1,18 +1,20 @@
 """Eigenvalue transformations of block-encodings and density-operator oracles.
 
-Polynomial transforms are realized semantically: the transformed block is
-computed exactly by spectral matrix functions of the input's matrix, in a
-dilation or purification whose circuit is built only if ``.unitary`` is read,
-while query costs are charged per the originating analysis.  No phase-factor
-sequences are synthesized; the circuit-precision parameter becomes
-the declared ``QSVT_PRECISION``.  Every declared error bound is the proof's
-final inequality chain evaluated with the actual certified polynomial errors,
-with explicit constants instead of Theta(.)s.
+Polynomial transforms are realized semantically, while query costs are
+charged per the originating analysis.  A density transform maps the input
+operator's eigenvalues and hands on its eigenvectors unchanged, so nothing is
+decomposed again; a unitary transform decomposes the encoded block once and
+applies the polynomial to its spectrum in a dilation.  Circuits are built only
+if ``.unitary`` is read.  No phase-factor sequences are synthesized; the
+circuit-precision parameter becomes the declared ``QSVT_PRECISION``.  Every
+declared error bound is the proof's final inequality chain evaluated with the
+actual certified polynomial errors, with explicit constants instead of
+Theta(.)s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +31,6 @@ QSVT_PRECISION = 1e-12
 
 
 @dataclass(frozen=True)
-class Provenance:
-    name: str
-    params: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class TransformResult:
     """Transform output with its tracked error bound and cost.
 
@@ -46,8 +41,10 @@ class TransformResult:
     result: object                    # UnitaryBlockEncoding | PurifiedAccessOracle
     declared_error: float
     scale: float
-    cost: QueryCost
-    provenance: Provenance
+
+    @property
+    def cost(self) -> QueryCost:
+        return self.result.cost
 
     @property
     def oracle(self) -> PurifiedAccessOracle:
@@ -86,36 +83,28 @@ def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformRe
                                             gates=(u.realized_ancillas + 1) * d)
     out = dilate(pa, target=pa, cost=cost, declared_ancillas=u.ancillas + 2,
                  declared_error=QSVT_PRECISION)
-    return TransformResult(
-        result=out, declared_error=QSVT_PRECISION, scale=1.0, cost=cost,
-        provenance=Provenance("polynomial-eigenvalue-transform-unitary",
-                              {"degree": d, "family": p.family}))
+    return TransformResult(result=out, declared_error=QSVT_PRECISION, scale=1.0)
 
 
 def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial,
                  precision: float = QSVT_PRECISION) -> TransformResult:
     """Oracle preparing A (P(A))^2 from an oracle preparing A.
 
+    The output operator is the spectrum w P(w)^2 on the input's eigenvectors.
     The composition constant from the proof is 5/2, so the declared error of
     the prepared operator is 2.5 * precision.  Charges O(d): 2d queries plus
     two controlled queries.
     """
     _require_admissible(p)
-    w, v = np.clip(oracle.encoded.eigenvalues, 0.0, 1.0), oracle.encoded.eigenvectors
-    out = (v * (w * p(w) ** 2)) @ v.conj().T
-    out = (out + out.conj().T) / 2.0
+    w = np.clip(oracle.encoded.eigenvalues, 0.0, 1.0)
     d = p.degree
     cost = oracle.cost.scaled(2 * d) + QueryCost(
         controlled=oracle.cost.queries,
         gates=(oracle.total_qubits + 1) * d)
-    new_oracle = purification_of(
-        SubnormalizedDensityOperator(out, oracle.system_qubits),
-        label=oracle.label, cost=cost)
-    return TransformResult(
-        result=new_oracle, declared_error=2.5 * precision, scale=1.0, cost=cost,
-        provenance=Provenance("polynomial-eigenvalue-transform-density",
-                              {"degree": d, "family": p.family},
-                              {"composition_constant": 2.5}))
+    out = SubnormalizedDensityOperator(w * p(w) ** 2, oracle.encoded.eigenvectors,
+                                       oracle.system_qubits)
+    return TransformResult(result=purification_of(out, label=oracle.label, cost=cost),
+                           declared_error=2.5 * precision, scale=1.0)
 
 
 def transform_with_target(oracle: PurifiedAccessOracle, f, p: CertifiedPolynomial,
@@ -136,11 +125,7 @@ def transform_with_target(oracle: PurifiedAccessOracle, f, p: CertifiedPolynomia
         tail_vals = grid * np.asarray(f(grid), dtype=float) ** 2
     tail = float(np.nanmax(np.abs(tail_vals)))
     err = 2.0 * p.certified_error + delta + tail + 2.5 * precision
-    return TransformResult(
-        result=inner.result, declared_error=err, scale=1.0, cost=inner.cost,
-        provenance=Provenance("eigenvalue-transform-density",
-                              {"delta": delta, "epsilon": p.certified_error},
-                              {"tail_sup": tail}))
+    return TransformResult(result=inner.result, declared_error=err, scale=1.0)
 
 
 def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
@@ -165,14 +150,8 @@ def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
 
     inner = transform_with_target(oracle, f, poly, delta)
     scale = 4.0 * delta ** (c - 1.0)
-    return TransformResult(
-        result=inner.result, declared_error=scale * inner.declared_error,
-        scale=scale, cost=inner.cost,
-        provenance=Provenance("positive-power-density",
-                              {"c": c, "delta": delta, "epsilon": epsilon,
-                               "degree": poly.degree},
-                              {"scale": scale,
-                               "inner_error": inner.declared_error}))
+    return TransformResult(result=inner.result, declared_error=scale * inner.declared_error,
+                           scale=scale)
 
 
 def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
@@ -207,12 +186,7 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
         controlled=u.cost.queries, gates=(u.realized_ancillas + 1) * d_total)
     out = dilate(bc, target=target, cost=cost, declared_ancillas=2 * u.ancillas + 4,
                  scale=2.0, declared_error=2.0 * err_block)
-    return TransformResult(
-        result=out, declared_error=2.0 * err_block, scale=2.0, cost=cost,
-        provenance=Provenance("positive-power-unitary",
-                              {"c": c, "delta": delta, "epsilon": epsilon,
-                               "degree_p": p.degree, "degree_r": r.degree},
-                              {"block_error": err_block}))
+    return TransformResult(result=out, declared_error=2.0 * err_block, scale=2.0)
 
 
 def sandwich_coefficients(delta: float, epsilon: float) -> tuple[float, float]:
@@ -240,14 +214,7 @@ def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
     q = certified(multiply, certified(approx_negative_power, 0.5, delta, epsilon),
                   certified(approx_support_indicator, delta, epsilon))
     inner = qsvt_density(oracle, q, precision)
-    lo, hi = sandwich_coefficients(delta, epsilon)
-    return TransformResult(
-        result=inner.result, declared_error=2.0 * precision, scale=1.0,
-        cost=inner.cost,
-        provenance=Provenance("eigenvalue-threshold-projector",
-                              {"delta": delta, "epsilon": epsilon,
-                               "degree": q.degree},
-                              {"sandwich_lower": lo, "sandwich_upper": hi}))
+    return TransformResult(result=inner.result, declared_error=2.0 * precision, scale=1.0)
 
 
 def psd_order_holds(lower: np.ndarray, upper: np.ndarray, tol: float = 1e-8) -> bool:

@@ -48,6 +48,45 @@ def test_gen_state_rank_validation(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 2
 
 
+def _state_text(kind, **fields):
+    doc = {"format": cli.STATE_FORMAT, "kind": kind, "dimension": 4, "rank": 2,
+           "payload": {}, "matrix": []}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+ESTIMATE = ["estimate", "--quantity", "von-neumann", "--state", "{path}"]
+MALFORMED_INPUTS = {
+    "spectrum-longer-than-dimension": (
+        _state_text("spectrum-with-seed", payload={"spectrum": [0.2] * 5, "seed": 1}),
+        ESTIMATE),
+    "matrix-missing": (json.dumps({"format": cli.STATE_FORMAT, "kind": "explicit-matrix"}),
+                       ESTIMATE),
+    "entries-not-pairs": (_state_text("explicit-matrix", matrix=[[0.5, 0.0], [0.0, 0.5]]),
+                          ESTIMATE),
+    "not-json": ("{not json", ESTIMATE),
+    "missing-file": (None, ESTIMATE),
+    # BLOCKENC_DIM_CAP is 16 here, so nothing of dimension 32 may be generated
+    "spectrum-dimension-above-cap": (
+        _state_text("spectrum-with-seed", dimension=32,
+                    payload={"spectrum": [0.5, 0.5], "seed": 1}),
+        ESTIMATE),
+    "gen-state-dimension-not-power-of-two": (
+        None, ["gen-state", "--dim", "6", "--rank", "2", "--out", "{path}"]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.setenv("BLOCKENC_DIM_CAP", "16")
+    text, argv = MALFORMED_INPUTS[case]
+    path = tmp_path / "s.json"
+    if text is not None:
+        path.write_text(text)
+    assert run([arg.format(path=path) for arg in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_estimate_von_neumann_maximally_mixed(tmp_path):
     state = write_state(tmp_path, "mm4.json", maximally_mixed(4))
     out = str(tmp_path / "rep.json")

@@ -54,9 +54,9 @@ def test_purification_of_trace_deficit(rank, purifying):
 def test_density_operator_is_decomposed_once(linalg_calls):
     rho = floored_spectrum_state(16, 4, np.random.default_rng(3))
     a = enc.SubnormalizedDensityOperator.from_matrix(rho)
-    # rho is Hermitian only up to rounding, so the Hermiticity test takes two
-    # norms; the operator's own Hermitian matrix then passes without any
-    assert dict(linalg_calls) == {"eigh": 1, "spectral_norm": 2}
+    # rho is Hermitian only up to rounding; its Frobenius defect is far below
+    # the tolerance, so the Hermiticity test takes no norm
+    assert dict(linalg_calls) == {"eigh": 1}
     linalg_calls.clear()
     enc.SubnormalizedDensityOperator.from_matrix(a.matrix)
     assert dict(linalg_calls) == {"eigh": 1}
@@ -66,6 +66,45 @@ def test_density_operator_is_decomposed_once(linalg_calls):
     linalg_calls.clear()
     assert enc.purification_of(a).encoded is a
     assert not linalg_calls
+
+
+def _eigenpairs(case="valid"):
+    w = np.array([0.4, 0.3, 0.2, 0.1])
+    v = haar_unitary(4, np.random.default_rng(5))
+    if case == "nan":
+        w[1] = np.nan
+    elif case == "complex":
+        w = w + 1e-3j
+    elif case == "shape":
+        v = v[:, :3]
+    elif case == "not-orthonormal":
+        v[:, 0] *= 1.0 + 1e-6
+    elif case == "not-psd":
+        w = np.array([0.5, 0.3, 0.2 + 2 * enc.PSD_TOL, -2 * enc.PSD_TOL])
+    elif case == "trace":
+        w[3] += 2 * enc.TRACE_TOL
+    return w, v
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nan", "finite reals"), ("complex", "finite reals"), ("shape", "do not match"),
+    ("not-orthonormal", "orthonormal"), ("not-psd", "not PSD"), ("trace", "exceeds one")])
+def test_eigenpair_constructor_rejects(case, message):
+    w, v = _eigenpairs(case)
+    with pytest.raises(ValidationError, match=message):
+        enc.SubnormalizedDensityOperator(w, v, 2)
+
+
+def test_eigenpair_constructor_builds_matrix_when_read():
+    w, v = _eigenpairs()
+    a = enc.SubnormalizedDensityOperator(w, v, 2)
+    assert "matrix" not in a.__dict__
+    want = (v * w) @ v.conj().T
+    assert np.array_equal(a.matrix, (want + want.conj().T) / 2.0)
+    assert (a.dim, a.trace) == (4, w.sum())
+    thin = enc.SubnormalizedDensityOperator(w[:2], v[:, :2], 2)
+    assert spectral_norm(thin.matrix - (v[:, :2] * w[:2]) @ v[:, :2].conj().T) < 1e-15
+    assert spectral_norm(enc.purification_of(thin).extract() - thin.matrix) < 1e-12
 
 
 def test_purification_rejects_trace_above_one():

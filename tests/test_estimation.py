@@ -19,7 +19,7 @@ def oracle_for(m, label="rho"):
 # -- amplitude estimation ------------------------------------------------------
 
 def test_ae_zero_amplitude_in_all_modes():
-    zero = est.SubnormalizedDensityOperator(np.zeros((2, 2), dtype=complex), 1)
+    zero = est.SubnormalizedDensityOperator.from_matrix(np.zeros((2, 2), dtype=complex))
     o = purification_of(zero)
     for mode in est.MODES:
         cfg = est.AmplitudeEstimatorConfig(mode=mode, repetitions=32, seed=1)
@@ -61,7 +61,7 @@ def test_trace_estimate_normalized_state():
 
 
 def test_trace_estimate_subnormalized():
-    a = est.SubnormalizedDensityOperator(np.diag([0.3, 0.0]).astype(complex), 1)
+    a = est.SubnormalizedDensityOperator.from_matrix(np.diag([0.3, 0.0]).astype(complex))
     val, _ = est.trace_estimate(purification_of(a), 1.0, 0.01, CFG)
     assert 0.29 <= val <= 0.31
 
@@ -421,8 +421,37 @@ def test_estimators_build_no_circuit(monkeypatch, quantity, alpha):
 
 
 def test_von_neumann_estimate_decomposes_once(linalg_calls):
-    # the transform reads the input's eigenpairs; only its output is decomposed
+    # the transform maps the input's eigenvalues and keeps its eigenvectors
     oracle = oracle_for(floored_spectrum_state(16, 4, np.random.default_rng(3)))
     linalg_calls.clear()
     est.estimate_von_neumann(oracle, 4, 0.1, CFG, include_truth=False)
-    assert dict(linalg_calls) == {"eigh": 1}
+    assert dict(linalg_calls) == {}
+
+
+DECOMPOSITION_CASES = {
+    "rank": lambda o: est.estimate_rank(o[0], 0.05, 0.1, 0.2, CFG, include_truth=False),
+    "trace-power-0.5": lambda o: est.estimate_trace_power(o[0], 0.5, 4, 0.1, CFG,
+                                                          include_truth=False),
+    "trace-distance-1": lambda o: est.estimate_trace_distance(o[0], o[1], 1.0, 4, 0.1, CFG,
+                                                              include_truth=False),
+    "fidelity-0.5": lambda o: est.estimate_fidelity(o[0], o[1], 0.5, 4, 0.1, CFG,
+                                                    include_truth=False),
+    "distribution-oracle": lambda o: est.distribution_to_purified_oracle(
+        np.full(16, 1.0 / 16.0)),
+}
+
+
+@pytest.mark.parametrize("case, want", [
+    ("rank", {}), ("trace-power-0.5", {}),
+    # mu, the block of nu in the positive power, and the evolved output
+    ("trace-distance-1", {"eigh": 3, "spectral_norm": 1}),
+    # sigma's block in the positive power, and the evolved output
+    ("fidelity-0.5", {"eigh": 2, "spectral_norm": 1}),
+    ("distribution-oracle", {})])
+def test_decomposition_counts(linalg_calls, case, want):
+    # spectrum-mapping transforms hand on eigenpairs; only new operators are decomposed
+    rho, sigma = shared_support_pair(16, 4, np.random.default_rng(3))
+    oracles = (oracle_for(rho, "rho"), oracle_for(sigma, "sigma"))
+    linalg_calls.clear()
+    DECOMPOSITION_CASES[case](oracles)
+    assert dict(linalg_calls) == want

@@ -64,13 +64,37 @@ def test_hermiticity_tolerance_is_pinned(factor, accepted):
     t = factor * nm.HERMITICITY_TOL * 1.5 / 2.0
     a = np.diag([0.5 + 1j * t, 0.5])
     checks = (nm.require_hermitian, nm.spectral_decompose,
-              lambda m: SubnormalizedDensityOperator(m, 1))
+              SubnormalizedDensityOperator.from_matrix)
     for check in checks:
         if accepted:
             check(a)
         else:
             with pytest.raises(nm.ValidationError, match="not Hermitian"):
                 check(a)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hermiticity_accept_set_is_the_spectral_test(linalg_calls, seed):
+    # A = H + t K over t from 0.1x to 10x the threshold t* at which
+    # t ||K - K^dag||_2 = tol (1 + ||H||_2); the Frobenius pre-test must not
+    # change which A pass
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(8, rng)
+    k = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    t_star = nm.HERMITICITY_TOL * (1.0 + nm.spectral_norm(h)) / nm.spectral_norm(k - k.conj().T)
+    paths = set()
+    for factor in np.geomspace(0.1, 10.0, 15):
+        a = h + factor * t_star * k
+        want = nm.spectral_norm(a - a.conj().T) <= nm.HERMITICITY_TOL * (1.0 + nm.spectral_norm(a))
+        linalg_calls.clear()
+        try:
+            nm.require_hermitian(a)
+            accepted = True
+        except nm.ValidationError:
+            accepted = False
+        assert accepted == want, factor
+        paths.add(bool(linalg_calls))
+    assert paths == {False, True}  # both the pre-test and the SVD test decided some
 
 
 # -- matrix_function ---------------------------------------------------------

@@ -89,6 +89,18 @@ def test_qsvt_density_diagonal_is_exact():
     assert spectral_norm(out.oracle.encoded.matrix - want) < 1e-10
 
 
+def test_qsvt_density_passes_eigenpairs_on(linalg_calls):
+    o = oracle_for(floored_spectrum_state(16, 4, np.random.default_rng(3)))
+    p = pa.approx_positive_power(0.5, 0.05, 0.01)
+    linalg_calls.clear()
+    out = tf.qsvt_density(o, p).oracle.encoded
+    assert not linalg_calls
+    assert out.eigenvectors is o.encoded.eigenvectors
+    w, v = np.clip(o.encoded.eigenvalues, 0.0, 1.0), o.encoded.eigenvectors
+    want = (v * (w * p(w) ** 2)) @ v.conj().T
+    assert np.array_equal(out.matrix, (want + want.conj().T) / 2.0)
+
+
 def test_qsvt_density_matches_spectral_oracle():
     rng = np.random.default_rng(7)
     rho = ginibre_state(8, 3, rng)
@@ -132,7 +144,7 @@ def test_positive_power_density_projector_spectrum():
 
 
 def test_positive_power_density_zero_state():
-    zero = enc.SubnormalizedDensityOperator(np.zeros((2, 2), dtype=complex), 1)
+    zero = enc.SubnormalizedDensityOperator.from_matrix(np.zeros((2, 2), dtype=complex))
     out = tf.positive_power_density(enc.purification_of(zero), 0.5, 0.05, 1e-2)
     assert spectral_norm(out.oracle.encoded.matrix) < 1e-9
 
