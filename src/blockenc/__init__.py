@@ -28,6 +28,7 @@ from .polyapprox import (CertificationError, CertifiedPolynomial,
 from .resources import QueryCost, ResourceLedger
 from .transform import (TransformResult, eigenvalue_threshold_projector,
                         positive_power_density, positive_power_unitary,
-                        qsvt_density, qsvt_unitary, transform_with_target)
+                        power_unitary, qsvt_density, qsvt_unitary,
+                        transform_with_target)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

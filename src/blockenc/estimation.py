@@ -1,21 +1,24 @@
 """Amplitude-estimation models and the top-level entropy/distance estimators.
 
-Each estimator solves two parameter schedules:
+Each estimator gets two parameter schedules from one function, ``_schedule``:
 
 * the *analysis schedule*: the complexity analysis's settings instantiated with
-  explicit constants, auto-tightened (halving, up to six rounds) until the
+  explicit constants, all halved together (up to six rounds) until the
   proof's composite error bound evaluates at or below the target epsilon.
   The query ledger is computed from this schedule via the degree formulas and
   amplitude-estimation repetition counts, so its scaling follows the stated
   complexities.
-* the *operational schedule*: the same values clamped at documented floors
-  so every required polynomial certificate stays constructible under the
-  degree cap.  The simulated pipeline runs at these values; in analytic mode
-  its trace estimates are exact, so the realized error is governed by the
-  certified polynomial errors alone.
+* the *operational schedule*: the analysis values raised to the estimator's
+  ``OP_FLOORS`` entries, so every required polynomial certificate stays
+  constructible under the degree cap, with the amplitude-estimation precision
+  re-derived from the floored values.  The simulated pipeline runs at these
+  values; in analytic mode its trace estimates are exact, so the realized
+  error is governed by the certified polynomial errors alone.
 
-Reports carry both schedules, the evaluated bound, the ledger, and (when the
-spectral oracle is enabled) the exact reference value.
+The rank estimator and the odd-alpha trace power take their analysis values
+as given and use only the clamping half, ``_operational``.  Reports, built by
+``_report``, carry both schedules, the evaluated bound, the ledger, and (when
+the spectral oracle is enabled) the exact value from ``numerics.QUANTITIES``.
 """
 
 from __future__ import annotations
@@ -30,15 +33,14 @@ from . import numerics as nm
 from .encodings import (PurifiedAccessOracle, StatePreparationPair,
                         SubnormalizedDensityOperator, block_encode_density,
                         encoding_power, evolve, lcu, linear_combination_density,
-                        product, unitary_from_first_column)
+                        unitary_from_first_column)
 from .numerics import ValidationError
 from .polyapprox import (approx_interior_indicator, approx_sqrt_neglog, certified,
                          multiply)
 from .resources import (QueryCost, ResourceLedger, ae_repetitions,
                         degree_formula, tree_query, tree_repeat, tree_sum)
 from .transform import (QSVT_PRECISION, eigenvalue_threshold_projector,
-                        positive_power_density, positive_power_unitary,
-                        qsvt_density)
+                        positive_power_density, power_unitary, qsvt_density)
 
 MODES = ("analytic", "adversarial", "sampled")
 
@@ -206,29 +208,65 @@ def trace_estimate(oracle: PurifiedAccessOracle, upper_bound: float, epsilon: fl
 # Schedule helpers
 # ---------------------------------------------------------------------------
 
-def _tighten(quantity: str, params: dict, keys, bound_fn, epsilon: float,
-             max_rounds: int = 6) -> tuple[dict, float, int]:
-    rounds = 0
-    bound = bound_fn(params)
+def _operational(analysis: dict, bound: float, rounds: int, floors: dict,
+                 derive=None) -> tuple[dict, dict]:
+    """The operational schedule and the record of both schedules.
+
+    Each key in ``floors`` is raised to its floor; ``derive(op)`` returns the
+    keys re-derived from the floored values.
+    """
+    op = {k: max(v, floors[k]) if k in floors else v for k, v in analysis.items()}
+    if derive is not None:
+        op.update(derive(op))
+    clamped = any(abs(op[k] - analysis[k]) > 1e-15 for k in op if k in analysis)
+    return op, {"analysis": dict(analysis), "operational": dict(op),
+                "bound_value": bound, "tightening_rounds": rounds, "clamped": clamped}
+
+
+def _schedule(quantity: str, epsilon: float, solve, bound_fn, floors: dict,
+              derive=None, max_rounds: int = 6) -> tuple[dict, dict, dict]:
+    """(analysis, operational, record) for an estimator.
+
+    The analysis schedule ``solve(epsilon)`` is halved as a whole until
+    ``bound_fn`` evaluates at or below epsilon; ``_operational`` clamps it.
+    """
+    analysis = solve(epsilon)
+    bound, rounds = bound_fn(analysis), 0
     while bound > epsilon and rounds < max_rounds:
-        params = {k: (v / 2.0 if k in keys else v) for k, v in params.items()}
-        bound = bound_fn(params)
+        analysis = {k: v / 2.0 for k, v in analysis.items()}
+        bound = bound_fn(analysis)
         rounds += 1
     if bound > epsilon:
         raise ScheduleBudgetError(quantity, bound, epsilon)
-    return params, bound, rounds
+    return (analysis,) + _operational(analysis, bound, rounds, floors, derive)
 
 
-def _schedule_record(analysis: dict, operational: dict, bound: float, rounds: int) -> dict:
-    clamped = any(abs(operational[k] - analysis[k]) > 1e-15 for k in operational if k in analysis)
-    return {"analysis": dict(analysis), "operational": dict(operational),
-            "bound_value": bound, "tightening_rounds": rounds, "clamped": clamped}
+def _qsvt_ledger(oracle: PurifiedAccessOracle, reps: int, degree: int,
+                 expected: str) -> ResourceLedger:
+    """M amplitude-estimation rounds around one degree-d QSVT of a single oracle."""
+    width = oracle.total_qubits + 1
+    return ResourceLedger.from_tree(
+        tree_repeat(reps, tree_repeat(2 * degree, tree_query(oracle.label))),
+        controlled={oracle.label: 2 * reps}, gates=reps * degree * width,
+        gate_expression=f"M * d * (n + a + 1) = {reps} * {degree} * {width}",
+        expected=expected)
 
 
-def _mode_note(config: AmplitudeEstimatorConfig) -> float:
-    if config.mode == "sampled":
-        return _median_success_probability(config.median_trials)
-    return 1.0
+def _report(quantity: str, oracles, alpha: float | None, estimate: float,
+            epsilon: float, parameters: dict, ledger: ResourceLedger,
+            config: AmplitudeEstimatorConfig, include_truth: bool,
+            notes: tuple = ()) -> EstimateReport:
+    """The report of an estimate of ``quantity`` on the oracles' operators."""
+    truth = None
+    if include_truth:
+        truth = nm.exact_quantity(quantity, *(o.encoded.matrix for o in oracles),
+                                  alpha=alpha)
+    note = (_median_success_probability(config.median_trials)
+            if config.mode == "sampled" else 1.0)
+    return EstimateReport(
+        quantity=quantity, alpha=alpha, estimate=estimate, target_epsilon=epsilon,
+        true_value=truth, parameters=parameters, ledger=ledger, mode=config.mode,
+        success_probability_note=note, notes=notes)
 
 
 def _validated_rank_bound(rank_bound: int) -> int:
@@ -261,38 +299,24 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
         return (r * ((p["eps1"] + QSVT_PRECISION) * big_l + p["delta"])
                 + p["eps2"] * big_l * r)
 
-    analysis, bound, rounds = _tighten("von-neumann", solve(epsilon),
-                                    ("delta", "eps1", "eps2"), bound_fn, epsilon)
+    analysis, op, record = _schedule(
+        "von-neumann", epsilon, solve, bound_fn,
+        {"delta": OP_FLOORS["vn_delta"], "eps1": OP_FLOORS["vn_eps"]})
     big_l = math.log(1.0 / analysis["delta"])
     d_total = (degree_formula("sqrt-neglog", analysis["delta"], analysis["eps1"])
                + degree_formula("interior-indicator", analysis["delta"], analysis["eps1"]))
     b_ae = math.log(r) / (4.0 * big_l) + 1.0 if r > 1 else 1.0
-    reps = ae_repetitions(b_ae, analysis["eps2"])
-    ledger = ResourceLedger.from_tree(
-        tree_repeat(reps, tree_repeat(2 * d_total, tree_query(oracle.label))),
-        controlled={oracle.label: 2 * reps},
-        gates=reps * d_total * (oracle.total_qubits + 1),
-        gate_expression=f"M * d * (n + a + 1) = {reps} * {d_total} * "
-                        f"{oracle.total_qubits + 1}",
-        expected="O~(r^2 / eps^2)")
+    ledger = _qsvt_ledger(oracle, ae_repetitions(b_ae, analysis["eps2"]), d_total,
+                          "O~(r^2 / eps^2)")
 
-    op = {"delta": max(analysis["delta"], OP_FLOORS["vn_delta"]),
-          "eps1": max(analysis["eps1"], OP_FLOORS["vn_eps"]),
-          "eps2": analysis["eps2"]}
     poly = certified(multiply, certified(approx_sqrt_neglog, op["delta"], op["eps1"]),
                      certified(approx_interior_indicator, op["delta"], op["eps1"]))
     out = qsvt_density(oracle, poly)
     lo = math.log(1.0 / op["delta"])
     b_op = (math.log(r) / (4.0 * lo) if r > 1 else 0.0) + 1.0
     p_tilde, _ = trace_estimate(out.oracle, b_op, op["eps2"], config)
-    estimate = 4.0 * lo * p_tilde
-
-    truth = nm.von_neumann_entropy(oracle.encoded.matrix) if include_truth else None
-    return EstimateReport(
-        quantity="von-neumann", estimate=estimate, target_epsilon=epsilon,
-        true_value=truth, parameters=_schedule_record(analysis, op, bound, rounds),
-        ledger=ledger, mode=config.mode,
-        success_probability_note=_mode_note(config))
+    return _report("von-neumann", (oracle,), None, 4.0 * lo * p_tilde, epsilon,
+                   record, ledger, config, include_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +339,6 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
         raise ValidationError("trace power needs alpha in (0,1) or (1,inf)")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    label = oracle.label
-    truth = nm.trace_power(oracle.encoded.matrix, alpha) if include_truth else None
-
     if 0 < alpha < 1:
         def solve(eps):
             d1 = (eps / (4.0 * r)) ** (1.0 / alpha)
@@ -330,25 +351,17 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
                     + r * (p["delta1"] ** alpha
                            + p["eps1"] * p["delta1"] ** (alpha - 1.0)))
 
-        analysis, bound, rounds = _tighten("trace-power", solve(epsilon),
-                                        ("delta1", "eps1", "eps2"), bound_fn, epsilon)
+        analysis, op, record = _schedule(
+            "trace-power", epsilon, solve, bound_fn,
+            {"delta1": OP_FLOORS["pow_delta"], "eps1": OP_FLOORS["pow_eps"]},
+            lambda op: {"eps2": epsilon * op["delta1"] ** (1 - alpha) / 16.0})
         d = degree_formula("neg-power", analysis["delta1"], analysis["eps1"],
                            c=(1.0 - alpha) / 2.0)
         b_ae = (r ** (1 - alpha) * analysis["delta1"] ** (1 - alpha)
                 + r * (analysis["delta1"] + analysis["eps1"])) / 4.0
-        reps = ae_repetitions(b_ae, analysis["eps2"])
-        ledger = ResourceLedger.from_tree(
-            tree_repeat(reps, tree_repeat(2 * d, tree_query(label))),
-            controlled={label: 2 * reps},
-            gates=reps * d * (oracle.total_qubits + 1),
-            gate_expression=f"M * d * (n + a + 1) = {reps} * {d} * "
-                            f"{oracle.total_qubits + 1}",
-            expected="O~(r^((3 - a^2) / 2a) / eps^((3 + a) / 2a))")
+        ledger = _qsvt_ledger(oracle, ae_repetitions(b_ae, analysis["eps2"]), d,
+                              "O~(r^((3 - a^2) / 2a) / eps^((3 + a) / 2a))")
 
-        op = {"delta1": max(analysis["delta1"], OP_FLOORS["pow_delta"]),
-              "eps1": max(analysis["eps1"], OP_FLOORS["pow_eps"]),
-              "eps2": epsilon * max(analysis["delta1"],
-                                    OP_FLOORS["pow_delta"]) ** (1 - alpha) / 16.0}
         ppd = positive_power_density(oracle, alpha, op["delta1"], op["eps1"])
         b_op = (r ** (1 - alpha) * op["delta1"] ** (1 - alpha)
                 + r * (op["delta1"] + op["eps1"])) / 4.0
@@ -357,25 +370,21 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
 
     elif _is_odd_integer(alpha):
         beta = int(round(alpha - 1)) // 2
-        analysis = {"eps2": epsilon}
-        bound, rounds = epsilon, 0
+        _, record = _operational({"eps2": epsilon}, epsilon, 0, {})
         reps = ae_repetitions(1.0, epsilon)
+        width = oracle.total_qubits + 1
         ledger = ResourceLedger.from_tree(
-            tree_repeat(reps, tree_query(label, beta + 1)),
-            controlled={label: 2 * reps},
-            gates=reps * beta * (oracle.total_qubits + 1),
-            gate_expression=f"M * (beta + 1) = {reps} * {beta + 1}",
+            tree_repeat(reps, tree_query(oracle.label, beta + 1)),
+            controlled={oracle.label: 2 * reps}, gates=reps * beta * width,
+            gate_expression=f"M * beta * (n + a + 1) = {reps} * {beta} * {width}",
             expected="O(1 / eps), rank-independent")
-        op = dict(analysis)
-        u1 = block_encode_density(oracle)
-        chain = encoding_power(u1, beta) if beta >= 1 else None
-        out = evolve(oracle, chain) if chain is not None else oracle
-        p_tilde, _ = trace_estimate(out, 1.0, epsilon, config)
-        estimate = p_tilde
+        out = evolve(oracle, encoding_power(block_encode_density(oracle), beta))
+        estimate, _ = trace_estimate(out, 1.0, epsilon, config)
 
     else:
-        beta = int(math.floor((alpha - 1.0) / 2.0))
-        cfrac = (alpha - 1.0) / 2.0 - beta
+        x = (alpha - 1.0) / 2.0
+        beta = int(math.floor(x))
+        cfrac = x - beta
 
         def solve(eps):
             return {"delta1": min((eps / (4.0 * r)) ** (1.0 / cfrac), 0.25),
@@ -385,37 +394,29 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
             return (4.0 * p["eps2"]
                     + r * (p["eps1"] + p["delta1"] ** cfrac))
 
-        analysis, bound, rounds = _tighten("trace-power", solve(epsilon),
-                                        ("delta1", "eps1", "eps2"), bound_fn, epsilon)
+        analysis, op, record = _schedule(
+            "trace-power", epsilon, solve, bound_fn,
+            {"delta1": OP_FLOORS["powu_delta"], "eps1": OP_FLOORS["powu_eps"]},
+            lambda op: {"eps2": epsilon / 8.0})
         q1 = (degree_formula("pos-power", analysis["delta1"], analysis["eps1"])
               + degree_formula("support-indicator", analysis["delta1"], analysis["eps1"]))
         b_ae = (1.0 + r * (analysis["eps1"] + analysis["delta1"] ** cfrac)) / 4.0
         reps = ae_repetitions(b_ae, analysis["eps2"])
+        width = oracle.total_qubits + 1
         ledger = ResourceLedger.from_tree(
-            tree_repeat(reps, tree_query(label, beta + q1)),
-            controlled={label: 2 * reps},
-            gates=reps * q1 * (oracle.total_qubits + 1),
-            gate_expression=f"M * (beta + Q1) = {reps} * ({beta} + {q1})",
+            tree_repeat(reps, tree_query(oracle.label, beta + q1)),
+            controlled={oracle.label: 2 * reps}, gates=reps * q1 * width,
+            gate_expression=f"M * Q1 * (n + a + 1) = {reps} * {q1} * {width}",
             expected="O~(r^(1/frac) / eps^(1 + 1/frac))")
 
-        op = {"delta1": max(analysis["delta1"], OP_FLOORS["powu_delta"]),
-              "eps1": max(analysis["eps1"], OP_FLOORS["powu_eps"]),
-              "eps2": epsilon / 8.0}
-        u1 = block_encode_density(oracle)
-        frac = positive_power_unitary(u1, cfrac, op["delta1"], op["eps1"])
-        w = frac.encoding if beta == 0 else product(encoding_power(u1, beta),
-                                                    frac.encoding)
+        w = power_unitary(block_encode_density(oracle), x, op["delta1"], op["eps1"])
         out = evolve(oracle, w.as_scale_one())
         b_op = (1.0 + r * (op["eps1"] + op["delta1"] ** cfrac)) / 4.0
         p_tilde, _ = trace_estimate(out, b_op, op["eps2"], config)
         estimate = 4.0 * p_tilde
 
-    return EstimateReport(
-        quantity="trace-power", alpha=alpha, estimate=estimate,
-        target_epsilon=epsilon, true_value=truth,
-        parameters=_schedule_record(analysis, op, bound, rounds),
-        ledger=ledger, mode=config.mode,
-        success_probability_note=_mode_note(config))
+    return _report("trace-power", (oracle,), alpha, estimate, epsilon, record, ledger,
+                   config, include_truth)
 
 
 def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
@@ -444,12 +445,8 @@ def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
     tp = estimate_trace_power(oracle, alpha, r, eps_inner, config,
                               include_truth=False)
     x = max(tp.estimate, floor)
-    truth = nm.renyi_entropy(oracle.encoded.matrix, alpha) if include_truth else None
-    return EstimateReport(
-        quantity="renyi", alpha=alpha, estimate=float(np.log(x) / (1.0 - alpha)),
-        target_epsilon=epsilon, true_value=truth, parameters=tp.parameters,
-        ledger=tp.ledger, mode=config.mode,
-        success_probability_note=tp.success_probability_note)
+    return _report("renyi", (oracle,), alpha, float(np.log(x) / (1.0 - alpha)), epsilon,
+                   tp.parameters, tp.ledger, config, include_truth)
 
 
 def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
@@ -473,13 +470,8 @@ def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int
     eps_inner = abs(1.0 - alpha) * epsilon
     tp = estimate_trace_power(oracle, alpha, r, eps_inner, config,
                               include_truth=False)
-    truth = nm.tsallis_entropy(oracle.encoded.matrix, alpha) if include_truth else None
-    return EstimateReport(
-        quantity="tsallis", alpha=alpha,
-        estimate=float((tp.estimate - 1.0) / (1.0 - alpha)),
-        target_epsilon=epsilon, true_value=truth, parameters=tp.parameters,
-        ledger=tp.ledger, mode=config.mode,
-        success_probability_note=tp.success_probability_note)
+    return _report("tsallis", (oracle,), alpha, float((tp.estimate - 1.0) / (1.0 - alpha)),
+                   epsilon, tp.parameters, tp.ledger, config, include_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -499,34 +491,21 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
         raise ValidationError("epsilon and epsilon' must be positive")
     eps1 = min(delta * epsilon / 2.0, math.sqrt(delta / 64.0), 0.1)
     eps2 = delta * epsilon_prime / 8.0
-    analysis = {"delta": delta, "eps1": eps1, "eps2": eps2}
-    bound = 2.0 * eps1 / delta  # multiplicative part; additive part is eps'
+    # the bound is the multiplicative part; the additive part is eps'
+    op, record = _operational({"delta": delta, "eps1": eps1, "eps2": eps2},
+                              2.0 * eps1 / delta, 0, {"eps1": OP_FLOORS["rank_eps"]})
     d = (degree_formula("neg-power", delta / 2.0, eps1, c=0.5)
          + degree_formula("support-indicator", delta / 2.0, eps1))
-    reps = ae_repetitions(1.0, eps2)
-    ledger = ResourceLedger.from_tree(
-        tree_repeat(reps, tree_repeat(2 * d, tree_query(oracle.label))),
-        controlled={oracle.label: 2 * reps},
-        gates=reps * d * (oracle.total_qubits + 1),
-        gate_expression=f"M * d = {reps} * {d}",
-        expected="O~(1 / (delta^2 eps))")
+    ledger = _qsvt_ledger(oracle, ae_repetitions(1.0, eps2), d, "O~(1 / (delta^2 eps))")
 
-    op = dict(analysis)
-    op["eps1"] = max(eps1, OP_FLOORS["rank_eps"])
     thr = eigenvalue_threshold_projector(oracle, delta / 2.0, op["eps1"])
     p_tilde, _ = trace_estimate(thr.oracle, 1.0, eps2, config)
-    estimate = 8.0 * p_tilde / delta
-
-    truth = float(nm.operator_rank(oracle.encoded.matrix)) if include_truth else None
     notes = ()
     if include_truth:
-        rd = nm.rank_delta(oracle.encoded.matrix, delta)
-        notes = (f"rank_delta(rho, {delta}) = {rd}",)
-    return EstimateReport(
-        quantity="rank", estimate=estimate, target_epsilon=epsilon,
-        true_value=truth, parameters=_schedule_record(analysis, op, bound, 0),
-        ledger=ledger, mode=config.mode,
-        success_probability_note=_mode_note(config), notes=notes)
+        notes = (f"rank_delta(rho, {delta}) = "
+                 f"{nm.rank_delta(oracle.encoded.matrix, delta)}",)
+    return _report("rank", (oracle,), None, 8.0 * p_tilde / delta, epsilon, record,
+                   ledger, config, include_truth, notes)
 
 
 def estimate_exact_rank(oracle: PurifiedAccessOracle, kappa: float,
@@ -560,15 +539,12 @@ def estimate_max_entropy(oracle: PurifiedAccessOracle, delta: float, epsilon: fl
         notes = (f"delta = 1/(2 kappa) = {delta} from the kappa assumption",)
     rank_rep = estimate_rank(oracle, delta, epsilon / 4.0, epsilon / 4.0, config,
                              include_truth=False)
-    estimate = float(np.log(max(rank_rep.estimate, 0.5)))
-    truth = nm.max_entropy(oracle.encoded.matrix) if include_truth else None
     expected = "O~(kappa^2 / eps)" if kappa is not None else "O~(1 / (delta^2 eps))"
-    ledger = replace(rank_rep.ledger, expected_complexity=expected)
-    return EstimateReport(
-        quantity="max-entropy", estimate=estimate, target_epsilon=epsilon,
-        true_value=truth, parameters=rank_rep.parameters, ledger=ledger,
-        mode=config.mode, success_probability_note=rank_rep.success_probability_note,
-        notes=notes)
+    return _report("max-entropy", (oracle,), None,
+                   float(np.log(max(rank_rep.estimate, 0.5))), epsilon,
+                   rank_rep.parameters,
+                   replace(rank_rep.ledger, expected_complexity=expected), config,
+                   include_truth, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +633,11 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
                 * (1.0 + 4.0 * p["eps1"] / math.sqrt(d1))
         return proj + trunc + ae + power
 
-    keys = ("delta1", "eps1", "eps3") + (() if even else ("delta2", "eps2"))
-    analysis, bound, rounds = _tighten("trace-distance", solve(epsilon), keys,
-                                    bound_fn, epsilon)
+    analysis, op, record = _schedule(
+        "trace-distance", epsilon, solve, bound_fn,
+        {"delta1": OP_FLOORS["thr_delta"], "eps1": OP_FLOORS["thr_eps"],
+         "delta2": OP_FLOORS["powu_delta"], "eps2": OP_FLOORS["powu_eps"]},
+        lambda op: {"eps3": epsilon * op["delta1"] / (8.0 if even else 32.0)})
     q1 = (degree_formula("neg-power", analysis["delta1"], analysis["eps1"], c=0.5)
           + degree_formula("support-indicator", analysis["delta1"], analysis["eps1"]))
     reps = ae_repetitions(analysis["delta1"], analysis["eps3"])
@@ -684,13 +662,6 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
         gate_expression=f"M * Q1 * poly(n) = {reps} * {q1} * ...",
         expected=expected)
 
-    op = {"delta1": max(analysis["delta1"], OP_FLOORS["thr_delta"]),
-          "eps1": max(analysis["eps1"], OP_FLOORS["thr_eps"])}
-    if not even:
-        op["delta2"] = max(analysis["delta2"], OP_FLOORS["powu_delta"])
-        op["eps2"] = max(analysis["eps2"], OP_FLOORS["powu_eps"])
-    op["eps3"] = epsilon * op["delta1"] / (8.0 if even else 32.0)
-
     mu_oracle = linear_combination_density([0.5, 0.5], [oracle_rho, oracle_sigma],
                                            label="mu")
     thr = eigenvalue_threshold_projector(mu_oracle, op["delta1"], op["eps1"])
@@ -699,25 +670,12 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
         half = encoding_power(w_nu, int(round(alpha)) // 2)
         rescale = 4.0 / op["delta1"]
     else:
-        frac = positive_power_unitary(w_nu, sfrac, op["delta2"], op["eps2"])
-        floor_k = math.floor(alpha / 2.0)
-        half = frac.encoding if floor_k == 0 else product(
-            encoding_power(w_nu, floor_k), frac.encoding)
+        half = power_unitary(w_nu, alpha / 2.0, op["delta2"], op["eps2"])
         rescale = 16.0 / op["delta1"]
     eta = evolve(thr.oracle, half.as_scale_one(), label="eta")
     p_tilde, _ = trace_estimate(eta, op["delta1"], op["eps3"], config)
-    estimate = rescale * p_tilde
-
-    truth = None
-    if include_truth:
-        truth = nm.trace_distance(oracle_rho.encoded.matrix,
-                                  oracle_sigma.encoded.matrix, alpha)
-    return EstimateReport(
-        quantity="trace-distance", alpha=alpha, estimate=estimate,
-        target_epsilon=epsilon, true_value=truth,
-        parameters=_schedule_record(analysis, op, bound, rounds),
-        ledger=ledger, mode=config.mode,
-        success_probability_note=_mode_note(config))
+    return _report("trace-distance", (oracle_rho, oracle_sigma), alpha,
+                   rescale * p_tilde, epsilon, record, ledger, config, include_truth)
 
 
 def trace_distance_truncation_bound(nu: np.ndarray, mu: np.ndarray, alpha: float,
@@ -770,10 +728,6 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
     beta = (1.0 - alpha) / (2.0 * alpha)
     integer = abs(beta - round(beta)) < 1e-9
     lab_r, lab_s = oracle_rho.label, oracle_sigma.label
-    truth = None
-    if include_truth:
-        truth = nm.alpha_fidelity(oracle_rho.encoded.matrix,
-                                  oracle_sigma.encoded.matrix, alpha)
 
     if integer:
         b_int = int(round(beta))
@@ -788,25 +742,24 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
                          + p["eps1"] * p["delta1"] ** (alpha - 1.0))
                     + 4.0 * p["delta1"] ** (alpha - 1.0) * p["eps2"])
 
-        analysis, bound, rounds = _tighten("fidelity", solve(epsilon),
-                                        ("delta1", "eps1", "eps2"),
-                                        bound_fn, epsilon)
+        analysis, op, record = _schedule(
+            "fidelity", epsilon, solve, bound_fn,
+            {"delta1": OP_FLOORS["fid_delta"], "eps1": OP_FLOORS["fid_eps"]},
+            lambda op: {"eps2": epsilon * op["delta1"] ** (1.0 - alpha) / 8.0})
         d1 = degree_formula("neg-power", analysis["delta1"], analysis["eps1"],
                             c=(1.0 - alpha) / 2.0)
         b_ae = analysis["delta1"] ** (1.0 - alpha) + r * (analysis["delta1"] + analysis["eps1"])
         reps = ae_repetitions(b_ae, analysis["eps2"])
         tree = tree_repeat(reps, tree_repeat(d1, tree_sum(
             tree_query(lab_s, b_int), tree_query(lab_r, 1))))
-        expected = "O~(r^((3-a)/2a) / eps^((3+a)/2a))"
+        n_r, n_s = oracle_rho.total_qubits, oracle_sigma.total_qubits
         ledger = ResourceLedger.from_tree(
             tree, controlled={lab_r: 2 * reps, lab_s: 2 * reps},
-            gates=reps * d1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits),
-            gate_expression=f"M * d1 * (beta + 1) = {reps} * {d1} * {b_int + 1}",
-            expected=expected)
+            gates=reps * d1 * (n_r + n_s),
+            gate_expression=f"M * d1 * ((n + a)_rho + (n + a)_sigma) = "
+                            f"{reps} * {d1} * ({n_r} + {n_s})",
+            expected="O~(r^((3-a)/2a) / eps^((3+a)/2a))")
 
-        op = {"delta1": max(analysis["delta1"], OP_FLOORS["fid_delta"]),
-              "eps1": max(analysis["eps1"], OP_FLOORS["fid_eps"])}
-        op["eps2"] = epsilon * op["delta1"] ** (1.0 - alpha) / 8.0
         u_beta = encoding_power(block_encode_density(oracle_sigma), b_int)
         eta = evolve(oracle_rho, u_beta, label="eta")
         ppd = positive_power_density(eta, alpha, op["delta1"], op["eps1"])
@@ -831,9 +784,12 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
                     + r * p["delta2"] ** (alpha - 1.0) * (p["eps2"] + p["delta2"])
                     + 4.0 ** (alpha + 1.0) * p["delta2"] ** (alpha - 1.0) * p["eps3"])
 
-        analysis, bound, rounds = _tighten(
-            "fidelity", solve(epsilon),
-            ("delta1", "eps1", "delta2", "eps2", "eps3"), bound_fn, epsilon)
+        analysis, op, record = _schedule(
+            "fidelity", epsilon, solve, bound_fn,
+            {"delta1": OP_FLOORS["powu_delta"], "eps1": OP_FLOORS["powu_eps"],
+             "delta2": OP_FLOORS["fid_delta"], "eps2": OP_FLOORS["fid_eps"]},
+            lambda op: {"eps3": epsilon * op["delta2"] ** (1.0 - alpha)
+                        / (4.0 ** (alpha + 1.0) * 4.0)})
         q1 = (degree_formula("pos-power", analysis["delta1"], analysis["eps1"])
               + degree_formula("support-indicator", analysis["delta1"], analysis["eps1"]))
         q2 = degree_formula("neg-power", analysis["delta2"], analysis["eps2"],
@@ -842,7 +798,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         reps = ae_repetitions(b_ae, analysis["eps3"])
         tree = tree_repeat(reps, tree_repeat(q2, tree_sum(
             tree_repeat(q1, tree_query(lab_s)),
-            tree_query(lab_s, max(b_floor, 0)) if b_floor else tree_query(lab_s, 0),
+            tree_query(lab_s, b_floor),
             tree_query(lab_r, 1))))
         expected = ("O~(r^((3-a)/2a + 1/(a frac)) / eps^((3+a)/2a + 1/(a frac))) "
                     "to U_sigma; O~(r^((3-a)/2a) / eps^((3+a)/2a)) to U_rho")
@@ -852,27 +808,16 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
             gate_expression=f"M * Q1 * Q2 = {reps} * {q1} * {q2}",
             expected=expected)
 
-        op = {"delta1": max(analysis["delta1"], OP_FLOORS["powu_delta"]),
-              "eps1": max(analysis["eps1"], OP_FLOORS["powu_eps"]),
-              "delta2": max(analysis["delta2"], OP_FLOORS["fid_delta"]),
-              "eps2": max(analysis["eps2"], OP_FLOORS["fid_eps"])}
-        op["eps3"] = epsilon * op["delta2"] ** (1.0 - alpha) / (4.0 ** (alpha + 1.0) * 4.0)
-        u1 = block_encode_density(oracle_sigma)
-        frac = positive_power_unitary(u1, bfrac, op["delta1"], op["eps1"])
-        u_beta = frac.encoding if b_floor == 0 else product(
-            encoding_power(u1, b_floor), frac.encoding)
+        u_beta = power_unitary(block_encode_density(oracle_sigma), beta,
+                               op["delta1"], op["eps1"])
         eta = evolve(oracle_rho, u_beta.as_scale_one(), label="eta")
         ppd = positive_power_density(eta, alpha, op["delta2"], op["eps2"])
         b_op = op["delta2"] ** (1.0 - alpha) * r ** (1.0 - alpha) / 4.0
         p_tilde, _ = trace_estimate(ppd.oracle, b_op, op["eps3"], config)
         estimate = 4.0 ** (alpha + 1.0) * op["delta2"] ** (alpha - 1.0) * p_tilde
 
-    return EstimateReport(
-        quantity="fidelity", alpha=alpha, estimate=estimate,
-        target_epsilon=epsilon, true_value=truth,
-        parameters=_schedule_record(analysis, op, bound, rounds),
-        ledger=ledger, mode=config.mode,
-        success_probability_note=_mode_note(config))
+    return _report("fidelity", (oracle_rho, oracle_sigma), alpha, estimate, epsilon,
+                   record, ledger, config, include_truth)
 
 
 def weyl_perturbation_bound(a: np.ndarray, b: np.ndarray,

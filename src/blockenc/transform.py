@@ -14,12 +14,14 @@ Theta(.)s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encodings import (PurifiedAccessOracle, SubnormalizedDensityOperator,
-                        UnitaryBlockEncoding, dilate, purification_of)
+                        UnitaryBlockEncoding, dilate, encoding_power, product,
+                        purification_of)
 from .numerics import ValidationError, spectral_decompose, spectral_norm
 from .polyapprox import (CertifiedPolynomial, approx_negative_power,
                          approx_positive_power, approx_support_indicator,
@@ -187,6 +189,18 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
     out = dilate(bc, target=target, cost=cost, declared_ancillas=2 * u.ancillas + 4,
                  scale=2.0, declared_error=2.0 * err_block)
     return TransformResult(result=out, declared_error=2.0 * err_block, scale=2.0)
+
+
+def power_unitary(u: UnitaryBlockEncoding, exponent: float, delta: float,
+                  epsilon: float) -> UnitaryBlockEncoding:
+    """Block-encoding of A^k |A|^c, k = floor(exponent) and c = exponent - k.
+
+    The fractional factor is ``positive_power_unitary`` at (c, delta, epsilon),
+    so c must lie in (0, 1); for k >= 1 it follows k products of U.
+    """
+    k = math.floor(exponent)
+    frac = positive_power_unitary(u, exponent - k, delta, epsilon).encoding
+    return frac if k == 0 else product(encoding_power(u, k), frac)
 
 
 def sandwich_coefficients(delta: float, epsilon: float) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,7 +402,8 @@ NO_CIRCUIT_CASES = [("von-neumann", None), ("renyi", 0.5), ("renyi", 2.0),
                     ("trace-power", 3.0), ("rank", None), ("exact-rank", None),
                     ("max-entropy", None), ("trace-distance", 1.0),
                     ("trace-distance", 1.5), ("trace-distance", 3.0),
-                    ("fidelity", 0.5), ("fidelity", 0.25)]
+                    ("trace-distance", 4.0), ("fidelity", 0.5), ("fidelity", 0.25),
+                    ("fidelity", 0.2)]
 
 
 @pytest.mark.parametrize("quantity, alpha", NO_CIRCUIT_CASES)
@@ -418,6 +420,23 @@ def test_estimators_build_no_circuit(monkeypatch, quantity, alpha):
     assert math.isfinite(rep.estimate)
     with pytest.raises(ValidationError, match="exceeds the cap"):
         oracles[0].unitary
+
+
+@pytest.mark.parametrize("quantity, alpha",
+                         NO_CIRCUIT_CASES + [("renyi", 0.0), ("tsallis", 0.0)])
+def test_gate_expression_evaluates_to_gates(quantity, alpha):
+    # with the kappa routes these cases run every branch of every runner
+    rho, sigma = shared_support_pair(8, 2, np.random.default_rng(3))
+    oracles = [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
+    w = np.linalg.eigvalsh(rho)
+    rep = est.RUNNERS[quantity](oracles, [2, 2], 0.2, CFG, alpha=alpha,
+                                kappa=1.0 / w[w > 1e-10].min(), delta=0.05,
+                                epsilon_prime=0.1)
+    rhs = rep.ledger.gate_expression.rpartition("=")[2]
+    if re.fullmatch(r"[\d\s*+()]+", rhs):
+        assert eval(rhs) == rep.ledger.gates
+    else:
+        assert "..." in rhs
 
 
 def test_von_neumann_estimate_decomposes_once(linalg_calls):

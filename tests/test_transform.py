@@ -196,6 +196,20 @@ def test_positive_power_unitary_cost_is_sum_of_degrees():
     assert dict(out.cost.controlled)["rho"] == 1
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.5, 2.25])
+def test_power_unitary_encodes_integer_times_fractional_power(exponent):
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = (g + g.conj().T) / 2
+    a /= np.linalg.norm(a, 2) * 1.1
+    out = tf.power_unitary(enc.dilate(a), exponent, 0.05, 0.01)
+    k = int(np.floor(exponent))
+    want = (np.linalg.matrix_power(a, k)
+            @ matrix_function(a, lambda w: np.abs(w) ** (exponent - k)))
+    assert out.scale == 2.0
+    assert spectral_norm(out.scale * out.block() - want) <= out.declared_error
+
+
 # -- eigenvalue threshold projector -------------------------------------------
 
 def test_threshold_projector_maximally_mixed_scalar_value():
