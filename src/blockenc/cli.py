@@ -82,6 +82,9 @@ def load_state(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         matrix = _state_matrix(doc)
+        rank = doc["rank"]
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+            raise ValidationError(f"rank must be an integer >= 1, got {rank!r}")
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
@@ -147,7 +150,9 @@ def cmd_estimate(args) -> int:
         raise ValidationError(f"{q} needs --state2")
     docs = [load_state(path) for path in (args.state, args.state2)[:spec.states]]
     oracles = [_oracle_from_state(doc, label) for doc, label in zip(docs, ("rho", "sigma"))]
-    ranks = [args.rank_bound or docs[0]["rank"]] + [doc["rank"] for doc in docs[1:]]
+    ranks = [doc["rank"] for doc in docs]
+    if args.rank_bound is not None:
+        ranks[0] = args.rank_bound
     config = est.AmplitudeEstimatorConfig(mode=args.ae_mode, seed=args.seed)
     report = est.RUNNERS[q](oracles, ranks, args.epsilon, config, alpha=alpha,
                             kappa=args.kappa, delta=args.delta,

@@ -5,9 +5,11 @@ ancillas last; every block projection applies the <0| pattern to the block
 ancilla register.  Each composition rule computes the composed operator and
 its query cost, which is all the estimators read; its literal circuit is built,
 under the dimension cap, the first time ``.unitary`` is read.  A density
-operator is held as its validated spectrum, and its dense matrix is built only
-when read; a rule that makes a new operator (evolution, embedding, a convex
-mixture) decomposes it once, and a purification reads the eigenpairs.
+operator A is held as its purification factor F, with A = F F^dag: an input
+matrix is decomposed once, a rule that makes a new operator (evolution,
+embedding, a convex mixture, a spectral transform) maps its input's factor,
+and a purification reads the factor directly.  Dense matrices are built only
+when read.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (ValidationError, as_matrix, dimension_cap, partial_trace,
-                       require_hermitian, require_square, spectral_decompose,
-                       spectral_norm)
+                       require_square, spectral_decompose, spectral_norm)
 from .resources import QueryCost
 
 PSD_TOL = 1e-9
@@ -92,56 +93,61 @@ def unitary_from_first_column(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubnormalizedDensityOperator:
-    """PSD operator with trace at most one on n qubits, held as its validated
-    spectrum: ``eigenvalues`` and orthonormal ``eigenvectors`` columns (2^n x k,
-    a thin set allowed).  ``from_matrix`` is the one path that decomposes a
-    matrix (eigenvalues descending); a transform that maps only the spectrum
-    passes new eigenvalues with its input's eigenvectors.  The dense
-    ``matrix`` is built the first time it is read.
+    """PSD operator A = F F^dag with trace at most one on n qubits, held as its
+    purification factor F (2^n x k; k = 0 is the zero operator).  ``from_matrix``
+    is the one path that decomposes a matrix; a rule that makes a new operator
+    maps its input's factor.  The dense ``matrix`` and the ``eigenpairs`` are
+    computed the first time they are read.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
     system_qubits: int
 
     def __post_init__(self):
-        w = np.asarray(self.eigenvalues)
-        if w.ndim != 1 or w.size == 0 or np.iscomplexobj(w) or not np.all(np.isfinite(w)):
-            raise ValidationError("eigenvalues must be a nonempty 1-D array of finite reals")
-        v = np.asarray(self.eigenvectors, dtype=complex)
-        if v.shape != (2 ** self.system_qubits, w.size):
-            raise ValidationError(f"eigenvectors of shape {v.shape} do not match {w.size} eigenvalues")
-        if np.linalg.norm(v.conj().T @ v - np.eye(w.size)) > UNITARITY_TOL:
-            raise ValidationError("eigenvectors are not orthonormal within tolerance")
-        if w.min() < -PSD_TOL * max(1.0, float(np.abs(w).max())):
-            raise ValidationError(f"operator is not PSD within tolerance (min eig {w.min():.3e})")
-        if w.sum() > 1.0 + TRACE_TOL:
-            raise ValidationError(f"trace {w.sum():.12f} exceeds one")
-        object.__setattr__(self, "eigenvalues", w.astype(float, copy=False))
-        object.__setattr__(self, "eigenvectors", v)
+        f = np.asarray(self.factor, dtype=complex)
+        if f.ndim != 2 or f.shape[0] != 2 ** self.system_qubits:
+            raise ValidationError(f"factor of shape {f.shape} does not have "
+                                  f"{2 ** self.system_qubits} rows")
+        if not np.all(np.isfinite(f)):
+            raise ValidationError("factor has non-finite entries")
+        object.__setattr__(self, "factor", f)
+        if self.trace > 1.0 + TRACE_TOL:
+            raise ValidationError(f"trace {self.trace:.12f} exceeds one")
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "SubnormalizedDensityOperator":
+        """Validate a PSD matrix and hold it as F = V sqrt(w) on its support."""
         m = require_square(m)
         n = _qubits(m.shape[0], "state")
-        h = require_hermitian(m)
-        a = SubnormalizedDensityOperator(*spectral_decompose(h), n)
-        a.__dict__["matrix"] = h  # the validated input reads back unchanged
+        w, v = spectral_decompose(m)
+        if w[-1] < -PSD_TOL * max(1.0, float(np.abs(w).max())):
+            raise ValidationError(f"operator is not PSD within tolerance (min eig {w[-1]:.3e})")
+        s = w > 1e-14
+        a = SubnormalizedDensityOperator(v[:, s] * np.sqrt(w[s]), n)
+        # the validated Hermitian input reads back unchanged
+        a.__dict__["matrix"] = (m + m.conj().T) / 2.0
+        a.__dict__["eigenpairs"] = (w[s], v[:, s])
         return a
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        v = self.eigenvectors
-        m = (v * self.eigenvalues) @ v.conj().T
+        m = self.factor @ self.factor.conj().T
         return (m + m.conj().T) / 2.0
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w descending, V) on the support w > 1e-14, from a thin SVD of F."""
+        v, s, _ = np.linalg.svd(self.factor, full_matrices=False)
+        keep = s ** 2 > 1e-14
+        return s[keep] ** 2, v[:, keep]
 
     @property
     def dim(self) -> int:
-        return self.eigenvectors.shape[0]
+        return self.factor.shape[0]
 
     @property
     def trace(self) -> float:
-        return float(self.eigenvalues.sum())
+        return float(np.vdot(self.factor, self.factor).real)
 
 
 @dataclass(frozen=True)
@@ -272,32 +278,31 @@ def purification_of(a, label: str = "oracle",
 
     Normalized inputs need no block ancilla; a trace deficit is stored in the
     |1> sector of one block ancilla so the <0| projection returns the input.
-    The purifying register has ceil(log2 rank) qubits, at least one.  The
-    purification is read off the operator's own eigenpairs.
+    The purifying register has ceil(log2 k) qubits, at least one, for a
+    factor of k columns; the purification is the factor itself.
     """
     if not isinstance(a, SubnormalizedDensityOperator):
         a = SubnormalizedDensityOperator.from_matrix(a)
     deficit = 1.0 - a.trace
     if deficit < -TRACE_TOL:
         raise ValidationError("trace exceeds one")
-    support = a.eigenvalues > 1e-14
-    w, v = a.eigenvalues[support], a.eigenvectors[:, support]
+    f = a.factor
     block = 0
     if deficit > TRACE_TOL:
         block = 1
-        # eigenvectors in the <0|_a rows, the deficit on |0>_n |1>_a
-        ext = np.zeros((2 * a.dim, w.size + 1), dtype=complex)
-        ext[::2, :-1] = v
-        ext[1, -1] = 1.0
-        w, v = np.append(w, deficit), ext
+        # the factor in the <0|_a rows, the deficit on |0>_n |1>_a
+        ext = np.zeros((2 * a.dim, f.shape[1] + 1), dtype=complex)
+        ext[::2, :-1] = f
+        ext[1, -1] = np.sqrt(deficit)
+        f = ext
     elif a.trace > 1.0:
-        w = w / a.trace
-    pur = max(1, (w.size - 1).bit_length())
+        f = f / np.sqrt(a.trace)
+    pur = max(1, (f.shape[1] - 1).bit_length())
 
     def build():
-        # sum_k sqrt(w_k) |v_k>|k>, purifying index last
-        psi = np.zeros((v.shape[0], 2 ** pur), dtype=complex)
-        psi[:, :w.size] = v * np.sqrt(w)
+        # sum_k |F_k>|k>, purifying index last
+        psi = np.zeros((f.shape[0], 2 ** pur), dtype=complex)
+        psi[:, :f.shape[1]] = f
         psi = psi.ravel()
         return unitary_from_first_column(psi / np.linalg.norm(psi))
 
@@ -398,17 +403,15 @@ def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
            label: str | None = None) -> PurifiedAccessOracle:
     """Prepare B A B^dag from an oracle for A and a scale-1 encoding of B.
 
-    The output operator is computed exactly and re-materialized as a minimal
-    purification; the cost charges one query to each input.
+    The output's factor is B F; the cost charges one query to each input.
     """
     if v.system_qubits != oracle.system_qubits:
         raise ValidationError("system dimension mismatch between oracle and encoding")
     if abs(v.scale - 1.0) > 1e-12:
         raise ValidationError("evolution requires a scale-1 block-encoding "
                               "(use as_scale_one())")
-    b = v.matrix
     return purification_of(
-        SubnormalizedDensityOperator.from_matrix(b @ oracle.encoded.matrix @ b.conj().T),
+        SubnormalizedDensityOperator(v.matrix @ oracle.encoded.factor, oracle.system_qubits),
         label=label or oracle.label, cost=oracle.cost + v.cost)
 
 
@@ -421,9 +424,10 @@ def embed(oracle: PurifiedAccessOracle, extra_qubits: int) -> PurifiedAccessOrac
     dim_b = 2 ** extra_qubits
     dims = (2 ** oracle.system_qubits, 2 ** (oracle.block_ancillas + oracle.purifying_ancillas),
             dim_b)
-    zero = np.zeros((dim_b, dim_b), dtype=complex)
+    zero = np.zeros((dim_b, 1), dtype=complex)
     zero[0, 0] = 1.0
-    enc = SubnormalizedDensityOperator.from_matrix(np.kron(oracle.encoded.matrix, zero))
+    enc = SubnormalizedDensityOperator(np.kron(oracle.encoded.factor, zero),
+                                       oracle.system_qubits + extra_qubits)
     return PurifiedAccessOracle(
         builder=lambda: permute_subsystems(np.kron(oracle.unitary, np.eye(dim_b)),
                                            dims, (0, 2, 1)),
@@ -499,7 +503,6 @@ def linear_combination_density(coefficients, oracles,
     b = max(o.purifying_ancillas for o in oracles)
     m = max(1, (len(oracles) + (1 if junk else 0) - 1).bit_length())
     dim_m, dim_n, dim_a, dim_b = 2 ** m, 2 ** n, 2 ** a, 2 ** b
-    combo_matrix = sum(al * o.encoded.matrix for al, o in zip(alphas, oracles))
     total_cost = QueryCost(gates=2 * m)
     for o in oracles:
         total_cost = total_cost + o.cost
@@ -540,7 +543,8 @@ def linear_combination_density(coefficients, oracles,
 
     return PurifiedAccessOracle(
         builder=build, system_qubits=n, block_ancillas=a, purifying_ancillas=m + b,
-        encoded=SubnormalizedDensityOperator.from_matrix(combo_matrix),
+        encoded=SubnormalizedDensityOperator(
+            np.hstack([np.sqrt(al) * o.encoded.factor for al, o in zip(alphas, oracles)]), n),
         cost=total_cost, label=label or oracles[0].label)
 
 

@@ -276,6 +276,11 @@ def _validated_rank_bound(rank_bound: int) -> int:
     return r
 
 
+def _validated_epsilon(epsilon: float, name: str = "epsilon") -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {epsilon}")
+
+
 # ---------------------------------------------------------------------------
 # Von Neumann entropy
 # ---------------------------------------------------------------------------
@@ -285,8 +290,7 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
                          include_truth: bool = True) -> EstimateReport:
     """S(rho) via the sqrt(-ln) polynomial pipeline, rescaled by 4 ln(1/delta)."""
     r = _validated_rank_bound(rank_bound)
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    _validated_epsilon(epsilon)
 
     def solve(eps):
         delta = min(eps / (3.0 * r), 0.2)
@@ -337,8 +341,7 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
     r = _validated_rank_bound(rank_bound)
     if alpha <= 0 or alpha == 1:
         raise ValidationError("trace power needs alpha in (0,1) or (1,inf)")
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    _validated_epsilon(epsilon)
     if 0 < alpha < 1:
         def solve(eps):
             d1 = (eps / (4.0 * r)) ** (1.0 / alpha)
@@ -426,6 +429,7 @@ def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
     """Renyi entropy ln(tr rho^alpha) / (1 - alpha); alpha = 0 routes to the
     max-entropy estimator and needs kappa."""
     r = _validated_rank_bound(rank_bound)
+    _validated_epsilon(epsilon)
     if alpha == 0:
         if kappa is None:
             raise ValidationError("Renyi alpha = 0 (max entropy) requires kappa")
@@ -456,6 +460,7 @@ def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int
     """Tsallis entropy (tr rho^alpha - 1) / (1 - alpha); alpha = 0 returns
     rank - 1 and needs kappa."""
     r = _validated_rank_bound(rank_bound)
+    _validated_epsilon(epsilon)
     if alpha == 0:
         if kappa is None:
             raise ValidationError("Tsallis alpha = 0 (rank - 1) requires kappa")
@@ -487,8 +492,8 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
     """
     if not 0 < delta <= 0.1:
         raise ValidationError("rank estimation needs delta in (0, 1/10]")
-    if epsilon <= 0 or epsilon_prime <= 0:
-        raise ValidationError("epsilon and epsilon' must be positive")
+    _validated_epsilon(epsilon)
+    _validated_epsilon(epsilon_prime, "epsilon'")
     eps1 = min(delta * epsilon / 2.0, math.sqrt(delta / 64.0), 0.1)
     eps2 = delta * epsilon_prime / 8.0
     # the bound is the multiplicative part; the additive part is eps'
@@ -516,7 +521,7 @@ def estimate_exact_rank(oracle: PurifiedAccessOracle, kappa: float,
     if kappa < 1:
         raise ValidationError("kappa must be at least one")
     if verify_assumption:
-        w = oracle.encoded.eigenvalues
+        w, _ = oracle.encoded.eigenpairs
         nonzero = w[w > 1e-10]
         if nonzero.size and nonzero.min() < 1.0 / kappa - 1e-9:
             raise ValidationError(
@@ -570,7 +575,7 @@ def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOra
         prep = unitary_from_first_column(np.sqrt(p).astype(complex))
         return np.kron(prep, np.eye(p.size))[i * p.size + (i ^ j)]
 
-    encoded = SubnormalizedDensityOperator(p, np.eye(p.size, dtype=complex), n)
+    encoded = SubnormalizedDensityOperator(np.diag(np.sqrt(p)), n)
     return PurifiedAccessOracle(
         builder=build, system_qubits=n, block_ancillas=0, purifying_ancillas=n,
         encoded=encoded, cost=QueryCost.of(label, gates=n), label=label)
@@ -596,6 +601,7 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
     """T_alpha(rho, sigma) = tr|(rho - sigma)/2|^alpha via the truncated
     support projector of mu = (rho + sigma)/2 sandwiched by |nu|^(alpha/2)."""
     r = _validated_rank_bound(rank_bound)
+    _validated_epsilon(epsilon)
     if alpha <= 0:
         raise ValidationError("alpha-trace-distance needs alpha > 0")
     if oracle_rho.system_qubits != oracle_sigma.system_qubits:
@@ -721,6 +727,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
     beta = (1 - alpha)/(2 alpha); integer beta uses pure products of sigma,
     fractional beta composes the block-encoded power of sigma first."""
     r = _validated_rank_bound(rank_bound)
+    _validated_epsilon(epsilon)
     if not 0 < alpha < 1:
         raise ValidationError("alpha-fidelity needs alpha in (0, 1)")
     if oracle_rho.system_qubits != oracle_sigma.system_qubits:
@@ -835,8 +842,11 @@ def weyl_perturbation_bound(a: np.ndarray, b: np.ndarray,
 # One runner per quantity
 # ---------------------------------------------------------------------------
 
-def _exact_rank_report(oracle: PurifiedAccessOracle, kappa: float | None,
+def _exact_rank_report(oracle: PurifiedAccessOracle, epsilon: float,
+                       kappa: float | None,
                        config: AmplitudeEstimatorConfig) -> EstimateReport:
+    # the rank is exact, so epsilon is only checked like every runner's
+    _validated_epsilon(epsilon)
     if kappa is None:
         raise ValidationError("exact-rank needs kappa")
     rank = estimate_exact_rank(oracle, kappa, config)
@@ -865,7 +875,7 @@ RUNNERS = {
     "rank": lambda o, r, eps, config, delta, epsilon_prime, **kw: estimate_rank(
         o[0], delta, eps, epsilon_prime, config),
     "exact-rank": lambda o, r, eps, config, kappa, **kw: _exact_rank_report(
-        o[0], kappa, config),
+        o[0], eps, kappa, config),
     "max-entropy": lambda o, r, eps, config, delta, kappa, **kw: estimate_max_entropy(
         o[0], delta, eps, config, kappa=kappa),
     "trace-distance": lambda o, r, eps, config, alpha, **kw: estimate_trace_distance(

@@ -2,14 +2,14 @@
 
 Polynomial transforms are realized semantically, while query costs are
 charged per the originating analysis.  A density transform maps the input
-operator's eigenvalues and hands on its eigenvectors unchanged, so nothing is
-decomposed again; a unitary transform decomposes the encoded block once and
-applies the polynomial to its spectrum in a dilation.  Circuits are built only
-if ``.unitary`` is read.  No phase-factor sequences are synthesized; the
-circuit-precision parameter becomes the declared ``QSVT_PRECISION``.  Every
-declared error bound is the proof's final inequality chain evaluated with the
-actual certified polynomial errors, with explicit constants instead of
-Theta(.)s.
+operator's eigenpairs, read from a thin SVD of its purification factor, to the
+output's factor, so no dense matrix is decomposed; a unitary transform
+decomposes the encoded block once and applies the polynomial to its spectrum
+in a dilation.  Circuits are built only if ``.unitary`` is read.  No
+phase-factor sequences are synthesized; the circuit-precision parameter
+becomes the declared ``QSVT_PRECISION``.  Every declared error bound is the
+proof's final inequality chain evaluated with the actual certified polynomial
+errors, with explicit constants instead of Theta(.)s.
 """
 
 from __future__ import annotations
@@ -92,19 +92,18 @@ def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial,
                  precision: float = QSVT_PRECISION) -> TransformResult:
     """Oracle preparing A (P(A))^2 from an oracle preparing A.
 
-    The output operator is the spectrum w P(w)^2 on the input's eigenvectors.
+    The output's factor is V sqrt(w) P(w) on the input's eigenpairs (w, V).
     The composition constant from the proof is 5/2, so the declared error of
     the prepared operator is 2.5 * precision.  Charges O(d): 2d queries plus
     two controlled queries.
     """
     _require_admissible(p)
-    w = np.clip(oracle.encoded.eigenvalues, 0.0, 1.0)
+    w, v = oracle.encoded.eigenpairs
     d = p.degree
     cost = oracle.cost.scaled(2 * d) + QueryCost(
         controlled=oracle.cost.queries,
         gates=(oracle.total_qubits + 1) * d)
-    out = SubnormalizedDensityOperator(w * p(w) ** 2, oracle.encoded.eigenvectors,
-                                       oracle.system_qubits)
+    out = SubnormalizedDensityOperator(v * (np.sqrt(w) * p(w)), oracle.system_qubits)
     return TransformResult(result=purification_of(out, label=oracle.label, cost=cost),
                            declared_error=2.5 * precision, scale=1.0)
 

@@ -55,7 +55,15 @@ def _state_text(kind, **fields):
     return json.dumps(doc)
 
 
+def _valid_state_text(**fields):
+    doc = cli.state_payload(maximally_mixed(2))
+    doc.update(fields)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
 ESTIMATE = ["estimate", "--quantity", "von-neumann", "--state", "{path}"]
+TRACE_DISTANCE = ["estimate", "--quantity", "trace-distance", "--alpha", "1",
+                  "--state", "{path}", "--state2", "{path}"]
 MALFORMED_INPUTS = {
     "spectrum-longer-than-dimension": (
         _state_text("spectrum-with-seed", payload={"spectrum": [0.2] * 5, "seed": 1}),
@@ -73,6 +81,15 @@ MALFORMED_INPUTS = {
         ESTIMATE),
     "gen-state-dimension-not-power-of-two": (
         None, ["gen-state", "--dim", "6", "--rank", "2", "--out", "{path}"]),
+    "rank-missing": (_valid_state_text(rank=None), ESTIMATE),
+    "rank-not-an-integer": (_valid_state_text(rank="two"), ESTIMATE),
+    "rank-bound-zero": (_valid_state_text(), ESTIMATE + ["--rank-bound", "0"]),
+    "epsilon-zero-trace-distance": (_valid_state_text(), TRACE_DISTANCE + ["--epsilon", "0"]),
+    "epsilon-negative-fidelity": (
+        _valid_state_text(), ["estimate", "--quantity", "fidelity", "--alpha", "0.5",
+                              "--state", "{path}", "--state2", "{path}", "--epsilon", "-1"]),
+    "epsilon-nan": (_valid_state_text(), ESTIMATE + ["--epsilon", "nan"]),
+    "epsilon-inf-trace-distance": (_valid_state_text(), TRACE_DISTANCE + ["--epsilon", "inf"]),
 }
 
 

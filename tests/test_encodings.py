@@ -60,51 +60,92 @@ def test_density_operator_is_decomposed_once(linalg_calls):
     linalg_calls.clear()
     enc.SubnormalizedDensityOperator.from_matrix(a.matrix)
     assert dict(linalg_calls) == {"eigh": 1}
-    w, v = a.eigenvalues, a.eigenvectors
-    assert np.all(np.diff(w) <= 0)
-    assert np.linalg.norm((v * w) @ v.conj().T - a.matrix) < 1e-12
     linalg_calls.clear()
+    w, v = a.eigenpairs
+    assert w.size == 4 and np.all(np.diff(w) <= 0)
+    assert np.linalg.norm((v * w) @ v.conj().T - a.matrix) < 1e-12
+    assert np.linalg.norm(a.factor @ a.factor.conj().T - a.matrix) < 1e-12
     assert enc.purification_of(a).encoded is a
     assert not linalg_calls
 
 
-def _eigenpairs(case="valid"):
-    w = np.array([0.4, 0.3, 0.2, 0.1])
-    v = haar_unitary(4, np.random.default_rng(5))
+def test_from_matrix_rejects_non_psd():
+    m = np.diag([0.5, 0.3, 0.2 + 2 * enc.PSD_TOL, -2 * enc.PSD_TOL]).astype(complex)
+    with pytest.raises(ValidationError, match="not PSD"):
+        enc.SubnormalizedDensityOperator.from_matrix(m)
+
+
+def _factor(case="valid"):
+    f = haar_unitary(4, np.random.default_rng(5))[:, :3] * np.sqrt([0.4, 0.3, 0.2])
     if case == "nan":
-        w[1] = np.nan
-    elif case == "complex":
-        w = w + 1e-3j
-    elif case == "shape":
-        v = v[:, :3]
-    elif case == "not-orthonormal":
-        v[:, 0] *= 1.0 + 1e-6
-    elif case == "not-psd":
-        w = np.array([0.5, 0.3, 0.2 + 2 * enc.PSD_TOL, -2 * enc.PSD_TOL])
+        f[1, 2] = np.nan
+    elif case == "inf":
+        f[0, 0] = np.inf
+    elif case == "vector":
+        f = f[:, 0]
+    elif case == "rows":
+        f = f[:3]
     elif case == "trace":
-        w[3] += 2 * enc.TRACE_TOL
-    return w, v
+        f = f * np.sqrt((1.0 + 2 * enc.TRACE_TOL) / 0.9)
+    return f
 
 
 @pytest.mark.parametrize("case, message", [
-    ("nan", "finite reals"), ("complex", "finite reals"), ("shape", "do not match"),
-    ("not-orthonormal", "orthonormal"), ("not-psd", "not PSD"), ("trace", "exceeds one")])
-def test_eigenpair_constructor_rejects(case, message):
-    w, v = _eigenpairs(case)
+    ("nan", "non-finite"), ("inf", "non-finite"), ("vector", "does not have 4 rows"),
+    ("rows", "does not have 4 rows"), ("trace", "exceeds one")])
+def test_factor_constructor_rejects(case, message):
     with pytest.raises(ValidationError, match=message):
-        enc.SubnormalizedDensityOperator(w, v, 2)
+        enc.SubnormalizedDensityOperator(_factor(case), 2)
 
 
-def test_eigenpair_constructor_builds_matrix_when_read():
-    w, v = _eigenpairs()
-    a = enc.SubnormalizedDensityOperator(w, v, 2)
-    assert "matrix" not in a.__dict__
-    want = (v * w) @ v.conj().T
+def test_factor_constructor_builds_matrix_when_read(linalg_calls):
+    f = _factor()
+    a = enc.SubnormalizedDensityOperator(f, 2)
+    assert "matrix" not in a.__dict__ and "eigenpairs" not in a.__dict__
+    want = f @ f.conj().T
     assert np.array_equal(a.matrix, (want + want.conj().T) / 2.0)
-    assert (a.dim, a.trace) == (4, w.sum())
-    thin = enc.SubnormalizedDensityOperator(w[:2], v[:, :2], 2)
-    assert spectral_norm(thin.matrix - (v[:, :2] * w[:2]) @ v[:, :2].conj().T) < 1e-15
-    assert spectral_norm(enc.purification_of(thin).extract() - thin.matrix) < 1e-12
+    assert (a.dim, a.factor.shape[1]) == (4, 3) and abs(a.trace - 0.9) < 1e-15
+    assert not linalg_calls
+    w, v = a.eigenpairs
+    assert dict(linalg_calls) == {"svd": 1}
+    assert np.allclose(w, [0.4, 0.3, 0.2], atol=1e-15)
+    assert spectral_norm((v * w) @ v.conj().T - a.matrix) < 1e-15
+    o = enc.purification_of(a)
+    assert (o.block_ancillas, o.purifying_ancillas) == (1, 2)
+    assert spectral_norm(o.extract() - a.matrix) < 1e-12
+
+
+def test_zero_factor_purifies_to_zero_operator():
+    a = enc.SubnormalizedDensityOperator(np.zeros((4, 0)), 2)
+    assert a.trace == 0.0 and a.eigenpairs[0].size == 0
+    o = enc.purification_of(a)
+    assert (o.block_ancillas, o.purifying_ancillas) == (1, 1)
+    assert np.array_equal(a.matrix, np.zeros((4, 4)))
+    assert spectral_norm(o.extract()) < 1e-15
+
+
+def _rule_cases(rho, sigma):
+    o_rho, o_sig = enc.purification_of(rho), enc.purification_of(sigma)
+    b = enc.block_encode_density(o_sig)
+    zero = np.diag([1.0, 0.0])
+    return {
+        "evolve": (lambda: enc.evolve(o_rho, b), b.matrix @ rho @ b.matrix.conj().T),
+        "embed": (lambda: enc.embed(o_rho, 1), np.kron(rho, zero)),
+        "linear-combination": (
+            lambda: enc.linear_combination_density([0.3, 0.5], [o_rho, o_sig]),
+            0.3 * rho + 0.5 * sigma),
+    }
+
+
+@pytest.mark.parametrize("rule", ["evolve", "embed", "linear-combination"])
+def test_rules_map_factors_without_decomposing(linalg_calls, rule):
+    rng = np.random.default_rng(9)
+    rho, sigma = ginibre_state(8, 3, rng), ginibre_state(8, 2, rng)
+    run, want = _rule_cases(rho, sigma)[rule]
+    linalg_calls.clear()
+    out = run().encoded
+    assert not linalg_calls
+    assert spectral_norm(out.matrix - want) < 1e-12
 
 
 def test_purification_rejects_trace_above_one():

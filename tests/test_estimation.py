@@ -457,20 +457,54 @@ DECOMPOSITION_CASES = {
                                                     include_truth=False),
     "distribution-oracle": lambda o: est.distribution_to_purified_oracle(
         np.full(16, 1.0 / 16.0)),
+    "trace-power-2": lambda o: est.estimate_trace_power(o[0], 2.0, 4, 0.1, CFG,
+                                                        include_truth=False),
+    "trace-power-3": lambda o: est.estimate_trace_power(o[0], 3.0, 4, 0.1, CFG,
+                                                        include_truth=False),
+    "trace-distance-2": lambda o: est.estimate_trace_distance(o[0], o[1], 2.0, 4, 0.1, CFG,
+                                                              include_truth=False),
+    "fidelity-0.2": lambda o: est.estimate_fidelity(o[0], o[1], 0.2, 4, 0.1, CFG,
+                                                    include_truth=False),
 }
 
 
 @pytest.mark.parametrize("case, want", [
     ("rank", {}), ("trace-power-0.5", {}),
-    # mu, the block of nu in the positive power, and the evolved output
-    ("trace-distance-1", {"eigh": 3, "spectral_norm": 1}),
-    # sigma's block in the positive power, and the evolved output
-    ("fidelity-0.5", {"eigh": 2, "spectral_norm": 1}),
-    ("distribution-oracle", {})])
+    # nu's block in the positive power, and the thin SVD of mu's factor
+    ("trace-distance-1", {"eigh": 1, "svd": 1, "spectral_norm": 1}),
+    # sigma's block in the positive power, and the thin SVD of the evolved factor
+    ("fidelity-0.5", {"eigh": 1, "svd": 1, "spectral_norm": 1}),
+    ("distribution-oracle", {}),
+    # rho's block in the positive power
+    ("trace-power-2", {"eigh": 1, "spectral_norm": 1}),
+    ("trace-power-3", {}),
+    ("trace-distance-2", {"svd": 1}),
+    ("fidelity-0.2", {"svd": 1})])
 def test_decomposition_counts(linalg_calls, case, want):
-    # spectrum-mapping transforms hand on eigenpairs; only new operators are decomposed
+    # rules map purification factors; only a block in a unitary transform is
+    # decomposed, and a density transform takes a thin SVD of a derived factor
     rho, sigma = shared_support_pair(16, 4, np.random.default_rng(3))
     oracles = (oracle_for(rho, "rho"), oracle_for(sigma, "sigma"))
     linalg_calls.clear()
     DECOMPOSITION_CASES[case](oracles)
     assert dict(linalg_calls) == want
+
+
+RUNNER_ALPHAS = {"renyi": 0.5, "tsallis": 2.0, "trace-power": 0.5, "trace-distance": 1.0,
+               "fidelity": 0.5}
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("quantity", list(est.RUNNERS))
+def test_every_runner_rejects_a_bad_epsilon(quantity, epsilon):
+    oracles = [oracle_for(maximally_mixed(2), "rho"), oracle_for(maximally_mixed(2), "sigma")]
+    with pytest.raises(ValidationError, match="epsilon must be finite and positive"):
+        est.RUNNERS[quantity](oracles, [2, 2], epsilon, CFG,
+                              alpha=RUNNER_ALPHAS.get(quantity), kappa=2.0, delta=0.05,
+                              epsilon_prime=0.1)
+
+
+@pytest.mark.parametrize("epsilon_prime", [0.0, -1.0, math.nan, math.inf])
+def test_rank_rejects_a_bad_epsilon_prime(epsilon_prime):
+    with pytest.raises(ValidationError, match="epsilon' must be finite and positive"):
+        est.estimate_rank(oracle_for(maximally_mixed(2)), 0.05, 0.1, epsilon_prime, CFG)

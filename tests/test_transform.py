@@ -95,10 +95,8 @@ def test_qsvt_density_passes_eigenpairs_on(linalg_calls):
     linalg_calls.clear()
     out = tf.qsvt_density(o, p).oracle.encoded
     assert not linalg_calls
-    assert out.eigenvectors is o.encoded.eigenvectors
-    w, v = np.clip(o.encoded.eigenvalues, 0.0, 1.0), o.encoded.eigenvectors
-    want = (v * (w * p(w) ** 2)) @ v.conj().T
-    assert np.array_equal(out.matrix, (want + want.conj().T) / 2.0)
+    w, v = o.encoded.eigenpairs
+    assert np.array_equal(out.factor, v * (np.sqrt(w) * p(w)))
 
 
 def test_qsvt_density_matches_spectral_oracle():
