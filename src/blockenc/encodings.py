@@ -201,10 +201,12 @@ class PurifiedAccessOracle:
 class UnitaryBlockEncoding:
     """(scale, ancillas, error) contract on the top-left block of a unitary.
 
-    ``matrix`` is the encoded block; ``builder`` builds the unitary the first
-    time it is read.  ``ancillas`` is the declared contract used by the ledger;
-    the circuit may use another register (a dilation uses one qubit), and
-    block() always projects the built unitary on the realized one.
+    ``matrix`` is the encoded block; ``builder`` builds the unitary and
+    ``target_builder`` the contract's target, each the first time it is read
+    (only ``check`` reads the target).  ``ancillas`` is the declared contract
+    used by the ledger; the circuit may use another register (a dilation uses
+    one qubit), and block() always projects the built unitary on the realized
+    one.
     """
 
     matrix: np.ndarray
@@ -214,7 +216,8 @@ class UnitaryBlockEncoding:
     realized_ancillas: int
     scale: float
     declared_error: float
-    target: np.ndarray | None = None
+    target_builder: Callable[[], np.ndarray] | None = field(default=None, repr=False,
+                                                          compare=False)
     cost: QueryCost = field(default_factory=QueryCost)
 
     def __post_init__(self):
@@ -226,6 +229,10 @@ class UnitaryBlockEncoding:
     @cached_property
     def unitary(self) -> np.ndarray:
         return _materialize(self.builder, 2 ** (self.system_qubits + self.realized_ancillas))
+
+    @cached_property
+    def target(self) -> np.ndarray | None:
+        return None if self.target_builder is None else self.target_builder()
 
     def validate(self, slack: float = 1e-8) -> "UnitaryBlockEncoding":
         """Unitarity plus the (lazy) contract check."""
@@ -263,9 +270,9 @@ class UnitaryBlockEncoding:
         """Reinterpret as a scale-1 encoding of (target / scale)."""
         if self.scale == 1.0:
             return self
-        target = None if self.target is None else self.target / self.scale
+        target = None if self.target_builder is None else (lambda: self.target / self.scale)
         return replace(self, scale=1.0, declared_error=self.declared_error / self.scale,
-                       target=target, builder=lambda: self.unitary)
+                       target_builder=target, builder=lambda: self.unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +319,15 @@ def purification_of(a, label: str = "oracle",
         cost=cost if cost is not None else QueryCost.of(label), label=label)
 
 
-def dilate(m: np.ndarray, target: np.ndarray | None = None,
+def dilate(m: np.ndarray, target: Callable[[], np.ndarray] | None = None,
            cost: QueryCost | None = None, declared_ancillas: int | None = None,
            scale: float = 1.0, declared_error: float = 0.0) -> UnitaryBlockEncoding:
     """Exact two-block unitary dilation of a contraction (one extra qubit).
 
     The norm is checked on the call.  The dilation is built from the SVD, so
     it is unitary to machine precision; singular values within tolerance
-    above one are clamped.
+    above one are clamped.  ``target`` builds the contract's target when a
+    check reads it; by default the target is m.
     """
     m = require_square(m)
     n = _qubits(m.shape[0], "contraction")
@@ -342,7 +350,7 @@ def dilate(m: np.ndarray, target: np.ndarray | None = None,
         matrix=m, builder=build, system_qubits=n,
         ancillas=1 if declared_ancillas is None else declared_ancillas,
         realized_ancillas=1, scale=scale, declared_error=declared_error,
-        target=m if target is None else target,
+        target_builder=(lambda: m) if target is None else target,
         cost=cost if cost is not None else QueryCost())
 
 
@@ -350,7 +358,7 @@ def identity_encoding(n: int) -> UnitaryBlockEncoding:
     eye = np.eye(2 ** n, dtype=complex)
     return UnitaryBlockEncoding(
         matrix=eye, builder=lambda: eye, system_qubits=n, ancillas=0,
-        realized_ancillas=0, scale=1.0, declared_error=0.0, target=eye)
+        realized_ancillas=0, scale=1.0, declared_error=0.0, target_builder=lambda: eye)
 
 
 def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
@@ -394,7 +402,7 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
     return UnitaryBlockEncoding(
         matrix=oracle.encoded.matrix, builder=build, system_qubits=n,
         ancillas=ancillas, realized_ancillas=ancillas + flag,
-        scale=1.0, declared_error=0.0, target=oracle.encoded.matrix,
+        scale=1.0, declared_error=0.0, target_builder=lambda: oracle.encoded.matrix,
         cost=(oracle.cost + oracle.cost).plus_gates(
             oracle.block_ancillas + oracle.purifying_ancillas))
 
@@ -443,9 +451,6 @@ def product(u: UnitaryBlockEncoding, v: UnitaryBlockEncoding) -> UnitaryBlockEnc
         raise ValidationError("system dimension mismatch in product")
     n = u.system_qubits
     dim_n, dim_a, dim_b = 2 ** n, 2 ** u.realized_ancillas, 2 ** v.realized_ancillas
-    target = None
-    if u.target is not None and v.target is not None:
-        target = u.target @ v.target
 
     def build():
         u_pad = np.kron(u.unitary, np.eye(dim_b))
@@ -453,13 +458,18 @@ def product(u: UnitaryBlockEncoding, v: UnitaryBlockEncoding) -> UnitaryBlockEnc
                                    (dim_n, dim_b, dim_a), (0, 2, 1))
         return u_pad @ v_pad
 
+    def target():
+        return u.target @ v.target
+
     return UnitaryBlockEncoding(
         matrix=u.matrix @ v.matrix, builder=build, system_qubits=n,
         ancillas=u.ancillas + v.ancillas,
         realized_ancillas=u.realized_ancillas + v.realized_ancillas,
         scale=u.scale * v.scale,
         declared_error=u.scale * v.declared_error + v.scale * u.declared_error,
-        target=target, cost=u.cost + v.cost)
+        target_builder=(target if u.target_builder is not None
+                        and v.target_builder is not None else None),
+        cost=u.cost + v.cost)
 
 
 def encoding_power(u: UnitaryBlockEncoding, k: int) -> UnitaryBlockEncoding:
@@ -627,9 +637,6 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         raise ValidationError("encodings must share the scale")
     a = max(e.realized_ancillas for e in encodings)
     dim_n, dim_a, dim_b = 2 ** n, 2 ** a, 2 ** pair.qubits
-    target = None
-    if all(e.target is not None for e in encodings):
-        target = np.asarray(sum(yk * e.target for yk, e in zip(y, encodings)))
     eps2 = max(e.declared_error for e in encodings)
     err = alpha * pair.declared_error + alpha * pair.norm_bound * eps2
     cost = QueryCost(gates=pair.qubits ** 2)
@@ -649,8 +656,13 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         # layout [b][n][a] -> [n][a][b]
         return permute_subsystems(w, (dim_b, dim_n, dim_a), (1, 2, 0))
 
+    def target():
+        return np.asarray(sum(yk * e.target for yk, e in zip(y, encodings)))
+
     return UnitaryBlockEncoding(
         matrix=np.asarray(combined), builder=build, system_qubits=n,
         ancillas=a + pair.qubits, realized_ancillas=a + pair.qubits,
         scale=alpha * pair.norm_bound, declared_error=err,
-        target=target, cost=cost)
+        target_builder=(target if all(e.target_builder is not None for e in encodings)
+                        else None),
+        cost=cost)

@@ -22,7 +22,7 @@ import numpy as np
 from .encodings import (PurifiedAccessOracle, SubnormalizedDensityOperator,
                         UnitaryBlockEncoding, dilate, encoding_power, product,
                         purification_of)
-from .numerics import ValidationError, spectral_decompose, spectral_norm
+from .numerics import ValidationError, matrix_function, spectral_decompose, spectral_norm
 from .polyapprox import (CertifiedPolynomial, approx_negative_power,
                          approx_positive_power, approx_support_indicator,
                          certified, multiply)
@@ -83,7 +83,7 @@ def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformRe
     d = p.degree
     cost = u.cost.scaled(2 * d) + QueryCost(controlled=u.cost.queries,
                                             gates=(u.realized_ancillas + 1) * d)
-    out = dilate(pa, target=pa, cost=cost, declared_ancillas=u.ancillas + 2,
+    out = dilate(pa, cost=cost, declared_ancillas=u.ancillas + 2,
                  declared_error=QSVT_PRECISION)
     return TransformResult(result=out, declared_error=QSVT_PRECISION, scale=1.0)
 
@@ -92,7 +92,9 @@ def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial,
                  precision: float = QSVT_PRECISION) -> TransformResult:
     """Oracle preparing A (P(A))^2 from an oracle preparing A.
 
-    The output's factor is V sqrt(w) P(w) on the input's eigenpairs (w, V).
+    The output's factor is V sqrt(w) P(w) on the input's eigenpairs (w, V);
+    P reads an eigenvalue above one (by at most the input's trace tolerance)
+    as one.
     The composition constant from the proof is 5/2, so the declared error of
     the prepared operator is 2.5 * precision.  Charges O(d): 2d queries plus
     two controlled queries.
@@ -103,7 +105,8 @@ def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial,
     cost = oracle.cost.scaled(2 * d) + QueryCost(
         controlled=oracle.cost.queries,
         gates=(oracle.total_qubits + 1) * d)
-    out = SubnormalizedDensityOperator(v * (np.sqrt(w) * p(w)), oracle.system_qubits)
+    out = SubnormalizedDensityOperator(v * (np.sqrt(w) * p(np.minimum(w, 1.0))),
+                                       oracle.system_qubits)
     return TransformResult(result=purification_of(out, label=oracle.label, cost=cost),
                            declared_error=2.5 * precision, scale=1.0)
 
@@ -163,6 +166,7 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
     product of two transforms; err evaluates the proof's three regions at the
     actual certified errors: max(eP + eR/2, eR + delta^c/2, eP + (2 delta)^c/2),
     doubled by the scale.  Charges deg(P) + deg(R) queries plus two controlled.
+    The target |A|^c is decomposed afresh only when a check reads it.
     """
     if not 0 < c < 1:
         raise ValidationError("positive power exponent must be in (0, 1)")
@@ -176,8 +180,10 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
     w = np.clip(w, -1.0, 1.0)
     bc = (v * (p(w) * r(w))) @ v.conj().T
     bc = (bc + bc.conj().T) / 2.0
-    target = (v * np.abs(w) ** c) @ v.conj().T
-    target = (target + target.conj().T) / 2.0
+
+    def target():
+        return matrix_function(u.matrix, lambda x: np.abs(x) ** c, tol=1e-8)
+
     e_p, e_r = p.certified_error, r.certified_error
     err_block = max(e_p + 0.5 * e_r,
                     e_r + 0.5 * delta ** c,

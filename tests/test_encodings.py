@@ -254,7 +254,7 @@ def test_evolve_trace_inequality():
 
 def test_evolve_requires_scale_one():
     o = oracle_for(maximally_mixed(2))
-    v = enc.dilate(0.5 * np.eye(2, dtype=complex), target=np.eye(2, dtype=complex),
+    v = enc.dilate(0.5 * np.eye(2, dtype=complex), target=lambda: np.eye(2, dtype=complex),
                    scale=2.0)
     with pytest.raises(ValidationError):
         enc.evolve(o, v)
@@ -334,6 +334,24 @@ def test_product_cost_additivity():
 
 
 # -- linear combinations ------------------------------------------------------
+
+def test_encoding_targets_are_built_when_checked():
+    built = []
+
+    def target():
+        built.append(1)
+        return np.diag([0.5, 0.25]).astype(complex)
+
+    u = enc.dilate(np.diag([0.5, 0.25]).astype(complex), target=target)
+    v = enc.dilate(np.eye(2, dtype=complex))
+    prod = enc.product(u, v)
+    w = enc.lcu(enc.StatePreparationPair.plus_minus(), [prod, v])
+    assert not built
+    prod.check()
+    w.check()
+    assert len(built) == 1
+    assert np.allclose(w.target, np.diag([-0.5, -0.75]))
+
 
 def test_linear_combination_single_term_unchanged():
     o = oracle_for(maximally_mixed(2))

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial.chebyshev import chebval as clenshaw
 
 from blockenc import polyapprox as pa
 from blockenc.numerics import ValidationError
@@ -196,3 +199,91 @@ def test_evaluation_matches_compensated_monomial_summation():
 def test_certification_failure_is_reported():
     with pytest.raises(pa.CertificationError):
         pa.approx_negative_power(3.0, 0.002, 1e-3)
+
+
+# -- the evaluation kernel ----------------------------------------------------
+# numpy's Clenshaw recurrence is the independent reference; src/ does not use it.
+# On arbitrary series it runs in extended precision: in double precision its
+# own error near +-1 grows like degree^2 * eps and, for flat coefficients at
+# the degree cap, exceeds the tolerance below (measured against a 40-digit
+# sum).  The certified families' coefficients decay, and double precision
+# stays two orders of magnitude inside the tolerance on their grids.
+
+ITEM_3_POINTS = [  # the ROADMAP item 3 parameter points and their realized degrees
+    (pa.approx_sqrt_neglog, (0.01, 1.5e-3), 4442),
+    (pa.approx_interior_indicator, (0.01, 1.5e-3), 896),
+    (pa.approx_threshold, (0.5, 0.01, 5e-4), 2230),
+    (pa.approx_negative_power, (0.5, 4e-3, 1e-3), 6048),
+    (pa.approx_positive_power, (0.5, 0.02, 1e-3), 1382),
+    (pa.approx_support_indicator, (0.01, 1e-3), 2764),
+]
+
+
+@st.composite
+def chebyshev_series(draw):
+    degree = draw(st.one_of(st.integers(0, 16), st.integers(0, pa.DEGREE_CAP),
+                            st.just(pa.DEGREE_CAP)))
+    parity = draw(st.sampled_from(["even", "odd", "none"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    decay = draw(st.sampled_from([0.0, 1.0, 2.0]))
+    c = rng.uniform(-1.0, 1.0, degree + 1) / (1.0 + np.arange(degree + 1)) ** decay
+    return pa._apply_parity(c, parity)
+
+
+points = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                   st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def evaluation_points(draw):
+    shape = draw(st.sampled_from(["scalar", "0-d", "empty", "1-d", "2-d"]))
+    if shape == "scalar":
+        return draw(points)
+    if shape == "0-d":
+        return np.array(draw(points))
+    if shape == "empty":
+        return np.empty((0,))
+    rows = draw(st.integers(1, 3)) if shape == "2-d" else 1
+    flat = draw(st.lists(points, min_size=rows, max_size=6 * rows))
+    flat = flat[: len(flat) - len(flat) % rows]
+    return np.array(flat).reshape(rows, -1) if shape == "2-d" else np.array(flat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chebyshev_series(), evaluation_points())
+def test_kernel_matches_clenshaw(c, x):
+    got = pa._chebval(x, c)
+    want = clenshaw(np.asarray(x, dtype=np.longdouble), c.astype(np.longdouble))
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 1e-12 * max(1.0, float(np.abs(c).sum())))
+
+
+@pytest.mark.parametrize("build, args, degree", ITEM_3_POINTS)
+def test_kernel_matches_clenshaw_on_certificate_grids(build, args, degree):
+    p = pa.certified(build, *args)
+    assert p.degree == degree
+    tol = 1e-12 * max(1.0, float(np.abs(p.coefficients).sum()))
+    for grid in (pa._global_grid(p.degree), np.linspace(*p.certified_interval, pa.GRID_POINTS)):
+        assert np.abs(p(grid) - clenshaw(grid, p.coefficients)).max() <= tol
+
+
+def test_kernel_memory_is_bounded_by_its_chunk():
+    c = np.random.default_rng(0).uniform(-1.0, 1.0, pa.DEGREE_CAP + 1)
+    x = np.linspace(-1.0, 1.0, pa.GRID_POINTS)
+    tracemalloc.start()
+    try:
+        pa._chebval(x, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # unchunked, the two tables alone would take 10001 x 91 x 16 B x 2 = 29 MB
+    assert peak < 8 * 2 ** 20
+
+
+def test_kernel_domain_clamps_rounding_and_rejects_the_rest():
+    p = pa.approx_positive_power(0.5, 0.1, 0.01)
+    assert p(1.0 + 1e-13) == p(1.0)
+    assert p(-1.0 - 1e-13) == p(-1.0)
+    for bad in (1.0 + 1e-9, -1.5, np.nan):
+        with pytest.raises(ValidationError):
+            p(np.array([0.5, bad]))

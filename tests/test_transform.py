@@ -4,7 +4,8 @@ import pytest
 from blockenc import encodings as enc
 from blockenc import polyapprox as pa
 from blockenc import transform as tf
-from blockenc.fixtures import floored_spectrum_state, ginibre_state, maximally_mixed
+from blockenc.fixtures import (floored_spectrum_state, ginibre_state, maximally_mixed,
+                               pure_state)
 from blockenc.numerics import ValidationError, matrix_function, spectral_norm
 
 
@@ -97,6 +98,21 @@ def test_qsvt_density_passes_eigenpairs_on(linalg_calls):
     assert not linalg_calls
     w, v = o.encoded.eigenpairs
     assert np.array_equal(out.factor, v * (np.sqrt(w) * p(w)))
+
+
+@pytest.mark.parametrize("rho", [
+    # the thin SVD of this rank-1 factor gives an eigenvalue of 1 + 6.7e-16
+    ginibre_state(8, 1, np.random.default_rng(8)),
+    # a trace above one by less than the validation tolerance
+    (1.0 + 5e-10) * pure_state(8),
+], ids=["svd-rounding", "trace-tolerance"])
+def test_qsvt_density_of_rank_one_state_reads_eigenvalue_above_one_as_one(rho):
+    o = oracle_for(rho)
+    w, _ = o.encoded.eigenpairs
+    assert w.max() > 1.0
+    p = pa.approx_positive_power(0.5, 0.05, 0.01)
+    out = tf.qsvt_density(o, p).oracle.encoded
+    assert spectral_norm(out.matrix - p(1.0) ** 2 * rho) < 1e-12
 
 
 def test_qsvt_density_matches_spectral_oracle():
