@@ -17,8 +17,8 @@ Each estimator gets two parameter schedules from one function, ``_schedule``:
 
 The rank estimator and the odd-alpha trace power take their analysis values
 as given and use only the clamping half, ``_operational``.  Reports, built by
-``_report``, carry both schedules, the evaluated bound, the ledger, and (when
-the spectral oracle is enabled) the exact value from ``numerics.QUANTITIES``.
+``_report``, carry both schedules, the evaluated bound, the ledger, and the
+exact value from ``numerics.QUANTITIES``, computed the first time it is read.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -88,21 +90,26 @@ class AmplitudeEstimatorConfig:
 
 @dataclass(frozen=True)
 class EstimateReport:
+    """An estimate with its schedules and ledger; ``truth()`` computes the
+    exact value the first time ``true_value`` is read."""
+
     quantity: str
     estimate: float
     target_epsilon: float
+    truth: Callable[[], float] = field(repr=False, compare=False)
     alpha: float | None = None
-    true_value: float | None = None
     parameters: dict = field(default_factory=dict)
     ledger: ResourceLedger = field(default_factory=ResourceLedger)
     mode: str = "analytic"
     success_probability_note: float = 1.0
     notes: tuple = ()
 
+    @cached_property
+    def true_value(self) -> float:
+        return self.truth()
+
     @property
-    def error(self) -> float | None:
-        if self.true_value is None:
-            return None
+    def error(self) -> float:
         return abs(self.estimate - self.true_value)
 
     def as_dict(self) -> dict:
@@ -254,18 +261,17 @@ def _qsvt_ledger(oracle: PurifiedAccessOracle, reps: int, degree: int,
 
 def _report(quantity: str, oracles, alpha: float | None, estimate: float,
             epsilon: float, parameters: dict, ledger: ResourceLedger,
-            config: AmplitudeEstimatorConfig, include_truth: bool,
-            notes: tuple = ()) -> EstimateReport:
+            config: AmplitudeEstimatorConfig, notes: tuple = ()) -> EstimateReport:
     """The report of an estimate of ``quantity`` on the oracles' operators."""
-    truth = None
-    if include_truth:
-        truth = nm.exact_quantity(quantity, *(o.encoded.matrix for o in oracles),
-                                  alpha=alpha)
+    # the operators, not the oracles, so no cached circuit stays alive
+    encoded = [o.encoded for o in oracles]
     note = (_median_success_probability(config.median_trials)
             if config.mode == "sampled" else 1.0)
     return EstimateReport(
         quantity=quantity, alpha=alpha, estimate=estimate, target_epsilon=epsilon,
-        true_value=truth, parameters=parameters, ledger=ledger, mode=config.mode,
+        truth=lambda: nm.exact_quantity(quantity, *(a.matrix for a in encoded),
+                                        alpha=alpha),
+        parameters=parameters, ledger=ledger, mode=config.mode,
         success_probability_note=note, notes=notes)
 
 
@@ -286,8 +292,8 @@ def _validated_epsilon(epsilon: float, name: str = "epsilon") -> None:
 # ---------------------------------------------------------------------------
 
 def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
-                         epsilon: float, config: AmplitudeEstimatorConfig,
-                         include_truth: bool = True) -> EstimateReport:
+                         epsilon: float,
+                         config: AmplitudeEstimatorConfig) -> EstimateReport:
     """S(rho) via the sqrt(-ln) polynomial pipeline, rescaled by 4 ln(1/delta)."""
     r = _validated_rank_bound(rank_bound)
     _validated_epsilon(epsilon)
@@ -320,7 +326,7 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
     b_op = (math.log(r) / (4.0 * lo) if r > 1 else 0.0) + 1.0
     p_tilde, _ = trace_estimate(out.oracle, b_op, op["eps2"], config)
     return _report("von-neumann", (oracle,), None, 4.0 * lo * p_tilde, epsilon,
-                   record, ledger, config, include_truth)
+                   record, ledger, config)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +339,7 @@ def _is_odd_integer(alpha: float) -> bool:
 
 def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
                          rank_bound: int, epsilon: float,
-                         config: AmplitudeEstimatorConfig,
-                         include_truth: bool = True) -> EstimateReport:
+                         config: AmplitudeEstimatorConfig) -> EstimateReport:
     """tr(rho^alpha) within epsilon: fractional powers of the state for
     alpha < 1, pure products for odd alpha, the block-encoded fractional
     power for other alpha > 1."""
@@ -419,13 +424,12 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
         estimate = 4.0 * p_tilde
 
     return _report("trace-power", (oracle,), alpha, estimate, epsilon, record, ledger,
-                   config, include_truth)
+                   config)
 
 
 def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
                    epsilon: float, config: AmplitudeEstimatorConfig,
-                   kappa: float | None = None,
-                   include_truth: bool = True) -> EstimateReport:
+                   kappa: float | None = None) -> EstimateReport:
     """Renyi entropy ln(tr rho^alpha) / (1 - alpha); alpha = 0 routes to the
     max-entropy estimator and needs kappa."""
     r = _validated_rank_bound(rank_bound)
@@ -433,8 +437,7 @@ def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
     if alpha == 0:
         if kappa is None:
             raise ValidationError("Renyi alpha = 0 (max entropy) requires kappa")
-        rep = estimate_max_entropy(oracle, 0.1, epsilon, config, kappa=kappa,
-                                   include_truth=include_truth)
+        rep = estimate_max_entropy(oracle, 0.1, epsilon, config, kappa=kappa)
         return replace(rep, quantity="renyi", alpha=0.0,
                        notes=rep.notes + ("alpha = 0 routed to max entropy "
                                           "under the kappa assumption",))
@@ -446,17 +449,15 @@ def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
     else:
         eps_inner = (alpha - 1.0) * r ** (1.0 - alpha) * epsilon / 2.0
         floor = r ** (1.0 - alpha) / 2.0
-    tp = estimate_trace_power(oracle, alpha, r, eps_inner, config,
-                              include_truth=False)
+    tp = estimate_trace_power(oracle, alpha, r, eps_inner, config)
     x = max(tp.estimate, floor)
     return _report("renyi", (oracle,), alpha, float(np.log(x) / (1.0 - alpha)), epsilon,
-                   tp.parameters, tp.ledger, config, include_truth)
+                   tp.parameters, tp.ledger, config)
 
 
 def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
                      epsilon: float, config: AmplitudeEstimatorConfig,
-                     kappa: float | None = None,
-                     include_truth: bool = True) -> EstimateReport:
+                     kappa: float | None = None) -> EstimateReport:
     """Tsallis entropy (tr rho^alpha - 1) / (1 - alpha); alpha = 0 returns
     rank - 1 and needs kappa."""
     r = _validated_rank_bound(rank_bound)
@@ -465,18 +466,18 @@ def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int
         if kappa is None:
             raise ValidationError("Tsallis alpha = 0 (rank - 1) requires kappa")
         rank = estimate_exact_rank(oracle, kappa, config)
-        truth = (nm.operator_rank(oracle.encoded.matrix) - 1.0) if include_truth else None
+        encoded = oracle.encoded
         return EstimateReport(
             quantity="tsallis", alpha=0.0, estimate=float(rank - 1),
-            target_epsilon=epsilon, true_value=truth, mode=config.mode,
+            target_epsilon=epsilon,
+            truth=lambda: nm.operator_rank(encoded.matrix) - 1.0, mode=config.mode,
             notes=("alpha = 0 routed to exact rank under the kappa assumption",))
     if alpha == 1 or alpha < 0:
         raise ValidationError("Tsallis entropy needs alpha in (0,1) or (1,inf)")
     eps_inner = abs(1.0 - alpha) * epsilon
-    tp = estimate_trace_power(oracle, alpha, r, eps_inner, config,
-                              include_truth=False)
+    tp = estimate_trace_power(oracle, alpha, r, eps_inner, config)
     return _report("tsallis", (oracle,), alpha, float((tp.estimate - 1.0) / (1.0 - alpha)),
-                   epsilon, tp.parameters, tp.ledger, config, include_truth)
+                   epsilon, tp.parameters, tp.ledger, config)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +485,7 @@ def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int
 # ---------------------------------------------------------------------------
 
 def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
-                  epsilon_prime: float, config: AmplitudeEstimatorConfig,
-                  include_truth: bool = True) -> EstimateReport:
+                  epsilon_prime: float, config: AmplitudeEstimatorConfig) -> EstimateReport:
     """r~ with (1 - eps) rank_delta(rho) - eps' <= r~ <= (1 + eps) rank + eps'.
 
     Threshold projector at delta/2, trace estimation, rescale by 8/delta.
@@ -505,51 +505,47 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
 
     thr = eigenvalue_threshold_projector(oracle, delta / 2.0, op["eps1"])
     p_tilde, _ = trace_estimate(thr.oracle, 1.0, eps2, config)
-    notes = ()
-    if include_truth:
-        notes = (f"rank_delta(rho, {delta}) = "
-                 f"{nm.rank_delta(oracle.encoded.matrix, delta)}",)
+    # the threshold projector has read these eigenvalues already
+    w, _ = oracle.encoded.eigenpairs
+    notes = (f"rank_delta(rho, {delta}) = {np.count_nonzero(w > delta)}",)
     return _report("rank", (oracle,), None, 8.0 * p_tilde / delta, epsilon, record,
-                   ledger, config, include_truth, notes)
+                   ledger, config, notes)
 
 
 def estimate_exact_rank(oracle: PurifiedAccessOracle, kappa: float,
-                        config: AmplitudeEstimatorConfig,
-                        verify_assumption: bool = True) -> int:
+                        config: AmplitudeEstimatorConfig) -> int:
     """Exact rank given Pi/kappa <= rho: run the rank estimator at
     delta = eps = Theta(1/kappa) and round."""
     if kappa < 1:
         raise ValidationError("kappa must be at least one")
-    if verify_assumption:
-        w, _ = oracle.encoded.eigenpairs
-        nonzero = w[w > 1e-10]
-        if nonzero.size and nonzero.min() < 1.0 / kappa - 1e-9:
-            raise ValidationError(
-                f"kappa assumption violated: min nonzero eigenvalue "
-                f"{nonzero.min():.4g} < 1/kappa = {1.0 / kappa:.4g}")
+    w, _ = oracle.encoded.eigenpairs
+    nonzero = w[w > 1e-10]
+    if nonzero.size and nonzero.min() < 1.0 / kappa - 1e-9:
+        raise ValidationError(
+            f"kappa assumption violated: min nonzero eigenvalue "
+            f"{nonzero.min():.4g} < 1/kappa = {1.0 / kappa:.4g}")
     delta = min(1.0 / (2.0 * kappa), 0.1)
     eps = min(1.0 / (5.0 * kappa), 0.1)
-    rep = estimate_rank(oracle, delta, eps, 0.2, config, include_truth=False)
+    rep = estimate_rank(oracle, delta, eps, 0.2, config)
     return int(round(rep.estimate))
 
 
 def estimate_max_entropy(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
-                         config: AmplitudeEstimatorConfig, kappa: float | None = None,
-                         include_truth: bool = True) -> EstimateReport:
+                         config: AmplitudeEstimatorConfig,
+                         kappa: float | None = None) -> EstimateReport:
     """s~ with S^max_delta(rho) - eps <= s~ <= S^max(rho) + eps; with kappa
     the truncated and plain max entropies coincide and s~ is additive-eps."""
     notes = ()
     if kappa is not None:
         delta = min(1.0 / (2.0 * kappa), 0.1)
         notes = (f"delta = 1/(2 kappa) = {delta} from the kappa assumption",)
-    rank_rep = estimate_rank(oracle, delta, epsilon / 4.0, epsilon / 4.0, config,
-                             include_truth=False)
+    rank_rep = estimate_rank(oracle, delta, epsilon / 4.0, epsilon / 4.0, config)
     expected = "O~(kappa^2 / eps)" if kappa is not None else "O~(1 / (delta^2 eps))"
     return _report("max-entropy", (oracle,), None,
                    float(np.log(max(rank_rep.estimate, 0.5))), epsilon,
                    rank_rep.parameters,
                    replace(rank_rep.ledger, expected_complexity=expected), config,
-                   include_truth, notes)
+                   notes)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +592,7 @@ def _nu_encoding(oracle_rho, oracle_sigma):
 def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
                             oracle_sigma: PurifiedAccessOracle, alpha: float,
                             rank_bound: int, epsilon: float,
-                            config: AmplitudeEstimatorConfig,
-                            include_truth: bool = True) -> EstimateReport:
+                            config: AmplitudeEstimatorConfig) -> EstimateReport:
     """T_alpha(rho, sigma) = tr|(rho - sigma)/2|^alpha via the truncated
     support projector of mu = (rho + sigma)/2 sandwiched by |nu|^(alpha/2)."""
     r = _validated_rank_bound(rank_bound)
@@ -681,21 +676,19 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
     eta = evolve(thr.oracle, half.as_scale_one(), label="eta")
     p_tilde, _ = trace_estimate(eta, op["delta1"], op["eps3"], config)
     return _report("trace-distance", (oracle_rho, oracle_sigma), alpha,
-                   rescale * p_tilde, epsilon, record, ledger, config, include_truth)
+                   rescale * p_tilde, epsilon, record, ledger, config)
 
 
 def trace_distance_truncation_bound(nu: np.ndarray, mu: np.ndarray, alpha: float,
-                                    delta: float,
-                                    rank_bound: int | None = None) -> tuple[float, float]:
+                                    delta: float) -> tuple[float, float]:
     """Measured truncation gap tr(|nu|^(a/2) (P_supp - P_supp_delta) |nu|^(a/2))
-    against the inherent-error bound 2 r delta^(min(a,1)/2)."""
+    against the inherent-error bound 2 r delta^(min(a,1)/2), r = rank(mu)."""
     w, v = nm.spectral_decompose(mu)
     drop = (w > 1e-12) & (w <= delta)
     abs_nu_a = nm.matrix_function(nu, lambda x: np.abs(x) ** alpha)
     measured = float(sum((v[:, i].conj() @ abs_nu_a @ v[:, i]).real
                          for i in np.nonzero(drop)[0]))
-    r = rank_bound if rank_bound is not None else nm.operator_rank(mu)
-    bound = 2.0 * r * delta ** (min(alpha, 1.0) / 2.0)
+    bound = 2.0 * nm.operator_rank(mu) * delta ** (min(alpha, 1.0) / 2.0)
     return measured, bound
 
 
@@ -721,8 +714,7 @@ def holder_power_norm_check(a: np.ndarray, psi: np.ndarray,
 def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
                       oracle_sigma: PurifiedAccessOracle, alpha: float,
                       rank_bound: int, epsilon: float,
-                      config: AmplitudeEstimatorConfig,
-                      include_truth: bool = True) -> EstimateReport:
+                      config: AmplitudeEstimatorConfig) -> EstimateReport:
     """F_alpha(rho, sigma) = tr((sigma^beta rho sigma^beta)^alpha) with
     beta = (1 - alpha)/(2 alpha); integer beta uses pure products of sigma,
     fractional beta composes the block-encoded power of sigma first."""
@@ -824,7 +816,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         estimate = 4.0 ** (alpha + 1.0) * op["delta2"] ** (alpha - 1.0) * p_tilde
 
     return _report("fidelity", (oracle_rho, oracle_sigma), alpha, estimate, epsilon,
-                   record, ledger, config, include_truth)
+                   record, ledger, config)
 
 
 def weyl_perturbation_bound(a: np.ndarray, b: np.ndarray,
@@ -850,9 +842,10 @@ def _exact_rank_report(oracle: PurifiedAccessOracle, epsilon: float,
     if kappa is None:
         raise ValidationError("exact-rank needs kappa")
     rank = estimate_exact_rank(oracle, kappa, config)
+    encoded = oracle.encoded
     return EstimateReport(quantity="exact-rank", estimate=float(rank),
                           target_epsilon=0.0,
-                          true_value=float(nm.operator_rank(oracle.encoded.matrix)),
+                          truth=lambda: float(nm.operator_rank(encoded.matrix)),
                           mode=config.mode)
 
 
@@ -860,9 +853,10 @@ def _exact_rank_report(oracle: PurifiedAccessOracle, epsilon: float,
 #: epsilon_prime=)`` runs the estimator for a name in ``numerics.QUANTITIES``.
 #: ``oracles`` and ``ranks`` hold one entry per state; a two-state estimator
 #: takes the larger rank bound for the trace distance and the smaller for
-#: the fidelity.  The runners call through module globals when they run, so
-#: a function rebound on this module (for instance by a tracing harness) is
-#: the one used.
+#: the fidelity.  A report's exact value is computed when it is first read,
+#: so a caller that reads only the estimate pays for no exact oracle.  The
+#: runners call through module globals when they run, so a function rebound
+#: on this module (for instance by a tracing harness) is the one used.
 RUNNERS = {
     "von-neumann": lambda o, r, eps, config, **kw: estimate_von_neumann(
         o[0], r[0], eps, config),

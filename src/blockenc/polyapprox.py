@@ -258,8 +258,12 @@ def _inverse_power_quadrature(a: float, y_min: float, eps: float,
 
 
 def _gaussian_mixture(x: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j exp(-t_j x^2), in blocks of ``_CHUNK`` points so the
+    points-by-nodes exponential table stays small."""
     y = np.atleast_1d(np.asarray(x, dtype=float)) ** 2
-    out = np.exp(-np.outer(y, t)) @ w
+    out = np.empty(y.shape)
+    for lo in range(0, y.size, _CHUNK):
+        out[lo:lo + _CHUNK] = np.exp(-np.outer(y[lo:lo + _CHUNK], t)) @ w
     return out if np.ndim(x) else float(out[0])
 
 
@@ -350,23 +354,15 @@ def approx_threshold(t: float, delta: float, epsilon: float) -> CertifiedPolynom
     def surrogate(x):
         return _erf_band(np.asarray(x, dtype=float), t, k)
 
-    def extra(poly):
-        out_grid = np.linspace(t + delta, 1.0, GRID_POINTS // 4)
-        vals_out = np.abs(poly(out_grid))
-        vals_in = poly(np.linspace(0.0, t - delta, GRID_POINTS // 4))
-        detail = {"outside_max": float(vals_out.max()),
-                  "inside_min": float(vals_in.min()), "inside_max": float(vals_in.max())}
-        ok = (vals_out.max() <= epsilon and vals_in.min() >= 1.0 - epsilon
-              and vals_in.max() <= 1.0 + 1e-9)
-        return ok, detail
-
-    return _build("threshold", {"t": t, "delta": delta, "epsilon": epsilon},
-                  surrogate, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                  (0.0, t - delta), epsilon, 1.0, "even",
-                  degree_formula("threshold", delta, epsilon), extra)
+    return _indicator_family("threshold", {"t": t, "delta": delta, "epsilon": epsilon},
+                             surrogate, (0.0, t - delta), (t + delta, 1.0))
 
 
-def _indicator_family(family, delta, epsilon, surrogate, one_band, zero_band):
+def _indicator_family(family, params, surrogate, one_band, zero_band):
+    """Even P in [1 - epsilon, 1] on ``one_band``, its certified interval, and
+    |P| <= epsilon on ``zero_band``; ``params`` names delta and epsilon."""
+    delta, epsilon = params["delta"], params["epsilon"]
+
     def extra(poly):
         ones = poly(np.linspace(*one_band, GRID_POINTS // 4))
         zeros = np.abs(poly(np.linspace(*zero_band, GRID_POINTS // 4)))
@@ -376,7 +372,7 @@ def _indicator_family(family, delta, epsilon, surrogate, one_band, zero_band):
               and zeros.max() <= epsilon)
         return ok, detail
 
-    return _build(family, {"delta": delta, "epsilon": epsilon}, surrogate,
+    return _build(family, params, surrogate,
                   lambda x: np.ones_like(np.asarray(x, dtype=float)),
                   one_band, epsilon, 1.0, "even",
                   degree_formula(family, delta, epsilon), extra)
@@ -391,8 +387,8 @@ def approx_support_indicator(delta: float, epsilon: float) -> CertifiedPolynomia
     def surrogate(x):
         return 1.0 - _erf_band(np.asarray(x, dtype=float), 1.5 * delta, k)
 
-    return _indicator_family("support-indicator", delta, epsilon, surrogate,
-                             (2.0 * delta, 1.0), (0.0, delta))
+    return _indicator_family("support-indicator", {"delta": delta, "epsilon": epsilon},
+                             surrogate, (2.0 * delta, 1.0), (0.0, delta))
 
 
 def approx_interior_indicator(delta: float, epsilon: float) -> CertifiedPolynomial:
@@ -404,8 +400,8 @@ def approx_interior_indicator(delta: float, epsilon: float) -> CertifiedPolynomi
     def surrogate(x):
         return _erf_band(np.asarray(x, dtype=float), 1.0 - 1.5 * delta, k)
 
-    return _indicator_family("interior-indicator", delta, epsilon, surrogate,
-                             (0.0, 1.0 - 2.0 * delta), (1.0 - delta, 1.0))
+    return _indicator_family("interior-indicator", {"delta": delta, "epsilon": epsilon},
+                             surrogate, (0.0, 1.0 - 2.0 * delta), (1.0 - delta, 1.0))
 
 
 def approx_sqrt_neglog(delta_prime: float, epsilon: float) -> CertifiedPolynomial:

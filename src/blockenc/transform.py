@@ -22,7 +22,7 @@ import numpy as np
 from .encodings import (PurifiedAccessOracle, SubnormalizedDensityOperator,
                         UnitaryBlockEncoding, dilate, encoding_power, product,
                         purification_of)
-from .numerics import ValidationError, matrix_function, spectral_decompose, spectral_norm
+from .numerics import ValidationError, matrix_function, spectral_norm
 from .polyapprox import (CertifiedPolynomial, approx_negative_power,
                          approx_positive_power, approx_support_indicator,
                          certified, multiply)
@@ -76,10 +76,7 @@ def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformRe
     if abs(u.scale - 1.0) > 1e-12:
         raise ValidationError("QSVT needs a scale-1 block-encoding")
     _require_admissible(p)
-    w, v = spectral_decompose(u.matrix, 1e-8)
-    w = np.clip(w, -1.0, 1.0)
-    pa = (v * p(w)) @ v.conj().T
-    pa = (pa + pa.conj().T) / 2.0
+    pa = matrix_function(u.matrix, lambda w: p(np.clip(w, -1.0, 1.0)), tol=1e-8)
     d = p.degree
     cost = u.cost.scaled(2 * d) + QueryCost(controlled=u.cost.queries,
                                             gates=(u.realized_ancillas + 1) * d)
@@ -88,15 +85,14 @@ def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformRe
     return TransformResult(result=out, declared_error=QSVT_PRECISION, scale=1.0)
 
 
-def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial,
-                 precision: float = QSVT_PRECISION) -> TransformResult:
+def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial) -> TransformResult:
     """Oracle preparing A (P(A))^2 from an oracle preparing A.
 
     The output's factor is V sqrt(w) P(w) on the input's eigenpairs (w, V);
     P reads an eigenvalue above one (by at most the input's trace tolerance)
     as one.
     The composition constant from the proof is 5/2, so the declared error of
-    the prepared operator is 2.5 * precision.  Charges O(d): 2d queries plus
+    the prepared operator is 2.5 * QSVT_PRECISION.  Charges O(d): 2d queries plus
     two controlled queries.
     """
     _require_admissible(p)
@@ -108,27 +104,26 @@ def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial,
     out = SubnormalizedDensityOperator(v * (np.sqrt(w) * p(np.minimum(w, 1.0))),
                                        oracle.system_qubits)
     return TransformResult(result=purification_of(out, label=oracle.label, cost=cost),
-                           declared_error=2.5 * precision, scale=1.0)
+                           declared_error=2.5 * QSVT_PRECISION, scale=1.0)
 
 
 def transform_with_target(oracle: PurifiedAccessOracle, f, p: CertifiedPolynomial,
-                          delta: float,
-                          precision: float = QSVT_PRECISION) -> TransformResult:
+                          delta: float) -> TransformResult:
     """Oracle approximating A (f(A))^2 through a polynomial certified on [delta, 1].
 
-    Declared error: 2 eps + delta + sup_{[0, delta]} |x f(x)^2| + 2.5 precision,
+    Declared error: 2 eps + delta + sup_{[0, delta]} |x f(x)^2| + 2.5 QSVT_PRECISION,
     with eps the polynomial's actual certified error.
     """
     lo, hi = p.certified_interval
     if lo > delta + 1e-12 or hi < 1.0 - 1e-9:
         raise ValidationError(
             f"certification interval [{lo}, {hi}] does not cover [{delta}, 1]")
-    inner = qsvt_density(oracle, p, precision)
+    inner = qsvt_density(oracle, p)
     grid = np.linspace(0.0, delta, 2001)
     with np.errstate(invalid="ignore", divide="ignore"):
         tail_vals = grid * np.asarray(f(grid), dtype=float) ** 2
     tail = float(np.nanmax(np.abs(tail_vals)))
-    err = 2.0 * p.certified_error + delta + tail + 2.5 * precision
+    err = 2.0 * p.certified_error + delta + tail + 2.5 * QSVT_PRECISION
     return TransformResult(result=inner.result, declared_error=err, scale=1.0)
 
 
@@ -176,10 +171,12 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
         raise ValidationError("positive_power_unitary needs a scale-1 encoding")
     p = certified(approx_positive_power, c, delta, epsilon)
     r = certified(approx_support_indicator, delta, epsilon)
-    w, v = spectral_decompose(u.matrix, 1e-8)
-    w = np.clip(w, -1.0, 1.0)
-    bc = (v * (p(w) * r(w))) @ v.conj().T
-    bc = (bc + bc.conj().T) / 2.0
+
+    def pr(w):
+        w = np.clip(w, -1.0, 1.0)
+        return p(w) * r(w)
+
+    bc = matrix_function(u.matrix, pr, tol=1e-8)
 
     def target():
         return matrix_function(u.matrix, lambda x: np.abs(x) ** c, tol=1e-8)
@@ -217,8 +214,7 @@ def sandwich_coefficients(delta: float, epsilon: float) -> tuple[float, float]:
 
 
 def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
-                                   epsilon: float,
-                                   precision: float = QSVT_PRECISION) -> TransformResult:
+                                   epsilon: float) -> TransformResult:
     """Oracle for B with lo(d,e) P_supp_2d(A) <= B <= hi(d,e) P_supp(A).
 
     Requires delta, epsilon in (0, 1/10] and 32 epsilon^2 <= delta; B is
@@ -232,8 +228,9 @@ def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
                               f"{32 * epsilon ** 2:.4g} > delta = {delta}")
     q = certified(multiply, certified(approx_negative_power, 0.5, delta, epsilon),
                   certified(approx_support_indicator, delta, epsilon))
-    inner = qsvt_density(oracle, q, precision)
-    return TransformResult(result=inner.result, declared_error=2.0 * precision, scale=1.0)
+    inner = qsvt_density(oracle, q)
+    return TransformResult(result=inner.result, declared_error=2.0 * QSVT_PRECISION,
+                           scale=1.0)
 
 
 def psd_order_holds(lower: np.ndarray, upper: np.ndarray, tol: float = 1e-8) -> bool:

@@ -287,7 +287,10 @@ def test_estimate_every_quantity_meets_its_guarantee(tmp_path, quantity):
     if quantity == "exact-rank":
         argv += ["--kappa", str(1.0 / w[w > 1e-10].min())]
     assert run(argv) == 0
-    got = json.load(open(tmp_path / "rep.json"))["report"]["estimate"]
+    report = json.load(open(tmp_path / "rep.json"))["report"]
+    got = report["estimate"]
+    exact = nm.exact_quantity(quantity, rho, sigma, ALPHAS.get(quantity))
+    assert abs(report["true_value"] - exact) <= 1e-12
     rank = nm.operator_rank(rho)
     rank_delta = nm.rank_delta(rho, RANK_DELTA)
     if quantity == "exact-rank":
@@ -295,6 +298,7 @@ def test_estimate_every_quantity_meets_its_guarantee(tmp_path, quantity):
     elif quantity == "rank":
         assert ((1 - eps) * rank_delta - RANK_EPS_PRIME <= got
                 <= (1 + eps) * rank + RANK_EPS_PRIME)
+        assert report["notes"] == [f"rank_delta(rho, {RANK_DELTA}) = {rank_delta}"]
     elif quantity == "max-entropy":
         assert math.log(rank_delta) - eps <= got <= math.log(rank) + eps
     else:

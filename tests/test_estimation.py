@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blockenc import estimation as est
+from blockenc import numerics as nm
 from blockenc.encodings import purification_of
 from blockenc.fixtures import (floored_spectrum_state, ginibre_state,
                                maximally_mixed, pure_state, shared_support_pair)
@@ -439,32 +440,62 @@ def test_gate_expression_evaluates_to_gates(quantity, alpha):
         assert "..." in rhs
 
 
+@pytest.mark.parametrize("quantity, alpha",
+                         NO_CIRCUIT_CASES + [("renyi", 0.0), ("tsallis", 0.0)])
+def test_true_value_is_computed_once_when_read(monkeypatch, quantity, alpha):
+    rho, sigma = shared_support_pair(16, 4, np.random.default_rng(3))
+    oracles = [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
+    w = np.linalg.eigvalsh(rho)
+    if alpha == 0.0:    # max entropy and rank - 1
+        want = nm.max_entropy(rho) if quantity == "renyi" else nm.operator_rank(rho) - 1.0
+    else:
+        want = nm.exact_quantity(quantity, rho, sigma, alpha)
+    # the nesting depth of each counted call: exact_quantity("rank") calls
+    # operator_rank, and one read is one call at depth 0
+    active, depths = [], []
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            depths.append(len(active))
+            active.append(f)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapper
+
+    monkeypatch.setattr(nm, "exact_quantity", counted(nm.exact_quantity))
+    monkeypatch.setattr(nm, "operator_rank", counted(nm.operator_rank))
+    rep = est.RUNNERS[quantity](oracles, [4, 4], 0.1, CFG, alpha=alpha,
+                                kappa=1.0 / w[w > 1e-10].min(), delta=0.05,
+                                epsilon_prime=0.1)
+    assert depths == []
+    assert rep.true_value == pytest.approx(want, abs=1e-12)
+    assert depths.count(0) == 1
+    assert rep.true_value == pytest.approx(want, abs=1e-12)
+    assert depths.count(0) == 1
+
+
 def test_von_neumann_estimate_decomposes_once(linalg_calls):
-    # the transform maps the input's eigenvalues and keeps its eigenvectors
+    # the transform maps the input's eigenvalues and keeps its eigenvectors,
+    # and the exact value waits until the report is read
     oracle = oracle_for(floored_spectrum_state(16, 4, np.random.default_rng(3)))
     linalg_calls.clear()
-    est.estimate_von_neumann(oracle, 4, 0.1, CFG, include_truth=False)
+    est.estimate_von_neumann(oracle, 4, 0.1, CFG)
     assert dict(linalg_calls) == {}
 
 
 DECOMPOSITION_CASES = {
-    "rank": lambda o: est.estimate_rank(o[0], 0.05, 0.1, 0.2, CFG, include_truth=False),
-    "trace-power-0.5": lambda o: est.estimate_trace_power(o[0], 0.5, 4, 0.1, CFG,
-                                                          include_truth=False),
-    "trace-distance-1": lambda o: est.estimate_trace_distance(o[0], o[1], 1.0, 4, 0.1, CFG,
-                                                              include_truth=False),
-    "fidelity-0.5": lambda o: est.estimate_fidelity(o[0], o[1], 0.5, 4, 0.1, CFG,
-                                                    include_truth=False),
+    "rank": lambda o: est.estimate_rank(o[0], 0.05, 0.1, 0.2, CFG),
+    "trace-power-0.5": lambda o: est.estimate_trace_power(o[0], 0.5, 4, 0.1, CFG),
+    "trace-distance-1": lambda o: est.estimate_trace_distance(o[0], o[1], 1.0, 4, 0.1, CFG),
+    "fidelity-0.5": lambda o: est.estimate_fidelity(o[0], o[1], 0.5, 4, 0.1, CFG),
     "distribution-oracle": lambda o: est.distribution_to_purified_oracle(
         np.full(16, 1.0 / 16.0)),
-    "trace-power-2": lambda o: est.estimate_trace_power(o[0], 2.0, 4, 0.1, CFG,
-                                                        include_truth=False),
-    "trace-power-3": lambda o: est.estimate_trace_power(o[0], 3.0, 4, 0.1, CFG,
-                                                        include_truth=False),
-    "trace-distance-2": lambda o: est.estimate_trace_distance(o[0], o[1], 2.0, 4, 0.1, CFG,
-                                                              include_truth=False),
-    "fidelity-0.2": lambda o: est.estimate_fidelity(o[0], o[1], 0.2, 4, 0.1, CFG,
-                                                    include_truth=False),
+    "trace-power-2": lambda o: est.estimate_trace_power(o[0], 2.0, 4, 0.1, CFG),
+    "trace-power-3": lambda o: est.estimate_trace_power(o[0], 3.0, 4, 0.1, CFG),
+    "trace-distance-2": lambda o: est.estimate_trace_distance(o[0], o[1], 2.0, 4, 0.1, CFG),
+    "fidelity-0.2": lambda o: est.estimate_fidelity(o[0], o[1], 0.2, 4, 0.1, CFG),
 }
 
 

@@ -280,6 +280,20 @@ def test_kernel_memory_is_bounded_by_its_chunk():
     assert peak < 8 * 2 ** 20
 
 
+def test_mixture_surrogate_memory_is_bounded_by_its_chunk():
+    # a degree-cap build samples the Gaussian mixture at 8193 fit nodes and
+    # 49 quadrature nodes; unchunked, the outer product and its exponential
+    # take 2 x 8193 x 49 x 8 B = 6.1 MiB
+    tracemalloc.start()
+    try:
+        p = pa.approx_negative_power(0.25, 4e-3, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.degree == pa.DEGREE_CAP
+    assert peak < 3 * 2 ** 20
+
+
 def test_kernel_domain_clamps_rounding_and_rejects_the_rest():
     p = pa.approx_positive_power(0.5, 0.1, 0.01)
     assert p(1.0 + 1e-13) == p(1.0)
