@@ -48,11 +48,3 @@ for r in (2, 4, 8):
     rho = floored_spectrum_state(16, r, np.random.default_rng((3, r)), floor=0.05)
     rep = estimate_tsallis(purification_of(rho, label="rho"), 3.0, r, 0.1, cfg)
     print(f"  r = {r}: {rep.ledger.query_count()} queries")
-
-print("\nthe ledger tree replays to the same counters:")
-rho, sigma = shared_support_pair(8, 2, np.random.default_rng(4), floor=0.1)
-rep = estimate_trace_distance(purification_of(rho, label="rho"),
-                              purification_of(sigma, label="sigma"),
-                              1.0, 2, 0.2, cfg)
-print("  counters:", dict(rep.ledger.queries))
-print("  replay matches:", rep.ledger.replay_matches())

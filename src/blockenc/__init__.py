@@ -25,7 +25,7 @@ from .polyapprox import (CertificationError, CertifiedPolynomial,
                          approx_interior_indicator, approx_negative_power,
                          approx_positive_power, approx_sqrt_neglog,
                          approx_support_indicator, approx_taylor, approx_threshold)
-from .resources import QueryCost, ResourceLedger
+from .resources import QueryCost
 from .transform import (TransformResult, eigenvalue_threshold_projector,
                         positive_power_density, positive_power_unitary,
                         power_unitary, qsvt_density, qsvt_unitary,

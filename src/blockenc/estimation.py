@@ -39,8 +39,7 @@ from .encodings import (PurifiedAccessOracle, StatePreparationPair,
 from .numerics import ValidationError
 from .polyapprox import (approx_interior_indicator, approx_sqrt_neglog, certified,
                          multiply)
-from .resources import (QueryCost, ResourceLedger, ae_repetitions,
-                        degree_formula, tree_query, tree_repeat, tree_sum)
+from .resources import QueryCost, ae_repetitions, degree_formula
 from .transform import (QSVT_PRECISION, eigenvalue_threshold_projector,
                         positive_power_density, power_unitary, qsvt_density)
 
@@ -99,7 +98,8 @@ class EstimateReport:
     truth: Callable[[], float] = field(repr=False, compare=False)
     alpha: float | None = None
     parameters: dict = field(default_factory=dict)
-    ledger: ResourceLedger = field(default_factory=ResourceLedger)
+    ledger: QueryCost = field(default_factory=QueryCost)
+    expected_complexity: str = ""
     mode: str = "analytic"
     success_probability_note: float = 1.0
     notes: tuple = ()
@@ -116,7 +116,9 @@ class EstimateReport:
         return {"quantity": self.quantity, "alpha": self.alpha,
                 "estimate": self.estimate, "target_epsilon": self.target_epsilon,
                 "true_value": self.true_value, "parameters": self.parameters,
-                "ledger": self.ledger.as_dict(), "mode": self.mode,
+                "ledger": {**self.ledger.as_dict(),
+                           "expected_complexity": self.expected_complexity},
+                "mode": self.mode,
                 "success_probability_note": self.success_probability_note,
                 "notes": list(self.notes)}
 
@@ -248,19 +250,16 @@ def _schedule(quantity: str, epsilon: float, solve, bound_fn, floors: dict,
     return (analysis,) + _operational(analysis, bound, rounds, floors, derive)
 
 
-def _qsvt_ledger(oracle: PurifiedAccessOracle, reps: int, degree: int,
-                 expected: str) -> ResourceLedger:
-    """M amplitude-estimation rounds around one degree-d QSVT of a single oracle."""
-    width = oracle.total_qubits + 1
-    return ResourceLedger.from_tree(
-        tree_repeat(reps, tree_repeat(2 * degree, tree_query(oracle.label))),
-        controlled={oracle.label: 2 * reps}, gates=reps * degree * width,
-        gate_expression=f"M * d * (n + a + 1) = {reps} * {degree} * {width}",
-        expected=expected)
+def _single_oracle_ledger(oracle: PurifiedAccessOracle, reps: int, queries: int,
+                          degree: int) -> QueryCost:
+    """M amplitude-estimation rounds, each making ``queries`` uses of the oracle,
+    two controlled uses, and a degree-d transform's d gates per qubit."""
+    return QueryCost.of(oracle.label, queries, controlled=2,
+                        gates=degree * (oracle.total_qubits + 1)).scaled(reps)
 
 
 def _report(quantity: str, oracles, alpha: float | None, estimate: float,
-            epsilon: float, parameters: dict, ledger: ResourceLedger,
+            epsilon: float, parameters: dict, ledger: QueryCost, expected: str,
             config: AmplitudeEstimatorConfig, notes: tuple = ()) -> EstimateReport:
     """The report of an estimate of ``quantity`` on the oracles' operators."""
     # the operators, not the oracles, so no cached circuit stays alive
@@ -271,7 +270,8 @@ def _report(quantity: str, oracles, alpha: float | None, estimate: float,
         quantity=quantity, alpha=alpha, estimate=estimate, target_epsilon=epsilon,
         truth=lambda: nm.exact_quantity(quantity, *(a.matrix for a in encoded),
                                         alpha=alpha),
-        parameters=parameters, ledger=ledger, mode=config.mode,
+        parameters=parameters, ledger=ledger, expected_complexity=expected,
+        mode=config.mode,
         success_probability_note=note, notes=notes)
 
 
@@ -309,24 +309,24 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
         return (r * ((p["eps1"] + QSVT_PRECISION) * big_l + p["delta"])
                 + p["eps2"] * big_l * r)
 
+    def b(p):   # the trace bound for amplitude estimation, on either schedule
+        return (math.log(r) / (4.0 * math.log(1.0 / p["delta"])) if r > 1 else 0.0) + 1.0
+
     analysis, op, record = _schedule(
         "von-neumann", epsilon, solve, bound_fn,
         {"delta": OP_FLOORS["vn_delta"], "eps1": OP_FLOORS["vn_eps"]})
-    big_l = math.log(1.0 / analysis["delta"])
     d_total = (degree_formula("sqrt-neglog", analysis["delta"], analysis["eps1"])
                + degree_formula("interior-indicator", analysis["delta"], analysis["eps1"]))
-    b_ae = math.log(r) / (4.0 * big_l) + 1.0 if r > 1 else 1.0
-    ledger = _qsvt_ledger(oracle, ae_repetitions(b_ae, analysis["eps2"]), d_total,
-                          "O~(r^2 / eps^2)")
+    ledger = _single_oracle_ledger(oracle, ae_repetitions(b(analysis), analysis["eps2"]),
+                                   2 * d_total, d_total)
 
     poly = certified(multiply, certified(approx_sqrt_neglog, op["delta"], op["eps1"]),
                      certified(approx_interior_indicator, op["delta"], op["eps1"]))
     out = qsvt_density(oracle, poly)
-    lo = math.log(1.0 / op["delta"])
-    b_op = (math.log(r) / (4.0 * lo) if r > 1 else 0.0) + 1.0
-    p_tilde, _ = trace_estimate(out.oracle, b_op, op["eps2"], config)
-    return _report("von-neumann", (oracle,), None, 4.0 * lo * p_tilde, epsilon,
-                   record, ledger, config)
+    p_tilde, _ = trace_estimate(out.oracle, b(op), op["eps2"], config)
+    return _report("von-neumann", (oracle,), None,
+                   4.0 * math.log(1.0 / op["delta"]) * p_tilde, epsilon, record, ledger,
+                   "O~(r^2 / eps^2)", config)
 
 
 # ---------------------------------------------------------------------------
@@ -359,33 +359,30 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
                     + r * (p["delta1"] ** alpha
                            + p["eps1"] * p["delta1"] ** (alpha - 1.0)))
 
+        def b(p):
+            return (r ** (1 - alpha) * p["delta1"] ** (1 - alpha)
+                    + r * (p["delta1"] + p["eps1"])) / 4.0
+
         analysis, op, record = _schedule(
             "trace-power", epsilon, solve, bound_fn,
             {"delta1": OP_FLOORS["pow_delta"], "eps1": OP_FLOORS["pow_eps"]},
             lambda op: {"eps2": epsilon * op["delta1"] ** (1 - alpha) / 16.0})
         d = degree_formula("neg-power", analysis["delta1"], analysis["eps1"],
                            c=(1.0 - alpha) / 2.0)
-        b_ae = (r ** (1 - alpha) * analysis["delta1"] ** (1 - alpha)
-                + r * (analysis["delta1"] + analysis["eps1"])) / 4.0
-        ledger = _qsvt_ledger(oracle, ae_repetitions(b_ae, analysis["eps2"]), d,
-                              "O~(r^((3 - a^2) / 2a) / eps^((3 + a) / 2a))")
+        ledger = _single_oracle_ledger(
+            oracle, ae_repetitions(b(analysis), analysis["eps2"]), 2 * d, d)
+        expected = "O~(r^((3 - a^2) / 2a) / eps^((3 + a) / 2a))"
 
         ppd = positive_power_density(oracle, alpha, op["delta1"], op["eps1"])
-        b_op = (r ** (1 - alpha) * op["delta1"] ** (1 - alpha)
-                + r * (op["delta1"] + op["eps1"])) / 4.0
-        p_tilde, _ = trace_estimate(ppd.oracle, b_op, op["eps2"], config)
+        p_tilde, _ = trace_estimate(ppd.oracle, b(op), op["eps2"], config)
         estimate = ppd.scale * p_tilde
 
     elif _is_odd_integer(alpha):
         beta = int(round(alpha - 1)) // 2
         _, record = _operational({"eps2": epsilon}, epsilon, 0, {})
-        reps = ae_repetitions(1.0, epsilon)
-        width = oracle.total_qubits + 1
-        ledger = ResourceLedger.from_tree(
-            tree_repeat(reps, tree_query(oracle.label, beta + 1)),
-            controlled={oracle.label: 2 * reps}, gates=reps * beta * width,
-            gate_expression=f"M * beta * (n + a + 1) = {reps} * {beta} * {width}",
-            expected="O(1 / eps), rank-independent")
+        ledger = _single_oracle_ledger(oracle, ae_repetitions(1.0, epsilon), beta + 1,
+                                       beta)
+        expected = "O(1 / eps), rank-independent"
         out = evolve(oracle, encoding_power(block_encode_density(oracle), beta))
         estimate, _ = trace_estimate(out, 1.0, epsilon, config)
 
@@ -402,29 +399,26 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
             return (4.0 * p["eps2"]
                     + r * (p["eps1"] + p["delta1"] ** cfrac))
 
+        def b(p):
+            return (1.0 + r * (p["eps1"] + p["delta1"] ** cfrac)) / 4.0
+
         analysis, op, record = _schedule(
             "trace-power", epsilon, solve, bound_fn,
             {"delta1": OP_FLOORS["powu_delta"], "eps1": OP_FLOORS["powu_eps"]},
             lambda op: {"eps2": epsilon / 8.0})
         q1 = (degree_formula("pos-power", analysis["delta1"], analysis["eps1"])
               + degree_formula("support-indicator", analysis["delta1"], analysis["eps1"]))
-        b_ae = (1.0 + r * (analysis["eps1"] + analysis["delta1"] ** cfrac)) / 4.0
-        reps = ae_repetitions(b_ae, analysis["eps2"])
-        width = oracle.total_qubits + 1
-        ledger = ResourceLedger.from_tree(
-            tree_repeat(reps, tree_query(oracle.label, beta + q1)),
-            controlled={oracle.label: 2 * reps}, gates=reps * q1 * width,
-            gate_expression=f"M * Q1 * (n + a + 1) = {reps} * {q1} * {width}",
-            expected="O~(r^(1/frac) / eps^(1 + 1/frac))")
+        ledger = _single_oracle_ledger(
+            oracle, ae_repetitions(b(analysis), analysis["eps2"]), beta + q1, q1)
+        expected = "O~(r^(1/frac) / eps^(1 + 1/frac))"
 
         w = power_unitary(block_encode_density(oracle), x, op["delta1"], op["eps1"])
         out = evolve(oracle, w.as_scale_one())
-        b_op = (1.0 + r * (op["eps1"] + op["delta1"] ** cfrac)) / 4.0
-        p_tilde, _ = trace_estimate(out, b_op, op["eps2"], config)
+        p_tilde, _ = trace_estimate(out, b(op), op["eps2"], config)
         estimate = 4.0 * p_tilde
 
     return _report("trace-power", (oracle,), alpha, estimate, epsilon, record, ledger,
-                   config)
+                   expected, config)
 
 
 def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
@@ -452,7 +446,7 @@ def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
     tp = estimate_trace_power(oracle, alpha, r, eps_inner, config)
     x = max(tp.estimate, floor)
     return _report("renyi", (oracle,), alpha, float(np.log(x) / (1.0 - alpha)), epsilon,
-                   tp.parameters, tp.ledger, config)
+                   tp.parameters, tp.ledger, tp.expected_complexity, config)
 
 
 def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
@@ -477,7 +471,7 @@ def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int
     eps_inner = abs(1.0 - alpha) * epsilon
     tp = estimate_trace_power(oracle, alpha, r, eps_inner, config)
     return _report("tsallis", (oracle,), alpha, float((tp.estimate - 1.0) / (1.0 - alpha)),
-                   epsilon, tp.parameters, tp.ledger, config)
+                   epsilon, tp.parameters, tp.ledger, tp.expected_complexity, config)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +495,7 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
                               2.0 * eps1 / delta, 0, {"eps1": OP_FLOORS["rank_eps"]})
     d = (degree_formula("neg-power", delta / 2.0, eps1, c=0.5)
          + degree_formula("support-indicator", delta / 2.0, eps1))
-    ledger = _qsvt_ledger(oracle, ae_repetitions(1.0, eps2), d, "O~(1 / (delta^2 eps))")
+    ledger = _single_oracle_ledger(oracle, ae_repetitions(1.0, eps2), 2 * d, d)
 
     thr = eigenvalue_threshold_projector(oracle, delta / 2.0, op["eps1"])
     p_tilde, _ = trace_estimate(thr.oracle, 1.0, eps2, config)
@@ -509,7 +503,7 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
     w, _ = oracle.encoded.eigenpairs
     notes = (f"rank_delta(rho, {delta}) = {np.count_nonzero(w > delta)}",)
     return _report("rank", (oracle,), None, 8.0 * p_tilde / delta, epsilon, record,
-                   ledger, config, notes)
+                   ledger, "O~(1 / (delta^2 eps))", config, notes)
 
 
 def estimate_exact_rank(oracle: PurifiedAccessOracle, kappa: float,
@@ -543,9 +537,7 @@ def estimate_max_entropy(oracle: PurifiedAccessOracle, delta: float, epsilon: fl
     expected = "O~(kappa^2 / eps)" if kappa is not None else "O~(1 / (delta^2 eps))"
     return _report("max-entropy", (oracle,), None,
                    float(np.log(max(rank_rep.estimate, 0.5))), epsilon,
-                   rank_rep.parameters,
-                   replace(rank_rep.ledger, expected_complexity=expected), config,
-                   notes)
+                   rank_rep.parameters, rank_rep.ledger, expected, config, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -641,27 +633,23 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
         lambda op: {"eps3": epsilon * op["delta1"] / (8.0 if even else 32.0)})
     q1 = (degree_formula("neg-power", analysis["delta1"], analysis["eps1"], c=0.5)
           + degree_formula("support-indicator", analysis["delta1"], analysis["eps1"]))
-    reps = ae_repetitions(analysis["delta1"], analysis["eps3"])
-    pair_query = tree_sum(tree_query(oracle_rho.label), tree_query(oracle_sigma.label))
     if even:
-        tree = tree_repeat(reps, tree_repeat(q1 * int(round(alpha)), pair_query))
+        per_state = q1 * int(round(alpha))
         expected = "O~(r^3 / eps^4)"
     else:
         q2 = (degree_formula("pos-power", analysis["delta2"], analysis["eps2"])
               + degree_formula("support-indicator", analysis["delta2"], analysis["eps2"]))
-        tree = tree_repeat(reps, tree_repeat(q1, tree_repeat(
-            q2 + max(1, math.ceil(alpha)), pair_query)))
+        per_state = q1 * (q2 + max(1, math.ceil(alpha)))
         if 0 < alpha < 1:
             expected = ("O~(r^(5/a) / eps^(5/a + 1)) or "
                         "O~(r^(5/a + (1-a)/2) / eps^(5/a + 1)); both stated forms recorded")
         else:
             expected = "O~(r^(3 + 1/frac) / eps^(4 + 1/frac))"
-    labels = {oracle_rho.label, oracle_sigma.label}
-    ledger = ResourceLedger.from_tree(
-        tree, controlled={lab: 2 * reps for lab in labels},
-        gates=reps * q1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits),
-        gate_expression=f"M * Q1 * poly(n) = {reps} * {q1} * ...",
-        expected=expected)
+    reps = ae_repetitions(analysis["delta1"], analysis["eps3"])
+    per_round = (QueryCost.of(oracle_rho.label, per_state, controlled=2)
+                 + QueryCost.of(oracle_sigma.label, per_state, controlled=2))
+    gates = q1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits)
+    ledger = per_round.plus_gates(gates).scaled(reps)
 
     mu_oracle = linear_combination_density([0.5, 0.5], [oracle_rho, oracle_sigma],
                                            label="mu")
@@ -676,7 +664,7 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
     eta = evolve(thr.oracle, half.as_scale_one(), label="eta")
     p_tilde, _ = trace_estimate(eta, op["delta1"], op["eps3"], config)
     return _report("trace-distance", (oracle_rho, oracle_sigma), alpha,
-                   rescale * p_tilde, epsilon, record, ledger, config)
+                   rescale * p_tilde, epsilon, record, ledger, expected, config)
 
 
 def trace_distance_truncation_bound(nu: np.ndarray, mu: np.ndarray, alpha: float,
@@ -688,7 +676,8 @@ def trace_distance_truncation_bound(nu: np.ndarray, mu: np.ndarray, alpha: float
     abs_nu_a = nm.matrix_function(nu, lambda x: np.abs(x) ** alpha)
     measured = float(sum((v[:, i].conj() @ abs_nu_a @ v[:, i]).real
                          for i in np.nonzero(drop)[0]))
-    bound = 2.0 * nm.operator_rank(mu) * delta ** (min(alpha, 1.0) / 2.0)
+    rank = int(np.count_nonzero(np.abs(w) > 1e-10))   # operator_rank(mu), from this w
+    bound = 2.0 * rank * delta ** (min(alpha, 1.0) / 2.0)
     return measured, bound
 
 
@@ -749,15 +738,11 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
                             c=(1.0 - alpha) / 2.0)
         b_ae = analysis["delta1"] ** (1.0 - alpha) + r * (analysis["delta1"] + analysis["eps1"])
         reps = ae_repetitions(b_ae, analysis["eps2"])
-        tree = tree_repeat(reps, tree_repeat(d1, tree_sum(
-            tree_query(lab_s, b_int), tree_query(lab_r, 1))))
-        n_r, n_s = oracle_rho.total_qubits, oracle_sigma.total_qubits
-        ledger = ResourceLedger.from_tree(
-            tree, controlled={lab_r: 2 * reps, lab_s: 2 * reps},
-            gates=reps * d1 * (n_r + n_s),
-            gate_expression=f"M * d1 * ((n + a)_rho + (n + a)_sigma) = "
-                            f"{reps} * {d1} * ({n_r} + {n_s})",
-            expected="O~(r^((3-a)/2a) / eps^((3+a)/2a))")
+        per_round = (QueryCost.of(lab_s, d1 * b_int, controlled=2)
+                     + QueryCost.of(lab_r, d1, controlled=2))
+        gates = d1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits)
+        ledger = per_round.plus_gates(gates).scaled(reps)
+        expected = "O~(r^((3-a)/2a) / eps^((3+a)/2a))"
 
         u_beta = encoding_power(block_encode_density(oracle_sigma), b_int)
         eta = evolve(oracle_rho, u_beta, label="eta")
@@ -795,17 +780,11 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
                             c=(1.0 - alpha) / 2.0)
         b_ae = analysis["delta2"] ** (1.0 - alpha)
         reps = ae_repetitions(b_ae, analysis["eps3"])
-        tree = tree_repeat(reps, tree_repeat(q2, tree_sum(
-            tree_repeat(q1, tree_query(lab_s)),
-            tree_query(lab_s, b_floor),
-            tree_query(lab_r, 1))))
+        per_round = (QueryCost.of(lab_s, q2 * (q1 + b_floor), controlled=2)
+                     + QueryCost.of(lab_r, q2, controlled=2))
+        ledger = per_round.plus_gates(q1 * q2).scaled(reps)
         expected = ("O~(r^((3-a)/2a + 1/(a frac)) / eps^((3+a)/2a + 1/(a frac))) "
                     "to U_sigma; O~(r^((3-a)/2a) / eps^((3+a)/2a)) to U_rho")
-        ledger = ResourceLedger.from_tree(
-            tree, controlled={lab_r: 2 * reps, lab_s: 2 * reps},
-            gates=reps * q1 * q2,
-            gate_expression=f"M * Q1 * Q2 = {reps} * {q1} * {q2}",
-            expected=expected)
 
         u_beta = power_unitary(block_encode_density(oracle_sigma), beta,
                                op["delta1"], op["eps1"])
@@ -816,7 +795,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         estimate = 4.0 ** (alpha + 1.0) * op["delta2"] ** (alpha - 1.0) * p_tilde
 
     return _report("fidelity", (oracle_rho, oracle_sigma), alpha, estimate, epsilon,
-                   record, ledger, config)
+                   record, ledger, expected, config)
 
 
 def weyl_perturbation_bound(a: np.ndarray, b: np.ndarray,

@@ -1,15 +1,15 @@
 """Query and gate accounting for oracles, encodings, and estimators.
 
-Low-level objects carry a ``QueryCost`` that composes additively through the
-calculus; top-level estimators assemble a ``ResourceLedger`` whose counts are
-evaluated from the per-estimator formulas (degree formulas times amplitude-
-estimation repetitions) and whose tree can be replayed to re-derive them.
+One cost algebra, ``QueryCost``, serves both levels.  Oracles and encodings
+carry a cost that composes additively through the calculus; each estimator's
+ledger is a ``QueryCost`` evaluated from its formulas (degree formulas times
+amplitude-estimation repetitions).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _merge(a: tuple, b: tuple, k: int = 1) -> tuple:
@@ -21,7 +21,8 @@ def _merge(a: tuple, b: tuple, k: int = 1) -> tuple:
 
 @dataclass(frozen=True)
 class QueryCost:
-    """Additive oracle-query and gate counter attached to values."""
+    """Additive oracle-query and gate counter attached to values and
+    reported as an estimator's ledger."""
 
     queries: tuple = ()        # ((oracle label, count to U and U^dag), ...)
     controlled: tuple = ()
@@ -46,10 +47,21 @@ class QueryCost:
     def plus_gates(self, gates: int) -> "QueryCost":
         return QueryCost(self.queries, self.controlled, self.gates + gates)
 
+    def transformed(self, degree: int, width: int) -> "QueryCost":
+        """Cost of a degree-d eigenvalue transform of an encoding with this
+        cost: 2d uses of U and U^dag, one controlled use of U, and d gates on
+        each of ``width`` qubits."""
+        return self.scaled(2 * degree) + QueryCost(controlled=self.queries,
+                                                   gates=width * degree)
+
     def query_count(self, label: str | None = None) -> int:
         if label is None:
             return sum(c for _, c in self.queries)
         return dict(self.queries).get(label, 0)
+
+    def as_dict(self) -> dict:
+        return {"queries": dict(self.queries), "controlled": dict(self.controlled),
+                "gates": self.gates}
 
 
 # ---------------------------------------------------------------------------
@@ -72,66 +84,3 @@ def ae_repetitions(bound: float, epsilon: float) -> int:
         raise ValueError("need epsilon > 0 and bound >= 0")
     return math.ceil(2.0 * math.pi * (2.0 * math.sqrt(bound) / epsilon
                                       + 1.0 / math.sqrt(epsilon)))
-
-
-def tree_query(label: str, count: int = 1) -> dict:
-    return {"op": "query", "label": label, "count": int(count)}
-
-
-def tree_repeat(times: int, body: dict) -> dict:
-    return {"op": "repeat", "times": int(times), "body": body}
-
-
-def tree_sum(*parts: dict) -> dict:
-    return {"op": "sum", "parts": list(parts)}
-
-
-def replay_tree(tree: dict) -> dict[str, int]:
-    """Evaluate a cost tree to per-oracle query counts."""
-    if tree["op"] == "query":
-        return {tree["label"]: tree["count"]}
-    if tree["op"] == "repeat":
-        inner = replay_tree(tree["body"])
-        return {k: tree["times"] * v for k, v in inner.items()}
-    if tree["op"] == "sum":
-        out: dict[str, int] = {}
-        for part in tree["parts"]:
-            for k, v in replay_tree(part).items():
-                out[k] = out.get(k, 0) + v
-        return out
-    raise ValueError(f"unknown tree op {tree['op']!r}")
-
-
-@dataclass(frozen=True)
-class ResourceLedger:
-    """Per-oracle query counters plus the symbolic gate-count expression."""
-
-    queries: tuple = ()            # ((label, count), ...)
-    controlled: tuple = ()
-    gates: int = 0
-    gate_expression: str = "0"
-    tree: dict = field(default_factory=dict)
-    expected_complexity: str = ""
-
-    @staticmethod
-    def from_tree(tree: dict, controlled: dict | None = None, gates: int = 0,
-                  gate_expression: str = "0", expected: str = "") -> "ResourceLedger":
-        counts = replay_tree(tree)
-        return ResourceLedger(
-            queries=tuple(sorted(counts.items())),
-            controlled=tuple(sorted((controlled or {}).items())),
-            gates=gates, gate_expression=gate_expression,
-            tree=tree, expected_complexity=expected)
-
-    def query_count(self, label: str | None = None) -> int:
-        if label is None:
-            return sum(c for _, c in self.queries)
-        return dict(self.queries).get(label, 0)
-
-    def replay_matches(self) -> bool:
-        return dict(self.queries) == replay_tree(self.tree)
-
-    def as_dict(self) -> dict:
-        return {"queries": dict(self.queries), "controlled": dict(self.controlled),
-                "gates": self.gates, "gate_expression": self.gate_expression,
-                "tree": self.tree, "expected_complexity": self.expected_complexity}

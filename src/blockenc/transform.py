@@ -71,15 +71,14 @@ def _require_admissible(p: CertifiedPolynomial):
 def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformResult:
     """(1, a+2, precision)-block-encoding of P(A) from a scale-1 encoding of A.
 
-    Charges d queries to U and U^dag and one controlled query.
+    Charges the degree-d transform cost: 2d uses of U and U^dag and one
+    controlled use.
     """
     if abs(u.scale - 1.0) > 1e-12:
         raise ValidationError("QSVT needs a scale-1 block-encoding")
     _require_admissible(p)
     pa = matrix_function(u.matrix, lambda w: p(np.clip(w, -1.0, 1.0)), tol=1e-8)
-    d = p.degree
-    cost = u.cost.scaled(2 * d) + QueryCost(controlled=u.cost.queries,
-                                            gates=(u.realized_ancillas + 1) * d)
+    cost = u.cost.transformed(p.degree, u.realized_ancillas + 1)
     out = dilate(pa, cost=cost, declared_ancillas=u.ancillas + 2,
                  declared_error=QSVT_PRECISION)
     return TransformResult(result=out, declared_error=QSVT_PRECISION, scale=1.0)
@@ -92,15 +91,12 @@ def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial) -> Transf
     P reads an eigenvalue above one (by at most the input's trace tolerance)
     as one.
     The composition constant from the proof is 5/2, so the declared error of
-    the prepared operator is 2.5 * QSVT_PRECISION.  Charges O(d): 2d queries plus
-    two controlled queries.
+    the prepared operator is 2.5 * QSVT_PRECISION.  Charges the degree-d
+    transform cost: 2d uses of the oracle and its inverse and one controlled use.
     """
     _require_admissible(p)
     w, v = oracle.encoded.eigenpairs
-    d = p.degree
-    cost = oracle.cost.scaled(2 * d) + QueryCost(
-        controlled=oracle.cost.queries,
-        gates=(oracle.total_qubits + 1) * d)
+    cost = oracle.cost.transformed(p.degree, oracle.total_qubits + 1)
     out = SubnormalizedDensityOperator(v * (np.sqrt(w) * p(np.minimum(w, 1.0))),
                                        oracle.system_qubits)
     return TransformResult(result=purification_of(out, label=oracle.label, cost=cost),
@@ -160,7 +156,8 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
     Composes the positive-power approximant with the support indicator via a
     product of two transforms; err evaluates the proof's three regions at the
     actual certified errors: max(eP + eR/2, eR + delta^c/2, eP + (2 delta)^c/2),
-    doubled by the scale.  Charges deg(P) + deg(R) queries plus two controlled.
+    doubled by the scale.  Charges the transform cost at degree
+    d = deg(P) + deg(R): 2d uses of U and U^dag and one controlled use.
     The target |A|^c is decomposed afresh only when a check reads it.
     """
     if not 0 < c < 1:
@@ -185,9 +182,7 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
     err_block = max(e_p + 0.5 * e_r,
                     e_r + 0.5 * delta ** c,
                     e_p + 0.5 * (2.0 * delta) ** c) + 2.0 * QSVT_PRECISION
-    d_total = p.degree + r.degree
-    cost = u.cost.scaled(2 * d_total) + QueryCost(
-        controlled=u.cost.queries, gates=(u.realized_ancillas + 1) * d_total)
+    cost = u.cost.transformed(p.degree + r.degree, u.realized_ancillas + 1)
     out = dilate(bc, target=target, cost=cost, declared_ancillas=2 * u.ancillas + 4,
                  scale=2.0, declared_error=2.0 * err_block)
     return TransformResult(result=out, declared_error=2.0 * err_block, scale=2.0)

@@ -112,6 +112,7 @@ def test_estimate_von_neumann_maximally_mixed(tmp_path):
     rep = json.load(open(out))["report"]
     assert abs(rep["estimate"] - np.log(4)) <= 0.1
     assert rep["ledger"]["queries"]["rho"] > 0
+    assert set(rep["ledger"]) == {"queries", "controlled", "gates", "expected_complexity"}
 
 
 def test_estimate_trace_distance_identical_files(tmp_path):
