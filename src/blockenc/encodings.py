@@ -6,10 +6,12 @@ ancilla register.  Each composition rule computes the composed operator and
 its query cost, which is all the estimators read; its literal circuit is built,
 under the dimension cap, the first time ``.unitary`` is read.  A density
 operator A is held as its purification factor F, with A = F F^dag: an input
-matrix is decomposed once, a rule that makes a new operator (evolution,
-embedding, a convex mixture, a spectral transform) maps its input's factor,
-and a purification reads the factor directly.  Dense matrices are built only
-when read.
+matrix is factored once, by pivoted Cholesky in O(N^2 k), a rule that makes a
+new operator (evolution, embedding, a convex mixture, a spectral transform)
+maps its input's factor, and a purification reads the factor directly.  A
+block-encoding carries the support its block lives on, so a transform of the
+block decomposes a k x k compression, not an N x N matrix.  Dense matrices are
+built only when read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (ValidationError, as_matrix, dimension_cap, partial_trace,
-                       require_square, spectral_decompose, spectral_norm)
+                       require_hermitian, require_square, spectral_norm)
 from .resources import QueryCost
 
 PSD_TOL = 1e-9
@@ -91,13 +93,39 @@ def unitary_from_first_column(psi: np.ndarray) -> np.ndarray:
     return q
 
 
+def _pivoted_cholesky(h: np.ndarray, cut: float = 1e-14) -> np.ndarray:
+    """F (N x k) with F F^dag ~ h, by Cholesky with complete pivoting, in O(N k^2).
+
+    Each step takes the largest remaining diagonal entry as the pivot, forms
+    its column of the factor and updates the diagonal; it stops when the
+    largest pivot is at most ``cut`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 10.3; Lucas, LAPACK Working Note 161).  Columns
+    are held as the rows of ``lt`` so each one is contiguous.
+    """
+    n = h.shape[0]
+    d = h.diagonal().real.copy()
+    lt = np.empty((n, n), dtype=complex)
+    k = 0
+    while k < n:
+        p = int(np.argmax(d))
+        if d[p] <= cut:
+            break
+        # column p of h minus the part the factor already carries (h is Hermitian)
+        col = h[p].conj() - lt[:k, p].conj() @ lt[:k]
+        lt[k] = col / np.sqrt(d[p])
+        d -= np.abs(lt[k]) ** 2
+        d[p] = 0.0
+        k += 1
+    return np.ascontiguousarray(lt[:k].T)
+
+
 @dataclass(frozen=True)
 class SubnormalizedDensityOperator:
     """PSD operator A = F F^dag with trace at most one on n qubits, held as its
     purification factor F (2^n x k; k = 0 is the zero operator).  ``from_matrix``
-    is the one path that decomposes a matrix; a rule that makes a new operator
-    maps its input's factor.  The dense ``matrix`` and the ``eigenpairs`` are
-    computed the first time they are read.
+    is the one path that factors a matrix; a rule that makes a new operator
+    maps its input's factor.  The dense ``matrix`` and the ``eigenpairs`` (a
+    thin SVD of F) are computed the first time they are read.
     """
 
     factor: np.ndarray = field(repr=False)
@@ -116,17 +144,22 @@ class SubnormalizedDensityOperator:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "SubnormalizedDensityOperator":
-        """Validate a PSD matrix and hold it as F = V sqrt(w) on its support."""
-        m = require_square(m)
-        n = _qubits(m.shape[0], "state")
-        w, v = spectral_decompose(m)
-        if w[-1] < -PSD_TOL * max(1.0, float(np.abs(w).max())):
-            raise ValidationError(f"operator is not PSD within tolerance (min eig {w[-1]:.3e})")
-        s = w > 1e-14
-        a = SubnormalizedDensityOperator(v[:, s] * np.sqrt(w[s]), n)
+        """Validate a PSD matrix and hold it as its pivoted Cholesky factor.
+
+        The PSD test is the residual ||H - F F^dag||_F <= PSD_TOL max(1, ||H||_F)
+        of the Hermitian part H: the nearest PSD matrix to H is its positive
+        part, so the residual bounds the most negative eigenvalue of H.
+        """
+        h = require_hermitian(m)
+        n = _qubits(h.shape[0], "state")
+        f = _pivoted_cholesky(h)
+        residual = float(np.linalg.norm(h - f @ f.conj().T))
+        if residual > PSD_TOL * max(1.0, float(np.linalg.norm(h))):
+            raise ValidationError(f"operator is not PSD within tolerance "
+                                  f"(residual {residual:.3e})")
+        a = SubnormalizedDensityOperator(f, n)
         # the validated Hermitian input reads back unchanged
-        a.__dict__["matrix"] = (m + m.conj().T) / 2.0
-        a.__dict__["eigenpairs"] = (w[s], v[:, s])
+        a.__dict__["matrix"] = h
         return a
 
     @cached_property
@@ -206,7 +239,9 @@ class UnitaryBlockEncoding:
     (only ``check`` reads the target).  ``ancillas`` is the declared contract
     used by the ledger; the circuit may use another register (a dilation uses
     one qubit), and block() always projects the built unitary on the realized
-    one.
+    one.  ``support`` is an orthonormal basis Q (N x k) outside which the block
+    vanishes, so a transform decomposes only the k x k compression Q^dag B Q;
+    None is the whole space.
     """
 
     matrix: np.ndarray
@@ -219,6 +254,7 @@ class UnitaryBlockEncoding:
     target_builder: Callable[[], np.ndarray] | None = field(default=None, repr=False,
                                                           compare=False)
     cost: QueryCost = field(default_factory=QueryCost)
+    support: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if np.shape(self.matrix) != (2 ** self.system_qubits,) * 2:
@@ -321,17 +357,20 @@ def purification_of(a, label: str = "oracle",
 
 def dilate(m: np.ndarray, target: Callable[[], np.ndarray] | None = None,
            cost: QueryCost | None = None, declared_ancillas: int | None = None,
-           scale: float = 1.0, declared_error: float = 0.0) -> UnitaryBlockEncoding:
+           scale: float = 1.0, declared_error: float = 0.0,
+           norm: float | None = None) -> UnitaryBlockEncoding:
     """Exact two-block unitary dilation of a contraction (one extra qubit).
 
-    The norm is checked on the call.  The dilation is built from the SVD, so
-    it is unitary to machine precision; singular values within tolerance
-    above one are clamped.  ``target`` builds the contract's target when a
-    check reads it; by default the target is m.
+    The norm is checked on the call; a caller that has decomposed m passes
+    its ``norm``, and an SVD computes it otherwise.  The dilation is built
+    from the SVD, so it is unitary to machine precision; singular values
+    within tolerance above one are clamped.  ``target`` builds the contract's
+    target when a check reads it; by default the target is m.
     """
     m = require_square(m)
     n = _qubits(m.shape[0], "contraction")
-    norm = spectral_norm(m)
+    if norm is None:
+        norm = spectral_norm(m)
     if norm > 1.0 + PSD_TOL:
         raise ValidationError(f"operator norm {norm:.6f} exceeds one")
 
@@ -362,7 +401,8 @@ def identity_encoding(n: int) -> UnitaryBlockEncoding:
 
 
 def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
-    """(1, n+a, 0)-block-encoding of the oracle's operator.
+    """(1, n+a, 0)-block-encoding of the oracle's operator, supported on the
+    operator's eigenvectors.
 
     Swaps a fresh system register into the prepared purification, controlled
     on the block ancillas being |0>; branches with nonzero block ancillas flag
@@ -404,7 +444,8 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
         ancillas=ancillas, realized_ancillas=ancillas + flag,
         scale=1.0, declared_error=0.0, target_builder=lambda: oracle.encoded.matrix,
         cost=(oracle.cost + oracle.cost).plus_gates(
-            oracle.block_ancillas + oracle.purifying_ancillas))
+            oracle.block_ancillas + oracle.purifying_ancillas),
+        support=oracle.encoded.eigenpairs[1])
 
 
 def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
@@ -623,6 +664,7 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
 
     Output contract (alpha beta, a+b, alpha eps1 + alpha beta eps2) on
     sum_k y_k A_k; one query to each controlled input and to the pair members.
+    The support is one thin QR of the inputs' supports.
     """
     if len(encodings) == 0:
         raise ValidationError("need at least one encoding")
@@ -644,6 +686,9 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         cost = cost + e.cost
     weights = pair.left_unitary[:, 0].conj() * pair.right_unitary[:, 0]
     combined = sum(wk * e.matrix for wk, e in zip(weights, encodings))
+    support = None
+    if all(e.support is not None for e in encodings):
+        support = np.linalg.qr(np.hstack([e.support for e in encodings]))[0]
 
     def build():
         sub = dim_n * dim_a
@@ -665,4 +710,4 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         scale=alpha * pair.norm_bound, declared_error=err,
         target_builder=(target if all(e.target_builder is not None for e in encodings)
                         else None),
-        cost=cost)
+        cost=cost, support=support)

@@ -30,12 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.fft import dct
-from scipy.special import erf, erfcinv, gammaln
 
 from .numerics import ValidationError
 from .resources import degree_formula
@@ -137,12 +136,20 @@ def _global_grid(degree: int) -> np.ndarray:
     return np.concatenate([base, extrema, -extrema])
 
 
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Unnormalized type-2 DCT, y_k = 2 sum_j x_j cos(pi k (2j + 1) / 2n), from
+    one real FFT of the even extension [x, x reversed]."""
+    n = x.size
+    spectrum = np.fft.rfft(np.concatenate([x, x[::-1]]))[:n]
+    return (spectrum * np.exp(-0.5j * np.pi * np.arange(n) / n)).real
+
+
 def _chebyshev_fit(func: Callable[[np.ndarray], np.ndarray], degree: int) -> np.ndarray:
     """Coefficients of the degree-d Chebyshev interpolant at first-kind nodes."""
     n = degree + 1
     nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     vals = np.asarray(func(nodes), dtype=float)
-    coeffs = dct(vals, type=2) / n
+    coeffs = _dct2(vals) / n
     coeffs[0] /= 2.0
     return coeffs
 
@@ -233,7 +240,7 @@ def _inverse_power_quadrature(a: float, y_min: float, eps: float,
     # (exp(-yt) ~ 1 there up to relative y t_min); this stays well-posed for
     # arbitrarily small exponents where a t_min^(1/a) cutoff would underflow
     t_min = min(eps * 1e-4, 0.25)
-    w_zero = np.exp(a * np.log(t_min) - gammaln(a + 1.0))
+    w_zero = np.exp(a * np.log(t_min) - math.lgamma(a + 1.0))
     h = (np.pi ** 2) / (np.log(40.0 / eps) + 4.0)
 
     def nodes(lam_val):
@@ -241,7 +248,7 @@ def _inverse_power_quadrature(a: float, y_min: float, eps: float,
         n = int(np.ceil((hi - lo) / h)) + 1
         u = lo + h * np.arange(n)
         u = u[u <= hi + 1e-12]
-        w = h * np.exp(a * u - gammaln(a))
+        w = h * np.exp(a * u - math.lgamma(a))
         w[0] *= 0.5
         w[-1] *= 0.5
         return (np.concatenate([[0.0], np.exp(u)]),
@@ -250,7 +257,7 @@ def _inverse_power_quadrature(a: float, y_min: float, eps: float,
     t, w = nodes(lam)
     if lam_cap is not None and w.sum() > 0:
         # one correction pass so the discrete mixture value at y = 0 hits the cap
-        target_sum = (lam_cap / y_min) ** a / (a * np.exp(gammaln(a)))
+        target_sum = (lam_cap / y_min) ** a / (a * np.exp(math.lgamma(a)))
         excess = w.sum() / target_sum
         if excess > 1.0:
             t, w = nodes(lam / excess ** (1.0 / a))
@@ -267,9 +274,22 @@ def _gaussian_mixture(x: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray
     return out if np.ndim(x) else float(out[0])
 
 
+_ERF = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erf(x) -> np.ndarray:
+    """The error function, elementwise."""
+    return np.asarray(_ERF(x), dtype=float)
+
+
+def _erfcinv(y: float) -> float:
+    """Inverse of the complementary error function: erfc(x) = y for y in (0, 2)."""
+    return -NormalDist().inv_cdf(y / 2.0) / math.sqrt(2.0)
+
+
 def _erf_band(x: np.ndarray, center: float, k: float) -> np.ndarray:
     """Smooth even indicator of |x| <= center with transition scale 1/k."""
-    return (erf(k * (center - x)) + erf(k * (center + x))) / 2.0
+    return (_erf(k * (center - x)) + _erf(k * (center + x))) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +338,7 @@ def approx_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPo
     lam_cap = None
     if windowless:
         # (delta^c / 2) * sum(w) ~ bulge_coeff * lam^(c/2); keep it below 0.96
-        bulge_coeff = (2.0 / c) / (2.0 * np.exp(gammaln(c / 2.0)))
+        bulge_coeff = (2.0 / c) / (2.0 * np.exp(math.lgamma(c / 2.0)))
         lam_cap = (0.96 / bulge_coeff) ** (2.0 / c)
     t, w = _inverse_power_quadrature(c / 2.0, delta ** 2, epsilon / 2.0, lam_cap)
     if windowless:
@@ -326,7 +346,7 @@ def approx_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPo
             return (delta ** c / 2.0) * _gaussian_mixture(x, t, w)
     else:
         width = delta / (4.0 * max(1.0, np.sqrt(c)))
-        k = erfcinv(min(epsilon, 0.1) / 2.0) / width
+        k = _erfcinv(min(epsilon, 0.1) / 2.0) / width
         center = delta - 2.0 * width
 
         def surrogate(x):
@@ -349,7 +369,7 @@ def approx_threshold(t: float, delta: float, epsilon: float) -> CertifiedPolynom
         raise ValidationError("threshold needs delta, epsilon in (0, 1/2)")
     if not 0 < t - delta < t + delta < 1:
         raise ValidationError(f"band constraints violated: t={t}, delta={delta}")
-    k = erfcinv(epsilon / 2.0) / delta
+    k = _erfcinv(epsilon / 2.0) / delta
 
     def surrogate(x):
         return _erf_band(np.asarray(x, dtype=float), t, k)
@@ -382,7 +402,7 @@ def approx_support_indicator(delta: float, epsilon: float) -> CertifiedPolynomia
     """Even R ~ 1 for |x| >= 2 delta, ~ 0 for |x| <= delta."""
     _check_range("delta", delta, 0.0, 0.25)
     _check_range("epsilon", epsilon, 0.0, 0.25)
-    k = 2.0 * erfcinv(epsilon / 2.0) / delta
+    k = 2.0 * _erfcinv(epsilon / 2.0) / delta
 
     def surrogate(x):
         return 1.0 - _erf_band(np.asarray(x, dtype=float), 1.5 * delta, k)
@@ -395,7 +415,7 @@ def approx_interior_indicator(delta: float, epsilon: float) -> CertifiedPolynomi
     """Even R ~ 1 on [-1+2 delta, 1-2 delta], ~ 0 for |x| >= 1 - delta."""
     _check_range("delta", delta, 0.0, 0.25)
     _check_range("epsilon", epsilon, 0.0, 0.25)
-    k = 2.0 * erfcinv(epsilon / 2.0) / delta
+    k = 2.0 * _erfcinv(epsilon / 2.0) / delta
 
     def surrogate(x):
         return _erf_band(np.asarray(x, dtype=float), 1.0 - 1.5 * delta, k)
@@ -457,7 +477,7 @@ def approx_taylor(series: np.ndarray, x0: float, r: float, delta: float,
     if windowed:
         t_max = float(np.abs(t_poly(np.linspace(-1, 1, 2001))).max())
         suppress = max(epsilon / (4.0 * max(t_max, 1.0)), 1e-300)
-        k = erfcinv(suppress) * 4.0 / delta
+        k = _erfcinv(suppress) * 4.0 / delta
 
         def surrogate(x):
             x = np.asarray(x, dtype=float)

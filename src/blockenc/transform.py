@@ -4,12 +4,14 @@ Polynomial transforms are realized semantically, while query costs are
 charged per the originating analysis.  A density transform maps the input
 operator's eigenpairs, read from a thin SVD of its purification factor, to the
 output's factor, so no dense matrix is decomposed; a unitary transform
-decomposes the encoded block once and applies the polynomial to its spectrum
-in a dilation.  Circuits are built only if ``.unitary`` is read.  No
-phase-factor sequences are synthesized; the circuit-precision parameter
-becomes the declared ``QSVT_PRECISION``.  Every declared error bound is the
-proof's final inequality chain evaluated with the actual certified polynomial
-errors, with explicit constants instead of Theta(.)s.
+decomposes the k x k compression of the encoded block to its support, applies
+the polynomial to that spectrum and its value at zero to the complement, and
+dilates the result with the norm it has read off.  Circuits are built only if
+``.unitary`` is read.  No phase-factor sequences are synthesized; the
+circuit-precision parameter becomes the declared ``QSVT_PRECISION``.  Every
+declared error bound is the proof's final inequality chain evaluated with the
+actual certified polynomial errors, with explicit constants instead of
+Theta(.)s.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 from .encodings import (PurifiedAccessOracle, SubnormalizedDensityOperator,
                         UnitaryBlockEncoding, dilate, encoding_power, product,
                         purification_of)
-from .numerics import ValidationError, matrix_function, spectral_norm
+from .numerics import (ValidationError, matrix_function, spectral_decompose,
+                       spectral_norm)
 from .polyapprox import (CertifiedPolynomial, approx_negative_power,
                          approx_positive_power, approx_support_indicator,
                          certified, multiply)
@@ -68,6 +71,31 @@ def _require_admissible(p: CertifiedPolynomial):
             f"polynomial bound {p.global_bound:.6f} violates the QSVT limit {limit}")
 
 
+def _block_function(u: UnitaryBlockEncoding, f) -> tuple[np.ndarray, float]:
+    """f(B) for the Hermitian block B of ``u``, and its spectral norm.
+
+    B vanishes outside u.support = Q (N x k), so one decomposition of the
+    k x k compression Q^dag B Q = v diag(w) v^dag gives, with V = Q v,
+    f(B) = V diag(f(w) - f(0)) V^dag + f(0) I in O(N^2 k), and the norm
+    max|f(w)| together with |f(0)| when Q leaves a complement.  With the whole
+    space as the support this is the decomposition of B itself.
+    """
+    q = u.support
+    b = u.matrix if q is None else q.conj().T @ u.matrix @ q
+    w, v = spectral_decompose(b, tol=1e-8)
+    if q is not None:
+        v = q @ v
+    complement = v.shape[1] < v.shape[0]
+    fw = np.asarray(f(np.append(w, 0.0) if complement else w), dtype=float)
+    f0 = 0.0
+    if complement:
+        fw, f0 = fw[:-1], float(fw[-1])
+    out = (v * (fw - f0)) @ v.conj().T
+    out[np.diag_indices_from(out)] += f0
+    norm = max(float(np.abs(fw).max(initial=0.0)), abs(f0))
+    return (out + out.conj().T) / 2.0, norm
+
+
 def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformResult:
     """(1, a+2, precision)-block-encoding of P(A) from a scale-1 encoding of A.
 
@@ -77,10 +105,10 @@ def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformRe
     if abs(u.scale - 1.0) > 1e-12:
         raise ValidationError("QSVT needs a scale-1 block-encoding")
     _require_admissible(p)
-    pa = matrix_function(u.matrix, lambda w: p(np.clip(w, -1.0, 1.0)), tol=1e-8)
+    pa, norm = _block_function(u, lambda w: p(np.clip(w, -1.0, 1.0)))
     cost = u.cost.transformed(p.degree, u.realized_ancillas + 1)
     out = dilate(pa, cost=cost, declared_ancillas=u.ancillas + 2,
-                 declared_error=QSVT_PRECISION)
+                 declared_error=QSVT_PRECISION, norm=norm)
     return TransformResult(result=out, declared_error=QSVT_PRECISION, scale=1.0)
 
 
@@ -173,7 +201,7 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
         w = np.clip(w, -1.0, 1.0)
         return p(w) * r(w)
 
-    bc = matrix_function(u.matrix, pr, tol=1e-8)
+    bc, norm = _block_function(u, pr)
 
     def target():
         return matrix_function(u.matrix, lambda x: np.abs(x) ** c, tol=1e-8)
@@ -184,7 +212,7 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
                     e_p + 0.5 * (2.0 * delta) ** c) + 2.0 * QSVT_PRECISION
     cost = u.cost.transformed(p.degree + r.degree, u.realized_ancillas + 1)
     out = dilate(bc, target=target, cost=cost, declared_ancillas=2 * u.ancillas + 4,
-                 scale=2.0, declared_error=2.0 * err_block)
+                 scale=2.0, declared_error=2.0 * err_block, norm=norm)
     return TransformResult(result=out, declared_error=2.0 * err_block, scale=2.0)
 
 

@@ -6,14 +6,27 @@ import pytest
 from blockenc import encodings, numerics
 
 
+class LinalgCalls(collections.Counter):
+    """Call counts by function name; ``shapes`` lists (name, input shape) per call."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = []
+
+    def clear(self):
+        super().clear()
+        self.shapes.clear()
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Counter of the eigh, eigvalsh, svd and SVD spectral-norm calls made from here on."""
-    calls = collections.Counter()
+    calls = LinalgCalls()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            calls.shapes.append((name, np.shape(args[0])))
             return fn(*args, **kwargs)
         return wrapper
 

@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,20 @@ from blockenc.fixtures import maximally_mixed, shared_support_pair
 
 def run(argv):
     return cli.main(argv)
+
+
+def test_cli_import_loads_no_scipy():
+    # the package depends on numpy alone; a fresh process shows what it loads
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, blockenc.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
 
 
 def write_state(tmp_path, name, matrix=None, kind="explicit-matrix", payload=None,

@@ -55,13 +55,17 @@ def test_density_operator_is_decomposed_once(linalg_calls):
     rho = floored_spectrum_state(16, 4, np.random.default_rng(3))
     a = enc.SubnormalizedDensityOperator.from_matrix(rho)
     # rho is Hermitian only up to rounding; its Frobenius defect is far below
-    # the tolerance, so the Hermiticity test takes no norm
-    assert dict(linalg_calls) == {"eigh": 1}
-    linalg_calls.clear()
+    # the tolerance, so the Hermiticity test takes no norm, and the factor is
+    # a pivoted Cholesky factor, so nothing is decomposed
+    assert dict(linalg_calls) == {}
+    assert a.factor.shape == (16, 4)
     enc.SubnormalizedDensityOperator.from_matrix(a.matrix)
-    assert dict(linalg_calls) == {"eigh": 1}
-    linalg_calls.clear()
+    assert dict(linalg_calls) == {}
+    # the eigenpairs are one thin SVD of the factor, read once
     w, v = a.eigenpairs
+    assert linalg_calls.shapes == [("svd", (16, 4))]
+    linalg_calls.clear()
+    assert a.eigenpairs[0] is w
     assert w.size == 4 and np.all(np.diff(w) <= 0)
     assert np.linalg.norm((v * w) @ v.conj().T - a.matrix) < 1e-12
     assert np.linalg.norm(a.factor @ a.factor.conj().T - a.matrix) < 1e-12
@@ -73,6 +77,43 @@ def test_from_matrix_rejects_non_psd():
     m = np.diag([0.5, 0.3, 0.2 + 2 * enc.PSD_TOL, -2 * enc.PSD_TOL]).astype(complex)
     with pytest.raises(ValidationError, match="not PSD"):
         enc.SubnormalizedDensityOperator.from_matrix(m)
+
+
+def test_from_matrix_rejects_off_diagonal_negativity():
+    # a nonnegative diagonal with eigenvalues 1.1 and -0.1: the first pivot
+    # leaves a negative Schur complement, which only the residual sees
+    m = np.zeros((4, 4), dtype=complex)
+    m[:2, :2] = [[0.5, 0.6], [0.6, 0.5]]
+    with pytest.raises(ValidationError, match="not PSD"):
+        enc.SubnormalizedDensityOperator.from_matrix(m)
+
+
+def test_from_matrix_factors_a_full_rank_input():
+    a = enc.SubnormalizedDensityOperator.from_matrix(maximally_mixed(16))
+    assert a.factor.shape == (16, 16)
+    assert np.linalg.norm(a.factor @ a.factor.conj().T - maximally_mixed(16)) < 1e-15
+    assert np.allclose(a.eigenpairs[0], 1.0 / 16.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_from_matrix_with_eigenvalues_straddling_the_support_cut(rotated):
+    # eigenvalues above and below the 1e-14 cut
+    w = np.array([0.5, 0.3, 0.2 - 2.5e-14, 2e-14, 5e-15, 0.0, 0.0, 0.0])
+    u = haar_unitary(8, np.random.default_rng(4)) if rotated else np.eye(8)
+    m = (u * w) @ u.conj().T
+    a = enc.SubnormalizedDensityOperator.from_matrix(m)
+    assert np.linalg.norm(a.factor @ a.factor.conj().T - m) < 1e-13
+    assert abs(a.trace - 1.0) < 1e-13
+    if not rotated:
+        # the pivots are the diagonal: 2e-14 is kept, 5e-15 is cut
+        assert a.factor.shape == (8, 4)
+        assert np.allclose(a.eigenpairs[0], w[:4], rtol=1e-12, atol=0.0)
+
+
+def test_from_matrix_of_the_zero_matrix():
+    a = enc.SubnormalizedDensityOperator.from_matrix(np.zeros((4, 4), dtype=complex))
+    assert a.factor.shape == (4, 0) and a.trace == 0.0
+    assert a.eigenpairs[0].size == 0
 
 
 def _factor(case="valid"):

@@ -418,6 +418,25 @@ def test_estimators_build_no_circuit(monkeypatch, quantity, alpha):
         oracles[0].unitary
 
 
+@pytest.mark.parametrize("quantity, alpha", NO_CIRCUIT_CASES)
+def test_estimators_make_no_system_sized_decomposition(linalg_calls, quantity, alpha):
+    # inputs are factored by pivoted Cholesky, and a unitary transform
+    # decomposes only its block's compression to the block's support, so
+    # until the exact value is read every eigh, svd and spectral norm sees an
+    # array with a side below the dimension
+    dim = 256
+    rho, sigma = shared_support_pair(dim, 4, np.random.default_rng(3))
+    w = np.linalg.eigvalsh(rho)
+    linalg_calls.clear()
+    oracles = [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
+    rep = est.RUNNERS[quantity](oracles, [4, 4], 0.1, CFG, alpha=alpha,
+                                kappa=1.0 / w[w > 1e-10].min(), delta=0.05,
+                                epsilon_prime=0.1)
+    assert math.isfinite(rep.estimate)
+    assert linalg_calls.shapes
+    assert [s for s in linalg_calls.shapes if min(s[1]) >= dim] == []
+
+
 #: with the kappa routes these cases run every branch of every runner
 EVERY_BRANCH = NO_CIRCUIT_CASES + [("renyi", 0.0), ("tsallis", 0.0)]
 
@@ -512,12 +531,12 @@ def test_true_value_is_computed_once_when_read(monkeypatch, quantity, alpha):
 
 
 def test_von_neumann_estimate_decomposes_once(linalg_calls):
-    # the transform maps the input's eigenvalues and keeps its eigenvectors,
-    # and the exact value waits until the report is read
+    # the transform reads the input's eigenpairs from one thin SVD of its
+    # factor, and the exact value waits until the report is read
     oracle = oracle_for(floored_spectrum_state(16, 4, np.random.default_rng(3)))
     linalg_calls.clear()
     est.estimate_von_neumann(oracle, 4, 0.1, CFG)
-    assert dict(linalg_calls) == {}
+    assert linalg_calls.shapes == [("svd", (16, 4))]
 
 
 DECOMPOSITION_CASES = {
@@ -535,20 +554,24 @@ DECOMPOSITION_CASES = {
 
 
 @pytest.mark.parametrize("case, want", [
-    ("rank", {}), ("trace-power-0.5", {}),
-    # nu's block in the positive power, and the thin SVD of mu's factor
-    ("trace-distance-1", {"eigh": 1, "svd": 1, "spectral_norm": 1}),
-    # sigma's block in the positive power, and the thin SVD of the evolved factor
-    ("fidelity-0.5", {"eigh": 1, "svd": 1, "spectral_norm": 1}),
+    # the thin SVD of the input's factor
+    ("rank", {"svd": 1}), ("trace-power-0.5", {"svd": 1}),
+    # the thin SVDs of mu's, rho's and sigma's factors, and nu's 8 x 8
+    # compression to the joint support in the positive power
+    ("trace-distance-1", {"eigh": 1, "svd": 3}),
+    # sigma's 4 x 4 compression in the positive power, and the thin SVDs of
+    # sigma's and the evolved factor
+    ("fidelity-0.5", {"eigh": 1, "svd": 2}),
     ("distribution-oracle", {}),
-    # rho's block in the positive power
-    ("trace-power-2", {"eigh": 1, "spectral_norm": 1}),
-    ("trace-power-3", {}),
-    ("trace-distance-2", {"svd": 1}),
-    ("fidelity-0.2", {"svd": 1})])
+    # rho's 4 x 4 compression in the positive power
+    ("trace-power-2", {"eigh": 1, "svd": 1}),
+    ("trace-power-3", {"svd": 1}),
+    ("trace-distance-2", {"svd": 3}),
+    ("fidelity-0.2", {"svd": 2})])
 def test_decomposition_counts(linalg_calls, case, want):
-    # rules map purification factors; only a block in a unitary transform is
-    # decomposed, and a density transform takes a thin SVD of a derived factor
+    # rules map purification factors; an encoded density operator carries the
+    # eigenvectors of a thin SVD of its factor as its support, and a unitary
+    # transform decomposes only the block's compression to that support
     rho, sigma = shared_support_pair(16, 4, np.random.default_rng(3))
     oracles = (oracle_for(rho, "rho"), oracle_for(sigma, "sigma"))
     linalg_calls.clear()

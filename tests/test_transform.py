@@ -93,26 +93,32 @@ def test_qsvt_density_diagonal_is_exact():
 def test_qsvt_density_passes_eigenpairs_on(linalg_calls):
     o = oracle_for(floored_spectrum_state(16, 4, np.random.default_rng(3)))
     p = pa.approx_positive_power(0.5, 0.05, 0.01)
+    w, v = o.encoded.eigenpairs
     linalg_calls.clear()
     out = tf.qsvt_density(o, p).oracle.encoded
     assert not linalg_calls
-    w, v = o.encoded.eigenpairs
     assert np.array_equal(out.factor, v * (np.sqrt(w) * p(w)))
 
 
-@pytest.mark.parametrize("rho", [
-    # the thin SVD of this rank-1 factor gives an eigenvalue of 1 + 6.7e-16
-    ginibre_state(8, 1, np.random.default_rng(8)),
+def _unit_rank_one_factor(seed: int) -> enc.SubnormalizedDensityOperator:
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))) / np.sqrt(2.0)
+    return enc.SubnormalizedDensityOperator(g / np.linalg.norm(g), 3)
+
+
+@pytest.mark.parametrize("a", [
+    # the thin SVD of this unit rank-1 factor gives an eigenvalue of 1 + 4.4e-16
+    _unit_rank_one_factor(0),
     # a trace above one by less than the validation tolerance
-    (1.0 + 5e-10) * pure_state(8),
+    enc.SubnormalizedDensityOperator.from_matrix((1.0 + 5e-10) * pure_state(8)),
 ], ids=["svd-rounding", "trace-tolerance"])
-def test_qsvt_density_of_rank_one_state_reads_eigenvalue_above_one_as_one(rho):
-    o = oracle_for(rho)
+def test_qsvt_density_of_rank_one_state_reads_eigenvalue_above_one_as_one(a):
+    o = enc.purification_of(a)
     w, _ = o.encoded.eigenpairs
     assert w.max() > 1.0
     p = pa.approx_positive_power(0.5, 0.05, 0.01)
     out = tf.qsvt_density(o, p).oracle.encoded
-    assert spectral_norm(out.matrix - p(1.0) ** 2 * rho) < 1e-12
+    assert spectral_norm(out.matrix - p(1.0) ** 2 * a.matrix) < 1e-12
 
 
 def test_qsvt_density_matches_spectral_oracle():
