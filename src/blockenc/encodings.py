@@ -29,6 +29,8 @@ from .resources import QueryCost
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 UNITARITY_TOL = 1e-9
+# eigenvalues (and Cholesky pivots) at most this are outside an operator's support
+SUPPORT_CUT = 1e-14
 
 
 def _qubits(dim: int, what: str) -> int:
@@ -93,14 +95,14 @@ def unitary_from_first_column(psi: np.ndarray) -> np.ndarray:
     return q
 
 
-def _pivoted_cholesky(h: np.ndarray, cut: float = 1e-14) -> np.ndarray:
+def _pivoted_cholesky(h: np.ndarray) -> np.ndarray:
     """F (N x k) with F F^dag ~ h, by Cholesky with complete pivoting, in O(N k^2).
 
     Each step takes the largest remaining diagonal entry as the pivot, forms
     its column of the factor and updates the diagonal; it stops when the
-    largest pivot is at most ``cut`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 10.3; Lucas, LAPACK Working Note 161).  Columns
-    are held as the rows of ``lt`` so each one is contiguous.
+    largest pivot is at most ``SUPPORT_CUT`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 10.3; Lucas, LAPACK Working Note
+    161).  Columns are held as the rows of ``lt`` so each one is contiguous.
     """
     n = h.shape[0]
     d = h.diagonal().real.copy()
@@ -108,7 +110,7 @@ def _pivoted_cholesky(h: np.ndarray, cut: float = 1e-14) -> np.ndarray:
     k = 0
     while k < n:
         p = int(np.argmax(d))
-        if d[p] <= cut:
+        if d[p] <= SUPPORT_CUT:
             break
         # column p of h minus the part the factor already carries (h is Hermitian)
         col = h[p].conj() - lt[:k, p].conj() @ lt[:k]
@@ -169,9 +171,9 @@ class SubnormalizedDensityOperator:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w descending, V) on the support w > 1e-14, from a thin SVD of F."""
+        """(w descending, V) on the support w > SUPPORT_CUT, from a thin SVD of F."""
         v, s, _ = np.linalg.svd(self.factor, full_matrices=False)
-        keep = s ** 2 > 1e-14
+        keep = s ** 2 > SUPPORT_CUT
         return s[keep] ** 2, v[:, keep]
 
     @property
@@ -240,8 +242,9 @@ class UnitaryBlockEncoding:
     used by the ledger; the circuit may use another register (a dilation uses
     one qubit), and block() always projects the built unitary on the realized
     one.  ``support`` is an orthonormal basis Q (N x k) outside which the block
-    vanishes, so a transform decomposes only the k x k compression Q^dag B Q;
-    None is the whole space.
+    vanishes up to a stated tolerance, so a transform decomposes only the
+    k x k compression Q^dag B Q and reads the rest of B as zero; None is the
+    whole space.
     """
 
     matrix: np.ndarray
@@ -402,7 +405,14 @@ def identity_encoding(n: int) -> UnitaryBlockEncoding:
 
 def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
     """(1, n+a, 0)-block-encoding of the oracle's operator, supported on the
-    operator's eigenvectors.
+    operator's eigenvectors; a factor with N or more columns is read as
+    spanning the whole space, so a full-rank input pays no thin SVD here.
+
+    The block is the operator's ``matrix``; for an input read by
+    ``from_matrix`` that is the validated matrix H itself, whose part outside
+    the support is the Cholesky residual the PSD test accepted (Frobenius
+    norm at most PSD_TOL max(1, ||H||_F)) plus the eigenvalues at most
+    SUPPORT_CUT that ``eigenpairs`` drops.
 
     Swaps a fresh system register into the prepared purification, controlled
     on the block ancillas being |0>; branches with nonzero block ancillas flag
@@ -439,13 +449,14 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
         return permute_subsystems(tilde, dims, (3, 0, 1, 2, 4))
 
     ancillas = n + oracle.block_ancillas + oracle.purifying_ancillas
+    a = oracle.encoded
     return UnitaryBlockEncoding(
-        matrix=oracle.encoded.matrix, builder=build, system_qubits=n,
+        matrix=a.matrix, builder=build, system_qubits=n,
         ancillas=ancillas, realized_ancillas=ancillas + flag,
-        scale=1.0, declared_error=0.0, target_builder=lambda: oracle.encoded.matrix,
+        scale=1.0, declared_error=0.0, target_builder=lambda: a.matrix,
         cost=(oracle.cost + oracle.cost).plus_gates(
             oracle.block_ancillas + oracle.purifying_ancillas),
-        support=oracle.encoded.eigenpairs[1])
+        support=a.eigenpairs[1] if a.factor.shape[1] < dim_n else None)
 
 
 def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
@@ -664,7 +675,8 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
 
     Output contract (alpha beta, a+b, alpha eps1 + alpha beta eps2) on
     sum_k y_k A_k; one query to each controlled input and to the pair members.
-    The support is one thin QR of the inputs' supports.
+    The support is one thin QR of the inputs' supports, or the whole space
+    when those have N or more columns together.
     """
     if len(encodings) == 0:
         raise ValidationError("need at least one encoding")
@@ -686,9 +698,10 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         cost = cost + e.cost
     weights = pair.left_unitary[:, 0].conj() * pair.right_unitary[:, 0]
     combined = sum(wk * e.matrix for wk, e in zip(weights, encodings))
+    supports = [e.support for e in encodings]
     support = None
-    if all(e.support is not None for e in encodings):
-        support = np.linalg.qr(np.hstack([e.support for e in encodings]))[0]
+    if all(q is not None for q in supports) and sum(q.shape[1] for q in supports) < dim_n:
+        support = np.linalg.qr(np.hstack(supports))[0]
 
     def build():
         sub = dim_n * dim_a

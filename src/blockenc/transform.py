@@ -74,11 +74,15 @@ def _require_admissible(p: CertifiedPolynomial):
 def _block_function(u: UnitaryBlockEncoding, f) -> tuple[np.ndarray, float]:
     """f(B) for the Hermitian block B of ``u``, and its spectral norm.
 
-    B vanishes outside u.support = Q (N x k), so one decomposition of the
-    k x k compression Q^dag B Q = v diag(w) v^dag gives, with V = Q v,
+    B vanishes outside u.support = Q (N x k) up to the tolerance its
+    constructor states, so one decomposition of the k x k compression
+    Q^dag B Q = v diag(w) v^dag gives, with V = Q v,
     f(B) = V diag(f(w) - f(0)) V^dag + f(0) I in O(N^2 k), and the norm
-    max|f(w)| together with |f(0)| when Q leaves a complement.  With the whole
-    space as the support this is the decomposition of B itself.
+    max|f(w)| together with |f(0)| when Q leaves a complement.  The part of B
+    outside Q is read as zero, so for an f with Lipschitz constant L the
+    result is within L times that part's Frobenius norm of f(B), in
+    Frobenius norm.  With the whole space as the support this is the
+    decomposition of B itself.
     """
     q = u.support
     b = u.matrix if q is None else q.conj().T @ u.matrix @ q

@@ -97,7 +97,7 @@ def test_from_matrix_factors_a_full_rank_input():
 
 @pytest.mark.parametrize("rotated", [False, True])
 def test_from_matrix_with_eigenvalues_straddling_the_support_cut(rotated):
-    # eigenvalues above and below the 1e-14 cut
+    # eigenvalues above and below SUPPORT_CUT (1e-14)
     w = np.array([0.5, 0.3, 0.2 - 2.5e-14, 2e-14, 5e-15, 0.0, 0.0, 0.0])
     u = haar_unitary(8, np.random.default_rng(4)) if rotated else np.eye(8)
     m = (u * w) @ u.conj().T
@@ -230,6 +230,19 @@ def test_block_encode_density_pure_state_rank_one():
     ube = enc.block_encode_density(oracle_for(np.diag([1.0, 0.0]).astype(complex)))
     w = np.linalg.eigvalsh(ube.block())
     assert np.sum(w > 1e-9) == 1
+
+
+@pytest.mark.parametrize("rank, support", [(4, (16, 4)), (16, None)])
+def test_block_encode_density_support(linalg_calls, rank, support):
+    # a factor with fewer columns than rows is supported on its eigenvectors
+    # (one thin SVD); a full-rank factor spans the whole space and is not
+    # decomposed
+    rho = ginibre_state(16, rank, np.random.default_rng(13))
+    o = oracle_for(rho)
+    linalg_calls.clear()
+    q = enc.block_encode_density(o).support
+    assert (q if q is None else q.shape) == support
+    assert linalg_calls.shapes == ([] if q is None else [("svd", (16, rank))])
 
 
 def test_block_encode_density_cost_charges_two_queries():
@@ -463,6 +476,24 @@ def test_lcu_difference_of_states():
     assert spectral_norm(w.block() - (rho - sigma) / 2.0) < 1e-9
     assert spectral_norm(w.actual() - (rho - sigma)) < 1e-9
     w.check()
+
+
+@pytest.mark.parametrize("dim, ranks, columns", [
+    (8, (2, 3), 5), (4, (2, 2), None), (4, (4, 1), None)])
+def test_lcu_support_is_the_span_of_its_inputs_supports(dim, ranks, columns):
+    # the inputs' supports together have N or more columns: the whole space
+    rng = np.random.default_rng(59)
+    states = [ginibre_state(dim, r, rng) for r in ranks]
+    pair = enc.StatePreparationPair.plus_minus()
+    w = enc.lcu(pair, [enc.block_encode_density(oracle_for(m)) for m in states])
+    if columns is None:
+        assert w.support is None
+        return
+    q = w.support
+    assert q.shape == (dim, columns)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(columns)) < 1e-12
+    b = w.matrix
+    assert np.linalg.norm(q @ (q.conj().T @ b @ q) @ q.conj().T - b) < 1e-12
 
 
 def test_lcu_random_combination():

@@ -68,6 +68,29 @@ def test_qsvt_unitary_rejects_non_hermitian_block():
         tf.qsvt_unitary(enc.dilate(m), identity_poly())
 
 
+def test_block_function_reads_accepted_residual_outside_support_as_zero():
+    # an input the PSD test accepts, with a negative eigenvalue and one below
+    # the support cut outside its support: the block of its encoding is the
+    # input itself, and the transform reads both directions as zero
+    rho = floored_spectrum_state(16, 4, np.random.default_rng(3))
+    w, v = np.linalg.eigh(rho)
+    h = rho - 5e-11 * np.outer(v[:, 0], v[:, 0].conj()) \
+        + 5e-15 * np.outer(v[:, 1], v[:, 1].conj())
+    a = enc.SubnormalizedDensityOperator.from_matrix(h)
+    assert a.factor.shape[1] == 4
+    residual = np.linalg.norm(h - a.factor @ a.factor.conj().T)
+    assert 1e-11 < residual <= enc.PSD_TOL * max(1.0, np.linalg.norm(h))
+    u = enc.block_encode_density(enc.purification_of(a))
+    assert u.support.shape == (16, 4)
+    lipschitz = 0.6
+    f = lambda x: 0.3 + lipschitz * x  # noqa: E731
+    fb, norm = tf._block_function(u, f)
+    want = matrix_function(u.matrix, f)
+    outside = enc.PSD_TOL * max(1.0, np.linalg.norm(h)) + 16 * enc.SUPPORT_CUT
+    assert 0 < spectral_norm(fb - want) <= lipschitz * outside
+    assert abs(norm - spectral_norm(want)) <= lipschitz * outside
+
+
 # -- qsvt_density -------------------------------------------------------------
 
 def test_qsvt_density_constant_polynomial_returns_state():
