@@ -9,15 +9,16 @@ operator A is held as its purification factor F, with A = F F^dag: an input
 matrix is factored once, by pivoted Cholesky in O(N^2 k), a rule that makes a
 new operator (evolution, embedding, a convex mixture, a spectral transform)
 maps its input's factor, and a purification reads the factor directly.  A
-block-encoding carries the support its block lives on, so a transform of the
-block decomposes a k x k compression, not an N x N matrix.  Dense matrices are
-built only when read.
+block-encoding holds its block B = Q M Q^dag + c (I - Q Q^dag) as a support Q
+(N x k), a k x k compression M and a kernel value c; a rule maps that form, so
+a sum, a product or a transform of blocks costs O(k^3) once the supports are
+joined.  Dense matrices are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -236,42 +237,74 @@ class PurifiedAccessOracle:
 class UnitaryBlockEncoding:
     """(scale, ancillas, error) contract on the top-left block of a unitary.
 
-    ``matrix`` is the encoded block; ``builder`` builds the unitary and
-    ``target_builder`` the contract's target, each the first time it is read
-    (only ``check`` reads the target).  ``ancillas`` is the declared contract
-    used by the ledger; the circuit may use another register (a dilation uses
-    one qubit), and block() always projects the built unitary on the realized
-    one.  ``support`` is an orthonormal basis Q (N x k) outside which the block
-    vanishes up to a stated tolerance, so a transform decomposes only the
-    k x k compression Q^dag B Q and reads the rest of B as zero; None is the
-    whole space.
+    The encoded block is B = Q M Q^dag + c (I - Q Q^dag): ``support`` is Q, an
+    orthonormal N x k basis (None is the whole space, where M is B itself),
+    ``compression`` is the k x k matrix M and ``kernel_value`` is c.  The dense
+    ``matrix`` is built the first time it is read.  ``builder`` builds the
+    unitary (None builds the SVD dilation of the block on one ancilla) and
+    ``target_builder`` the contract's target (None: the block itself), each
+    the first time it is read (only ``check`` reads the target).
+    ``ancillas`` is the declared contract used by the ledger; the circuit may
+    use another register, and block() always projects the built unitary on
+    the realized one.
     """
 
-    matrix: np.ndarray
-    builder: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    compression: np.ndarray = field(repr=False, compare=False)
     system_qubits: int
     ancillas: int
     realized_ancillas: int
     scale: float
     declared_error: float
+    builder: Callable[[], np.ndarray] | None = field(default=None, repr=False,
+                                                   compare=False)
     target_builder: Callable[[], np.ndarray] | None = field(default=None, repr=False,
                                                           compare=False)
     cost: QueryCost = field(default_factory=QueryCost)
     support: np.ndarray | None = field(default=None, repr=False, compare=False)
+    kernel_value: complex = 0.0
 
     def __post_init__(self):
-        if np.shape(self.matrix) != (2 ** self.system_qubits,) * 2:
+        n = 2 ** self.system_qubits
+        k = n if self.support is None else self.support.shape[1]
+        if np.shape(self.support) not in ((), (n, k)) or np.shape(self.compression) != (k, k):
             raise ValidationError("encoded block does not match the system register")
         if self.scale < 0 or self.declared_error < 0:
             raise ValidationError("scale and declared error must be nonnegative")
 
     @cached_property
-    def unitary(self) -> np.ndarray:
-        return _materialize(self.builder, 2 ** (self.system_qubits + self.realized_ancillas))
+    def matrix(self) -> np.ndarray:
+        n = 2 ** self.system_qubits
+        return self.compression if self.support is None else self._apply(np.eye(n))
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """B x = Q (M - c I)(Q^dag x) + c x, without forming B."""
+        q, c = self.support, self.kernel_value
+        if q is None:
+            return self.compression @ x
+        return q @ ((self.compression - c * np.eye(q.shape[1])) @ (q.conj().T @ x)) + c * x
 
     @cached_property
-    def target(self) -> np.ndarray | None:
-        return None if self.target_builder is None else self.target_builder()
+    def unitary(self) -> np.ndarray:
+        return _materialize(self.builder or self._svd_dilation,
+                            2 ** (self.system_qubits + self.realized_ancillas))
+
+    @cached_property
+    def target(self) -> np.ndarray:
+        return self.matrix if self.target_builder is None else self.target_builder()
+
+    def _svd_dilation(self) -> np.ndarray:
+        """Exact two-block unitary dilation of the block, a contraction, built
+        from its SVD so that it is unitary to machine precision; singular
+        values within tolerance above one are clamped."""
+        wl, s, vr = np.linalg.svd(self.matrix)
+        s = np.minimum(s, 1.0)
+        comp = np.sqrt(1.0 - s ** 2)
+        top_right = (wl * comp) @ wl.conj().T
+        bottom_left = (vr.conj().T * comp) @ vr
+        m_eff = (wl * s) @ vr
+        blockform = np.block([[m_eff, top_right], [bottom_left, -m_eff.conj().T]])
+        # blockform is ancilla-major; reorder to the system-first convention
+        return permute_subsystems(blockform, (2, 2 ** self.system_qubits), (1, 0))
 
     def validate(self, slack: float = 1e-8) -> "UnitaryBlockEncoding":
         """Unitarity plus the (lazy) contract check."""
@@ -296,8 +329,6 @@ class UnitaryBlockEncoding:
         if drift > slack:
             raise ValidationError(f"circuit block deviates from the encoded matrix "
                                   f"by {drift:.3e}")
-        if self.target is None:
-            return 0.0
         defect = spectral_norm(self.scale * block - self.target)
         if defect > self.declared_error + slack:
             raise ValidationError(
@@ -309,9 +340,9 @@ class UnitaryBlockEncoding:
         """Reinterpret as a scale-1 encoding of (target / scale)."""
         if self.scale == 1.0:
             return self
-        target = None if self.target_builder is None else (lambda: self.target / self.scale)
         return replace(self, scale=1.0, declared_error=self.declared_error / self.scale,
-                       target_builder=target, builder=lambda: self.unitary)
+                       target_builder=lambda: self.target / self.scale,
+                       builder=lambda: self.unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -360,58 +391,42 @@ def purification_of(a, label: str = "oracle",
 
 def dilate(m: np.ndarray, target: Callable[[], np.ndarray] | None = None,
            cost: QueryCost | None = None, declared_ancillas: int | None = None,
-           scale: float = 1.0, declared_error: float = 0.0,
-           norm: float | None = None) -> UnitaryBlockEncoding:
-    """Exact two-block unitary dilation of a contraction (one extra qubit).
+           scale: float = 1.0, declared_error: float = 0.0) -> UnitaryBlockEncoding:
+    """Exact two-block unitary dilation of a contraction m (one extra qubit).
 
-    The norm is checked on the call; a caller that has decomposed m passes
-    its ``norm``, and an SVD computes it otherwise.  The dilation is built
-    from the SVD, so it is unitary to machine precision; singular values
-    within tolerance above one are clamped.  ``target`` builds the contract's
-    target when a check reads it; by default the target is m.
+    An SVD checks the norm on the call; the circuit is the encoding's SVD
+    dilation.  ``target`` builds the contract's target when a check reads
+    it; by default the target is m.
     """
     m = require_square(m)
-    n = _qubits(m.shape[0], "contraction")
-    if norm is None:
-        norm = spectral_norm(m)
+    norm = spectral_norm(m)
     if norm > 1.0 + PSD_TOL:
         raise ValidationError(f"operator norm {norm:.6f} exceeds one")
-
-    def build():
-        wl, s, vr = np.linalg.svd(m)
-        s = np.minimum(s, 1.0)
-        comp = np.sqrt(1.0 - s ** 2)
-        top_right = (wl * comp) @ wl.conj().T
-        bottom_left = (vr.conj().T * comp) @ vr
-        m_eff = (wl * s) @ vr
-        blockform = np.block([[m_eff, top_right], [bottom_left, -m_eff.conj().T]])
-        # blockform is ancilla-major; reorder to the system-first convention
-        return permute_subsystems(blockform, (2, m.shape[0]), (1, 0))
-
     return UnitaryBlockEncoding(
-        matrix=m, builder=build, system_qubits=n,
+        compression=m, system_qubits=_qubits(m.shape[0], "contraction"),
         ancillas=1 if declared_ancillas is None else declared_ancillas,
         realized_ancillas=1, scale=scale, declared_error=declared_error,
-        target_builder=(lambda: m) if target is None else target,
-        cost=cost if cost is not None else QueryCost())
+        target_builder=target, cost=cost if cost is not None else QueryCost())
 
 
 def identity_encoding(n: int) -> UnitaryBlockEncoding:
-    eye = np.eye(2 ** n, dtype=complex)
+    """The identity as an empty support with kernel value one."""
     return UnitaryBlockEncoding(
-        matrix=eye, builder=lambda: eye, system_qubits=n, ancillas=0,
-        realized_ancillas=0, scale=1.0, declared_error=0.0, target_builder=lambda: eye)
+        compression=np.zeros((0, 0)), system_qubits=n, ancillas=0, realized_ancillas=0,
+        scale=1.0, declared_error=0.0, builder=lambda: np.eye(2 ** n, dtype=complex),
+        support=np.zeros((2 ** n, 0)), kernel_value=1.0)
 
 
 def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
-    """(1, n+a, 0)-block-encoding of the oracle's operator, supported on the
-    operator's eigenvectors; a factor with N or more columns is read as
-    spanning the whole space, so a full-rank input pays no thin SVD here.
+    """(1, n+a, 0)-block-encoding of the oracle's operator A = F F^dag.
 
-    The block is the operator's ``matrix``; for an input read by
-    ``from_matrix`` that is the validated matrix H itself, whose part outside
-    the support is the Cholesky residual the PSD test accepted (Frobenius
-    norm at most PSD_TOL max(1, ||H||_F)) plus the eigenvalues at most
+    The block is V diag(w) V^dag on the operator's ``eigenpairs`` (w, V), with
+    kernel value zero; a factor with N or more columns is read as spanning
+    the whole space, where the block is the operator's ``matrix`` and no
+    thin SVD is taken.  The target is the operator's ``matrix``; for an input
+    read by ``from_matrix`` that is the validated matrix H, which the block
+    meets within the Cholesky residual the PSD test accepted (Frobenius norm
+    at most PSD_TOL max(1, ||H||_F)) plus the eigenvalues at most
     SUPPORT_CUT that ``eigenpairs`` drops.
 
     Swaps a fresh system register into the prepared purification, controlled
@@ -450,20 +465,22 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
 
     ancillas = n + oracle.block_ancillas + oracle.purifying_ancillas
     a = oracle.encoded
+    w, v = a.eigenpairs if a.factor.shape[1] < dim_n else (None, None)
     return UnitaryBlockEncoding(
-        matrix=a.matrix, builder=build, system_qubits=n,
+        compression=a.matrix if v is None else np.diag(w), builder=build, system_qubits=n,
         ancillas=ancillas, realized_ancillas=ancillas + flag,
         scale=1.0, declared_error=0.0, target_builder=lambda: a.matrix,
         cost=(oracle.cost + oracle.cost).plus_gates(
             oracle.block_ancillas + oracle.purifying_ancillas),
-        support=a.eigenpairs[1] if a.factor.shape[1] < dim_n else None)
+        support=v)
 
 
 def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
            label: str | None = None) -> PurifiedAccessOracle:
     """Prepare B A B^dag from an oracle for A and a scale-1 encoding of B.
 
-    The output's factor is B F; the cost charges one query to each input.
+    The output's factor is B F = Q (M - c I)(Q^dag F) + c F, in O(N k m) for
+    a factor of m columns; the cost charges one query to each input.
     """
     if v.system_qubits != oracle.system_qubits:
         raise ValidationError("system dimension mismatch between oracle and encoding")
@@ -471,7 +488,7 @@ def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
         raise ValidationError("evolution requires a scale-1 block-encoding "
                               "(use as_scale_one())")
     return purification_of(
-        SubnormalizedDensityOperator(v.matrix @ oracle.encoded.factor, oracle.system_qubits),
+        SubnormalizedDensityOperator(v._apply(oracle.encoded.factor), oracle.system_qubits),
         label=label or oracle.label, cost=oracle.cost + v.cost)
 
 
@@ -497,8 +514,29 @@ def embed(oracle: PurifiedAccessOracle, extra_qubits: int) -> PurifiedAccessOrac
         encoded=enc, cost=oracle.cost, label=oracle.label)
 
 
+def _joint_support(encodings) -> tuple[np.ndarray | None, list, list]:
+    """(Q, [M_i], [c_i]) with every block B_i = Q M_i Q^dag + c_i (I - Q Q^dag).
+
+    Q is the support the encodings share (one object), else one thin QR of
+    their stacked supports, with Q^dag B_i Q = R_i M_i R_i^dag + c_i (I - R_i R_i^dag)
+    for R_i = Q^dag Q_i; else, when an input spans the whole space or the
+    supports have N or more columns together, Q is the whole space and M_i
+    is the dense block.
+    """
+    qs, cs = [e.support for e in encodings], [e.kernel_value for e in encodings]
+    if all(q is qs[0] for q in qs):
+        return qs[0], [e.compression for e in encodings], cs
+    if any(q is None for q in qs) or sum(q.shape[1] for q in qs) >= qs[0].shape[0]:
+        return None, [e.matrix for e in encodings], [0.0] * len(cs)
+    q = np.linalg.qr(np.hstack(qs))[0]
+    rs = [q.conj().T @ e.support for e in encodings]
+    return q, [r @ e.compression @ r.conj().T + c * (np.eye(len(r)) - r @ r.conj().T)
+               for r, e, c in zip(rs, encodings, cs)], cs
+
+
 def product(u: UnitaryBlockEncoding, v: UnitaryBlockEncoding) -> UnitaryBlockEncoding:
-    """(alpha beta, a+b, alpha eps_v + beta eps_u)-encoding of AB, one query each."""
+    """(alpha beta, a+b, alpha eps_v + beta eps_u)-encoding of AB, one query each;
+    on the joint support Q the block is (Q, M_u M_v, c_u c_v)."""
     if u.system_qubits != v.system_qubits:
         raise ValidationError("system dimension mismatch in product")
     n = u.system_qubits
@@ -513,25 +551,21 @@ def product(u: UnitaryBlockEncoding, v: UnitaryBlockEncoding) -> UnitaryBlockEnc
     def target():
         return u.target @ v.target
 
+    q, (mu, mv), (cu, cv) = _joint_support([u, v])
     return UnitaryBlockEncoding(
-        matrix=u.matrix @ v.matrix, builder=build, system_qubits=n,
+        compression=mu @ mv, builder=build, system_qubits=n,
         ancillas=u.ancillas + v.ancillas,
         realized_ancillas=u.realized_ancillas + v.realized_ancillas,
         scale=u.scale * v.scale,
         declared_error=u.scale * v.declared_error + v.scale * u.declared_error,
-        target_builder=(target if u.target_builder is not None
-                        and v.target_builder is not None else None),
-        cost=u.cost + v.cost)
+        target_builder=target, cost=u.cost + v.cost, support=q, kernel_value=cu * cv)
 
 
 def encoding_power(u: UnitaryBlockEncoding, k: int) -> UnitaryBlockEncoding:
     """k-fold self-product of a block-encoding."""
     if k < 1:
         raise ValidationError("power must be at least one")
-    out = u
-    for _ in range(k - 1):
-        out = product(out, u)
-    return out
+    return reduce(product, [u] * k)
 
 
 def linear_combination_density(coefficients, oracles,
@@ -675,8 +709,8 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
 
     Output contract (alpha beta, a+b, alpha eps1 + alpha beta eps2) on
     sum_k y_k A_k; one query to each controlled input and to the pair members.
-    The support is one thin QR of the inputs' supports, or the whole space
-    when those have N or more columns together.
+    On the joint support Q the block is (Q, sum_k w_k M_k, sum_k w_k c_k),
+    with w_k the pair's weights c_k^* d_k.
     """
     if len(encodings) == 0:
         raise ValidationError("need at least one encoding")
@@ -697,11 +731,7 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
     for e in encodings:
         cost = cost + e.cost
     weights = pair.left_unitary[:, 0].conj() * pair.right_unitary[:, 0]
-    combined = sum(wk * e.matrix for wk, e in zip(weights, encodings))
-    supports = [e.support for e in encodings]
-    support = None
-    if all(q is not None for q in supports) and sum(q.shape[1] for q in supports) < dim_n:
-        support = np.linalg.qr(np.hstack(supports))[0]
+    q, ms, cs = _joint_support(encodings)
 
     def build():
         sub = dim_n * dim_a
@@ -718,9 +748,7 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         return np.asarray(sum(yk * e.target for yk, e in zip(y, encodings)))
 
     return UnitaryBlockEncoding(
-        matrix=np.asarray(combined), builder=build, system_qubits=n,
-        ancillas=a + pair.qubits, realized_ancillas=a + pair.qubits,
-        scale=alpha * pair.norm_bound, declared_error=err,
-        target_builder=(target if all(e.target_builder is not None for e in encodings)
-                        else None),
-        cost=cost, support=support)
+        compression=sum(wk * m for wk, m in zip(weights, ms)), builder=build,
+        system_qubits=n, ancillas=a + pair.qubits, realized_ancillas=a + pair.qubits,
+        scale=alpha * pair.norm_bound, declared_error=err, target_builder=target, cost=cost,
+        support=q, kernel_value=sum(wk * c for wk, c in zip(weights, cs)))

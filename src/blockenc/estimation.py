@@ -457,15 +457,11 @@ def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int
     r = _validated_rank_bound(rank_bound)
     _validated_epsilon(epsilon)
     if alpha == 0:
-        if kappa is None:
-            raise ValidationError("Tsallis alpha = 0 (rank - 1) requires kappa")
-        rank = estimate_exact_rank(oracle, kappa, config)
-        encoded = oracle.encoded
-        return EstimateReport(
-            quantity="tsallis", alpha=0.0, estimate=float(rank - 1),
-            target_epsilon=epsilon,
-            truth=lambda: nm.operator_rank(encoded.matrix) - 1.0, mode=config.mode,
-            notes=("alpha = 0 routed to exact rank under the kappa assumption",))
+        rep = _exact_rank(oracle, kappa, config)
+        return replace(rep, quantity="tsallis", alpha=0.0, estimate=rep.estimate - 1.0,
+                       target_epsilon=epsilon, truth=lambda: rep.true_value - 1.0,
+                       notes=rep.notes + ("alpha = 0 routed to exact rank "
+                                          "under the kappa assumption",))
     if alpha == 1 or alpha < 0:
         raise ValidationError("Tsallis entropy needs alpha in (0,1) or (1,inf)")
     eps_inner = abs(1.0 - alpha) * epsilon
@@ -506,12 +502,12 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
                    ledger, "O~(1 / (delta^2 eps))", config, notes)
 
 
-def estimate_exact_rank(oracle: PurifiedAccessOracle, kappa: float,
-                        config: AmplitudeEstimatorConfig) -> int:
-    """Exact rank given Pi/kappa <= rho: run the rank estimator at
-    delta = eps = Theta(1/kappa) and round."""
-    if kappa < 1:
-        raise ValidationError("kappa must be at least one")
+def _exact_rank(oracle: PurifiedAccessOracle, kappa: float | None,
+                config: AmplitudeEstimatorConfig) -> EstimateReport:
+    """The rank estimator's report at delta = eps = Theta(1/kappa), its
+    estimate rounded: the exact rank given Pi/kappa <= rho."""
+    if kappa is None or kappa < 1:
+        raise ValidationError(f"the exact rank needs kappa >= 1, got {kappa}")
     w, _ = oracle.encoded.eigenpairs
     nonzero = w[w > 1e-10]
     if nonzero.size and nonzero.min() < 1.0 / kappa - 1e-9:
@@ -521,7 +517,14 @@ def estimate_exact_rank(oracle: PurifiedAccessOracle, kappa: float,
     delta = min(1.0 / (2.0 * kappa), 0.1)
     eps = min(1.0 / (5.0 * kappa), 0.1)
     rep = estimate_rank(oracle, delta, eps, 0.2, config)
-    return int(round(rep.estimate))
+    return replace(rep, quantity="exact-rank", estimate=float(round(rep.estimate)),
+                   target_epsilon=0.0)
+
+
+def estimate_exact_rank(oracle: PurifiedAccessOracle, kappa: float,
+                        config: AmplitudeEstimatorConfig) -> int:
+    """Exact rank given Pi/kappa <= rho (see ``_exact_rank``)."""
+    return int(_exact_rank(oracle, kappa, config).estimate)
 
 
 def estimate_max_entropy(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
@@ -818,14 +821,7 @@ def _exact_rank_report(oracle: PurifiedAccessOracle, epsilon: float,
                        config: AmplitudeEstimatorConfig) -> EstimateReport:
     # the rank is exact, so epsilon is only checked like every runner's
     _validated_epsilon(epsilon)
-    if kappa is None:
-        raise ValidationError("exact-rank needs kappa")
-    rank = estimate_exact_rank(oracle, kappa, config)
-    encoded = oracle.encoded
-    return EstimateReport(quantity="exact-rank", estimate=float(rank),
-                          target_epsilon=0.0,
-                          truth=lambda: float(nm.operator_rank(encoded.matrix)),
-                          mode=config.mode)
+    return _exact_rank(oracle, kappa, config)
 
 
 #: ``RUNNERS[name](oracles, ranks, epsilon, config, alpha=, kappa=, delta=,

@@ -4,9 +4,9 @@ Polynomial transforms are realized semantically, while query costs are
 charged per the originating analysis.  A density transform maps the input
 operator's eigenpairs, read from a thin SVD of its purification factor, to the
 output's factor, so no dense matrix is decomposed; a unitary transform
-decomposes the k x k compression of the encoded block to its support, applies
-the polynomial to that spectrum and its value at zero to the complement, and
-dilates the result with the norm it has read off.  Circuits are built only if
+decomposes the k x k compression of the encoded block, applies the polynomial
+to that spectrum and to the kernel value, keeps the block's support, and
+checks the result's norm from those values.  Circuits are built only if
 ``.unitary`` is read.  No phase-factor sequences are synthesized; the
 circuit-precision parameter becomes the declared ``QSVT_PRECISION``.  Every
 declared error bound is the proof's final inequality chain evaluated with the
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import (PurifiedAccessOracle, SubnormalizedDensityOperator,
-                        UnitaryBlockEncoding, dilate, encoding_power, product,
-                        purification_of)
+from .encodings import (PSD_TOL, PurifiedAccessOracle, SubnormalizedDensityOperator,
+                        UnitaryBlockEncoding, encoding_power, product, purification_of)
 from .numerics import (ValidationError, matrix_function, spectral_decompose,
                        spectral_norm)
 from .polyapprox import (CertifiedPolynomial, approx_negative_power,
@@ -71,33 +70,28 @@ def _require_admissible(p: CertifiedPolynomial):
             f"polynomial bound {p.global_bound:.6f} violates the QSVT limit {limit}")
 
 
-def _block_function(u: UnitaryBlockEncoding, f) -> tuple[np.ndarray, float]:
-    """f(B) for the Hermitian block B of ``u``, and its spectral norm.
+def _block_function(u: UnitaryBlockEncoding, f, **contract) -> UnitaryBlockEncoding:
+    """SVD dilation of f(B) for the Hermitian block B = (Q, M, c) of ``u``.
 
-    B vanishes outside u.support = Q (N x k) up to the tolerance its
-    constructor states, so one decomposition of the k x k compression
-    Q^dag B Q = v diag(w) v^dag gives, with V = Q v,
-    f(B) = V diag(f(w) - f(0)) V^dag + f(0) I in O(N^2 k), and the norm
-    max|f(w)| together with |f(0)| when Q leaves a complement.  The part of B
-    outside Q is read as zero, so for an f with Lipschitz constant L the
-    result is within L times that part's Frobenius norm of f(B), in
-    Frobenius norm.  With the whole space as the support this is the
-    decomposition of B itself.
+    One decomposition of the k x k compression M = v diag(w) v^dag gives
+    f(B) = (Q, v diag(f(w)) v^dag, f(c)) on u's support, and its norm
+    max|f(w)| together with |f(c)| when Q leaves a complement; with the
+    whole space as the support M is B itself.  ``contract`` holds the
+    output's remaining fields.
     """
-    q = u.support
-    b = u.matrix if q is None else q.conj().T @ u.matrix @ q
-    w, v = spectral_decompose(b, tol=1e-8)
-    if q is not None:
-        v = q @ v
-    complement = v.shape[1] < v.shape[0]
-    fw = np.asarray(f(np.append(w, 0.0) if complement else w), dtype=float)
-    f0 = 0.0
-    if complement:
-        fw, f0 = fw[:-1], float(fw[-1])
-    out = (v * (fw - f0)) @ v.conj().T
-    out[np.diag_indices_from(out)] += f0
-    norm = max(float(np.abs(fw).max(initial=0.0)), abs(f0))
-    return (out + out.conj().T) / 2.0, norm
+    m, c = u.compression, complex(u.kernel_value)
+    if abs(c.imag) > 1e-8:
+        raise ValidationError(f"kernel value {c} of the block is not real")
+    w, v = spectral_decompose(m, tol=1e-8) if m.size else (np.zeros(0), m)
+    fw = np.asarray(f(np.append(w, c.real)), dtype=float)
+    fw, fc = fw[:-1], (float(fw[-1]) if m.shape[0] < 2 ** u.system_qubits else 0.0)
+    norm = max(float(np.abs(fw).max(initial=0.0)), abs(fc))
+    if norm > 1.0 + PSD_TOL:
+        raise ValidationError(f"operator norm {norm:.6f} exceeds one")
+    fm = (v * fw) @ v.conj().T
+    return UnitaryBlockEncoding(
+        compression=(fm + fm.conj().T) / 2.0, system_qubits=u.system_qubits,
+        realized_ancillas=1, support=u.support, kernel_value=fc, **contract)
 
 
 def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformResult:
@@ -109,10 +103,9 @@ def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformRe
     if abs(u.scale - 1.0) > 1e-12:
         raise ValidationError("QSVT needs a scale-1 block-encoding")
     _require_admissible(p)
-    pa, norm = _block_function(u, lambda w: p(np.clip(w, -1.0, 1.0)))
-    cost = u.cost.transformed(p.degree, u.realized_ancillas + 1)
-    out = dilate(pa, cost=cost, declared_ancillas=u.ancillas + 2,
-                 declared_error=QSVT_PRECISION, norm=norm)
+    out = _block_function(u, lambda w: p(np.clip(w, -1.0, 1.0)), ancillas=u.ancillas + 2,
+                          scale=1.0, declared_error=QSVT_PRECISION,
+                          cost=u.cost.transformed(p.degree, u.realized_ancillas + 1))
     return TransformResult(result=out, declared_error=QSVT_PRECISION, scale=1.0)
 
 
@@ -205,8 +198,6 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
         w = np.clip(w, -1.0, 1.0)
         return p(w) * r(w)
 
-    bc, norm = _block_function(u, pr)
-
     def target():
         return matrix_function(u.matrix, lambda x: np.abs(x) ** c, tol=1e-8)
 
@@ -215,8 +206,8 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
                     e_r + 0.5 * delta ** c,
                     e_p + 0.5 * (2.0 * delta) ** c) + 2.0 * QSVT_PRECISION
     cost = u.cost.transformed(p.degree + r.degree, u.realized_ancillas + 1)
-    out = dilate(bc, target=target, cost=cost, declared_ancillas=2 * u.ancillas + 4,
-                 scale=2.0, declared_error=2.0 * err_block, norm=norm)
+    out = _block_function(u, pr, ancillas=2 * u.ancillas + 4, scale=2.0,
+                          declared_error=2.0 * err_block, target_builder=target, cost=cost)
     return TransformResult(result=out, declared_error=2.0 * err_block, scale=2.0)
 
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from blockenc import encodings as enc
+from blockenc import polyapprox as pa
+from blockenc import transform as tf
 from blockenc.fixtures import (floored_spectrum_state, ginibre_state, haar_unitary,
                                maximally_mixed)
-from blockenc.numerics import ValidationError, spectral_norm
+from blockenc.numerics import ValidationError, matrix_function, spectral_norm
 
 
 def oracle_for(m, label="rho"):
@@ -509,6 +511,71 @@ def test_lcu_count_mismatch():
     pair = enc.StatePreparationPair.plus_minus()
     with pytest.raises(ValidationError):
         enc.lcu(pair, [enc.identity_encoding(1)])
+
+
+# -- the joint-support form against dense arithmetic ---------------------------
+
+#: 1.5 x^2 - 0.5 as an even Chebyshev series: bounded by one on [-1, 1], and
+#: -0.5 at zero, so its transform has a nonzero kernel value
+KERNEL_POLY = pa.CertifiedPolynomial(
+    coefficients=np.array([0.25, 0.0, 0.75]), parity="even",
+    target=lambda x: 1.5 * x ** 2 - 0.5, certified_interval=(-1.0, 1.0),
+    certified_error=0.0, global_bound=1.0, bound_limit=1.0, family="kernel")
+
+
+def _density_encoding(dim, rank, seed):
+    return enc.block_encode_density(
+        oracle_for(ginibre_state(dim, rank, np.random.default_rng(seed))))
+
+
+def _joint_support_cases():
+    # each result's matrix against the same operation on its inputs' matrices
+    pair = enc.StatePreparationPair.plus_minus()
+    u, v = _density_encoding(64, 3, 1), _density_encoding(64, 2, 2)
+    t = tf.qsvt_unitary(u, KERNEL_POLY).encoding
+    f_u = matrix_function(u.matrix, lambda x: 1.5 * x ** 2 - 0.5)
+    big, other = _density_encoding(16, 10, 3), _density_encoding(16, 8, 4)
+    dense = enc.dilate(0.5 * big.matrix)
+    low = _density_encoding(16, 2, 5)
+    eye = enc.identity_encoding(6)
+    rho = ginibre_state(64, 2, np.random.default_rng(6))
+    return {
+        # (run, want, the result's support shape or None for the whole space)
+        "lcu-shared": (lambda: enc.lcu(pair, [u, t]), (u.matrix - f_u) / 2, (64, 3)),
+        "lcu-disjoint": (lambda: enc.lcu(pair, [u, v]), (u.matrix - v.matrix) / 2, (64, 5)),
+        "lcu-stacked-to-n": (lambda: enc.lcu(pair, [big, other]),
+                             (big.matrix - other.matrix) / 2, None),
+        "lcu-whole-space-and-low-rank": (lambda: enc.lcu(pair, [dense, low]),
+                                         (dense.matrix - low.matrix) / 2, None),
+        "product-shared": (lambda: enc.product(t, u), f_u @ u.matrix, (64, 3)),
+        "product-disjoint": (lambda: enc.product(u, v), u.matrix @ v.matrix, (64, 5)),
+        "transform-kernel-value": (lambda: t, f_u, (64, 3)),
+        "transform-then-product": (lambda: enc.product(t, t), f_u @ f_u, (64, 3)),
+        "transform-then-lcu": (lambda: enc.lcu(pair, [t, v]), (f_u - v.matrix) / 2, (64, 5)),
+        "identity": (lambda: eye, np.eye(64), (64, 0)),
+        "identity-product": (lambda: enc.product(eye, v), v.matrix, (64, 2)),
+        "identity-lcu": (lambda: enc.lcu(pair, [eye, u]), (np.eye(64) - u.matrix) / 2, (64, 3)),
+        "transform-then-evolve": (
+            lambda: enc.evolve(oracle_for(rho), t).encoded, f_u @ rho @ f_u, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_joint_support_cases()))
+def test_rules_match_dense_arithmetic(case):
+    run, want, support = _joint_support_cases()[case]
+    out = run()
+    assert np.linalg.norm(out.matrix - want) <= 1e-12
+    if isinstance(out, enc.UnitaryBlockEncoding):
+        assert (out.support if out.support is None else out.support.shape) == support
+
+
+def test_transform_keeps_its_input_support_and_maps_the_kernel_value():
+    u = _density_encoding(16, 3, 7)
+    t = tf.qsvt_unitary(u, KERNEL_POLY).encoding
+    assert t.support is u.support
+    assert t.compression.shape == (3, 3)
+    assert t.kernel_value == pytest.approx(-0.5)
+    t.check()
 
 
 # -- seeded sweep over the calculus (criterion-2 style smoke) -----------------

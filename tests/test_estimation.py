@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,31 @@ def test_estimators_make_no_system_sized_decomposition(linalg_calls, quantity, a
     assert [s for s in linalg_calls.shapes if min(s[1]) >= dim] == []
 
 
+@pytest.fixture(scope="module")
+def pair_at_1024():
+    rho, sigma = shared_support_pair(1024, 4, np.random.default_rng(3))
+    return [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
+
+
+@pytest.mark.parametrize("quantity, alpha", [
+    ("von-neumann", None), ("trace-power", 0.5), ("trace-power", 2.0),
+    ("trace-power", 3.0), ("rank", None), ("trace-distance", 1.0),
+    ("trace-distance", 2.0), ("trace-distance", 3.0), ("fidelity", 0.5),
+    ("fidelity", 0.25), ("fidelity", 0.2)])
+def test_estimators_allocate_no_system_sized_array(pair_at_1024, quantity, alpha):
+    # one N x N complex array at d = 1024 is 16 MiB; blocks are held as a
+    # support, a compression and a kernel value, so no estimate allocates one
+    tracemalloc.start()
+    try:
+        rep = est.RUNNERS[quantity](pair_at_1024, [4, 4], 0.1, CFG, alpha=alpha,
+                                    delta=0.05, epsilon_prime=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(rep.estimate)
+    assert peak < 16 * 2 ** 20
+
+
 #: with the kappa routes these cases run every branch of every runner
 EVERY_BRANCH = NO_CIRCUIT_CASES + [("renyi", 0.0), ("tsallis", 0.0)]
 
@@ -457,7 +483,8 @@ PINNED_LEDGERS = {
     ("trace-power", 2.5): ({"rho": 1227552}, {"rho": 608}, 6137760, _TP_UNITARY),
     ("trace-power", 3.0): ({"rho": 154}, {"rho": 154}, 385, "O(1 / eps), rank-independent"),
     ("rank", None): ({"rho": 86317920}, {"rho": 40716}, 215794800, "O~(1 / (delta^2 eps))"),
-    ("exact-rank", None): ({}, {}, 0, ""),
+    ("exact-rank", None): ({"rho": 17831744}, {"rho": 11872}, 44579360,
+                           "O~(1 / (delta^2 eps))"),
     ("max-entropy", None): ({"rho": 66525316}, {"rho": 46948}, 166313290, "O~(kappa^2 / eps)"),
     ("trace-distance", 1.0): ({"rho": 3934637783320499868, "sigma": 3934637783320499868},
                               {"rho": 1457266, "sigma": 1457266}, 11401719132768, _TD_ODD),
@@ -478,7 +505,8 @@ PINNED_LEDGERS = {
                         {"rho": 4023922, "sigma": 4023922}, 1434855664359631080,
                         "O~(r^((3-a)/2a) / eps^((3+a)/2a))"),
     ("renyi", 0.0): ({"rho": 66525316}, {"rho": 46948}, 166313290, "O~(kappa^2 / eps)"),
-    ("tsallis", 0.0): ({}, {}, 0, ""),
+    ("tsallis", 0.0): ({"rho": 17831744}, {"rho": 11872}, 44579360,
+                       "O~(1 / (delta^2 eps))"),
 }
 
 
