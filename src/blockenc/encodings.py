@@ -390,8 +390,7 @@ def purification_of(a, label: str = "oracle",
 
 
 def dilate(m: np.ndarray, target: Callable[[], np.ndarray] | None = None,
-           cost: QueryCost | None = None, declared_ancillas: int | None = None,
-           scale: float = 1.0, declared_error: float = 0.0) -> UnitaryBlockEncoding:
+           cost: QueryCost | None = None, scale: float = 1.0) -> UnitaryBlockEncoding:
     """Exact two-block unitary dilation of a contraction m (one extra qubit).
 
     An SVD checks the norm on the call; the circuit is the encoding's SVD
@@ -404,8 +403,7 @@ def dilate(m: np.ndarray, target: Callable[[], np.ndarray] | None = None,
         raise ValidationError(f"operator norm {norm:.6f} exceeds one")
     return UnitaryBlockEncoding(
         compression=m, system_qubits=_qubits(m.shape[0], "contraction"),
-        ancillas=1 if declared_ancillas is None else declared_ancillas,
-        realized_ancillas=1, scale=scale, declared_error=declared_error,
+        ancillas=1, realized_ancillas=1, scale=scale, declared_error=0.0,
         target_builder=target, cost=cost if cost is not None else QueryCost())
 
 

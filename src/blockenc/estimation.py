@@ -37,8 +37,7 @@ from .encodings import (PurifiedAccessOracle, StatePreparationPair,
                         encoding_power, evolve, lcu, linear_combination_density,
                         unitary_from_first_column)
 from .numerics import ValidationError
-from .polyapprox import (approx_interior_indicator, approx_sqrt_neglog, certified,
-                         multiply)
+from .polyapprox import approx_interior_indicator, approx_sqrt_neglog, certified
 from .resources import QueryCost, ae_repetitions, degree_formula
 from .transform import (QSVT_PRECISION, eigenvalue_threshold_projector,
                         positive_power_density, power_unitary, qsvt_density)
@@ -320,9 +319,8 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
     ledger = _single_oracle_ledger(oracle, ae_repetitions(b(analysis), analysis["eps2"]),
                                    2 * d_total, d_total)
 
-    poly = certified(multiply, certified(approx_sqrt_neglog, op["delta"], op["eps1"]),
-                     certified(approx_interior_indicator, op["delta"], op["eps1"]))
-    out = qsvt_density(oracle, poly)
+    out = qsvt_density(oracle, certified(approx_sqrt_neglog, op["delta"], op["eps1"]),
+                       certified(approx_interior_indicator, op["delta"], op["eps1"]))
     p_tilde, _ = trace_estimate(out.oracle, b(op), op["eps2"], config)
     return _report("von-neumann", (oracle,), None,
                    4.0 * math.log(1.0 / op["delta"]) * p_tilde, epsilon, record, ledger,

@@ -8,7 +8,9 @@ the result on a dense grid: sup error against the target on the certified
 interval, the global bound on [-1, 1], and any band conditions.  Degrees
 start at four times the family's asymptotic formula and double until the
 certificate passes or the degree cap is hit; a failed certificate is always
-a raised error, never a silent pass.
+a raised error, never a silent pass.  No product of approximants is formed
+here: a transform takes its certified factors and multiplies their values
+at the spectrum (see ``transform``).
 
 Every evaluation, on a polynomial's call and on the certificate grids, goes
 through one kernel, ``_chebval``.  With theta = arccos x, T_k(x) =
@@ -34,7 +36,6 @@ from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .numerics import ValidationError
 from .resources import degree_formula
@@ -61,11 +62,7 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CertifiedPolynomial:
-    """Chebyshev-basis polynomial with a grid-checked certificate.
-
-    Compared and hashed by identity, so a cached polynomial can key the
-    cached product built from it (see ``certified``).
-    """
+    """Chebyshev-basis polynomial with a grid-checked certificate."""
 
     coefficients: np.ndarray
     parity: str                      # "even" | "odd" | "none"
@@ -195,11 +192,13 @@ def _build(family: str, params: dict, surrogate, target, interval: tuple[float, 
     for degree in _degree_ladder(start_degree):
         coeffs = _apply_parity(_chebyshev_fit(surrogate, degree), parity)
         coeffs = _trim_tail(coeffs)
-        gg = _global_grid(degree)
-        gmax = float(np.abs(_chebval(gg, coeffs)).max())
+        gmax = float(np.abs(_chebval(_global_grid(degree), coeffs)).max())
         if gmax > bound_limit:
-            coeffs = coeffs * (bound_limit / (gmax * (1.0 + 1e-12)))
-            gmax = float(np.abs(_chebval(gg, coeffs)).max())
+            # the series is linear in its coefficients, so the rescaled
+            # series' grid maximum is the sampled one times the same factor
+            shrink = bound_limit / (gmax * (1.0 + 1e-12))
+            coeffs = coeffs * shrink
+            gmax *= shrink
         err = float(np.abs(_chebval(grid, coeffs) - f_grid).max())
         poly = CertifiedPolynomial(
             coefficients=coeffs, parity=parity, target=target,
@@ -505,46 +504,12 @@ def approx_taylor(series: np.ndarray, x0: float, r: float, delta: float,
                   0.5, "none", int(start) + 1, extra)
 
 
-def multiply(p: CertifiedPolynomial, q: CertifiedPolynomial,
-             target: Callable[[np.ndarray], np.ndarray] | None = None) -> CertifiedPolynomial:
-    """Exact Chebyshev product; certificate measured against target (default f_p f_q)
-    on the intersection of the two certified intervals."""
-    coeffs = _cheb.chebmul(p.coefficients, q.coefficients)
-    parities = {p.parity, q.parity}
-    if parities == {"even"} or parities == {"odd"}:
-        parity = "even"
-    elif parities == {"even", "odd"}:
-        parity = "odd"
-    else:
-        parity = "none"
-    coeffs = _apply_parity(coeffs, parity)
-    lo = max(p.certified_interval[0], q.certified_interval[0])
-    hi = min(p.certified_interval[1], q.certified_interval[1])
-    if lo >= hi:
-        raise ValidationError("certified intervals do not overlap")
-    if target is None and p.target is not None and q.target is not None:
-        pt, qt = p.target, q.target
-        def target(x):
-            return np.asarray(pt(x)) * np.asarray(qt(x))
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    vals = _chebval(grid, coeffs)
-    err = float(np.abs(vals - target(grid)).max()) if target is not None else 0.0
-    gmax = float(np.abs(_chebval(_global_grid(len(coeffs) - 1), coeffs)).max())
-    return CertifiedPolynomial(
-        coefficients=coeffs, parity=parity, target=target,
-        certified_interval=(lo, hi), certified_error=err,
-        global_bound=gmax, bound_limit=1.0 if parity != "none" else 0.5,
-        family=f"product({p.family},{q.family})",
-        params={"left": dict(p.params), "right": dict(q.params)})
-
-
 @lru_cache(maxsize=1024)
 def certified(build: Callable[..., CertifiedPolynomial], *args) -> CertifiedPolynomial:
     """``build(*args)``, memoized.
 
     The estimators reuse identical parameter tuples across fixtures, and
     construction dominates their runtime.  ``build`` is one of the
-    constructors above or ``multiply``; a product keyed by two cached
-    polynomials is found again because polynomials hash by identity.
+    constructors above.
     """
     return build(*args)

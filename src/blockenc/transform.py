@@ -1,17 +1,20 @@
 """Eigenvalue transformations of block-encodings and density-operator oracles.
 
 Polynomial transforms are realized semantically, while query costs are
-charged per the originating analysis.  A density transform maps the input
-operator's eigenpairs, read from a thin SVD of its purification factor, to the
-output's factor, so no dense matrix is decomposed; a unitary transform
-decomposes the k x k compression of the encoded block, applies the polynomial
-to that spectrum and to the kernel value, keeps the block's support, and
-checks the result's norm from those values.  Circuits are built only if
-``.unitary`` is read.  No phase-factor sequences are synthesized; the
-circuit-precision parameter becomes the declared ``QSVT_PRECISION``.  Every
-declared error bound is the proof's final inequality chain evaluated with the
-actual certified polynomial errors, with explicit constants instead of
-Theta(.)s.
+charged per the originating analysis.  A transform takes its certified
+factors P_1, ..., P_m, checks each against its QSVT limit, applies the
+product of their values at the spectrum, and charges one transform at the
+summed degree (the degrees of a product add, Gilyen, Su, Low and Wiebe,
+arXiv:1806.01838).  A density transform maps the input operator's
+eigenpairs, read from a thin SVD of its purification factor, to the output's
+factor, so no dense matrix is decomposed; a unitary transform decomposes the
+k x k compression of the encoded block, applies the polynomial to that
+spectrum and to the kernel value, keeps the block's support, and checks the
+result's norm from those values.  Circuits are built only if ``.unitary`` is
+read.  No phase-factor sequences are synthesized; the circuit-precision
+parameter becomes the declared ``QSVT_PRECISION``.  Every declared error
+bound is the proof's final inequality chain evaluated with the actual
+certified polynomial errors, with explicit constants instead of Theta(.)s.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from .encodings import (PSD_TOL, PurifiedAccessOracle, SubnormalizedDensityOpera
 from .numerics import (ValidationError, matrix_function, spectral_decompose,
                        spectral_norm)
 from .polyapprox import (CertifiedPolynomial, approx_negative_power,
-                         approx_positive_power, approx_support_indicator,
-                         certified, multiply)
+                         approx_positive_power, approx_support_indicator, certified)
 from .resources import QueryCost
 
 #: Declared precision of the (not synthesized) phase-factor computation.
@@ -63,11 +65,23 @@ class TransformResult:
         return self.result
 
 
-def _require_admissible(p: CertifiedPolynomial):
-    limit = 1.0 if p.parity in ("even", "odd") else 0.5
-    if p.global_bound > limit + 1e-9:
-        raise ValidationError(
-            f"polynomial bound {p.global_bound:.6f} violates the QSVT limit {limit}")
+def _product(factors: tuple[CertifiedPolynomial, ...]):
+    """w -> prod_i P_i(w) on w clipped to [-1, 1], and the summed degree.
+
+    Each factor must meet its QSVT limit; as each is then at most one in
+    absolute value, so is their product.
+    """
+    for p in factors:
+        limit = 1.0 if p.parity in ("even", "odd") else 0.5
+        if p.global_bound > limit + 1e-9:
+            raise ValidationError(
+                f"polynomial bound {p.global_bound:.6f} violates the QSVT limit {limit}")
+
+    def f(w):
+        w = np.clip(w, -1.0, 1.0)
+        return math.prod((p(w) for p in factors), start=np.ones(np.shape(w)))
+
+    return f, sum(p.degree for p in factors)
 
 
 def _block_function(u: UnitaryBlockEncoding, f, **contract) -> UnitaryBlockEncoding:
@@ -94,36 +108,39 @@ def _block_function(u: UnitaryBlockEncoding, f, **contract) -> UnitaryBlockEncod
         realized_ancillas=1, support=u.support, kernel_value=fc, **contract)
 
 
-def qsvt_unitary(u: UnitaryBlockEncoding, p: CertifiedPolynomial) -> TransformResult:
-    """(1, a+2, precision)-block-encoding of P(A) from a scale-1 encoding of A.
+def qsvt_unitary(u: UnitaryBlockEncoding, *factors: CertifiedPolynomial) -> TransformResult:
+    """(1, a+2, precision)-block-encoding of P(A), P the product of ``factors``,
+    from a scale-1 encoding of A.
 
-    Charges the degree-d transform cost: 2d uses of U and U^dag and one
-    controlled use.
+    Charges the transform cost at d = sum of the factors' degrees: 2d uses of
+    U and U^dag and one controlled use.
     """
     if abs(u.scale - 1.0) > 1e-12:
         raise ValidationError("QSVT needs a scale-1 block-encoding")
-    _require_admissible(p)
-    out = _block_function(u, lambda w: p(np.clip(w, -1.0, 1.0)), ancillas=u.ancillas + 2,
+    f, degree = _product(factors)
+    out = _block_function(u, f, ancillas=u.ancillas + 2,
                           scale=1.0, declared_error=QSVT_PRECISION,
-                          cost=u.cost.transformed(p.degree, u.realized_ancillas + 1))
+                          cost=u.cost.transformed(degree, u.realized_ancillas + 1))
     return TransformResult(result=out, declared_error=QSVT_PRECISION, scale=1.0)
 
 
-def qsvt_density(oracle: PurifiedAccessOracle, p: CertifiedPolynomial) -> TransformResult:
-    """Oracle preparing A (P(A))^2 from an oracle preparing A.
+def qsvt_density(oracle: PurifiedAccessOracle, *factors: CertifiedPolynomial
+                 ) -> TransformResult:
+    """Oracle preparing A (P(A))^2, P the product of ``factors``, from an
+    oracle preparing A.
 
     The output's factor is V sqrt(w) P(w) on the input's eigenpairs (w, V);
     P reads an eigenvalue above one (by at most the input's trace tolerance)
     as one.
     The composition constant from the proof is 5/2, so the declared error of
-    the prepared operator is 2.5 * QSVT_PRECISION.  Charges the degree-d
-    transform cost: 2d uses of the oracle and its inverse and one controlled use.
+    the prepared operator is 2.5 * QSVT_PRECISION.  Charges the transform cost
+    at d = sum of the factors' degrees: 2d uses of the oracle and its inverse
+    and one controlled use.
     """
-    _require_admissible(p)
+    f, degree = _product(factors)
     w, v = oracle.encoded.eigenpairs
-    cost = oracle.cost.transformed(p.degree, oracle.total_qubits + 1)
-    out = SubnormalizedDensityOperator(v * (np.sqrt(w) * p(np.minimum(w, 1.0))),
-                                       oracle.system_qubits)
+    cost = oracle.cost.transformed(degree, oracle.total_qubits + 1)
+    out = SubnormalizedDensityOperator(v * (np.sqrt(w) * f(w)), oracle.system_qubits)
     return TransformResult(result=purification_of(out, label=oracle.label, cost=cost),
                            declared_error=2.5 * QSVT_PRECISION, scale=1.0)
 
@@ -149,8 +166,7 @@ def transform_with_target(oracle: PurifiedAccessOracle, f, p: CertifiedPolynomia
 
 
 def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
-                           epsilon: float, poly: CertifiedPolynomial | None = None
-                           ) -> TransformResult:
+                           epsilon: float) -> TransformResult:
     """Oracle for B with 4 delta^(c-1) B ~ A^c, for c in (0, 1).
 
     Uses the negative-power approximant at exponent (1-c)/2: with
@@ -162,8 +178,7 @@ def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
     if not (0 < delta <= 0.5 and 0 < epsilon <= 0.5):
         raise ValidationError("delta, epsilon must lie in (0, 1/2]")
     c_neg = (1.0 - c) / 2.0
-    if poly is None:
-        poly = certified(approx_negative_power, c_neg, delta, epsilon)
+    poly = certified(approx_negative_power, c_neg, delta, epsilon)
 
     def f(x):
         return (delta ** c_neg / 2.0) * np.asarray(x, dtype=float) ** (-c_neg)
@@ -178,9 +193,9 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
                            epsilon: float) -> TransformResult:
     """(2, 2a+4, err)-block-encoding of |A|^c from a scale-1 encoding of A.
 
-    Composes the positive-power approximant with the support indicator via a
-    product of two transforms; err evaluates the proof's three regions at the
-    actual certified errors: max(eP + eR/2, eR + delta^c/2, eP + (2 delta)^c/2),
+    Transforms by the positive-power approximant P times the support
+    indicator R; err evaluates the proof's three regions at the actual
+    certified errors: max(eP + eR/2, eR + delta^c/2, eP + (2 delta)^c/2),
     doubled by the scale.  Charges the transform cost at degree
     d = deg(P) + deg(R): 2d uses of U and U^dag and one controlled use.
     The target |A|^c is decomposed afresh only when a check reads it.
@@ -193,10 +208,7 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
         raise ValidationError("positive_power_unitary needs a scale-1 encoding")
     p = certified(approx_positive_power, c, delta, epsilon)
     r = certified(approx_support_indicator, delta, epsilon)
-
-    def pr(w):
-        w = np.clip(w, -1.0, 1.0)
-        return p(w) * r(w)
+    f, degree = _product((p, r))
 
     def target():
         return matrix_function(u.matrix, lambda x: np.abs(x) ** c, tol=1e-8)
@@ -205,8 +217,8 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
     err_block = max(e_p + 0.5 * e_r,
                     e_r + 0.5 * delta ** c,
                     e_p + 0.5 * (2.0 * delta) ** c) + 2.0 * QSVT_PRECISION
-    cost = u.cost.transformed(p.degree + r.degree, u.realized_ancillas + 1)
-    out = _block_function(u, pr, ancillas=2 * u.ancillas + 4, scale=2.0,
+    cost = u.cost.transformed(degree, u.realized_ancillas + 1)
+    out = _block_function(u, f, ancillas=2 * u.ancillas + 4, scale=2.0,
                           declared_error=2.0 * err_block, target_builder=target, cost=cost)
     return TransformResult(result=out, declared_error=2.0 * err_block, scale=2.0)
 
@@ -237,16 +249,16 @@ def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
 
     Requires delta, epsilon in (0, 1/10] and 32 epsilon^2 <= delta; B is
     A (Q(A))^2 with Q the product of the negative-power and support-indicator
-    approximants at (delta, epsilon).
+    approximants at (delta, epsilon), applied as one transform of the two
+    factors.
     """
     if not (0 < delta <= 0.1 and 0 < epsilon <= 0.1):
         raise ValidationError("delta, epsilon must lie in (0, 1/10]")
     if 32.0 * epsilon ** 2 > delta:
         raise ValidationError(f"precondition violated: 32 eps^2 = "
                               f"{32 * epsilon ** 2:.4g} > delta = {delta}")
-    q = certified(multiply, certified(approx_negative_power, 0.5, delta, epsilon),
-                  certified(approx_support_indicator, delta, epsilon))
-    inner = qsvt_density(oracle, q)
+    inner = qsvt_density(oracle, certified(approx_negative_power, 0.5, delta, epsilon),
+                         certified(approx_support_indicator, delta, epsilon))
     return TransformResult(result=inner.result, declared_error=2.0 * QSVT_PRECISION,
                            scale=1.0)
 

@@ -510,6 +510,31 @@ PINNED_LEDGERS = {
 }
 
 
+#: each case's estimate under the same inputs, so that a change to how a
+#: transform is realized shows in the estimates and not only in the ledger
+PINNED_ESTIMATES = {
+    ("von-neumann", None): 0.46168839970893993,
+    ("renyi", 0.5): 0.5633746588649566,
+    ("renyi", 2.0): 0.3377786615230567,
+    ("tsallis", 2.0): 0.28705358547839177,
+    ("trace-power", 0.5): 1.3253642528012273,
+    ("trace-power", 2.5): 0.6334516418614005,
+    ("trace-power", 3.0): 0.5701963473465239,
+    ("rank", None): 1.9998220581193356,
+    ("exact-rank", None): 2.0,
+    ("max-entropy", None): 0.6930520349882963,
+    ("trace-distance", 1.0): 0.34996521251104773,
+    ("trace-distance", 1.5): 0.1463977095319334,
+    ("trace-distance", 3.0): 0.010716560112268974,
+    ("trace-distance", 4.0): 0.0018753158306020793,
+    ("fidelity", 0.5): 0.9302601079891082,
+    ("fidelity", 0.25): 0.9469335672428726,
+    ("fidelity", 0.2): 0.9549075623156648,
+    ("renyi", 0.0): 0.6930520349882963,
+    ("tsallis", 0.0): 1.0,
+}
+
+
 @pytest.mark.parametrize("quantity, alpha", EVERY_BRANCH)
 def test_ledger_counts_are_pinned(quantity, alpha):
     rho, sigma = shared_support_pair(8, 2, np.random.default_rng(3))
@@ -521,6 +546,7 @@ def test_ledger_counts_are_pinned(quantity, alpha):
     led = rep.as_dict()["ledger"]
     got = (led["queries"], led["controlled"], led["gates"], led["expected_complexity"])
     assert got == PINNED_LEDGERS[quantity, alpha]
+    assert rep.estimate == pytest.approx(PINNED_ESTIMATES[quantity, alpha], rel=1e-12)
 
 
 @pytest.mark.parametrize("quantity, alpha", EVERY_BRANCH)

@@ -143,21 +143,6 @@ def test_taylor_rejects_oversized_bound():
         pa.approx_taylor(np.array([0.9]), 0.0, 0.5, 0.1, 0.9, 0.01)
 
 
-# -- products -----------------------------------------------------------------
-
-def test_multiply_tracks_certificate():
-    p = pa.approx_negative_power(0.5, 0.05, 0.01)
-    r = pa.approx_support_indicator(0.05, 0.01)
-    q = pa.multiply(p, r)
-    assert q.parity == "even"
-    assert q.degree == p.degree + r.degree
-    x = np.linspace(0.1, 1.0, 2001)
-    assert np.abs(q(x) - p(x) * r(x)).max() < 1e-10
-    target = lambda x: (0.05 ** 0.5 / 2.0) * x ** -0.5
-    assert np.abs(q(x) - target(x)).max() <= 0.025
-    assert q.global_bound <= 1.0 + 1e-9
-
-
 # -- cross-family invariants --------------------------------------------------
 
 def test_constructor_certifies_all_criterion_parameters():

@@ -28,6 +28,17 @@ def constant_one_poly():
         bound_limit=1.0, family="one")
 
 
+def two_factors():
+    """The negative power times the support indicator, as the threshold
+    projector applies them."""
+    return (pa.certified(pa.approx_negative_power, 0.5, 0.05, 0.01),
+            pa.certified(pa.approx_support_indicator, 0.05, 0.01))
+
+
+def product_at(factors, x):
+    return np.prod([p(x) for p in factors], axis=0)
+
+
 # -- qsvt_unitary -------------------------------------------------------------
 
 def test_qsvt_unitary_identity_polynomial():
@@ -45,21 +56,31 @@ def test_qsvt_unitary_support_indicator_separates_spectrum():
     assert spectral_norm(out.encoding.block() - np.diag([1.0, 0.0])) < 0.02
 
 
-def test_qsvt_unitary_cost_charges_degree_queries():
-    r = pa.approx_support_indicator(0.1, 0.01)
+@pytest.mark.parametrize("factors", [
+    lambda: (pa.approx_support_indicator(0.1, 0.01),), two_factors,
+], ids=["one-factor", "two-factors"])
+def test_qsvt_unitary_cost_charges_degree_queries(factors):
+    factors = factors()
     u = enc.dilate(maximally_mixed(2), cost=tf.QueryCost.of("rho"))
-    out = tf.qsvt_unitary(u, r)
-    assert out.cost.query_count("rho") == 2 * r.degree
+    out = tf.qsvt_unitary(u, *factors)
+    # the degrees of a product add
+    assert out.cost.query_count("rho") == 2 * sum(p.degree for p in factors)
     assert dict(out.cost.controlled)["rho"] == 1
+    assert spectral_norm(out.encoding.block() - product_at(factors, 0.5) * np.eye(2)) < 1e-12
 
 
-def test_qsvt_unitary_rejects_unbounded_polynomial():
+@pytest.mark.parametrize("admissible", [
+    lambda: (), lambda: (pa.approx_support_indicator(0.1, 0.01),),
+], ids=["alone", "next-to-admissible"])
+def test_qsvt_unitary_rejects_unbounded_polynomial(admissible):
     bad = pa.CertifiedPolynomial(
         coefficients=np.array([0.0, 2.0]), parity="odd", target=None,
         certified_interval=(-1, 1), certified_error=0.0, global_bound=2.0,
         bound_limit=1.0, family="bad")
     with pytest.raises(ValidationError):
-        tf.qsvt_unitary(enc.identity_encoding(1), bad)
+        tf.qsvt_unitary(enc.identity_encoding(1), *admissible(), bad)
+    with pytest.raises(ValidationError):
+        tf.qsvt_density(oracle_for(maximally_mixed(2)), *admissible(), bad)
 
 
 def test_qsvt_unitary_rejects_non_hermitian_block():
@@ -118,14 +139,22 @@ def test_qsvt_density_diagonal_is_exact():
     assert spectral_norm(out.oracle.encoded.matrix - want) < 1e-10
 
 
-def test_qsvt_density_passes_eigenpairs_on(linalg_calls):
+@pytest.mark.parametrize("factors, target", [
+    (lambda: (pa.approx_positive_power(0.5, 0.05, 0.01),), lambda x: 0.5 * x ** 0.5),
+    (two_factors, lambda x: (0.05 ** 0.5 / 2.0) * x ** -0.5),
+], ids=["one-factor", "two-factors"])
+def test_qsvt_density_passes_eigenpairs_on(linalg_calls, factors, target):
+    factors = factors()
+    x = np.linspace(0.1, 1.0, 2001)
+    assert np.abs(product_at(factors, x) - target(x)).max() <= 0.025
     o = oracle_for(floored_spectrum_state(16, 4, np.random.default_rng(3)))
-    p = pa.approx_positive_power(0.5, 0.05, 0.01)
     w, v = o.encoded.eigenpairs
     linalg_calls.clear()
-    out = tf.qsvt_density(o, p).oracle.encoded
+    out = tf.qsvt_density(o, *factors).oracle
     assert not linalg_calls
-    assert np.array_equal(out.factor, v * (np.sqrt(w) * p(w)))
+    assert np.array_equal(out.encoded.factor, v * (np.sqrt(w) * product_at(factors, w)))
+    assert out.cost.query_count("rho") == 2 * sum(p.degree for p in factors)
+    assert dict(out.cost.controlled)["rho"] == 1
 
 
 def _unit_rank_one_factor(seed: int) -> enc.SubnormalizedDensityOperator:
