@@ -18,7 +18,7 @@ rho = floored_spectrum_state(8, 3, rng, floor=0.1)
 oracle = purification_of(rho, label="rho")
 
 out = positive_power_density(oracle, 0.5, delta=0.02, epsilon=1e-3)
-got = out.scale * out.oracle.encoded.matrix
+got = out.scale * out.encoded.matrix
 want = matrix_function(rho, lambda w: np.where(w > 0, w, 0.0) ** 0.5, clamp=True)
 print("sqrt(rho) via the density-power route:")
 print("  scale  =", f"{out.scale:.4f}")
@@ -29,7 +29,7 @@ print("  queries charged    =", dict(out.cost.queries))
 delta, eps = 0.05, 0.01
 thr = eigenvalue_threshold_projector(oracle, delta, eps)
 lo, hi = sandwich_coefficients(delta, eps)
-got = thr.oracle.encoded.matrix
+got = thr.encoded.matrix
 w, v = np.linalg.eigh(rho)
 supp = v[:, w > 1e-10] @ v[:, w > 1e-10].conj().T
 print("\nthreshold projector at delta =", delta, "eps =", eps)

@@ -26,9 +26,8 @@ from .polyapprox import (CertificationError, CertifiedPolynomial,
                          approx_positive_power, approx_sqrt_neglog,
                          approx_support_indicator, approx_taylor, approx_threshold)
 from .resources import QueryCost
-from .transform import (TransformResult, eigenvalue_threshold_projector,
-                        positive_power_density, positive_power_unitary,
-                        power_unitary, qsvt_density, qsvt_unitary,
-                        transform_with_target)
+from .transform import (eigenvalue_threshold_projector, positive_power_density,
+                        positive_power_unitary, power_unitary, qsvt_density,
+                        qsvt_unitary)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -163,50 +163,49 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _verify_weyl(trials: int, rng: np.random.Generator) -> dict:
+def _sweep(suite: str, trials: int, draw, slack: float) -> dict:
+    """Run ``draw()`` -> (lhs, rhs) ``trials`` times; a trial violates the
+    suite when lhs > rhs + slack, and the worst ratio is lhs / rhs."""
     worst, violations = 0.0, 0
     for _ in range(trials):
+        lhs, rhs = draw()
+        worst = max(worst, lhs / rhs if rhs > 0 else 0.0)
+        violations += lhs > rhs + slack
+    return {"suite": suite, "trials": trials, "violations": violations,
+            "worst_ratio": worst}
+
+
+def _verify_weyl(trials: int, rng: np.random.Generator) -> dict:
+    def draw():
         dim = int(rng.choice([4, 8]))
         a = ginibre_state(dim, int(rng.integers(1, 5)), rng)
         b = ginibre_state(dim, int(rng.integers(1, 5)), rng)
-        lhs, rhs = est.weyl_perturbation_bound(a, b, float(rng.uniform(0.05, 0.95)))
-        ratio = lhs / rhs if rhs > 0 else 0.0
-        worst = max(worst, ratio)
-        violations += ratio > 1.0
-    return {"suite": "weyl", "trials": trials, "violations": violations,
-            "worst_ratio": worst}
+        return est.weyl_perturbation_bound(a, b, float(rng.uniform(0.05, 0.95)))
+
+    return _sweep("weyl", trials, draw, 0.0)
 
 
 def _verify_truncation(trials: int, rng: np.random.Generator) -> dict:
-    worst, violations = 0.0, 0
-    for _ in range(trials):
+    def draw():
         dim = int(rng.choice([4, 8]))
         r = int(rng.integers(1, 5))
         rho, sigma = shared_support_pair(dim, min(r, dim), rng, floor=0.02)
-        nu = (rho - sigma) / 2.0
-        mu = (rho + sigma) / 2.0
         alpha = float(rng.uniform(0.3, 2.5))
         delta = float(rng.uniform(0.005, 0.2))
-        measured, bound = est.trace_distance_truncation_bound(nu, mu, alpha, delta)
-        ratio = measured / bound if bound > 0 else 0.0
-        worst = max(worst, ratio)
-        violations += measured > bound + 1e-12
-    return {"suite": "truncation", "trials": trials, "violations": violations,
-            "worst_ratio": worst}
+        return est.trace_distance_truncation_bound((rho - sigma) / 2.0, (rho + sigma) / 2.0,
+                                                   alpha, delta)
+
+    return _sweep("truncation", trials, draw, 1e-12)
 
 
 def _verify_holder(trials: int, rng: np.random.Generator) -> dict:
-    worst, violations = 0.0, 0
-    for _ in range(trials):
+    def draw():
         dim = int(rng.choice([2, 4, 8]))
         a = ginibre_state(dim, int(rng.integers(1, dim + 1)), rng)
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        lhs, rhs = est.holder_power_norm_check(a, psi, float(rng.uniform(0.05, 0.95)))
-        ratio = lhs / rhs if rhs > 0 else 0.0
-        worst = max(worst, ratio)
-        violations += lhs > rhs + 1e-10
-    return {"suite": "holder", "trials": trials, "violations": violations,
-            "worst_ratio": worst}
+        return est.holder_power_norm_check(a, psi, float(rng.uniform(0.05, 0.95)))
+
+    return _sweep("holder", trials, draw, 1e-10)
 
 
 def _verify_sandwich(trials: int, rng: np.random.Generator) -> dict:
@@ -218,7 +217,7 @@ def _verify_sandwich(trials: int, rng: np.random.Generator) -> dict:
         rho = ginibre_state(dim, int(rng.integers(1, 5)), rng)
         out = tf.eigenvalue_threshold_projector(
             purification_of(rho, label="rho"), delta, eps)
-        got = out.oracle.encoded.matrix
+        got = out.encoded.matrix
         w, v = np.linalg.eigh(rho)
         supp = v[:, w > 1e-10] @ v[:, w > 1e-10].conj().T
         supp2d = v[:, w > 2 * delta] @ v[:, w > 2 * delta].conj().T

@@ -189,7 +189,13 @@ class SubnormalizedDensityOperator:
 @dataclass(frozen=True)
 class PurifiedAccessOracle:
     """Unitary preparing a purification whose block projection is ``encoded``,
-    built by ``builder`` the first time ``unitary`` is read."""
+    built by ``builder`` the first time ``unitary`` is read.
+
+    A block-encoding of a density operator: ``scale * encoded`` approximates
+    the operator named by the transform that built the oracle within
+    ``declared_error``, and an input oracle is (1, 0).  Rules read only
+    ``encoded``; no rule propagates the contract.
+    """
 
     builder: Callable[[], np.ndarray] = field(repr=False, compare=False)
     system_qubits: int
@@ -198,6 +204,8 @@ class PurifiedAccessOracle:
     encoded: SubnormalizedDensityOperator
     cost: QueryCost = field(default_factory=QueryCost)
     label: str = "oracle"
+    scale: float = 1.0
+    declared_error: float = 0.0
 
     @cached_property
     def unitary(self) -> np.ndarray:

@@ -321,7 +321,7 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
 
     out = qsvt_density(oracle, certified(approx_sqrt_neglog, op["delta"], op["eps1"]),
                        certified(approx_interior_indicator, op["delta"], op["eps1"]))
-    p_tilde, _ = trace_estimate(out.oracle, b(op), op["eps2"], config)
+    p_tilde, _ = trace_estimate(out, b(op), op["eps2"], config)
     return _report("von-neumann", (oracle,), None,
                    4.0 * math.log(1.0 / op["delta"]) * p_tilde, epsilon, record, ledger,
                    "O~(r^2 / eps^2)", config)
@@ -372,7 +372,7 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
         expected = "O~(r^((3 - a^2) / 2a) / eps^((3 + a) / 2a))"
 
         ppd = positive_power_density(oracle, alpha, op["delta1"], op["eps1"])
-        p_tilde, _ = trace_estimate(ppd.oracle, b(op), op["eps2"], config)
+        p_tilde, _ = trace_estimate(ppd, b(op), op["eps2"], config)
         estimate = ppd.scale * p_tilde
 
     elif _is_odd_integer(alpha):
@@ -413,7 +413,12 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
         w = power_unitary(block_encode_density(oracle), x, op["delta1"], op["eps1"])
         out = evolve(oracle, w.as_scale_one())
         p_tilde, _ = trace_estimate(out, b(op), op["eps2"], config)
-        estimate = 4.0 * p_tilde
+        # evolving by a scale-s encoding W read at scale one prepares
+        # (W rho W^dag) / s^2, so its trace reads the target divided by s^2;
+        # the trace distance rescales by its |nu|^(alpha/2) encoding's s^2 in
+        # the same way, and the fidelity's alpha-th power of the evolved state
+        # by s^(2 alpha)
+        estimate = w.scale ** 2 * p_tilde
 
     return _report("trace-power", (oracle,), alpha, estimate, epsilon, record, ledger,
                    expected, config)
@@ -492,7 +497,7 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
     ledger = _single_oracle_ledger(oracle, ae_repetitions(1.0, eps2), 2 * d, d)
 
     thr = eigenvalue_threshold_projector(oracle, delta / 2.0, op["eps1"])
-    p_tilde, _ = trace_estimate(thr.oracle, 1.0, eps2, config)
+    p_tilde, _ = trace_estimate(thr, 1.0, eps2, config)
     # the threshold projector has read these eigenvalues already
     w, _ = oracle.encoded.eigenpairs
     notes = (f"rank_delta(rho, {delta}) = {np.count_nonzero(w > delta)}",)
@@ -658,14 +663,13 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
     w_nu = _nu_encoding(oracle_rho, oracle_sigma)
     if even:
         half = encoding_power(w_nu, int(round(alpha)) // 2)
-        rescale = 4.0 / op["delta1"]
     else:
         half = power_unitary(w_nu, alpha / 2.0, op["delta2"], op["eps2"])
-        rescale = 16.0 / op["delta1"]
-    eta = evolve(thr.oracle, half.as_scale_one(), label="eta")
+    eta = evolve(thr, half.as_scale_one(), label="eta")
     p_tilde, _ = trace_estimate(eta, op["delta1"], op["eps3"], config)
     return _report("trace-distance", (oracle_rho, oracle_sigma), alpha,
-                   rescale * p_tilde, epsilon, record, ledger, expected, config)
+                   half.scale ** 2 * 4.0 / op["delta1"] * p_tilde, epsilon, record,
+                   ledger, expected, config)
 
 
 def trace_distance_truncation_bound(nu: np.ndarray, mu: np.ndarray, alpha: float,
@@ -749,7 +753,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         eta = evolve(oracle_rho, u_beta, label="eta")
         ppd = positive_power_density(eta, alpha, op["delta1"], op["eps1"])
         b_op = op["delta1"] ** (1.0 - alpha) * (r ** (1.0 - alpha) + 1.0) / 4.0
-        p_tilde, _ = trace_estimate(ppd.oracle, b_op, op["eps2"], config)
+        p_tilde, _ = trace_estimate(ppd, b_op, op["eps2"], config)
         estimate = ppd.scale * p_tilde
 
     else:
@@ -792,8 +796,8 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         eta = evolve(oracle_rho, u_beta.as_scale_one(), label="eta")
         ppd = positive_power_density(eta, alpha, op["delta2"], op["eps2"])
         b_op = op["delta2"] ** (1.0 - alpha) * r ** (1.0 - alpha) / 4.0
-        p_tilde, _ = trace_estimate(ppd.oracle, b_op, op["eps3"], config)
-        estimate = 4.0 ** (alpha + 1.0) * op["delta2"] ** (alpha - 1.0) * p_tilde
+        p_tilde, _ = trace_estimate(ppd, b_op, op["eps3"], config)
+        estimate = u_beta.scale ** (2 * alpha) * ppd.scale * p_tilde
 
     return _report("fidelity", (oracle_rho, oracle_sigma), alpha, estimate, epsilon,
                    record, ledger, expected, config)

@@ -100,7 +100,7 @@ def test_criterion_3_threshold_projector_sandwich():
         dim = int(rng.choice([4, 8]))
         rho = ginibre_state(dim, int(rng.integers(1, 5)), rng)
         out = tf.eigenvalue_threshold_projector(oracle_for(rho), delta, eps)
-        got = out.oracle.encoded.matrix
+        got = out.encoded.matrix
         w, v = np.linalg.eigh(rho)
         supp = v[:, w > 1e-10] @ v[:, w > 1e-10].conj().T
         supp2d = v[:, w > 2 * delta] @ v[:, w > 2 * delta].conj().T

@@ -532,7 +532,7 @@ def _joint_support_cases():
     # each result's matrix against the same operation on its inputs' matrices
     pair = enc.StatePreparationPair.plus_minus()
     u, v = _density_encoding(64, 3, 1), _density_encoding(64, 2, 2)
-    t = tf.qsvt_unitary(u, KERNEL_POLY).encoding
+    t = tf.qsvt_unitary(u, KERNEL_POLY)
     f_u = matrix_function(u.matrix, lambda x: 1.5 * x ** 2 - 0.5)
     big, other = _density_encoding(16, 10, 3), _density_encoding(16, 8, 4)
     dense = enc.dilate(0.5 * big.matrix)
@@ -571,7 +571,7 @@ def test_rules_match_dense_arithmetic(case):
 
 def test_transform_keeps_its_input_support_and_maps_the_kernel_value():
     u = _density_encoding(16, 3, 7)
-    t = tf.qsvt_unitary(u, KERNEL_POLY).encoding
+    t = tf.qsvt_unitary(u, KERNEL_POLY)
     assert t.support is u.support
     assert t.compression.shape == (3, 3)
     assert t.kernel_value == pytest.approx(-0.5)

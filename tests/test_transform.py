@@ -7,6 +7,7 @@ from blockenc import transform as tf
 from blockenc.fixtures import (floored_spectrum_state, ginibre_state, maximally_mixed,
                                pure_state)
 from blockenc.numerics import ValidationError, matrix_function, spectral_norm
+from blockenc.resources import QueryCost
 
 
 def oracle_for(m, label="rho"):
@@ -44,16 +45,17 @@ def product_at(factors, x):
 def test_qsvt_unitary_identity_polynomial():
     rng = np.random.default_rng(3)
     rho = ginibre_state(4, 3, rng)
-    u = enc.dilate(rho, cost=tf.QueryCost.of("rho"))
+    u = enc.dilate(rho, cost=QueryCost.of("rho"))
     out = tf.qsvt_unitary(u, identity_poly())
-    assert spectral_norm(out.encoding.block() - rho) < 1e-9
+    assert (out.scale, out.declared_error) == (1.0, tf.QSVT_PRECISION)
+    assert spectral_norm(out.block() - rho) < 1e-9
 
 
 def test_qsvt_unitary_support_indicator_separates_spectrum():
     r = pa.approx_support_indicator(0.1, 0.01)
     a = np.diag([0.5, 0.05]).astype(complex)
     out = tf.qsvt_unitary(enc.dilate(a), r)
-    assert spectral_norm(out.encoding.block() - np.diag([1.0, 0.0])) < 0.02
+    assert spectral_norm(out.block() - np.diag([1.0, 0.0])) < 0.02
 
 
 @pytest.mark.parametrize("factors", [
@@ -61,12 +63,12 @@ def test_qsvt_unitary_support_indicator_separates_spectrum():
 ], ids=["one-factor", "two-factors"])
 def test_qsvt_unitary_cost_charges_degree_queries(factors):
     factors = factors()
-    u = enc.dilate(maximally_mixed(2), cost=tf.QueryCost.of("rho"))
+    u = enc.dilate(maximally_mixed(2), cost=QueryCost.of("rho"))
     out = tf.qsvt_unitary(u, *factors)
     # the degrees of a product add
     assert out.cost.query_count("rho") == 2 * sum(p.degree for p in factors)
     assert dict(out.cost.controlled)["rho"] == 1
-    assert spectral_norm(out.encoding.block() - product_at(factors, 0.5) * np.eye(2)) < 1e-12
+    assert spectral_norm(out.block() - product_at(factors, 0.5) * np.eye(2)) < 1e-12
 
 
 @pytest.mark.parametrize("admissible", [
@@ -122,13 +124,17 @@ def test_transform_of_an_input_with_accepted_residual():
 def test_qsvt_density_constant_polynomial_returns_state():
     rng = np.random.default_rng(5)
     rho = ginibre_state(4, 2, rng)
-    out = tf.qsvt_density(oracle_for(rho), constant_one_poly())
-    assert spectral_norm(out.oracle.encoded.matrix - rho) < 1e-10
+    o = oracle_for(rho)
+    # an input oracle is a (1, a, 0) block-encoding of its state
+    assert (o.scale, o.declared_error) == (1.0, 0.0)
+    out = tf.qsvt_density(o, constant_one_poly())
+    assert (out.scale, out.declared_error) == (1.0, 2.5 * tf.QSVT_PRECISION)
+    assert spectral_norm(out.encoded.matrix - rho) < 1e-10
 
 
 def test_qsvt_density_identity_polynomial_cubes_diagonal():
     out = tf.qsvt_density(oracle_for(maximally_mixed(2)), identity_poly())
-    assert np.allclose(out.oracle.encoded.matrix, np.diag([0.125, 0.125]), atol=1e-10)
+    assert np.allclose(out.encoded.matrix, np.diag([0.125, 0.125]), atol=1e-10)
 
 
 def test_qsvt_density_diagonal_is_exact():
@@ -136,7 +142,7 @@ def test_qsvt_density_diagonal_is_exact():
     p = pa.approx_positive_power(0.5, 0.05, 0.01)
     out = tf.qsvt_density(oracle_for(rho), p)
     want = np.diag([lam * p(lam) ** 2 for lam in [0.6, 0.3, 0.1, 0.0]])
-    assert spectral_norm(out.oracle.encoded.matrix - want) < 1e-10
+    assert spectral_norm(out.encoded.matrix - want) < 1e-10
 
 
 @pytest.mark.parametrize("factors, target", [
@@ -150,7 +156,7 @@ def test_qsvt_density_passes_eigenpairs_on(linalg_calls, factors, target):
     o = oracle_for(floored_spectrum_state(16, 4, np.random.default_rng(3)))
     w, v = o.encoded.eigenpairs
     linalg_calls.clear()
-    out = tf.qsvt_density(o, *factors).oracle
+    out = tf.qsvt_density(o, *factors)
     assert not linalg_calls
     assert np.array_equal(out.encoded.factor, v * (np.sqrt(w) * product_at(factors, w)))
     assert out.cost.query_count("rho") == 2 * sum(p.degree for p in factors)
@@ -174,7 +180,7 @@ def test_qsvt_density_of_rank_one_state_reads_eigenvalue_above_one_as_one(a):
     w, _ = o.encoded.eigenpairs
     assert w.max() > 1.0
     p = pa.approx_positive_power(0.5, 0.05, 0.01)
-    out = tf.qsvt_density(o, p).oracle.encoded
+    out = tf.qsvt_density(o, p).encoded
     assert spectral_norm(out.matrix - p(1.0) ** 2 * a.matrix) < 1e-12
 
 
@@ -184,29 +190,7 @@ def test_qsvt_density_matches_spectral_oracle():
     p = pa.approx_positive_power(0.5, 0.05, 0.01)
     out = tf.qsvt_density(oracle_for(rho), p)
     want = matrix_function(rho, lambda w: w * p(w) ** 2, clamp=True)
-    assert spectral_norm(out.oracle.encoded.matrix - want) < 1e-8
-
-
-# -- transform_with_target ----------------------------------------------------
-
-def test_transform_with_target_positive_power_route():
-    # f(x) = (delta^c / 2) x^(-c) gives x f(x)^2 = (delta^(2c) / 4) x^(1-2c)
-    rng = np.random.default_rng(11)
-    rho = floored_spectrum_state(4, 4, rng, floor=0.1)
-    c, delta, eps = 0.25, 0.02, 1e-3
-    poly = pa.approx_negative_power(c, delta, eps)
-    f = lambda x: (delta ** c / 2.0) * np.asarray(x, dtype=float) ** (-c)
-    out = tf.transform_with_target(oracle_for(rho), f, poly, delta)
-    want = matrix_function(rho, lambda w: (delta ** (2 * c) / 4.0) * w ** (1 - 2 * c),
-                           clamp=True)
-    assert spectral_norm(out.oracle.encoded.matrix - want) <= out.declared_error
-
-
-def test_transform_with_target_interval_mismatch():
-    poly = pa.approx_negative_power(0.25, 0.05, 1e-2)
-    with pytest.raises(ValidationError):
-        tf.transform_with_target(oracle_for(maximally_mixed(2)),
-                                 lambda x: x, poly, 0.01)
+    assert spectral_norm(out.encoded.matrix - want) < 1e-8
 
 
 # -- positive_power_density ---------------------------------------------------
@@ -214,7 +198,7 @@ def test_transform_with_target_interval_mismatch():
 def test_positive_power_density_projector_spectrum():
     rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     out = tf.positive_power_density(oracle_for(rho), 0.5, 0.02, 1e-3)
-    got = out.scale * out.oracle.encoded.matrix
+    got = out.scale * out.encoded.matrix
     want = np.diag([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
     assert spectral_norm(got - want) <= out.declared_error
     assert spectral_norm(got - want) < 0.05
@@ -223,14 +207,14 @@ def test_positive_power_density_projector_spectrum():
 def test_positive_power_density_zero_state():
     zero = enc.SubnormalizedDensityOperator.from_matrix(np.zeros((2, 2), dtype=complex))
     out = tf.positive_power_density(enc.purification_of(zero), 0.5, 0.05, 1e-2)
-    assert spectral_norm(out.oracle.encoded.matrix) < 1e-9
+    assert spectral_norm(out.encoded.matrix) < 1e-9
 
 
 def test_positive_power_density_trace_of_sqrt():
     rng = np.random.default_rng(13)
     rho = floored_spectrum_state(8, 2, rng, floor=0.2)
     out = tf.positive_power_density(oracle_for(rho), 0.5, 0.02, 1e-3)
-    got = out.scale * out.oracle.encoded.trace
+    got = out.scale * out.encoded.trace
     want = matrix_function(rho, lambda w: np.sqrt(np.maximum(w, 0)), clamp=True).trace().real
     assert abs(got - want) <= out.declared_error
     assert abs(got - want) < 0.05
@@ -241,14 +225,14 @@ def test_positive_power_density_trace_of_sqrt():
 def test_positive_power_unitary_sign_symmetry():
     a = np.diag([1.0, -1.0]).astype(complex)
     out = tf.positive_power_unitary(enc.dilate(a), 0.5, 0.05, 0.01)
-    got = 2.0 * out.encoding.block()
+    got = 2.0 * out.block()
     assert spectral_norm(got - np.eye(2)) <= out.declared_error
 
 
 def test_positive_power_unitary_suppresses_small_eigenvalue():
     a = np.diag([0.5, 0.0]).astype(complex)
     out = tf.positive_power_unitary(enc.dilate(a), 0.5, 0.05, 0.01)
-    got = 2.0 * out.encoding.block()
+    got = 2.0 * out.block()
     assert abs(got[1, 1]) <= out.declared_error
     assert abs(got[0, 0] - np.sqrt(0.5)) <= out.declared_error
 
@@ -260,15 +244,16 @@ def test_positive_power_unitary_random_hermitian():
     a /= np.linalg.norm(a, 2) * 1.1
     out = tf.positive_power_unitary(enc.dilate(a), 0.5, 0.05, 0.01)
     want = matrix_function(a, lambda w: np.abs(w) ** 0.5)
-    assert spectral_norm(2.0 * out.encoding.block() - want) <= out.declared_error
-    out.encoding.check()
+    assert spectral_norm(2.0 * out.block() - want) <= out.declared_error
+    out.check()
 
 
 def test_positive_power_unitary_cost_is_sum_of_degrees():
     p = pa.certified(pa.approx_positive_power, 0.5, 0.05, 0.01)
     r = pa.certified(pa.approx_support_indicator, 0.05, 0.01)
-    u = enc.dilate(maximally_mixed(2), cost=tf.QueryCost.of("rho"))
+    u = enc.dilate(maximally_mixed(2), cost=QueryCost.of("rho"))
     out = tf.positive_power_unitary(u, 0.5, 0.05, 0.01)
+    assert (out.scale, out.ancillas) == (2.0, 2 * u.ancillas + 4)
     assert out.cost.query_count("rho") == 2 * (p.degree + r.degree)
     assert dict(out.cost.controlled)["rho"] == 1
 
@@ -292,8 +277,9 @@ def test_power_unitary_encodes_integer_times_fractional_power(exponent):
 def test_threshold_projector_maximally_mixed_scalar_value():
     delta, eps = 0.05, 0.01
     out = tf.eigenvalue_threshold_projector(oracle_for(maximally_mixed(2)), delta, eps)
+    assert (out.scale, out.declared_error) == (1.0, 2.0 * tf.QSVT_PRECISION)
     lo, hi = tf.sandwich_coefficients(delta, eps)
-    got = out.oracle.encoded.matrix
+    got = out.encoded.matrix
     assert tf.psd_order_holds(lo * np.eye(2), got)
     assert tf.psd_order_holds(got, hi * np.eye(2))
     # scalar check: x (Q(x))^2 at x = 1/2 is close to delta/4
@@ -304,7 +290,7 @@ def test_threshold_projector_annihilates_kernel():
     rho = np.diag([1.0, 0.0]).astype(complex)
     delta, eps = 0.05, 0.01
     out = tf.eigenvalue_threshold_projector(oracle_for(rho), delta, eps)
-    got = out.oracle.encoded.matrix
+    got = out.encoded.matrix
     assert abs(got[1, 1]) <= delta * eps ** 2 + 1e-12
 
 
@@ -314,7 +300,7 @@ def test_threshold_projector_sandwich_on_random_states():
     for _ in range(5):
         rho = ginibre_state(8, 3, rng)
         out = tf.eigenvalue_threshold_projector(oracle_for(rho), delta, eps)
-        got = out.oracle.encoded.matrix
+        got = out.encoded.matrix
         w, v = np.linalg.eigh(rho)
         supp = (v[:, w > 1e-10] @ v[:, w > 1e-10].conj().T)
         supp2d = (v[:, w > 2 * delta] @ v[:, w > 2 * delta].conj().T)
@@ -328,12 +314,17 @@ def test_threshold_projector_precondition():
         tf.eigenvalue_threshold_projector(oracle_for(maximally_mixed(2)), 0.01, 0.1)
 
 
-def test_declared_bounds_are_consistent_with_measured_deviation():
-    rng = np.random.default_rng(23)
-    rho = floored_spectrum_state(8, 3, rng, floor=0.1)
+@pytest.mark.parametrize("dim, rank, seed", [(8, 3, 23), (4, 4, 11)],
+                         ids=["8x8-rank-3", "4x4-rank-4"])
+def test_declared_bounds_are_consistent_with_measured_deviation(dim, rank, seed):
+    rho = floored_spectrum_state(dim, rank, np.random.default_rng(seed), floor=0.1)
     out = tf.positive_power_density(oracle_for(rho), 0.5, 0.02, 1e-3)
+    # the closed-form tail delta / 4 gives the value the parent's 2001-point
+    # grid sup of x f(x)^2 on [0, delta] gave
+    assert out.declared_error == pytest.approx(0.707865583740502, rel=1e-15)
+    assert out.scale == pytest.approx(28.284271247461902, rel=1e-15)
     target = matrix_function(rho, lambda w: np.where(w > 0, w, 0.0) ** 0.5, clamp=True)
-    measured = spectral_norm(out.scale * out.oracle.encoded.matrix - target)
+    measured = spectral_norm(out.scale * out.encoded.matrix - target)
     assert measured <= out.declared_error
 
 
@@ -342,5 +333,5 @@ def test_positive_power_density_c_near_one_sanity():
     rng = np.random.default_rng(29)
     rho = floored_spectrum_state(8, 3, rng, floor=0.1)
     out = tf.positive_power_density(oracle_for(rho), 0.99, 0.02, 1e-2)
-    got = out.scale * out.oracle.encoded.trace
+    got = out.scale * out.encoded.trace
     assert abs(got - 1.0) <= 0.05
