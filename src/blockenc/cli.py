@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -209,9 +210,15 @@ def _verify_holder(trials: int, rng: np.random.Generator) -> dict:
 
 
 def _verify_sandwich(trials: int, rng: np.random.Generator) -> dict:
+    """The threshold projector's output B against lo P_2delta <= B <= hi P on
+    random states, where P and P_2delta project onto the eigenvectors of
+    eigenvalue above 0 and above 2 delta.  ``worst_ratio`` is the largest
+    violation of either side over the trials,
+    max(-lambda_min(B - lo P_2delta), -lambda_min(hi P - B)), in operator-norm
+    units: negative when both sides hold with that margin."""
     delta, eps = 0.05, 0.01
     lo, hi = tf.sandwich_coefficients(delta, eps)
-    violations, worst = 0, 0.0
+    violations, worst = 0, -math.inf
     for _ in range(trials):
         dim = int(rng.choice([4, 8]))
         rho = ginibre_state(dim, int(rng.integers(1, 5)), rng)
@@ -224,8 +231,9 @@ def _verify_sandwich(trials: int, rng: np.random.Generator) -> dict:
         ok = (tf.psd_order_holds(lo * supp2d, got)
               and tf.psd_order_holds(got, hi * supp))
         violations += not ok
-        gap = np.linalg.eigvalsh((got - lo * supp2d)).min()
-        worst = max(worst, -float(gap))
+        lower = np.linalg.eigvalsh(got - lo * supp2d).min()
+        upper = np.linalg.eigvalsh(hi * supp - got).min()
+        worst = max(worst, -float(lower), -float(upper))
     return {"suite": "sandwich", "trials": trials, "violations": violations,
             "worst_ratio": worst, "delta": delta, "epsilon": eps}
 
@@ -238,6 +246,8 @@ def cmd_verify(args) -> int:
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     if any(n not in VERIFY_SUITES for n in names):
         raise ValidationError(f"unknown suite {args.suite!r}")
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     results = [VERIFY_SUITES[n](args.trials, rng) for n in names]
     payload = {"format": "blockenc-verify-v1", "tool_version": __version__,

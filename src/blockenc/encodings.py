@@ -172,10 +172,19 @@ class SubnormalizedDensityOperator:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w descending, V) on the support w > SUPPORT_CUT, from a thin SVD of F."""
-        v, s, _ = np.linalg.svd(self.factor, full_matrices=False)
-        keep = s ** 2 > SUPPORT_CUT
-        return s[keep] ** 2, v[:, keep]
+        """(w descending, V) on the support w > SUPPORT_CUT, from a thin SVD of
+        F, or from an ``eigh`` of F F^dag when F has more columns than rows
+        (a mixture of full-rank inputs), where the N x N Gram matrix is the
+        smaller problem."""
+        f = self.factor
+        if f.shape[1] > f.shape[0]:
+            w, v = np.linalg.eigh(f @ f.conj().T)
+            w, v = w[::-1], v[:, ::-1]
+        else:
+            v, s, _ = np.linalg.svd(f, full_matrices=False)
+            w = s ** 2
+        keep = w > SUPPORT_CUT
+        return w[keep], v[:, keep]
 
     @property
     def dim(self) -> int:

@@ -14,17 +14,41 @@ at the spectrum (see ``transform``).
 
 Every evaluation, on a polynomial's call and on the certificate grids, goes
 through one kernel, ``_chebval``.  With theta = arccos x, T_k(x) =
-Re e^{ik theta}.  The k that the coefficients' parity leaves (all k, or
-every other k from 0 or from 1, on the angle 2 theta) are split as
-k = s + t (a m + b) with m ~ sqrt(number of terms).  A baby table
-e^{i(s + t b) theta} and a giant table e^{i t m a theta} are geometric
-sequences, each filled by doubling; one real matrix product folds the
-coefficients into the baby table, and a dot product over the giant index
-finishes the sum.  This is the baby-step/giant-step split of Paterson and
-Stockmeyer (SIAM J. Comput. 1973) in angle form.  Points are processed in
-blocks of ``_CHUNK``, so the tables stay near a megabyte at the degree cap
-however many points are evaluated.  Points outside [-1, 1] by more than
-rounding are an error.
+Re e^{ik theta}; the coefficients' parity leaves all k, or every other k
+from 0 or from 1 (on the angle 2 theta).  The kernel has two regimes, and
+the input's size picks one: a call with fewer points than the series has
+terms after this parity split (an operator's eigenvalues) is few-point, any
+other call (a certificate grid) is many-point.
+
+Few points: the k are split as k = s + t (a m + b) with m ~ sqrt(number of
+terms).  A baby table e^{i(s + t b) theta} and a giant table
+e^{i t m a theta} are geometric sequences, each filled by doubling; one real
+matrix product folds the coefficients into the baby table, and a dot
+product over the giant index finishes the sum.  This is the
+baby-step/giant-step split of Paterson and Stockmeyer (SIAM J. Comput. 1973)
+in angle form.  Points are processed in blocks of ``_CHUNK``, so the tables
+stay near a megabyte at the degree cap however many points are evaluated.
+
+Many points: the series is sum_{k <= K} a_k cos(k psi), with
+psi = 2 arccos|x| in [0, pi] for an even series (the a_k are the even
+coefficients) and psi = theta otherwise (an odd series runs as a
+parity-free one).  With G_l(psi) = sum_k a_k (k/K)^l e^{ik psi}, the l-th
+psi-derivative of sum_k a_k e^{ik psi} is (iK)^l G_l, so about the nearest
+node psi_j = 2 pi j / n_f, with delta = psi - psi_j,
+
+    sum_k a_k cos(k psi) = sum_{l < L} (K delta)^l / l! Re(i^l G_l(psi_j)).
+
+Each G_l is one real FFT of length n_f, the smallest power of two at least
+4 times the number of terms, so |K delta| <= pi K / n_f < pi / 4.  As
+|G_l| <= sum|a_k|, the remainder is at most sum|a_k| (pi K / n_f)^L / L!
+(L + 1) / (L + 1 - pi K / n_f), and L is the smallest order that brings
+this to ``_FFT_TAIL`` sum|a_k| = 1e-17 sum|a_k|.  The cost is
+O(L n_f log n_f + L points) against O(points x terms), and one FFT row is
+held at a time.  This is the Taylor-series nonuniform FFT of Anderson and
+Dahleh (SIAM J. Sci. Comput. 1996); see also Dutt and Rokhlin (SIAM J. Sci.
+Comput. 1993).
+
+In both regimes points outside [-1, 1] by more than rounding are an error.
 """
 
 from __future__ import annotations
@@ -44,6 +68,12 @@ DEGREE_CAP = 8192
 GRID_POINTS = 10001
 _EXTREMA = 64
 _CHUNK = 256
+# truncation bound of the many-point regime, relative to sum_k |a_k|
+_FFT_TAIL = 1e-17
+# 2 pi = _TAU_HI + _TAU_LO to about 1e-27, with _TAU_HI on at most 36 bits, so
+# that j * _TAU_HI is exact for the node indices j < 2^17
+_TAU_HI = math.ldexp(round(math.ldexp(math.tau, 33)), -33)
+_TAU_LO = (math.tau - _TAU_HI) + 2.4492935982947064e-16
 # |x| up to 1 + _DOMAIN_SLACK is rounding (an SVD eigenvalue of a pure state
 # reads up to 1 + 7e-16) and is clamped to +-1; anything further is rejected
 _DOMAIN_SLACK = 1e-12
@@ -96,6 +126,13 @@ def _chebval(x, c: np.ndarray):
         terms, start, step = c[1::2], 1, 2
     else:
         terms, start, step = c, 0, 1
+    if flat.size >= terms.size:
+        # many points; an odd series runs as a parity-free one
+        if start == 0 and step == 2:
+            out = _cosine_series(terms, 2.0 * np.arccos(np.abs(flat)))
+        else:
+            out = _cosine_series(c, np.arccos(flat))
+        return out.reshape(x.shape)[()]
     m = math.isqrt(terms.size - 1) + 1
     giants = -(-terms.size // m)
     table = np.zeros(giants * m)
@@ -112,6 +149,33 @@ def _chebval(x, c: np.ndarray):
         out[lo:lo + _CHUNK] = np.einsum("ap,ap->p", giant.view(float),
                                         inner).reshape(-1, 2).sum(axis=1)
     return out.reshape(x.shape)[()]
+
+
+def _cosine_series(a: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """sum_k a_k cos(k psi) for psi in [0, pi]: the many-point regime of the
+    module docstring."""
+    top = max(a.size - 1, 1)                      # K, the highest frequency
+    nodes = 1 << (4 * a.size - 1).bit_length()    # n_f >= 4 * terms, a power of two
+    reach = math.pi * top / nodes                 # |K delta| <= reach < pi / 4
+    order = 1
+    while reach ** order / math.factorial(order) * (order + 1) / (order + 1 - reach) > _FFT_TAIL:
+        order += 1
+    nearest = np.rint(psi * (nodes / math.tau)).astype(np.intp)   # in [0, nodes / 2]
+    # delta = psi - 2 pi j / n_f: j _TAU_HI / n_f is exact and so is its
+    # difference from psi, so only the small _TAU_LO term rounds
+    delta = (psi - nearest * (_TAU_HI / nodes)) - nearest * (_TAU_LO / nodes)
+    offset = top * delta                          # K delta
+    frequency = np.arange(a.size) / top
+    acc = np.zeros(psi.size)
+    for l in reversed(range(order)):
+        # Horner in K delta on G_l / l!.  Node j of rfft(v) is conj(sum_k v_k
+        # e^{ik psi_j}), so Re(i^l G_l) is the real part of the spectrum for
+        # even l and the imaginary part for odd l, negated when l % 4 >= 2.
+        sign = -1.0 if l % 4 >= 2 else 1.0
+        spectrum = np.fft.rfft(a * frequency ** l * (sign / math.factorial(l)), nodes)
+        acc *= offset
+        acc += (spectrum.imag if l % 2 else spectrum.real)[nearest]
+    return acc
 
 
 def _geometric(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
@@ -192,14 +256,18 @@ def _build(family: str, params: dict, surrogate, target, interval: tuple[float, 
     for degree in _degree_ladder(start_degree):
         coeffs = _apply_parity(_chebyshev_fit(surrogate, degree), parity)
         coeffs = _trim_tail(coeffs)
-        gmax = float(np.abs(_chebval(_global_grid(degree), coeffs)).max())
+        # one kernel call samples both grids, so the many-point regime pays
+        # for its FFTs once
+        sampled = _chebval(np.concatenate([grid, _global_grid(degree)]), coeffs)
+        values, gmax = sampled[:grid.size], float(np.abs(sampled[grid.size:]).max())
         if gmax > bound_limit:
             # the series is linear in its coefficients, so the rescaled
-            # series' grid maximum is the sampled one times the same factor
+            # series' samples are the sampled ones times the same factor
             shrink = bound_limit / (gmax * (1.0 + 1e-12))
             coeffs = coeffs * shrink
+            values = values * shrink
             gmax *= shrink
-        err = float(np.abs(_chebval(grid, coeffs) - f_grid).max())
+        err = float(np.abs(values - f_grid).max())
         poly = CertifiedPolynomial(
             coefficients=coeffs, parity=parity, target=target,
             certified_interval=interval, certified_error=err,
@@ -383,8 +451,10 @@ def _indicator_family(family, params, surrogate, one_band, zero_band):
     delta, epsilon = params["delta"], params["epsilon"]
 
     def extra(poly):
-        ones = poly(np.linspace(*one_band, GRID_POINTS // 4))
-        zeros = np.abs(poly(np.linspace(*zero_band, GRID_POINTS // 4)))
+        band = GRID_POINTS // 4
+        values = poly(np.concatenate([np.linspace(*one_band, band),
+                                      np.linspace(*zero_band, band)]))
+        ones, zeros = values[:band], np.abs(values[band:])
         detail = {"one_band_min": float(ones.min()), "one_band_max": float(ones.max()),
                   "zero_band_max": float(zeros.max())}
         ok = (ones.min() >= 1.0 - epsilon and ones.max() <= 1.0 + 1e-9

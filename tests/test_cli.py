@@ -202,6 +202,50 @@ def test_verify_suites_pass(tmp_path):
                                                    "holder", "sandwich"}
 
 
+def test_verify_rejects_no_trials(tmp_path):
+    # a maximum over no trials has no value to report
+    assert run(["verify", "--suite", "sandwich", "--trials", "0",
+                "--out", str(tmp_path / "v.json")]) == 2
+
+
+def _sandwich_sides(trials, seed, delta, eps, lo, hi):
+    """Both sides' violations, recomputed from rho's spectrum: the threshold
+    projector's output B is a function of rho, so B, P and P_2delta share
+    rho's eigenvectors and each side's eigenvalues are read off the diagonal
+    of V^dag B V."""
+    rng, sides = np.random.default_rng(seed), []
+    for _ in range(trials):
+        dim = int(rng.choice([4, 8]))
+        rho = cli.ginibre_state(dim, int(rng.integers(1, 5)), rng)
+        b = cli.tf.eigenvalue_threshold_projector(
+            cli.purification_of(rho), delta, eps).encoded.matrix
+        w, v = np.linalg.eigh(rho)
+        d = np.einsum("ji,jk,ki->i", v.conj(), b, v).real
+        sides.append((-(d - lo * (w > 2 * delta)).min(), -(hi * (w > 1e-10) - d).min()))
+    return sides
+
+
+@pytest.mark.parametrize("upper", ["as-stated", "too-small"])
+def test_sandwich_worst_ratio_covers_both_sides(monkeypatch, upper):
+    lo, hi = cli.tf.sandwich_coefficients(0.05, 0.01)
+    if upper == "too-small":
+        # B's eigenvalues on the 2 delta support are about delta / 4 = 0.0125,
+        # above this upper multiplier, so only the upper side is violated
+        hi = 0.01
+        monkeypatch.setattr(cli.tf, "sandwich_coefficients", lambda d, e: (lo, hi))
+    got = cli._verify_sandwich(6, np.random.default_rng(11))
+    assert (got["delta"], got["epsilon"]) == (0.05, 0.01)
+    sides = _sandwich_sides(6, 11, 0.05, 0.01, lo, hi)
+    assert abs(got["worst_ratio"] - max(max(s) for s in sides)) <= 1e-12
+    if upper == "as-stated":
+        # on rho's kernel B, P and P_2delta all vanish, so both sides are
+        # tight there and the number is rounding-level
+        assert got["violations"] == 0 and abs(got["worst_ratio"]) <= 1e-12
+    else:
+        assert got["violations"] == 6 and got["worst_ratio"] > 2e-3
+        assert max(s[0] for s in sides) <= 1e-12
+
+
 def test_approx_poly_dump_and_certification(tmp_path):
     out = str(tmp_path / "p.json")
     assert run(["approx-poly", "--family", "neg-power", "--c", "0.5",

@@ -6,7 +6,7 @@ import pytest
 
 from blockenc import estimation as est
 from blockenc import numerics as nm
-from blockenc.encodings import purification_of
+from blockenc.encodings import SUPPORT_CUT, SubnormalizedDensityOperator, purification_of
 from blockenc.fixtures import (floored_spectrum_state, ginibre_state,
                                maximally_mixed, pure_state, shared_support_pair)
 from blockenc.numerics import ValidationError
@@ -276,6 +276,35 @@ def test_truncation_bound_decomposes_mu_once(linalg_calls):
     got = est.trace_distance_truncation_bound(nu, mu, 1.0, 0.25)
     assert dict(linalg_calls) == {"eigh": 2}
     assert got == (0.0691398675568902, 3.0)
+
+
+def _svd_eigenpairs(a):
+    v, s, _ = np.linalg.svd(a.factor, full_matrices=False)
+    keep = s ** 2 > SUPPORT_CUT
+    return s[keep] ** 2, v[:, keep]
+
+
+def test_full_rank_mixture_reads_eigenpairs_from_its_gram_matrix(monkeypatch, linalg_calls):
+    # mu = (rho + sigma) / 2 of a full-rank pair has a 32 x 64 factor; its
+    # eigenpairs come from an eigh of the 32 x 32 F F^dag, not a 32 x 64 SVD
+    rho, sigma = shared_support_pair(32, 32, np.random.default_rng(3), floor=0.01)
+    fr, fs = (oracle_for(m).encoded.factor for m in (rho, sigma))
+    mu = SubnormalizedDensityOperator(np.hstack([fr, fs]) / np.sqrt(2.0), 5)
+    linalg_calls.clear()
+    w, v = mu.eigenpairs
+    assert linalg_calls.shapes == [("eigh", (32, 32))]
+    assert w.size == 32 and np.all(np.diff(w) <= 0)
+    assert np.allclose(w, _svd_eigenpairs(mu)[0], rtol=0.0, atol=1e-12)
+    assert np.linalg.norm((v * w) @ v.conj().T - (rho + sigma) / 2.0) < 1e-12
+
+    def trace_distance():
+        oracles = [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
+        return est.RUNNERS["trace-distance"](oracles, [32, 32], 0.1, CFG, alpha=1.0,
+                                             delta=0.05, epsilon_prime=0.1).estimate
+
+    gram = trace_distance()
+    monkeypatch.setattr(SubnormalizedDensityOperator, "eigenpairs", property(_svd_eigenpairs))
+    assert abs(gram - trace_distance()) <= 1e-12
 
 
 def test_holder_power_norm_inequality():

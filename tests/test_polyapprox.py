@@ -204,6 +204,22 @@ ITEM_3_POINTS = [  # the ROADMAP item 3 parameter points and their realized degr
 ]
 
 
+#: (certified_error, global_bound) at each ITEM_3_POINTS entry.  The global
+#: bound is a sampled maximum and is pinned relatively.  The certified error
+#: is a maximum of |P(x) - f(x)| with P(x) of order one, so a kernel's
+#: rounding moves it by a few units of 1e-16 whatever its size: the baby-step
+#: and the FFT kernels differ by up to 4.2e-15 here (1.4e-10 relative at
+#: 8e-7), so it also gets an absolute 1e-14.
+PINNED_CERTIFICATES = {
+    "approx_sqrt_neglog": (0.0003650667781560646, 0.6050994483284305),
+    "approx_interior_indicator": (0.00037500000098644737, 0.9999999999989999),
+    "approx_threshold": (0.0001250000011338015, 0.9999999999989999),
+    "approx_negative_power": (0.00013279231416812864, 0.875497331132386),
+    "approx_positive_power": (8.006193658038896e-07, 0.5000006833716982),
+    "approx_support_indicator": (0.00027023498636857823, 0.9999999999989999),
+}
+
+
 @st.composite
 def chebyshev_series(draw):
     degree = draw(st.one_of(st.integers(0, 16), st.integers(0, pa.DEGREE_CAP),
@@ -220,49 +236,109 @@ points = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
 
 
 @st.composite
-def evaluation_points(draw):
-    shape = draw(st.sampled_from(["scalar", "0-d", "empty", "1-d", "2-d"]))
+def evaluation_points(draw, terms):
+    """Points of every shape.  "many" draws at least ``terms`` points (the
+    series' coefficient count), so the kernel's many-point regime runs; the
+    other shapes hold at most 18 points."""
+    shape = draw(st.sampled_from(["scalar", "0-d", "empty", "1-d", "2-d", "many"]))
     if shape == "scalar":
         return draw(points)
     if shape == "0-d":
         return np.array(draw(points))
     if shape == "empty":
         return np.empty((0,))
+    if shape == "many":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        count = draw(st.integers(terms, terms + 64))
+        head = draw(st.lists(points, max_size=8))
+        return np.concatenate([head, rng.uniform(-1.0, 1.0, count)])
     rows = draw(st.integers(1, 3)) if shape == "2-d" else 1
     flat = draw(st.lists(points, min_size=rows, max_size=6 * rows))
     flat = flat[: len(flat) - len(flat) % rows]
     return np.array(flat).reshape(rows, -1) if shape == "2-d" else np.array(flat)
 
 
-@settings(max_examples=80, deadline=None)
-@given(chebyshev_series(), evaluation_points())
-def test_kernel_matches_clenshaw(c, x):
+@st.composite
+def series_and_points(draw):
+    c = draw(chebyshev_series())
+    return c, draw(evaluation_points(c.size))
+
+
+def assert_matches_clenshaw(x, c, compared=slice(None)):
+    """The kernel on all of x against the reference on the ``compared`` points."""
     got = pa._chebval(x, c)
-    want = clenshaw(np.asarray(x, dtype=np.longdouble), c.astype(np.longdouble))
-    assert np.shape(got) == np.shape(want)
-    assert np.all(np.abs(got - want) <= 1e-12 * max(1.0, float(np.abs(c).sum())))
+    assert np.shape(got) == np.shape(x)
+    flat = np.ravel(x)[compared]
+    want = clenshaw(flat.astype(np.longdouble), c.astype(np.longdouble))
+    assert np.all(np.abs(np.ravel(got)[compared] - want)
+                  <= 1e-12 * max(1.0, float(np.abs(c).sum())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_and_points())
+def test_kernel_matches_clenshaw(case):
+    c, x = case
+    # the reference costs points x terms in extended precision, so a "many"
+    # set is compared on its drawn head and 256 points spread over the rest
+    size = np.size(x)
+    compared = (slice(None) if size <= 264 else
+                np.r_[0:8, np.linspace(8, size - 1, 256).astype(int)])
+    assert_matches_clenshaw(x, c, compared)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd", "none"])
+def test_kernel_matches_clenshaw_at_the_cap_on_fft_nodes_and_midpoints(parity):
+    # the many-point regime samples the series at psi_j = 2 pi j / n_f and
+    # expands about the nearest one; midpoints are the largest offsets.  An
+    # even series is a series in psi = 2 arccos|x| with 4097 terms (n_f =
+    # 2^15); odd and parity-free ones run as parity-free series in
+    # psi = arccos x with 8193 terms (n_f = 2^16).
+    c = pa._apply_parity(np.random.default_rng(1).uniform(-1.0, 1.0, pa.DEGREE_CAP + 1),
+                         parity)
+    terms = c[0::2].size if parity == "even" else c.size
+    nodes = 1 << (4 * terms - 1).bit_length()
+    angle = 2.0 * np.pi / nodes * np.arange(0.0, nodes / 2 + 1, 0.5)   # nodes and midpoints
+    x = np.cos(angle / 2.0) if parity == "even" else np.cos(angle)
+    if parity == "even":
+        x = np.concatenate([x, -x])
+    picked = x[np.linspace(0, x.size - 1, pa.GRID_POINTS - 3).astype(int)]
+    x = np.concatenate([[-1.0, 0.0, 1.0], picked])
+    assert x.size == pa.GRID_POINTS
+    assert_matches_clenshaw(x, c)
 
 
 @pytest.mark.parametrize("build, args, degree", ITEM_3_POINTS)
 def test_kernel_matches_clenshaw_on_certificate_grids(build, args, degree):
     p = pa.certified(build, *args)
     assert p.degree == degree
+    certified_error, global_bound = PINNED_CERTIFICATES[build.__name__]
+    assert p.certified_error == pytest.approx(certified_error, rel=1e-12, abs=1e-14)
+    assert p.global_bound == pytest.approx(global_bound, rel=1e-12)
     tol = 1e-12 * max(1.0, float(np.abs(p.coefficients).sum()))
     for grid in (pa._global_grid(p.degree), np.linspace(*p.certified_interval, pa.GRID_POINTS)):
         assert np.abs(p(grid) - clenshaw(grid, p.coefficients)).max() <= tol
 
 
-def test_kernel_memory_is_bounded_by_its_chunk():
-    c = np.random.default_rng(0).uniform(-1.0, 1.0, pa.DEGREE_CAP + 1)
-    x = np.linspace(-1.0, 1.0, pa.GRID_POINTS)
+def _kernel_peak(c, x):
     tracemalloc.start()
     try:
         pa._chebval(x, c)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # unchunked, the two tables alone would take 10001 x 91 x 16 B x 2 = 29 MB
-    assert peak < 8 * 2 ** 20
+
+
+def test_kernel_memory_is_bounded_by_its_chunk():
+    # 10001 points and 8193 terms run the many-point regime; unchunked, the
+    # baby-step/giant-step tables alone would take 10001 x 91 x 16 B x 2 = 29 MB
+    c = np.random.default_rng(0).uniform(-1.0, 1.0, pa.DEGREE_CAP + 1)
+    assert _kernel_peak(c, np.linspace(-1.0, 1.0, pa.GRID_POINTS)) < 8 * 2 ** 20
+
+
+def test_kernel_memory_is_bounded_for_an_even_series_at_the_cap():
+    c = pa._apply_parity(np.random.default_rng(0).uniform(-1.0, 1.0, pa.DEGREE_CAP + 1),
+                         "even")
+    assert _kernel_peak(c, np.linspace(-1.0, 1.0, pa.GRID_POINTS)) < 8 * 2 ** 20
 
 
 def test_mixture_surrogate_memory_is_bounded_by_its_chunk():
