@@ -149,7 +149,7 @@ def ae_outcome_distribution(p: float, reps: int) -> np.ndarray:
         num = np.sin(np.pi * reps * x) ** 2
         den = reps ** 2 * np.sin(np.pi * x) ** 2
         out = np.where(np.abs(den) < 1e-300, 1.0, num / np.where(den == 0, 1.0, den))
-        near = np.isclose(x - np.round(x), 0.0, atol=1e-12)
+        near = np.abs(x - np.round(x)) <= 1e-12
         return np.where(near, 1.0, out)
 
     probs = 0.5 * (kernel(m / reps - omega) + kernel(m / reps + omega))
@@ -158,7 +158,12 @@ def ae_outcome_distribution(p: float, reps: int) -> np.ndarray:
 
 def ae_sample(p: float, reps: int, rng: np.random.Generator) -> float:
     """One draw from the exact outcome distribution, mapped to sin^2(pi m / M)."""
-    probs = ae_outcome_distribution(p, reps)
+    return _ae_draw(ae_outcome_distribution(p, reps), rng)
+
+
+def _ae_draw(probs: np.ndarray, rng: np.random.Generator) -> float:
+    """One outcome m drawn from ``probs``, mapped to sin^2(pi m / M)."""
+    reps = probs.size
     m = rng.choice(reps, p=probs)
     return float(np.sin(np.pi * m / reps) ** 2)
 
@@ -192,7 +197,9 @@ def trace_estimate(oracle: PurifiedAccessOracle, upper_bound: float, epsilon: fl
 
     Uses M = ceil(2 pi (2 sqrt(B)/eps + 1/sqrt(eps))) repetitions; analytic
     mode returns the exact trace, adversarial mode the worst in-bound value,
-    sampled mode a median of 2k+1 independent draws.  Returns (estimate, M).
+    sampled mode the median of 2k+1 independent draws from the one outcome
+    distribution of (tr(A), M), each with its own generator.  Returns
+    (estimate, M).
     """
     if upper_bound < 0 or epsilon <= 0:
         raise ValidationError("need upper_bound >= 0 and epsilon > 0")
@@ -207,8 +214,8 @@ def trace_estimate(oracle: PurifiedAccessOracle, upper_bound: float, epsilon: fl
         dev = min(ae_error_bound(p, reps), epsilon)
         return min(1.0, max(0.0, p + sign * dev)), reps
     k = config.median_trials
-    draws = [ae_sample(p, reps, config.rng("trace", stream, t))
-             for t in range(2 * k + 1)]
+    probs = ae_outcome_distribution(p, reps)
+    draws = [_ae_draw(probs, config.rng("trace", stream, t)) for t in range(2 * k + 1)]
     return float(np.median(draws)), reps
 
 

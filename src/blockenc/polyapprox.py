@@ -5,10 +5,12 @@ powers, threshold projectors, support/interior indicators, the scaled
 sqrt(-ln x)), builds a smooth surrogate that is cheap to sample, projects it
 onto the Chebyshev basis by discrete cosine quadrature, and then certifies
 the result on a dense grid: sup error against the target on the certified
-interval, the global bound on [-1, 1], and any band conditions.  Degrees
-start at four times the family's asymptotic formula and double until the
-certificate passes or the degree cap is hit; a failed certificate is always
-a raised error, never a silent pass.  No product of approximants is formed
+interval, the global bound on [-1, 1], and any band conditions.  Each rung
+of the degree ladder samples all of these grids in one kernel call; an even
+series is evaluated at |x|, so its global grid is the distinct |x| of the
+[-1, 1] grid.  Degrees start at four times the family's asymptotic formula
+and double until the certificate passes or the degree cap is hit; a failed
+certificate is always a raised error, never a silent pass.  No product of approximants is formed
 here: a transform takes its certified factors and multiplies their values
 at the spectrum (see ``transform``).
 
@@ -191,9 +193,22 @@ def _geometric(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _global_grid(degree: int) -> np.ndarray:
+def _global_grid(degree: int, even: bool = False) -> np.ndarray:
+    """GRID_POINTS equispaced points on [-1, 1] and +-cos(pi k / degree) for
+    k < _EXTREMA.
+
+    With ``even``, every |x| of those points instead, each about once: an
+    even series is evaluated at |x|, so its maximum there is the same number.
+    The equispaced points are not mirror images to the last bit (only about a
+    third of the negative ones are), so x >= 0 alone would not do: a negative
+    point is kept unless its mirror image has its magnitude.
+    """
     base = np.linspace(-1.0, 1.0, GRID_POINTS)
     extrema = np.cos(np.pi * np.arange(_EXTREMA) / max(degree, _EXTREMA))
+    if even:
+        size = np.abs(base)
+        return np.concatenate([size[(base >= 0.0) | (size != size[::-1])],
+                               np.abs(extrema)])
     return np.concatenate([base, extrema, -extrema])
 
 
@@ -248,40 +263,49 @@ def _degree_ladder(start: int) -> list[int]:
 
 def _build(family: str, params: dict, surrogate, target, interval: tuple[float, float],
            epsilon: float, bound_limit: float, parity: str, start_degree: int,
-           extra_checks=None) -> CertifiedPolynomial:
+           check=None) -> CertifiedPolynomial:
+    """Climb the degree ladder until a rung's certificate passes.
+
+    ``check``, if given, is ``(points, test)``: ``test`` receives the rung's
+    values at ``points`` and returns ``(ok, detail)``.
+    """
     lo, hi = interval
     grid = np.linspace(lo, hi, GRID_POINTS)
     f_grid = np.asarray(target(grid), dtype=float)
+    check_grid, test = check if check is not None else (np.empty(0), None)
     achieved: dict = {}
     for degree in _degree_ladder(start_degree):
         coeffs = _apply_parity(_chebyshev_fit(surrogate, degree), parity)
         coeffs = _trim_tail(coeffs)
-        # one kernel call samples both grids, so the many-point regime pays
-        # for its FFTs once
-        sampled = _chebval(np.concatenate([grid, _global_grid(degree)]), coeffs)
-        values, gmax = sampled[:grid.size], float(np.abs(sampled[grid.size:]).max())
+        # one kernel call samples the interval, global and check grids, so the
+        # many-point regime pays for its FFTs once
+        global_grid = _global_grid(degree, parity == "even")
+        sampled = _chebval(np.concatenate([grid, global_grid, check_grid]), coeffs)
+        values, on_global, checked = np.split(sampled, [grid.size,
+                                                        grid.size + global_grid.size])
+        gmax = float(np.abs(on_global).max())
         if gmax > bound_limit:
             # the series is linear in its coefficients, so the rescaled
             # series' samples are the sampled ones times the same factor
             shrink = bound_limit / (gmax * (1.0 + 1e-12))
             coeffs = coeffs * shrink
             values = values * shrink
+            checked = checked * shrink
             gmax *= shrink
         err = float(np.abs(values - f_grid).max())
-        poly = CertifiedPolynomial(
+        achieved = {"degree": degree, "interval_error": err, "global_max": gmax}
+        if err > epsilon or gmax > bound_limit + 1e-9:
+            continue
+        if test is not None:
+            ok, detail = test(checked)
+            achieved.update(detail)
+            if not ok:
+                continue
+        return CertifiedPolynomial(
             coefficients=coeffs, parity=parity, target=target,
             certified_interval=interval, certified_error=err,
             global_bound=gmax, bound_limit=bound_limit,
             family=family, params=dict(params))
-        achieved = {"degree": degree, "interval_error": err, "global_max": gmax}
-        if err > epsilon or gmax > bound_limit + 1e-9:
-            continue
-        if extra_checks is not None:
-            ok, detail = extra_checks(poly)
-            achieved.update(detail)
-            if not ok:
-                continue
-        return poly
     raise CertificationError(family, dict(params), achieved)
 
 
@@ -345,8 +369,13 @@ _ERF = np.frompyfunc(math.erf, 1, 1)
 
 
 def _erf(x) -> np.ndarray:
-    """The error function, elementwise."""
-    return np.asarray(_ERF(x), dtype=float)
+    """The error function, elementwise.  math.erf rounds to exactly +-1.0 from
+    |x| ~ 5.92 on, so it is called only where |x| < 6."""
+    x = np.asarray(x, dtype=float)
+    inside = np.abs(x) < 6.0
+    out = np.sign(x, out=np.empty(x.shape))
+    out[inside] = _ERF(x[inside])
+    return out
 
 
 def _erfcinv(y: float) -> float:
@@ -450,10 +479,10 @@ def _indicator_family(family, params, surrogate, one_band, zero_band):
     |P| <= epsilon on ``zero_band``; ``params`` names delta and epsilon."""
     delta, epsilon = params["delta"], params["epsilon"]
 
-    def extra(poly):
-        band = GRID_POINTS // 4
-        values = poly(np.concatenate([np.linspace(*one_band, band),
-                                      np.linspace(*zero_band, band)]))
+    band = GRID_POINTS // 4
+    points = np.concatenate([np.linspace(*one_band, band), np.linspace(*zero_band, band)])
+
+    def test(values):
         ones, zeros = values[:band], np.abs(values[band:])
         detail = {"one_band_min": float(ones.min()), "one_band_max": float(ones.max()),
                   "zero_band_max": float(zeros.max())}
@@ -464,7 +493,7 @@ def _indicator_family(family, params, surrogate, one_band, zero_band):
     return _build(family, params, surrogate,
                   lambda x: np.ones_like(np.asarray(x, dtype=float)),
                   one_band, epsilon, 1.0, "even",
-                  degree_formula(family, delta, epsilon), extra)
+                  degree_formula(family, delta, epsilon), (points, test))
 
 
 def approx_support_indicator(delta: float, epsilon: float) -> CertifiedPolynomial:
@@ -542,8 +571,9 @@ def approx_taylor(series: np.ndarray, x0: float, r: float, delta: float,
     def t_poly(x):
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float) - x0, trunc)
 
-    windowed = (x0 - r - delta / 2.0 > -1.0) or (x0 + r + delta / 2.0 < 1.0)
-    if windowed:
+    # P is held below epsilon outside [left, right]
+    left, right = x0 - r - delta / 2.0, x0 + r + delta / 2.0
+    if left > -1.0 or right < 1.0:
         t_max = float(np.abs(t_poly(np.linspace(-1, 1, 2001))).max())
         suppress = max(epsilon / (4.0 * max(t_max, 1.0)), 1e-300)
         k = _erfcinv(suppress) * 4.0 / delta
@@ -558,20 +588,18 @@ def approx_taylor(series: np.ndarray, x0: float, r: float, delta: float,
         def target(x):
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float) - x0, a)
 
-    def extra(poly):
-        lo_out = np.linspace(-1.0, x0 - r - delta / 2.0, 512) if x0 - r - delta / 2.0 > -1 else None
-        hi_out = np.linspace(x0 + r + delta / 2.0, 1.0, 512) if x0 + r + delta / 2.0 < 1 else None
-        worst = 0.0
-        for band in (lo_out, hi_out):
-            if band is not None:
-                worst = max(worst, float(np.abs(poly(band)).max()))
+    outside = np.concatenate([np.linspace(-1.0, left, 512) if left > -1 else [],
+                              np.linspace(right, 1.0, 512) if right < 1 else []])
+
+    def test(values):
+        worst = float(np.abs(values).max(initial=0.0))
         return worst <= epsilon, {"outside_max": worst}
 
     start = 4.0 / delta * np.log(max(bound, 1.0) / epsilon) + 4 * len(trunc)
     return _build("taylor", {"x0": x0, "r": r, "delta": delta, "bound": bound,
                              "epsilon": epsilon},
                   surrogate, target, (x0 - r, x0 + r), epsilon,
-                  0.5, "none", int(start) + 1, extra)
+                  0.5, "none", int(start) + 1, (outside, test))
 
 
 @lru_cache(maxsize=1024)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +56,31 @@ def test_ae_sampled_monte_carlo_hits_bound_frequency():
     assert np.mean(np.abs(estimates - 0.3) <= bound) >= 0.8
 
 
+def _isclose_outcome_distribution(p, reps):
+    """The outcome distribution with its near-integer test written as
+    np.isclose(x - round(x), 0, atol=1e-12), the reference formula."""
+    omega = math.asin(math.sqrt(p)) / math.pi
+    m = np.arange(reps)
+
+    def kernel(x):
+        num = np.sin(np.pi * reps * x) ** 2
+        den = reps ** 2 * np.sin(np.pi * x) ** 2
+        out = np.where(np.abs(den) < 1e-300, 1.0, num / np.where(den == 0, 1.0, den))
+        return np.where(np.isclose(x - np.round(x), 0.0, atol=1e-12), 1.0, out)
+
+    probs = 0.5 * (kernel(m / reps - omega) + kernel(m / reps + omega))
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("p, reps", [(0.0, 64), (1.0, 64), (0.0, 1), (1.0, 7),
+                                     (0.5, 64), (0.25, 150), (0.3, 146),
+                                     (1.0 / 3.0, 1000), (0.0123, 39268)])
+def test_ae_outcome_distribution_is_bit_identical_to_the_isclose_formula(p, reps):
+    # (0.5, 64) and (0.25, 150) put an outcome exactly on an eigenphase
+    got = est.ae_outcome_distribution(p, reps)
+    assert got.tobytes() == _isclose_outcome_distribution(p, reps).tobytes()
+
+
 # -- trace estimation ----------------------------------------------------------
 
 def test_trace_estimate_normalized_state():
@@ -73,6 +99,30 @@ def test_trace_estimate_repetition_formula():
     assert est.ae_repetitions(1.0, 0.1) == 146
     _, reps = est.trace_estimate(oracle_for(maximally_mixed(2)), 1.0, 0.1, CFG)
     assert reps == 146
+
+
+def _oracle_with_trace(p):
+    """A stand-in oracle: trace_estimate reads only the encoded trace."""
+    return SimpleNamespace(encoded=SimpleNamespace(trace=p))
+
+
+@pytest.mark.parametrize("p, bound, epsilon, seed, stream, k", [
+    (0.0, 1.0, 0.1, 0, 0, 3),
+    (0.3, 1.0, 0.1, 11, 0, 3),
+    (0.3, 0.5, 0.05, 11, 2, 1),
+    (0.97, 1.0, 0.2, 5, 1, 4),
+    (0.0123, 0.1, 0.01, 3, 7, 3),
+    (0.45, 1.0, 4e-4, 42, 0, 3),     # M = 31 731 outcomes
+])
+def test_sampled_trace_estimate_is_the_median_of_its_ae_samples(p, bound, epsilon,
+                                                                 seed, stream, k):
+    # 2k+1 draws from one distribution, each with its own generator, are
+    # exactly the median of 2k+1 independent ae_sample calls
+    cfg = est.AmplitudeEstimatorConfig(mode="sampled", seed=seed, median_trials=k)
+    reps = est.ae_repetitions(bound, epsilon)
+    want = float(np.median([est.ae_sample(p, reps, cfg.rng("trace", stream, t))
+                            for t in range(2 * k + 1)]))
+    assert est.trace_estimate(_oracle_with_trace(p), bound, epsilon, cfg, stream) == (want, reps)
 
 
 def test_trace_estimate_rejects_bad_bound():

@@ -186,6 +186,34 @@ def test_certification_failure_is_reported():
         pa.approx_negative_power(3.0, 0.002, 1e-3)
 
 
+def test_indicator_band_failure_raises_with_the_band_details():
+    # a constant surrogate meets the one band and misses the zero band
+    # at every rung, so only the band check can reject it
+    with pytest.raises(pa.CertificationError) as failure:
+        pa._indicator_family("threshold", {"t": 0.5, "delta": 0.1, "epsilon": 0.01},
+                             np.ones_like, (0.0, 0.4), (0.6, 1.0))
+    achieved = failure.value.achieved
+    assert achieved["degree"] == pa.DEGREE_CAP
+    assert achieved["interval_error"] < 1e-12
+    assert achieved["one_band_min"] == pytest.approx(1.0, abs=1e-12)
+    assert achieved["one_band_max"] == pytest.approx(1.0, abs=1e-12)
+    assert achieved["zero_band_max"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_erf_matches_math_erf_bit_for_bit():
+    # _erf skips math.erf where |x| >= 6, where it rounds to +-1.0 anyway
+    x = np.concatenate([np.linspace(-40.0, 40.0, 160001), np.linspace(5.8, 6.2, 40001),
+                        np.linspace(-6.2, -5.8, 40001),
+                        [0.0, -0.0, 5.92, np.nextafter(6.0, 0.0), 6.0, -6.0,
+                         np.inf, -np.inf, np.nan]])
+    want = np.array([math.erf(v) for v in x])
+    got = pa._erf(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert pa._erf(x[:6].reshape(2, 3)).tolist() == want[:6].reshape(2, 3).tolist()
+    assert pa._erf(0.5).shape == () and pa._erf(0.5) == math.erf(0.5)
+
+
 # -- the evaluation kernel ----------------------------------------------------
 # numpy's Clenshaw recurrence is the independent reference; src/ does not use it.
 # On arbitrary series it runs in extended precision: in double precision its
@@ -317,6 +345,18 @@ def test_kernel_matches_clenshaw_on_certificate_grids(build, args, degree):
     tol = 1e-12 * max(1.0, float(np.abs(p.coefficients).sum()))
     for grid in (pa._global_grid(p.degree), np.linspace(*p.certified_interval, pa.GRID_POINTS)):
         assert np.abs(p(grid) - clenshaw(grid, p.coefficients)).max() <= tol
+
+
+@pytest.mark.parametrize("build, args, degree", ITEM_3_POINTS)
+def test_even_global_bound_is_the_maximum_over_the_full_global_grid(build, args, degree):
+    # an even series is certified on every |x| of the global grid, which the
+    # kernel evaluates exactly as it does the signed points
+    p = pa.certified(build, *args)
+    assert p.parity == "even"
+    full, half = pa._global_grid(p.degree), pa._global_grid(p.degree, even=True)
+    assert np.array_equal(np.unique(half), np.unique(np.abs(full)))
+    assert np.abs(p(full)).max() == np.abs(p(half)).max()
+    assert np.abs(p(full)).max() == pytest.approx(p.global_bound, rel=1e-15)
 
 
 def _kernel_peak(c, x):
