@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -226,7 +227,7 @@ def _verify_sandwich(trials: int, rng: np.random.Generator) -> dict:
             purification_of(rho, label="rho"), delta, eps)
         got = out.encoded.matrix
         w, v = np.linalg.eigh(rho)
-        supp = v[:, w > 1e-10] @ v[:, w > 1e-10].conj().T
+        supp = v[:, w > nm.RANK_CUT] @ v[:, w > nm.RANK_CUT].conj().T
         supp2d = v[:, w > 2 * delta] @ v[:, w > 2 * delta].conj().T
         ok = (tf.psd_order_holds(lo * supp2d, got)
               and tf.psd_order_holds(got, hi * supp))
@@ -338,7 +339,9 @@ def cmd_bench_scaling(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="blockenc",
         description="Desk-scale simulator for block-encoded density operators")

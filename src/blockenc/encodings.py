@@ -96,6 +96,16 @@ def unitary_from_first_column(psi: np.ndarray) -> np.ndarray:
     return q
 
 
+def _select(blocks, count: int) -> np.ndarray:
+    """The select sum_k |k><k| (x) U_k over ``count`` branches: U_k is the k-th
+    of ``blocks``, and the identity on the branches past them."""
+    sub = blocks[0].shape[0]
+    out = np.eye(count * sub, dtype=complex)
+    for k, u in enumerate(blocks):
+        out[k * sub:(k + 1) * sub, k * sub:(k + 1) * sub] = u
+    return out
+
+
 def _pivoted_cholesky(h: np.ndarray) -> np.ndarray:
     """F (N x k) with F F^dag ~ h, by Cholesky with complete pivoting, in O(N k^2).
 
@@ -323,13 +333,6 @@ class UnitaryBlockEncoding:
         # blockform is ancilla-major; reorder to the system-first convention
         return permute_subsystems(blockform, (2, 2 ** self.system_qubits), (1, 0))
 
-    def validate(self, slack: float = 1e-8) -> "UnitaryBlockEncoding":
-        """Unitarity plus the (lazy) contract check."""
-        if unitarity_defect(self.unitary) > UNITARITY_TOL:
-            raise ValidationError("block-encoding matrix is not unitary within tolerance")
-        self.check(slack)
-        return self
-
     def block(self) -> np.ndarray:
         a = 2 ** self.realized_ancillas
         n = 2 ** self.system_qubits
@@ -465,11 +468,7 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
         swap_branch = np.kron(permutation_gate(sub[:3], (2, 1, 0)), np.eye(2))
         x_branch = np.kron(np.eye(dim_n * dim_pur * dim_n),
                            np.array([[0, 1], [1, 0]], dtype=complex))
-        gate = np.zeros((dim_blk * dim_n * dim_pur * dim_n * 2,) * 2, dtype=complex)
-        step = dim_n * dim_pur * dim_n * 2
-        for b in range(dim_blk):
-            branch = swap_branch if b == 0 else x_branch
-            gate[b * step:(b + 1) * step, b * step:(b + 1) * step] = branch
+        gate = _select([swap_branch] + [x_branch] * (dim_blk - 1), dim_blk)
         # gate layout [blk][old sys][pur][new][flag] -> [old sys][blk][pur][new][flag]
         dims = (dim_blk, dim_n, dim_pur, dim_n, 2)
         gate = permute_subsystems(gate, dims, (1, 0, 2, 3, 4))
@@ -614,9 +613,6 @@ def linear_combination_density(coefficients, oracles,
     b = max(o.purifying_ancillas for o in oracles)
     m = max(1, (len(oracles) + (1 if junk else 0) - 1).bit_length())
     dim_m, dim_n, dim_a, dim_b = 2 ** m, 2 ** n, 2 ** a, 2 ** b
-    total_cost = QueryCost(gates=2 * m)
-    for o in oracles:
-        total_cost = total_cost + o.cost
 
     def padded(oracle: PurifiedAccessOracle) -> np.ndarray:
         pa, pb = a - oracle.block_ancillas, b - oracle.purifying_ancillas
@@ -632,23 +628,14 @@ def linear_combination_density(coefficients, oracles,
             coeff_state[alphas.size] = np.sqrt(deficit)
         prep = unitary_from_first_column(coeff_state)
         sub = dim_n * dim_a * dim_b
-        select = np.zeros((dim_m * sub, dim_m * sub), dtype=complex)
-        flip = np.eye(sub, dtype=complex)
+        blocks = [padded(o) for o in oracles]
         if junk:
             x_first = np.zeros((dim_a, dim_a))
             half = dim_a // 2
             x_first[half:, :half] = np.eye(half)
             x_first[:half, half:] = np.eye(half)
-            flip = np.kron(np.kron(np.eye(dim_n), x_first), np.eye(dim_b))
-        for k in range(dim_m):
-            if k < len(oracles):
-                blockk = padded(oracles[k])
-            elif junk and k == len(oracles):
-                blockk = flip
-            else:
-                blockk = np.eye(sub, dtype=complex)
-            select[k * sub:(k + 1) * sub, k * sub:(k + 1) * sub] = blockk
-        u_total = select @ np.kron(prep, np.eye(sub))
+            blocks.append(np.kron(np.kron(np.eye(dim_n), x_first), np.eye(dim_b)))
+        u_total = _select(blocks, dim_m) @ np.kron(prep, np.eye(sub))
         # layout [m][n][a][b] -> [n][a][m][b]; the m register is traced out
         return permute_subsystems(u_total, (dim_m, dim_n, dim_a, dim_b), (1, 2, 0, 3))
 
@@ -656,18 +643,19 @@ def linear_combination_density(coefficients, oracles,
         builder=build, system_qubits=n, block_ancillas=a, purifying_ancillas=m + b,
         encoded=SubnormalizedDensityOperator(
             np.hstack([np.sqrt(al) * o.encoded.factor for al, o in zip(alphas, oracles)]), n),
-        cost=total_cost, label=label or oracles[0].label)
+        cost=sum((o.cost for o in oracles), QueryCost(gates=2 * m)),
+        label=label or oracles[0].label)
 
 
 @dataclass(frozen=True)
 class StatePreparationPair:
-    """(beta, b, eps)-state-preparation pair for a coefficient vector y."""
+    """Exact (beta, b, 0)-state-preparation pair for a coefficient vector y:
+    beta c_j^* d_j = y_j for the first columns c, d of the two unitaries."""
 
     left_unitary: np.ndarray
     right_unitary: np.ndarray
     coefficients: np.ndarray
     norm_bound: float
-    declared_error: float = 0.0
 
     def __post_init__(self):
         l, r = as_matrix(self.left_unitary), as_matrix(self.right_unitary)
@@ -682,7 +670,7 @@ class StatePreparationPair:
             raise ValidationError("coefficient vector longer than the register")
         c, d = l[:, 0], r[:, 0]
         err = float(np.abs(self.norm_bound * c[:m].conj() * d[:m] - y).sum())
-        if err > self.declared_error + 1e-9:
+        if err > 1e-9:
             raise ValidationError(f"pair prepares y with l1 defect {err:.3e}")
         beyond = float(np.abs(c[m:].conj() * d[m:]).max(initial=0.0))
         if beyond > 1e-12:
@@ -694,7 +682,7 @@ class StatePreparationPair:
 
     @staticmethod
     def for_coefficients(y) -> "StatePreparationPair":
-        """Exact pair with beta = ||y||_1 (zero declared error)."""
+        """The pair with beta = ||y||_1."""
         y = np.asarray(y, dtype=complex)
         beta = float(np.abs(y).sum())
         if beta <= 0:
@@ -722,8 +710,9 @@ class StatePreparationPair:
 def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
     """Linear combination of block-encoded operators through a preparation pair.
 
-    Output contract (alpha beta, a+b, alpha eps1 + alpha beta eps2) on
-    sum_k y_k A_k; one query to each controlled input and to the pair members.
+    Output contract (alpha beta, a+b, alpha beta eps) on sum_k y_k A_k for
+    scale-alpha inputs with errors at most eps, since the pair is exact; one
+    query to each controlled input and to the pair members.
     On the joint support Q the block is (Q, sum_k w_k M_k, sum_k w_k c_k),
     with w_k the pair's weights c_k^* d_k.
     """
@@ -740,20 +729,14 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         raise ValidationError("encodings must share the scale")
     a = max(e.realized_ancillas for e in encodings)
     dim_n, dim_a, dim_b = 2 ** n, 2 ** a, 2 ** pair.qubits
-    eps2 = max(e.declared_error for e in encodings)
-    err = alpha * pair.declared_error + alpha * pair.norm_bound * eps2
-    cost = QueryCost(gates=pair.qubits ** 2)
-    for e in encodings:
-        cost = cost + e.cost
+    err = alpha * pair.norm_bound * max(e.declared_error for e in encodings)
     weights = pair.left_unitary[:, 0].conj() * pair.right_unitary[:, 0]
     q, ms, cs = _joint_support(encodings)
 
     def build():
         sub = dim_n * dim_a
-        select = np.eye(dim_b * sub, dtype=complex)
-        for k, e in enumerate(encodings):
-            pad = np.eye(2 ** (a - e.realized_ancillas))
-            select[k * sub:(k + 1) * sub, k * sub:(k + 1) * sub] = np.kron(e.unitary, pad)
+        select = _select([np.kron(e.unitary, np.eye(2 ** (a - e.realized_ancillas)))
+                          for e in encodings], dim_b)
         w = (np.kron(pair.left_unitary.conj().T, np.eye(sub)) @ select
              @ np.kron(pair.right_unitary, np.eye(sub)))
         # layout [b][n][a] -> [n][a][b]
@@ -765,5 +748,6 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
     return UnitaryBlockEncoding(
         compression=sum(wk * m for wk, m in zip(weights, ms)), builder=build,
         system_qubits=n, ancillas=a + pair.qubits, realized_ancillas=a + pair.qubits,
-        scale=alpha * pair.norm_bound, declared_error=err, target_builder=target, cost=cost,
+        scale=alpha * pair.norm_bound, declared_error=err, target_builder=target,
+        cost=sum((e.cost for e in encodings), QueryCost(gates=pair.qubits ** 2)),
         support=q, kernel_value=sum(wk * c for wk, c in zip(weights, cs)))

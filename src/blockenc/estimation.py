@@ -192,7 +192,7 @@ def _median_success_probability(k: int) -> float:
 
 
 def trace_estimate(oracle: PurifiedAccessOracle, upper_bound: float, epsilon: float,
-                   config: AmplitudeEstimatorConfig, stream: int = 0) -> tuple[float, int]:
+                   config: AmplitudeEstimatorConfig) -> tuple[float, int]:
     """Estimate tr(A) within epsilon given tr(A) <= upper_bound.
 
     Uses M = ceil(2 pi (2 sqrt(B)/eps + 1/sqrt(eps))) repetitions; analytic
@@ -209,13 +209,15 @@ def trace_estimate(oracle: PurifiedAccessOracle, upper_bound: float, epsilon: fl
     reps = ae_repetitions(upper_bound, epsilon)
     if config.mode == "analytic":
         return p, reps
+    # the generator keys keep the stream index 0, so seeded reports match
+    # those of earlier versions
     if config.mode == "adversarial":
-        sign = 1.0 if config.rng("adv", stream).random() < 0.5 else -1.0
+        sign = 1.0 if config.rng("adv", 0).random() < 0.5 else -1.0
         dev = min(ae_error_bound(p, reps), epsilon)
         return min(1.0, max(0.0, p + sign * dev)), reps
     k = config.median_trials
     probs = ae_outcome_distribution(p, reps)
-    draws = [_ae_draw(probs, config.rng("trace", stream, t)) for t in range(2 * k + 1)]
+    draws = [_ae_draw(probs, config.rng("trace", 0, t)) for t in range(2 * k + 1)]
     return float(np.median(draws)), reps
 
 
@@ -256,12 +258,12 @@ def _schedule(quantity: str, epsilon: float, solve, bound_fn, floors: dict,
     return (analysis,) + _operational(analysis, bound, rounds, floors, derive)
 
 
-def _single_oracle_ledger(oracle: PurifiedAccessOracle, reps: int, queries: int,
-                          degree: int) -> QueryCost:
-    """M amplitude-estimation rounds, each making ``queries`` uses of the oracle,
-    two controlled uses, and a degree-d transform's d gates per qubit."""
-    return QueryCost.of(oracle.label, queries, controlled=2,
-                        gates=degree * (oracle.total_qubits + 1)).scaled(reps)
+def _ledger(reps: int, gates: int, uses) -> QueryCost:
+    """M amplitude-estimation rounds, each making ``gates`` gates and, for each
+    (oracle, count) in ``uses``, ``count`` uses of the oracle and two
+    controlled uses."""
+    return sum((QueryCost.of(o.label, count, controlled=2) for o, count in uses),
+               QueryCost()).plus_gates(gates).scaled(reps)
 
 
 def _report(quantity: str, oracles, alpha: float | None, estimate: float,
@@ -323,8 +325,8 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
         {"delta": OP_FLOORS["vn_delta"], "eps1": OP_FLOORS["vn_eps"]})
     d_total = (degree_formula("sqrt-neglog", analysis["delta"], analysis["eps1"])
                + degree_formula("interior-indicator", analysis["delta"], analysis["eps1"]))
-    ledger = _single_oracle_ledger(oracle, ae_repetitions(b(analysis), analysis["eps2"]),
-                                   2 * d_total, d_total)
+    ledger = _ledger(ae_repetitions(b(analysis), analysis["eps2"]),
+                     d_total * (oracle.total_qubits + 1), [(oracle, 2 * d_total)])
 
     out = qsvt_density(oracle, certified(approx_sqrt_neglog, op["delta"], op["eps1"]),
                        certified(approx_interior_indicator, op["delta"], op["eps1"]))
@@ -374,8 +376,8 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
             lambda op: {"eps2": epsilon * op["delta1"] ** (1 - alpha) / 16.0})
         d = degree_formula("neg-power", analysis["delta1"], analysis["eps1"],
                            c=(1.0 - alpha) / 2.0)
-        ledger = _single_oracle_ledger(
-            oracle, ae_repetitions(b(analysis), analysis["eps2"]), 2 * d, d)
+        ledger = _ledger(ae_repetitions(b(analysis), analysis["eps2"]),
+                         d * (oracle.total_qubits + 1), [(oracle, 2 * d)])
         expected = "O~(r^((3 - a^2) / 2a) / eps^((3 + a) / 2a))"
 
         ppd = positive_power_density(oracle, alpha, op["delta1"], op["eps1"])
@@ -385,8 +387,8 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
     elif _is_odd_integer(alpha):
         beta = int(round(alpha - 1)) // 2
         _, record = _operational({"eps2": epsilon}, epsilon, 0, {})
-        ledger = _single_oracle_ledger(oracle, ae_repetitions(1.0, epsilon), beta + 1,
-                                       beta)
+        ledger = _ledger(ae_repetitions(1.0, epsilon), beta * (oracle.total_qubits + 1),
+                         [(oracle, beta + 1)])
         expected = "O(1 / eps), rank-independent"
         out = evolve(oracle, encoding_power(block_encode_density(oracle), beta))
         estimate, _ = trace_estimate(out, 1.0, epsilon, config)
@@ -413,8 +415,8 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
             lambda op: {"eps2": epsilon / 8.0})
         q1 = (degree_formula("pos-power", analysis["delta1"], analysis["eps1"])
               + degree_formula("support-indicator", analysis["delta1"], analysis["eps1"]))
-        ledger = _single_oracle_ledger(
-            oracle, ae_repetitions(b(analysis), analysis["eps2"]), beta + q1, q1)
+        ledger = _ledger(ae_repetitions(b(analysis), analysis["eps2"]),
+                         q1 * (oracle.total_qubits + 1), [(oracle, beta + q1)])
         expected = "O~(r^(1/frac) / eps^(1 + 1/frac))"
 
         w = power_unitary(block_encode_density(oracle), x, op["delta1"], op["eps1"])
@@ -501,7 +503,8 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
                               2.0 * eps1 / delta, 0, {"eps1": OP_FLOORS["rank_eps"]})
     d = (degree_formula("neg-power", delta / 2.0, eps1, c=0.5)
          + degree_formula("support-indicator", delta / 2.0, eps1))
-    ledger = _single_oracle_ledger(oracle, ae_repetitions(1.0, eps2), 2 * d, d)
+    ledger = _ledger(ae_repetitions(1.0, eps2), d * (oracle.total_qubits + 1),
+                     [(oracle, 2 * d)])
 
     thr = eigenvalue_threshold_projector(oracle, delta / 2.0, op["eps1"])
     p_tilde, _ = trace_estimate(thr, 1.0, eps2, config)
@@ -519,7 +522,7 @@ def _exact_rank(oracle: PurifiedAccessOracle, kappa: float | None,
     if kappa is None or kappa < 1:
         raise ValidationError(f"the exact rank needs kappa >= 1, got {kappa}")
     w, _ = oracle.encoded.eigenpairs
-    nonzero = w[w > 1e-10]
+    nonzero = w[w > nm.RANK_CUT]
     if nonzero.size and nonzero.min() < 1.0 / kappa - 1e-9:
         raise ValidationError(
             f"kappa assumption violated: min nonzero eigenvalue "
@@ -658,11 +661,9 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
                         "O~(r^(5/a + (1-a)/2) / eps^(5/a + 1)); both stated forms recorded")
         else:
             expected = "O~(r^(3 + 1/frac) / eps^(4 + 1/frac))"
-    reps = ae_repetitions(analysis["delta1"], analysis["eps3"])
-    per_round = (QueryCost.of(oracle_rho.label, per_state, controlled=2)
-                 + QueryCost.of(oracle_sigma.label, per_state, controlled=2))
-    gates = q1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits)
-    ledger = per_round.plus_gates(gates).scaled(reps)
+    ledger = _ledger(ae_repetitions(analysis["delta1"], analysis["eps3"]),
+                     q1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits),
+                     [(oracle_rho, per_state), (oracle_sigma, per_state)])
 
     mu_oracle = linear_combination_density([0.5, 0.5], [oracle_rho, oracle_sigma],
                                            label="mu")
@@ -688,7 +689,7 @@ def trace_distance_truncation_bound(nu: np.ndarray, mu: np.ndarray, alpha: float
     abs_nu_a = nm.matrix_function(nu, lambda x: np.abs(x) ** alpha)
     measured = float(sum((v[:, i].conj() @ abs_nu_a @ v[:, i]).real
                          for i in np.nonzero(drop)[0]))
-    rank = int(np.count_nonzero(np.abs(w) > 1e-10))   # operator_rank(mu), from this w
+    rank = int(np.count_nonzero(np.abs(w) > nm.RANK_CUT))   # operator_rank(mu), from this w
     bound = 2.0 * rank * delta ** (min(alpha, 1.0) / 2.0)
     return measured, bound
 
@@ -727,7 +728,6 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         raise ValidationError("states must share the system dimension")
     beta = (1.0 - alpha) / (2.0 * alpha)
     integer = abs(beta - round(beta)) < 1e-9
-    lab_r, lab_s = oracle_rho.label, oracle_sigma.label
 
     if integer:
         b_int = int(round(beta))
@@ -749,11 +749,9 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         d1 = degree_formula("neg-power", analysis["delta1"], analysis["eps1"],
                             c=(1.0 - alpha) / 2.0)
         b_ae = analysis["delta1"] ** (1.0 - alpha) + r * (analysis["delta1"] + analysis["eps1"])
-        reps = ae_repetitions(b_ae, analysis["eps2"])
-        per_round = (QueryCost.of(lab_s, d1 * b_int, controlled=2)
-                     + QueryCost.of(lab_r, d1, controlled=2))
-        gates = d1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits)
-        ledger = per_round.plus_gates(gates).scaled(reps)
+        ledger = _ledger(ae_repetitions(b_ae, analysis["eps2"]),
+                         d1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits),
+                         [(oracle_sigma, d1 * b_int), (oracle_rho, d1)])
         expected = "O~(r^((3-a)/2a) / eps^((3+a)/2a))"
 
         u_beta = encoding_power(block_encode_density(oracle_sigma), b_int)
@@ -791,10 +789,8 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         q2 = degree_formula("neg-power", analysis["delta2"], analysis["eps2"],
                             c=(1.0 - alpha) / 2.0)
         b_ae = analysis["delta2"] ** (1.0 - alpha)
-        reps = ae_repetitions(b_ae, analysis["eps3"])
-        per_round = (QueryCost.of(lab_s, q2 * (q1 + b_floor), controlled=2)
-                     + QueryCost.of(lab_r, q2, controlled=2))
-        ledger = per_round.plus_gates(q1 * q2).scaled(reps)
+        ledger = _ledger(ae_repetitions(b_ae, analysis["eps3"]), q1 * q2,
+                         [(oracle_sigma, q2 * (q1 + b_floor)), (oracle_rho, q2)])
         expected = ("O~(r^((3-a)/2a + 1/(a frac)) / eps^((3+a)/2a + 1/(a frac))) "
                     "to U_sigma; O~(r^((3-a)/2a) / eps^((3+a)/2a)) to U_rho")
 

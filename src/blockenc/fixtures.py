@@ -24,11 +24,11 @@ def ginibre_state(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix rescaled to the requested spectral norm."""
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random Hermitian matrix rescaled to unit spectral norm."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
-    return h * (norm / np.linalg.norm(h, 2))
+    return h / np.linalg.norm(h, 2)
 
 
 def floored_spectrum_state(dim: int, rank: int, rng: np.random.Generator,
@@ -95,7 +95,7 @@ def curated_single_states(count: int, seed: int = 1000,
     return out
 
 
-def curated_pairs(count: int, kind: str, seed: int = 2000) -> list[tuple]:
+def curated_pairs(count: int, kind: str) -> list[tuple]:
     """Deterministic (rho, sigma, rank) acceptance pairs on a shared support.
 
     trace-distance pairs keep every nonzero eigenvalue of (rho - sigma)/2
@@ -119,7 +119,7 @@ def curated_pairs(count: int, kind: str, seed: int = 2000) -> list[tuple]:
     idx = len(out)
     while len(out) < count:
         for attempt in range(64):
-            rng = np.random.default_rng((seed, idx, attempt))
+            rng = np.random.default_rng((2000, idx, attempt))
             dim = int(rng.choice([4, 8, 16]))
             rank = int(rng.integers(2, min(4, dim) + 1))
             rho, sigma = shared_support_pair(dim, rank, rng, floor=floor)

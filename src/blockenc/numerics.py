@@ -25,6 +25,10 @@ HERMITICITY_TOL = 1e-9
 #: before logs and fractional powers.
 EIG_CLAMP = 1e-12
 
+#: Eigenvalues at most RANK_CUT in magnitude do not count toward an operator's
+#: rank.
+RANK_CUT = 1e-10
+
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
@@ -91,10 +95,10 @@ def spectral_decompose(m: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.
     return w, v
 
 
-def clamp_psd_eigenvalues(w: np.ndarray, clamp: float = EIG_CLAMP) -> np.ndarray:
+def clamp_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Zero out tiny negative eigenvalues of a numerically PSD spectrum."""
     w = np.asarray(w, dtype=float).copy()
-    w[(w < 0) & (w >= -clamp * max(1.0, float(np.max(np.abs(w), initial=0.0))))] = 0.0
+    w[(w < 0) & (w >= -EIG_CLAMP * max(1.0, float(np.max(np.abs(w), initial=0.0))))] = 0.0
     return w
 
 
@@ -167,12 +171,12 @@ def rank_delta(rho: np.ndarray, delta: float) -> int:
     return int(np.count_nonzero(np.abs(w) > delta))
 
 
-def operator_rank(rho: np.ndarray, tol: float = 1e-10) -> int:
-    return rank_delta(rho, tol)
+def operator_rank(rho: np.ndarray) -> int:
+    return rank_delta(rho, RANK_CUT)
 
 
-def max_entropy(rho: np.ndarray, tol: float = 1e-10) -> float:
-    return float(np.log(operator_rank(rho, tol)))
+def max_entropy(rho: np.ndarray) -> float:
+    return float(np.log(operator_rank(rho)))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray, alpha: float = 1.0) -> float:

@@ -209,9 +209,9 @@ def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
     return replace(out, declared_error=2.0 * QSVT_PRECISION)
 
 
-def psd_order_holds(lower: np.ndarray, upper: np.ndarray, tol: float = 1e-8) -> bool:
-    """A <= B as a PSD ordering: min eig(B - A) >= -tol * max(1, ||B||)."""
+def psd_order_holds(lower: np.ndarray, upper: np.ndarray) -> bool:
+    """A <= B as a PSD ordering: min eig(B - A) >= -1e-8 * max(1, ||B||)."""
     diff = np.asarray(upper) - np.asarray(lower)
     diff = (diff + diff.conj().T) / 2.0
     w = np.linalg.eigvalsh(diff)
-    return bool(w.min() >= -tol * max(1.0, spectral_norm(np.asarray(upper))))
+    return bool(w.min() >= -1e-8 * max(1.0, spectral_norm(np.asarray(upper))))

@@ -104,8 +104,8 @@ def test_criterion_3_threshold_projector_sandwich():
         w, v = np.linalg.eigh(rho)
         supp = v[:, w > 1e-10] @ v[:, w > 1e-10].conj().T
         supp2d = v[:, w > 2 * delta] @ v[:, w > 2 * delta].conj().T
-        ok = (tf.psd_order_holds(lo * supp2d, got, tol=1e-8)
-              and tf.psd_order_holds(got, hi * supp, tol=1e-8))
+        ok = (tf.psd_order_holds(lo * supp2d, got)
+              and tf.psd_order_holds(got, hi * supp))
         failures += not ok
     announce(3, "threshold-projector sandwich", failures == 0,
              f"[100 fixtures at delta={delta}, eps={eps}, {failures} failures]")

@@ -12,7 +12,7 @@ import pytest
 from blockenc import cli
 from blockenc import estimation as est
 from blockenc import numerics as nm
-from blockenc.fixtures import maximally_mixed, shared_support_pair
+from blockenc.fixtures import floored_spectrum_state, maximally_mixed, shared_support_pair
 
 
 def run(argv):
@@ -287,6 +287,16 @@ def test_approx_poly_certification_failure_exit_code():
                 "--delta", "0.002", "--epsilon", "0.001"]) == 3
 
 
+def test_schedule_budget_failure_exit_code(tmp_path, capsys):
+    # the bound's QSVT_PRECISION * r * ln(1/delta) term alone exceeds eps, so
+    # no tightening round can meet it
+    rho = floored_spectrum_state(8, 4, np.random.default_rng(0))
+    state = write_state(tmp_path, "s.json", rho, rank=4)
+    assert run(["estimate", "--quantity", "von-neumann", "--epsilon", "1e-11",
+                "--state", state]) == 3
+    assert "bound 1.281e-10 > target 1e-11" in capsys.readouterr().err
+
+
 QUANTITY_NAMES = ("von-neumann", "renyi", "tsallis", "trace-power", "rank",
                   "exact-rank", "max-entropy", "trace-distance", "fidelity")
 ALPHAS = {"renyi": 0.5, "tsallis": 2.0, "trace-power": 3.0, "fidelity": 0.5}
@@ -298,6 +308,10 @@ def quantity_choices(subcommand):
                if isinstance(a, argparse._SubParsersAction))
     return next(a.choices for a in sub.choices[subcommand]._actions
                 if a.dest == "quantity")
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_cli_table_and_runners_share_one_set_of_quantities():

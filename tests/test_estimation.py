@@ -106,23 +106,40 @@ def _oracle_with_trace(p):
     return SimpleNamespace(encoded=SimpleNamespace(trace=p))
 
 
-@pytest.mark.parametrize("p, bound, epsilon, seed, stream, k", [
-    (0.0, 1.0, 0.1, 0, 0, 3),
-    (0.3, 1.0, 0.1, 11, 0, 3),
-    (0.3, 0.5, 0.05, 11, 2, 1),
-    (0.97, 1.0, 0.2, 5, 1, 4),
-    (0.0123, 0.1, 0.01, 3, 7, 3),
-    (0.45, 1.0, 4e-4, 42, 0, 3),     # M = 31 731 outcomes
+@pytest.mark.parametrize("p, bound, epsilon, seed, k", [
+    (0.0, 1.0, 0.1, 0, 3),
+    (0.3, 1.0, 0.1, 11, 3),
+    (0.3, 0.5, 0.05, 11, 1),
+    (0.97, 1.0, 0.2, 5, 4),
+    (0.0123, 0.1, 0.01, 3, 3),
+    (0.45, 1.0, 4e-4, 42, 3),     # M = 31 731 outcomes
 ])
 def test_sampled_trace_estimate_is_the_median_of_its_ae_samples(p, bound, epsilon,
-                                                                 seed, stream, k):
+                                                                 seed, k):
     # 2k+1 draws from one distribution, each with its own generator, are
     # exactly the median of 2k+1 independent ae_sample calls
     cfg = est.AmplitudeEstimatorConfig(mode="sampled", seed=seed, median_trials=k)
     reps = est.ae_repetitions(bound, epsilon)
-    want = float(np.median([est.ae_sample(p, reps, cfg.rng("trace", stream, t))
+    want = float(np.median([est.ae_sample(p, reps, cfg.rng("trace", 0, t))
                             for t in range(2 * k + 1)]))
-    assert est.trace_estimate(_oracle_with_trace(p), bound, epsilon, cfg, stream) == (want, reps)
+    assert est.trace_estimate(_oracle_with_trace(p), bound, epsilon, cfg) == (want, reps)
+
+
+@pytest.mark.parametrize("p, reps, seed", [
+    (0.3, 64, 0), (0.3, 64, 2),     # seed 0 draws the + sign, seed 2 the -
+    (0.9, 4, 0), (0.9, 4, 2),       # p +- bound leaves [0, 1] on both sides
+])
+def test_amplitude_estimate_adversarial_and_sampled_modes(p, reps, seed):
+    # adversarial: p moved by the full stated bound, its sign drawn from the
+    # "ae-adv" stream, clipped to [0, 1]; sampled: one draw from "ae-sample"
+    bound = est.ae_error_bound(p, reps)
+    adv = est.AmplitudeEstimatorConfig(mode="adversarial", repetitions=reps, seed=seed)
+    sign = 1.0 if adv.rng("ae-adv").random() < 0.5 else -1.0
+    assert est.amplitude_estimate(_oracle_with_trace(p), adv) == (
+        min(1.0, max(0.0, p + sign * bound)), bound)
+    sampled = est.AmplitudeEstimatorConfig(mode="sampled", repetitions=reps, seed=seed)
+    assert est.amplitude_estimate(_oracle_with_trace(p), sampled) == (
+        est.ae_sample(p, reps, sampled.rng("ae-sample")), bound)
 
 
 def test_trace_estimate_rejects_bad_bound():
@@ -550,6 +567,13 @@ _TP_UNITARY = "O~(r^(1/frac) / eps^(1 + 1/frac))"
 _TD_ODD = "O~(r^(3 + 1/frac) / eps^(4 + 1/frac))"
 _FID_FRACTIONAL = ("O~(r^((3-a)/2a + 1/(a frac)) / eps^((3+a)/2a + 1/(a frac))) "
                    "to U_sigma; O~(r^((3-a)/2a) / eps^((3+a)/2a)) to U_rho")
+_TD_BELOW_ONE = ("O~(r^(5/a) / eps^(5/a + 1)) or "
+                 "O~(r^(5/a + (1-a)/2) / eps^(5/a + 1)); both stated forms recorded")
+
+#: every branch, plus trace distance at alpha < 1: it runs at the pinned
+#: inputs (r = 2, eps = 0.2), but at r = 4, eps = 0.1 its schedule raises
+#: ScheduleBudgetError, so it stays out of EVERY_BRANCH
+PINNED_CASES = EVERY_BRANCH + [("trace-distance", 0.5)]
 
 #: (queries, controlled, gates, expected_complexity) of each case's ledger on
 #: shared_support_pair(8, 2, default_rng(3)) at eps = 0.2
@@ -586,6 +610,10 @@ PINNED_LEDGERS = {
     ("renyi", 0.0): ({"rho": 66525316}, {"rho": 46948}, 166313290, "O~(kappa^2 / eps)"),
     ("tsallis", 0.0): ({"rho": 17831744}, {"rho": 11872}, 44579360,
                        "O~(1 / (delta^2 eps))"),
+    ("trace-distance", 0.5): ({"rho": 379137969505174344748659714570,
+                               "sigma": 379137969505174344748659714570},
+                              {"rho": 145726562, "sigma": 145726562},
+                              17578557855642312976, _TD_BELOW_ONE),
 }
 
 
@@ -611,21 +639,138 @@ PINNED_ESTIMATES = {
     ("fidelity", 0.2): 0.9549075623156648,
     ("renyi", 0.0): 0.6930520349882963,
     ("tsallis", 0.0): 1.0,
+    ("trace-distance", 0.5): 0.8365933370016769,    # the truth is 0.8366380796602069
 }
 
 
-@pytest.mark.parametrize("quantity, alpha", EVERY_BRANCH)
-def test_ledger_counts_are_pinned(quantity, alpha):
+#: (adversarial, sampled) estimates of each case under the same inputs at
+#: seed 3, so that a changed generator key shows
+PINNED_AE_ESTIMATES = {
+    ("von-neumann", None): (0.4679999748331197, 0.45907384134923757),
+    ("renyi", 0.5): (0.5711386729058104, 0.5670446300739667),
+    ("renyi", 2.0): (0.3264419243791555, 0.334701709468561),
+    ("tsallis", 2.0): (0.25670597740468604, 0.2730372773686498),
+    ("trace-power", 0.5): (1.3452297679197849, 1.328857817243822),
+    ("trace-power", 2.5): (0.6639595843016649, 0.6414533222054136),
+    ("trace-power", 3.0): (0.6122567978198998, 0.5711574191366425),
+    ("rank", None): (2.0053120378617915, 1.999884631358046),
+    ("exact-rank", None): (2.0, 2.0),
+    ("max-entropy", None): (0.6948501253432962, 0.6935836471864517),
+    ("trace-distance", 1.0): (0.3571141136823212, 0.3471413417659783),
+    ("trace-distance", 1.5): (0.1510345168671052, 0.14805809221984076),
+    ("trace-distance", 3.0): (0.011997506682009707, 0.010446781109974003),
+    ("trace-distance", 4.0): (0.0030127956484120866, 0.002147037256549449),
+    ("fidelity", 0.5): (0.9437023955615156, 0.9360503750269958),
+    ("fidelity", 0.25): (0.9616785728597486, 0.949489531378496),
+    ("fidelity", 0.2): (0.9819937637812065, 0.9565639466659018),
+    ("renyi", 0.0): (0.6948501253432962, 0.6935836471864517),
+    ("tsallis", 0.0): (1.0, 1.0),
+    ("trace-distance", 0.5): (0.8476250216349888, 0.8350206351280545),
+}
+
+#: (analysis, operational, bound_value, tightening_rounds, clamped): each
+#: case's schedule record under the same inputs
+_VN_SCHEDULE = {"delta": 0.016666666666666666, "eps1": 0.004900235063253435,
+                "eps2": 0.004900235063253435}
+_RANK_SCHEDULE = {"delta": 0.05, "eps1": 0.005000000000000001,
+                  "eps2": 0.0006250000000000001}
+_EXACT_RANK_SCHEDULE = {"delta": 0.08665059245426145, "eps1": 0.001501665034534902,
+                        "eps2": 0.0021662648113565364}
+_MAX_ENTROPY_SCHEDULE = {"delta": 0.08665059245426145, "eps1": 0.0021662648113565364,
+                         "eps2": 0.0005415662028391341}
+_TD_ODD_ANALYSIS = {"delta1": 5e-05, "eps1": 5.656854249492381e-05,
+                    "eps3": 1.2500000000000002e-07, "delta2": 1.6e-05, "eps2": 0.004}
+_TD_ODD_OPERATIONAL = {"delta1": 0.01, "eps1": 0.0005, "eps3": 6.25e-05, "delta2": 0.01,
+                       "eps2": 0.004}
+PINNED_SCHEDULES = {
+    ("von-neumann", None): (_VN_SCHEDULE, _VN_SCHEDULE, 0.11358633648088912, 1, False),
+    ("renyi", 0.5): ({"delta1": 3.906250000000001e-05, "eps1": 3.906250000000001e-05,
+                      "eps2": 1.9531250000000004e-05},
+                     {"delta1": 0.02, "eps1": 0.001, "eps2": 0.0004419417382415922},
+                     0.037500000000000006, 0, True),
+    ("renyi", 2.0): ({"delta1": 3.906250000000001e-05, "eps1": 0.00625, "eps2": 0.00625},
+                     {"delta1": 0.01, "eps1": 0.00625, "eps2": 0.00625}, 0.05, 0, True),
+    ("tsallis", 2.0): ({"delta1": 0.0006250000000000001, "eps1": 0.025, "eps2": 0.025},
+                       {"delta1": 0.01, "eps1": 0.025, "eps2": 0.025}, 0.2, 0, True),
+    ("trace-power", 0.5): ({"delta1": 0.0006250000000000001, "eps1": 0.0006250000000000001,
+                            "eps2": 0.00031250000000000006},
+                           {"delta1": 0.02, "eps1": 0.001, "eps2": 0.0017677669529663688},
+                           0.15000000000000002, 0, True),
+    ("trace-power", 2.5): ({"delta1": 0.007310044345532168, "eps1": 0.025, "eps2": 0.025},
+                           {"delta1": 0.01, "eps1": 0.025, "eps2": 0.025}, 0.2, 0, True),
+    ("trace-power", 3.0): ({"eps2": 0.2}, {"eps2": 0.2}, 0.2, 0, False),
+    ("rank", None): (_RANK_SCHEDULE, _RANK_SCHEDULE, 0.20000000000000004, 0, False),
+    ("exact-rank", None): (_EXACT_RANK_SCHEDULE, _EXACT_RANK_SCHEDULE,
+                           0.034660236981704576, 0, False),
+    ("max-entropy", None): (_MAX_ENTROPY_SCHEDULE, _MAX_ENTROPY_SCHEDULE, 0.05, 0, False),
+    ("trace-distance", 1.0): (_TD_ODD_ANALYSIS, _TD_ODD_OPERATIONAL,
+                              0.14539441708498985, 0, True),
+    ("trace-distance", 1.5): ({**_TD_ODD_ANALYSIS, "delta2": 0.0006349604207872801},
+                              _TD_ODD_OPERATIONAL, 0.14539441708498985, 0, True),
+    ("trace-distance", 3.0): (_TD_ODD_ANALYSIS, _TD_ODD_OPERATIONAL,
+                              0.14539441708498985, 0, True),
+    ("trace-distance", 4.0): ({"delta1": 5e-05, "eps1": 5.656854249492381e-05,
+                               "eps3": 5.000000000000001e-07},
+                              {"delta1": 0.01, "eps1": 0.0005, "eps3": 0.00025},
+                              0.11236945708498985, 0, True),
+    ("fidelity", 0.5): ({"delta1": 7.71604938271605e-08, "eps1": 7.71604938271605e-08,
+                         "delta2": 0.0002777777777777778, "eps2": 0.0002777777777777778,
+                         "eps3": 0.00010416666666666667},
+                        {"delta1": 0.01, "eps1": 0.001, "delta2": 0.004, "eps2": 0.001,
+                         "eps3": 0.0003952847075210474},
+                        0.1500046293081722, 0, True),
+    ("fidelity", 0.25): ({"delta1": 5.953741807651272e-15, "eps1": 5.953741807651272e-15,
+                          "delta2": 7.71604938271605e-08, "eps2": 7.71604938271605e-08,
+                          "eps3": 4.0920531318665943e-08},
+                         {"delta1": 0.01, "eps1": 0.001, "delta2": 0.004, "eps2": 0.001,
+                          "eps3": 0.00014058533129758727},
+                         0.15000000064300412, 0, True),
+    ("fidelity", 0.2): ({"delta1": 1.2860082304526748e-09, "eps1": 1.2860082304526748e-09,
+                         "eps2": 1.9290123456790104e-09},
+                        {"delta1": 0.004, "eps1": 0.001, "eps2": 0.0003017088168272581},
+                        0.16666666666666669, 0, True),
+    ("renyi", 0.0): (_MAX_ENTROPY_SCHEDULE, _MAX_ENTROPY_SCHEDULE, 0.05, 0, False),
+    ("tsallis", 0.0): (_EXACT_RANK_SCHEDULE, _EXACT_RANK_SCHEDULE,
+                       0.034660236981704576, 0, False),
+    ("trace-distance", 0.5): ({"delta1": 5e-09, "eps1": 2.8284271247461903e-07,
+                               "eps3": 1.25e-11, "delta2": 2.5600000000000005e-10,
+                               "eps2": 0.004},
+                              _TD_ODD_OPERATIONAL, 0.15744113137084992, 0, True),
+}
+
+
+def pinned_report(quantity, alpha, config):
+    """The case's report on shared_support_pair(8, 2, default_rng(3)) at eps = 0.2."""
     rho, sigma = shared_support_pair(8, 2, np.random.default_rng(3))
     oracles = [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
     w = np.linalg.eigvalsh(rho)
-    rep = est.RUNNERS[quantity](oracles, [2, 2], 0.2, CFG, alpha=alpha,
-                                kappa=1.0 / w[w > 1e-10].min(), delta=0.05,
-                                epsilon_prime=0.1)
+    return est.RUNNERS[quantity](oracles, [2, 2], 0.2, config, alpha=alpha,
+                                 kappa=1.0 / w[w > 1e-10].min(), delta=0.05,
+                                 epsilon_prime=0.1)
+
+
+@pytest.mark.parametrize("quantity, alpha", PINNED_CASES)
+def test_ledger_counts_are_pinned(quantity, alpha):
+    rep = pinned_report(quantity, alpha, CFG)
     led = rep.as_dict()["ledger"]
     got = (led["queries"], led["controlled"], led["gates"], led["expected_complexity"])
     assert got == PINNED_LEDGERS[quantity, alpha]
     assert rep.estimate == pytest.approx(PINNED_ESTIMATES[quantity, alpha], rel=1e-12)
+
+
+@pytest.mark.parametrize("quantity, alpha", PINNED_CASES)
+def test_schedules_and_amplitude_estimates_are_pinned(quantity, alpha):
+    params = pinned_report(quantity, alpha, CFG).parameters
+    analysis, operational, bound, rounds, clamped = PINNED_SCHEDULES[quantity, alpha]
+    assert set(params) == {"analysis", "operational", "bound_value", "tightening_rounds",
+                           "clamped"}
+    assert params["analysis"] == pytest.approx(analysis, rel=1e-12)
+    assert params["operational"] == pytest.approx(operational, rel=1e-12)
+    assert params["bound_value"] == pytest.approx(bound, rel=1e-12)
+    assert (params["tightening_rounds"], params["clamped"]) == (rounds, clamped)
+    for mode, want in zip(("adversarial", "sampled"), PINNED_AE_ESTIMATES[quantity, alpha]):
+        rep = pinned_report(quantity, alpha, est.AmplitudeEstimatorConfig(mode=mode, seed=3))
+        assert rep.estimate == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("quantity, alpha", EVERY_BRANCH)

@@ -33,7 +33,7 @@ def test_diagonal_eigenvalues_sorted_descending():
 
 def test_random_hermitian_matches_companion_matrix_roots():
     rng = np.random.default_rng(7)
-    h = random_hermitian(8, rng, norm=1.0)
+    h = random_hermitian(8, rng)
     w, _ = nm.spectral_decompose(h)
     assert np.max(np.abs(w - characteristic_roots(h))) < 1e-8
 
