@@ -17,6 +17,7 @@ joined.  Dense matrices are built only when read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from typing import Callable
@@ -166,8 +167,11 @@ class SubnormalizedDensityOperator:
         h = require_hermitian(m)
         n = _qubits(h.shape[0], "state")
         f = _pivoted_cholesky(h)
-        residual = float(np.linalg.norm(h - f @ f.conj().T))
-        if residual > PSD_TOL * max(1.0, float(np.linalg.norm(h))):
+        r = f @ f.conj().T
+        r -= h
+        residual = math.sqrt(np.vdot(r, r).real)
+        # ||H||_F is read only when the residual passes PSD_TOL
+        if residual > PSD_TOL and residual > PSD_TOL * math.sqrt(np.vdot(h, h).real):
             raise ValidationError(f"operator is not PSD within tolerance "
                                   f"(residual {residual:.3e})")
         a = SubnormalizedDensityOperator(f, n)
@@ -200,7 +204,7 @@ class SubnormalizedDensityOperator:
     def dim(self) -> int:
         return self.factor.shape[0]
 
-    @property
+    @cached_property
     def trace(self) -> float:
         return float(np.vdot(self.factor, self.factor).real)
 
@@ -531,9 +535,11 @@ def embed(oracle: PurifiedAccessOracle, extra_qubits: int) -> PurifiedAccessOrac
 def _joint_support(encodings) -> tuple[np.ndarray | None, list, list]:
     """(Q, [M_i], [c_i]) with every block B_i = Q M_i Q^dag + c_i (I - Q Q^dag).
 
-    Q is the support the encodings share (one object), else one thin QR of
-    their stacked supports, with Q^dag B_i Q = R_i M_i R_i^dag + c_i (I - R_i R_i^dag)
-    for R_i = Q^dag Q_i; else, when an input spans the whole space or the
+    Q is the support the encodings share (one object), else the left
+    singular vectors of their stacked supports whose singular values exceed
+    SUPPORT_CUT, so supports that span one subspace join on its dimension,
+    with Q^dag B_i Q = R_i M_i R_i^dag + c_i (I - R_i R_i^dag) for
+    R_i = Q^dag Q_i; else, when an input spans the whole space or the
     supports have N or more columns together, Q is the whole space and M_i
     is the dense block.
     """
@@ -542,7 +548,8 @@ def _joint_support(encodings) -> tuple[np.ndarray | None, list, list]:
         return qs[0], [e.compression for e in encodings], cs
     if any(q is None for q in qs) or sum(q.shape[1] for q in qs) >= qs[0].shape[0]:
         return None, [e.matrix for e in encodings], [0.0] * len(cs)
-    q = np.linalg.qr(np.hstack(qs))[0]
+    u, s, _ = np.linalg.svd(np.hstack(qs), full_matrices=False)
+    q = u[:, s > SUPPORT_CUT]
     rs = [q.conj().T @ e.support for e in encodings]
     return q, [r @ e.compression @ r.conj().T + c * (np.eye(len(r)) - r @ r.conj().T)
                for r, e, c in zip(rs, encodings, cs)], cs

@@ -283,10 +283,24 @@ def _report(quantity: str, oracles, alpha: float | None, estimate: float,
         success_probability_note=note, notes=notes)
 
 
-def _validated_rank_bound(rank_bound: int) -> int:
+def _validated_rank_bound(rank_bound: int, *oracles: PurifiedAccessOracle) -> int:
+    """The rank bound r, which must be at least one and at least the rank of
+    each given oracle's operator.
+
+    A factor with at most r columns passes as it is; a wider one is counted
+    by its ``eigenpairs`` (the support, eigenvalues above
+    ``encodings.SUPPORT_CUT``), so a pivoted Cholesky factor counts its
+    columns and a classical distribution's diagonal factor the probabilities
+    above the cut.
+    """
     r = int(rank_bound)
     if r < 1:
         raise ValidationError("rank bound must be at least one")
+    for oracle in oracles:
+        a = oracle.encoded
+        if a.factor.shape[1] > r and (rank := a.eigenpairs[0].size) > r:
+            raise ValidationError(f"rank bound {r} is below the rank {rank} "
+                                  f"of input {oracle.label!r}")
     return r
 
 
@@ -303,7 +317,7 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
                          epsilon: float,
                          config: AmplitudeEstimatorConfig) -> EstimateReport:
     """S(rho) via the sqrt(-ln) polynomial pipeline, rescaled by 4 ln(1/delta)."""
-    r = _validated_rank_bound(rank_bound)
+    r = _validated_rank_bound(rank_bound, oracle)
     _validated_epsilon(epsilon)
 
     def solve(eps):
@@ -350,7 +364,7 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
     """tr(rho^alpha) within epsilon: fractional powers of the state for
     alpha < 1, pure products for odd alpha, the block-encoded fractional
     power for other alpha > 1."""
-    r = _validated_rank_bound(rank_bound)
+    r = _validated_rank_bound(rank_bound, oracle)
     if alpha <= 0 or alpha == 1:
         raise ValidationError("trace power needs alpha in (0,1) or (1,inf)")
     _validated_epsilon(epsilon)
@@ -603,7 +617,7 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
                             config: AmplitudeEstimatorConfig) -> EstimateReport:
     """T_alpha(rho, sigma) = tr|(rho - sigma)/2|^alpha via the truncated
     support projector of mu = (rho + sigma)/2 sandwiched by |nu|^(alpha/2)."""
-    r = _validated_rank_bound(rank_bound)
+    r = _validated_rank_bound(rank_bound, oracle_rho, oracle_sigma)
     _validated_epsilon(epsilon)
     if alpha <= 0:
         raise ValidationError("alpha-trace-distance needs alpha > 0")
@@ -720,7 +734,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
     """F_alpha(rho, sigma) = tr((sigma^beta rho sigma^beta)^alpha) with
     beta = (1 - alpha)/(2 alpha); integer beta uses pure products of sigma,
     fractional beta composes the block-encoded power of sigma first."""
-    r = _validated_rank_bound(rank_bound)
+    r = _validated_rank_bound(rank_bound, oracle_rho)
     _validated_epsilon(epsilon)
     if not 0 < alpha < 1:
         raise ValidationError("alpha-fidelity needs alpha in (0, 1)")

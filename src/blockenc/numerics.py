@@ -7,6 +7,7 @@ matrices are plain ``numpy.ndarray`` of complex128; wrappers stay thin.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,7 +45,9 @@ def as_matrix(m: np.ndarray | Sequence) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValidationError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # a finite sum of squares has only finite terms; one that overflows
+    # falls back to the entrywise test
+    if not np.isfinite(np.vdot(a, a)) and not np.all(np.isfinite(a)):
         raise ValidationError("matrix has non-finite entries")
     return a
 
@@ -61,16 +64,23 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
 
     A Frobenius defect ||m - m^dag||_F <= tol passes without an SVD: the
     Frobenius norm bounds the spectral norm and tol <= tol (1 + ||m||_2), so
-    the accept set is that of the spectral test, which runs otherwise.
+    the accept set is that of the spectral test, which runs otherwise.  The
+    Hermitian part h is one transposed pass over m; the pre-test reads the
+    defect as twice m - h, whose Frobenius norm is one ``vdot`` (the
+    rounding of m - h, below 1e-15 ||m||_F, is far inside the margin between
+    tol and tol (1 + ||m||_2)), and m - m^dag is formed only when the
+    spectral test runs.
     """
     a = require_square(m)
-    ah = a.conj().T
-    diff = a - ah
-    if np.linalg.norm(diff) > tol:
+    h = a + a.conj().T
+    h *= 0.5
+    half = a - h
+    if 2.0 * math.sqrt(np.vdot(half, half).real) > tol:
+        diff = a - a.conj().T
         defect = spectral_norm(diff)
         if defect > tol * (1.0 + spectral_norm(a)):
             raise ValidationError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
-    return (a + ah) / 2.0
+    return h
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -15,21 +15,27 @@ here: a transform takes its certified factors and multiplies their values
 at the spectrum (see ``transform``).
 
 Every evaluation, on a polynomial's call and on the certificate grids, goes
-through one kernel, ``_chebval``.  With theta = arccos x, T_k(x) =
-Re e^{ik theta}; the coefficients' parity leaves all k, or every other k
-from 0 or from 1 (on the angle 2 theta).  The kernel has two regimes, and
-the input's size picks one: a call with fewer points than the series has
-terms after this parity split (an operator's eigenvalues) is few-point, any
-other call (a certificate grid) is many-point.
+through one kernel, ``_evaluate``, on a parity split of the coefficients: a
+polynomial computes its split once and keeps it, and ``_chebval`` splits raw
+coefficients (a rung of the degree ladder) on each call.  With
+theta = arccos x, T_k(x) = Re e^{ik theta}; the coefficients' parity leaves
+all k, or every other k from 0 or from 1 (on the angle 2 theta).  The kernel
+has two regimes, and the input's size picks one: a call with fewer points
+than the series has terms after this parity split (an operator's
+eigenvalues) is few-point, any other call (a certificate grid) is
+many-point.
 
 Few points: the k are split as k = s + t (a m + b) with m ~ sqrt(number of
-terms).  A baby table e^{i(s + t b) theta} and a giant table
-e^{i t m a theta} are geometric sequences, each filled by doubling; one real
-matrix product folds the coefficients into the baby table, and a dot
-product over the giant index finishes the sum.  This is the
-baby-step/giant-step split of Paterson and Stockmeyer (SIAM J. Comput. 1973)
-in angle form.  Points are processed in blocks of ``_CHUNK``, so the tables
-stay near a megabyte at the degree cap however many points are evaluated.
+terms); the split holds the giant x baby coefficient table and the
+frequencies s + t b and -t m a.  The baby table (cos, sin)((s + t b) theta)
+and the conjugated giant table (cos, sin)(-t m a theta) are one cos and one
+sin of the outer product of the frequencies and theta; one real matrix
+product folds the coefficients into the baby table, and a dot product of
+(cos, sin) pairs over the giant index takes Re(G H) and finishes the sum.
+This is the baby-step/giant-step split of Paterson and Stockmeyer (SIAM J.
+Comput. 1973) in angle form.  Points are processed in blocks of ``_CHUNK``,
+so the tables stay near a megabyte at the degree cap however many points
+are evaluated.
 
 Many points: the series is sum_{k <= K} a_k cos(k psi), with
 psi = 2 arccos|x| in [0, pi] for an even series (the a_k are the even
@@ -57,9 +63,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from statistics import NormalDist
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -110,17 +116,29 @@ class CertifiedPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
+    @cached_property
+    def _split(self) -> "_Split":
+        return _parity_split(self.coefficients)
+
     def __call__(self, x):
-        return _chebval(x, self.coefficients)
+        return _evaluate(x, self._split)
 
 
-def _chebval(x, c: np.ndarray):
-    """sum_k c_k T_k(x), shaped like x; see the module docstring."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    if not np.all(np.abs(flat) <= 1.0 + _DOMAIN_SLACK):
-        raise ValidationError("Chebyshev series evaluated outside [-1, 1]")
-    flat = np.clip(flat, -1.0, 1.0)
+class _Split(NamedTuple):
+    """A series after its parity split: ``terms`` are the c_k with
+    k = start + step j, ``table[a, b]`` = terms[a m + b] (zero past the
+    last), and ``frequencies`` are the baby steps start + step b (b < m)
+    followed by the negated giant steps -step m a (a < giants)."""
+
+    coefficients: np.ndarray
+    terms: np.ndarray
+    start: int
+    step: int
+    table: np.ndarray
+    frequencies: np.ndarray
+
+
+def _parity_split(c) -> _Split:
     c = np.asarray(c, dtype=float)
     if not c[1::2].any():
         terms, start, step = c[0::2], 0, 2
@@ -128,28 +146,50 @@ def _chebval(x, c: np.ndarray):
         terms, start, step = c[1::2], 1, 2
     else:
         terms, start, step = c, 0, 1
-    if flat.size >= terms.size:
-        # many points; an odd series runs as a parity-free one
-        if start == 0 and step == 2:
-            out = _cosine_series(terms, 2.0 * np.arccos(np.abs(flat)))
-        else:
-            out = _cosine_series(c, np.arccos(flat))
-        return out.reshape(x.shape)[()]
     m = math.isqrt(terms.size - 1) + 1
     giants = -(-terms.size // m)
     table = np.zeros(giants * m)
     table[:terms.size] = terms
-    table = table.reshape(giants, m)              # table[a, b] = c_{s + t(am + b)}
+    frequencies = np.concatenate([start + step * np.arange(m),
+                                  -step * m * np.arange(giants)]).astype(float)
+    return _Split(c, terms, start, step, table.reshape(giants, m), frequencies)
+
+
+def _chebval(x, c: np.ndarray):
+    """sum_k c_k T_k(x), shaped like x; see the module docstring."""
+    return _evaluate(x, _parity_split(c))
+
+
+def _evaluate(x, split: _Split):
+    """sum_k c_k T_k(x) for the series ``split`` holds, shaped like x."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    # a NaN maximum fails the test too
+    if not np.abs(flat).max(initial=0.0) <= 1.0 + _DOMAIN_SLACK:
+        raise ValidationError("Chebyshev series evaluated outside [-1, 1]")
+    flat = flat.clip(-1.0, 1.0)
+    if flat.size >= split.terms.size:
+        # many points; an odd series runs as a parity-free one
+        if split.start == 0 and split.step == 2:
+            out = _cosine_series(split.terms, 2.0 * np.arccos(np.abs(flat)))
+        else:
+            out = _cosine_series(split.coefficients, np.arccos(flat))
+        return out.reshape(x.shape)[()]
+    m = split.table.shape[1]
     out = np.empty(flat.size)
     for lo in range(0, flat.size, _CHUNK):
-        theta = np.arccos(flat[lo:lo + _CHUNK])
-        baby = _geometric(np.exp(1j * start * theta), np.exp(1j * step * theta), m)
-        # conjugated, so Re(G H) is the dot product of the (re, im) pairs
-        giant = _geometric(np.ones(theta.size, dtype=complex),
-                           np.exp(-1j * (step * m) * theta), giants)
-        inner = table @ baby.view(float)          # (re, im) of sum_b table[a, b] baby[b]
-        out[lo:lo + _CHUNK] = np.einsum("ap,ap->p", giant.view(float),
-                                        inner).reshape(-1, 2).sum(axis=1)
+        angle = np.multiply.outer(split.frequencies, np.arccos(flat[lo:lo + _CHUNK]))
+        points = angle.shape[1]
+        # trig[f] is the (cos, sin) row pair of frequency f
+        trig = np.empty((angle.shape[0], 2, points))
+        np.cos(angle, out=trig[:, 0])
+        np.sin(angle, out=trig[:, 1])
+        # (cos, sin) of H_a = sum_b table[a, b] e^{i(s + t b) theta}; the giant
+        # frequencies are negated, so sum_a Re(G_a H_a) with G_a = e^{i t m a theta}
+        # is the dot product of the giants' (cos, sin) pairs with H's
+        inner = split.table @ trig[:m].reshape(m, 2 * points)
+        out[lo:lo + points] = np.einsum("ap,ap->p", trig[m:].reshape(-1, points),
+                                        inner.reshape(-1, points))
     return out.reshape(x.shape)[()]
 
 
@@ -178,19 +218,6 @@ def _cosine_series(a: np.ndarray, psi: np.ndarray) -> np.ndarray:
         acc *= offset
         acc += (spectrum.imag if l % 2 else spectrum.real)[nearest]
     return acc
-
-
-def _geometric(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
-    """Rows first * ratio^j for j < count, by doubling the filled rows."""
-    out = np.empty((count, first.size), dtype=complex)
-    out[0] = first
-    filled = 1
-    while filled < count:
-        more = min(filled, count - filled)
-        np.multiply(out[:more], ratio, out=out[filled:filled + more])
-        filled += more
-        ratio = ratio * ratio
-    return out
 
 
 def _global_grid(degree: int, even: bool = False) -> np.ndarray:

@@ -297,6 +297,14 @@ def test_schedule_budget_failure_exit_code(tmp_path, capsys):
     assert "bound 1.281e-10 > target 1e-11" in capsys.readouterr().err
 
 
+def test_rank_bound_below_the_input_rank_exits_2(tmp_path, capsys):
+    state = str(tmp_path / "full.json")
+    assert run(["gen-state", "--dim", "64", "--rank", "64", "--out", state]) == 0
+    assert run(["estimate", "--quantity", "von-neumann", "--rank-bound", "4",
+                "--state", state, "--out", str(tmp_path / "r.json")]) == 2
+    assert "rank bound 4 is below the rank 64" in capsys.readouterr().err
+
+
 QUANTITY_NAMES = ("von-neumann", "renyi", "tsallis", "trace-power", "rank",
                   "exact-rank", "max-entropy", "trace-distance", "fidelity")
 ALPHAS = {"renyi": 0.5, "tsallis": 2.0, "trace-power": 3.0, "fidelity": 0.5}

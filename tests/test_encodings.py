@@ -5,7 +5,7 @@ from blockenc import encodings as enc
 from blockenc import polyapprox as pa
 from blockenc import transform as tf
 from blockenc.fixtures import (floored_spectrum_state, ginibre_state, haar_unitary,
-                               maximally_mixed)
+                               maximally_mixed, shared_support_pair)
 from blockenc.numerics import ValidationError, matrix_function, spectral_norm
 
 
@@ -567,6 +567,18 @@ def test_rules_match_dense_arithmetic(case):
     assert np.linalg.norm(out.matrix - want) <= 1e-12
     if isinstance(out, enc.UnitaryBlockEncoding):
         assert (out.support if out.support is None else out.support.shape) == support
+
+
+def test_supports_spanning_one_subspace_join_on_its_dimension():
+    # nu's two rank-4 blocks lie on one subspace: their stacked supports have
+    # 8 columns that span 4 dimensions, so the joint support keeps 4
+    rho, sigma = shared_support_pair(64, 4, np.random.default_rng(3))
+    nu = enc.lcu(enc.StatePreparationPair.plus_minus(),
+                 [enc.block_encode_density(oracle_for(rho, "rho")),
+                  enc.block_encode_density(oracle_for(sigma, "sigma"))])
+    assert nu.support.shape == (64, 4)
+    assert nu.compression.shape == (4, 4)
+    assert np.linalg.norm(nu.matrix - (rho - sigma) / 2) <= 1e-12
 
 
 def test_transform_keeps_its_input_support_and_maps_the_kernel_value():

@@ -432,6 +432,50 @@ def test_weyl_perturbation_bound():
         assert lhs <= rhs
 
 
+# -- rank bounds ------------------------------------------------------------------
+
+def test_trace_distance_rejects_a_rank_bound_below_its_inputs():
+    # both inputs have rank 64; unchecked, ranks [4, 4] give 0.077 against a
+    # truth of 0.418 with a bound_value of 0.072 and no flag
+    oracles = (oracle_for(maximally_mixed(64), "rho"),
+               oracle_for(ginibre_state(64, 64, np.random.default_rng(0)), "sigma"))
+    with pytest.raises(ValidationError, match="rank bound 4 is below the rank 64"):
+        est.RUNNERS["trace-distance"](oracles, [4, 4], 0.1, CFG, alpha=1.0)
+
+
+@pytest.mark.parametrize("quantity, alpha", [
+    ("von-neumann", None), ("trace-power", 0.5), ("trace-power", 2.0),
+    ("trace-power", 3.0), ("renyi", 0.5), ("tsallis", 2.0), ("trace-distance", 1.0),
+    ("fidelity", 0.5)])
+def test_every_rank_bounded_estimator_checks_its_input(quantity, alpha):
+    wide = oracle_for(ginibre_state(16, 5, np.random.default_rng(1)), "rho")
+    narrow = oracle_for(ginibre_state(16, 4, np.random.default_rng(2)), "sigma")
+    with pytest.raises(ValidationError, match="rank bound 4 is below the rank 5"):
+        est.RUNNERS[quantity]((wide, narrow), [4, 4], 0.1, CFG, alpha=alpha)
+
+
+def test_rank_bound_checks_sigma_for_the_trace_distance_only():
+    wide = oracle_for(ginibre_state(16, 5, np.random.default_rng(1)), "sigma")
+    narrow = oracle_for(ginibre_state(16, 4, np.random.default_rng(2)), "rho")
+    with pytest.raises(ValidationError, match="below the rank 5 of input 'sigma'"):
+        est.RUNNERS["trace-distance"]((narrow, wide), [4, 4], 0.1, CFG, alpha=1.0)
+    rep = est.RUNNERS["fidelity"]((narrow, wide), [4, 4], 0.1, CFG, alpha=0.5)
+    assert abs(rep.error) <= 0.1
+
+
+def test_rank_bound_counts_the_support_of_a_wider_factor():
+    # the distribution oracle's factor is diag(sqrt(p)), 8 columns here, of
+    # which two are nonzero
+    p = np.zeros(8)
+    p[[1, 6]] = [0.7, 0.3]
+    oracle = est.distribution_to_purified_oracle(p)
+    assert oracle.encoded.factor.shape == (8, 8)
+    rep = est.estimate_von_neumann(oracle, 2, 0.1, CFG)
+    assert abs(rep.error) <= 0.1
+    with pytest.raises(ValidationError, match="rank bound 1 is below the rank 2"):
+        est.estimate_von_neumann(oracle, 1, 0.1, CFG)
+
+
 # -- ledger and report invariants ------------------------------------------------
 
 def test_fidelity_counts_oracles_separately():
@@ -834,9 +878,10 @@ DECOMPOSITION_CASES = {
 @pytest.mark.parametrize("case, want", [
     # the thin SVD of the input's factor
     ("rank", {"svd": 1}), ("trace-power-0.5", {"svd": 1}),
-    # the thin SVDs of mu's, rho's and sigma's factors, and nu's 8 x 8
-    # compression to the joint support in the positive power
-    ("trace-distance-1", {"eigh": 1, "svd": 3}),
+    # the thin SVDs of mu's, rho's and sigma's factors and of the stacked
+    # supports that join nu's blocks, and nu's 4 x 4 compression to the
+    # joint support in the positive power
+    ("trace-distance-1", {"eigh": 1, "svd": 4}),
     # sigma's 4 x 4 compression in the positive power, and the thin SVDs of
     # sigma's and the evolved factor
     ("fidelity-0.5", {"eigh": 1, "svd": 2}),
@@ -844,7 +889,7 @@ DECOMPOSITION_CASES = {
     # rho's 4 x 4 compression in the positive power
     ("trace-power-2", {"eigh": 1, "svd": 1}),
     ("trace-power-3", {"svd": 1}),
-    ("trace-distance-2", {"svd": 3}),
+    ("trace-distance-2", {"svd": 4}),
     ("fidelity-0.2", {"svd": 2})])
 def test_decomposition_counts(linalg_calls, case, want):
     # rules map purification factors; an encoded density operator carries the

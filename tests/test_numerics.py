@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from blockenc import numerics as nm
-from blockenc.encodings import SubnormalizedDensityOperator
-from blockenc.fixtures import ginibre_state, maximally_mixed, random_hermitian
+from blockenc.encodings import PSD_TOL, SubnormalizedDensityOperator, _pivoted_cholesky
+from blockenc.fixtures import (floored_spectrum_state, ginibre_state, maximally_mixed,
+                               random_hermitian)
 
 
 def characteristic_roots(h):
@@ -71,6 +72,37 @@ def test_hermiticity_tolerance_is_pinned(factor, accepted):
         else:
             with pytest.raises(nm.ValidationError, match="not Hermitian"):
                 check(a)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)])
+def test_psd_tolerance_is_pinned(scale, factor, accepted):
+    # the pivoted Cholesky factor of H = diag(s, -t) is sqrt(s) e_0, so the
+    # residual is exactly t, and the threshold PSD_TOL max(1, ||H||_F) is
+    # PSD_TOL max(1, s) up to t^2 / 2s
+    t = factor * PSD_TOL * max(1.0, scale)
+    h = np.diag([scale, -t]).astype(complex)
+    if not accepted:
+        with pytest.raises(nm.ValidationError, match="not PSD"):
+            SubnormalizedDensityOperator.from_matrix(h)
+    elif scale <= 1.0:
+        assert SubnormalizedDensityOperator.from_matrix(h).trace == pytest.approx(scale)
+    else:
+        # past the PSD test, a trace above one is the next rejection
+        with pytest.raises(nm.ValidationError, match="trace"):
+            SubnormalizedDensityOperator.from_matrix(h)
+
+
+@pytest.mark.parametrize("dim", [4, 64, 1024])
+def test_input_matrix_and_factor_are_the_reference_bits(dim):
+    # the Hermitian part is (m + m^dag) / 2 and the factor its pivoted
+    # Cholesky factor, bit for bit
+    m = floored_spectrum_state(dim, 4, np.random.default_rng(dim))
+    h = (m + m.conj().T) / 2.0
+    a = SubnormalizedDensityOperator.from_matrix(m)
+    assert np.array_equal(a.matrix, h)
+    assert np.array_equal(a.factor, _pivoted_cholesky(h))
+    assert a.factor.shape == (dim, 4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -357,6 +358,37 @@ def test_even_global_bound_is_the_maximum_over_the_full_global_grid(build, args,
     assert np.array_equal(np.unique(half), np.unique(np.abs(full)))
     assert np.abs(p(full)).max() == np.abs(p(half)).max()
     assert np.abs(p(full)).max() == pytest.approx(p.global_bound, rel=1e-15)
+
+
+def _polynomial(parity, degree=301, seed=0):
+    c = pa._apply_parity(np.random.default_rng(seed).uniform(-1.0, 1.0, degree + 1),
+                         parity)
+    return pa.CertifiedPolynomial(
+        coefficients=c, parity=parity, target=None, certified_interval=(-1.0, 1.0),
+        certified_error=0.0, global_bound=1.0, bound_limit=1.0)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd", "none"])
+@pytest.mark.parametrize("points", [1, 4, 8])
+def test_polynomial_call_matches_the_kernel_on_its_coefficients(parity, points):
+    # a polynomial evaluates from the parity split it keeps; the kernel
+    # splits the raw coefficients on each call
+    p = _polynomial(parity)
+    x = np.linspace(-0.95, 0.9, points)
+    tol = 1e-12 * max(1.0, float(np.abs(p.coefficients).sum()))
+    for _ in range(2):            # the second call reads the kept split
+        assert np.abs(p(x) - pa._chebval(x, p.coefficients)).max() <= tol
+        assert np.abs(p(x) - clenshaw(x, p.coefficients)).max() <= tol
+
+
+@pytest.mark.parametrize("parity", ["even", "odd", "none"])
+def test_a_replaced_polynomial_evaluates_its_own_coefficients(parity):
+    p = _polynomial(parity)
+    x = np.array([-0.3, 0.1, 0.7])
+    before = p(x)
+    q = dataclasses.replace(p, coefficients=0.5 * p.coefficients)
+    assert np.abs(q(x) - 0.5 * before).max() <= 1e-12 * np.abs(p.coefficients).sum()
+    assert np.array_equal(p(x), before)
 
 
 def _kernel_peak(c, x):
