@@ -306,11 +306,25 @@ def _slope(xs, qs) -> float:
                             np.log(np.asarray(qs, dtype=float)), 1)[0])
 
 
+def _positive_list(text: str | None, kind, flag: str) -> list:
+    """A comma-separated list of positive ``kind`` values; empty if absent."""
+    if not text:
+        return []
+    try:
+        values = [kind(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValidationError(f"{flag} must be a comma-separated list of positive "
+                              f"numbers, got {text!r}")
+    return values
+
+
 def cmd_bench_scaling(args) -> int:
     q = args.quantity
     alpha = nm.QUANTITIES[q].resolve_alpha(q, args.alpha)
-    sweep_r = [int(x) for x in args.sweep_r.split(",")] if args.sweep_r else []
-    sweep_eps = [float(x) for x in args.sweep_eps.split(",")] if args.sweep_eps else []
+    sweep_r = _positive_list(args.sweep_r, int, "--sweep-r")
+    sweep_eps = _positive_list(args.sweep_eps, float, "--sweep-eps")
     config = est.AmplitudeEstimatorConfig(mode="analytic", seed=args.seed)
     runs = ([(r, args.epsilon, (args.seed, r)) for r in sweep_r]
             + [(args.r, eps, (args.seed, 1000)) for eps in sweep_eps])
@@ -399,9 +413,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numbers(args) -> None:
+    """The numeric arguments several commands share: a finite --alpha and a
+    --seed >= 0."""
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None and not math.isfinite(alpha):
+        raise ValidationError(f"--alpha must be finite, got {alpha}")
+    if getattr(args, "seed", 0) < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

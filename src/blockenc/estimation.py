@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics as nm
-from .encodings import (PurifiedAccessOracle, StatePreparationPair,
+from .encodings import (SUPPORT_CUT, PurifiedAccessOracle, StatePreparationPair,
                         SubnormalizedDensityOperator, block_encode_density,
                         encoding_power, evolve, lcu, linear_combination_density,
                         unitary_from_first_column)
@@ -158,14 +158,22 @@ def ae_outcome_distribution(p: float, reps: int) -> np.ndarray:
 
 def ae_sample(p: float, reps: int, rng: np.random.Generator) -> float:
     """One draw from the exact outcome distribution, mapped to sin^2(pi m / M)."""
-    return _ae_draw(ae_outcome_distribution(p, reps), rng)
+    return _ae_draw(_ae_cdf(ae_outcome_distribution(p, reps)), rng)
 
 
-def _ae_draw(probs: np.ndarray, rng: np.random.Generator) -> float:
-    """One outcome m drawn from ``probs``, mapped to sin^2(pi m / M)."""
-    reps = probs.size
-    m = rng.choice(reps, p=probs)
-    return float(np.sin(np.pi * m / reps) ** 2)
+def _ae_cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalized cumulative sum ``Generator.choice(M, p=probs)`` forms."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _ae_draw(cdf: np.ndarray, rng: np.random.Generator) -> float:
+    """One outcome m drawn from ``cdf`` by ``Generator.choice``'s own
+    arithmetic (one uniform variate, inverted by a right-sided search), so it
+    equals ``rng.choice(M, p=probs)``; mapped to sin^2(pi m / M)."""
+    m = cdf.searchsorted(rng.random(), side="right")
+    return float(np.sin(np.pi * m / cdf.size) ** 2)
 
 
 def amplitude_estimate(oracle: PurifiedAccessOracle,
@@ -216,8 +224,8 @@ def trace_estimate(oracle: PurifiedAccessOracle, upper_bound: float, epsilon: fl
         dev = min(ae_error_bound(p, reps), epsilon)
         return min(1.0, max(0.0, p + sign * dev)), reps
     k = config.median_trials
-    probs = ae_outcome_distribution(p, reps)
-    draws = [_ae_draw(probs, config.rng("trace", 0, t)) for t in range(2 * k + 1)]
+    cdf = _ae_cdf(ae_outcome_distribution(p, reps))
+    draws = [_ae_draw(cdf, config.rng("trace", 0, t)) for t in range(2 * k + 1)]
     return float(np.median(draws)), reps
 
 
@@ -577,7 +585,11 @@ def estimate_max_entropy(oracle: PurifiedAccessOracle, delta: float, epsilon: fl
 def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOracle:
     """Copy-register oracle for a classical distribution: prepare
     sum_i sqrt(p_i) |i>, CNOT-fan onto a twin register; tracing the twin
-    leaves the diagonal density operator."""
+    leaves the diagonal density operator.
+
+    The encoded operator's factor keeps one column sqrt(p_i) |i> per
+    p_i > ``SUPPORT_CUT``, so its width is the support size, not N; the
+    circuit prepares every p_i."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValidationError("need a probability vector of length >= 2")
@@ -593,7 +605,10 @@ def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOra
         prep = unitary_from_first_column(np.sqrt(p).astype(complex))
         return np.kron(prep, np.eye(p.size))[i * p.size + (i ^ j)]
 
-    encoded = SubnormalizedDensityOperator(np.diag(np.sqrt(p)), n)
+    support = np.flatnonzero(p > SUPPORT_CUT)
+    factor = np.zeros((p.size, support.size))
+    factor[support, np.arange(support.size)] = np.sqrt(p[support])
+    encoded = SubnormalizedDensityOperator(factor, n)
     return PurifiedAccessOracle(
         builder=build, system_qubits=n, block_ancillas=0, purifying_ancillas=n,
         encoded=encoded, cost=QueryCost.of(label, gates=n), label=label)

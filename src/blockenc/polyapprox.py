@@ -46,15 +46,21 @@ node psi_j = 2 pi j / n_f, with delta = psi - psi_j,
 
     sum_k a_k cos(k psi) = sum_{l < L} (K delta)^l / l! Re(i^l G_l(psi_j)).
 
-Each G_l is one real FFT of length n_f, the smallest power of two at least
-4 times the number of terms, so |K delta| <= pi K / n_f < pi / 4.  As
-|G_l| <= sum|a_k|, the remainder is at most sum|a_k| (pi K / n_f)^L / L!
-(L + 1) / (L + 1 - pi K / n_f), and L is the smallest order that brings
-this to ``_FFT_TAIL`` sum|a_k| = 1e-17 sum|a_k|.  The cost is
-O(L n_f log n_f + L points) against O(points x terms), and one FFT row is
-held at a time.  This is the Taylor-series nonuniform FFT of Anderson and
-Dahleh (SIAM J. Sci. Comput. 1996); see also Dutt and Rokhlin (SIAM J. Sci.
-Comput. 1993).
+n_f is the smallest power of two at least 4 K, so |K delta| <= reach =
+pi K / n_f <= pi / 4.  As |e^{i t} - sum_{l < L} (i t)^l / l!| <= |t|^L / L!
+for real t, the remainder is at most reach^L / L! sum_k |a_k| (k/K)^L, and
+L is the smallest order that brings this weighted sum to ``_FFT_TAIL``
+sum|a_k| = 1e-17 sum|a_k|; the weights (k/K)^L make L smaller for the
+decaying series the families certify.  The rows a_k (k/K)^l / l! come from
+a running product, and the G_l at the nodes from real FFTs of length n_f,
+two rows to an FFT: Re(i^l G_l) needs the real part of an even row's
+spectrum and the imaginary part of an odd row's, and one real FFT of a
+packed array carries both (``_pack``).  The L / 2 spectra are held at
+once, and the points run through them in blocks of ``_BLOCK``, so that the
+per-point arrays stay in cache and the allocator reuses them.  The cost is
+O(L n_f log n_f / 2 + L points) against O(points x terms).  This is the
+Taylor-series nonuniform FFT of Anderson and Dahleh (SIAM J. Sci. Comput.
+1996); see also Dutt and Rokhlin (SIAM J. Sci. Comput. 1993).
 
 In both regimes points outside [-1, 1] by more than rounding are an error.
 """
@@ -65,7 +71,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from statistics import NormalDist
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -76,6 +82,8 @@ DEGREE_CAP = 8192
 GRID_POINTS = 10001
 _EXTREMA = 64
 _CHUNK = 256
+# points per block of the many-point regime
+_BLOCK = 4096
 # truncation bound of the many-point regime, relative to sum_k |a_k|
 _FFT_TAIL = 1e-17
 # 2 pi = _TAU_HI + _TAU_LO to about 1e-27, with _TAU_HI on at most 36 bits, so
@@ -124,35 +132,39 @@ class CertifiedPolynomial:
         return _evaluate(x, self._split)
 
 
-class _Split(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _Split:
     """A series after its parity split: ``terms`` are the c_k with
-    k = start + step j, ``table[a, b]`` = terms[a m + b] (zero past the
-    last), and ``frequencies`` are the baby steps start + step b (b < m)
-    followed by the negated giant steps -step m a (a < giants)."""
+    k = start + step j."""
 
     coefficients: np.ndarray
     terms: np.ndarray
     start: int
     step: int
-    table: np.ndarray
-    frequencies: np.ndarray
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The few-point regime's giant x baby table, ``table[a, b]`` =
+        terms[a m + b] (zero past the last), and its frequencies: the baby
+        steps start + step b (b < m) followed by the negated giant steps
+        -step m a (a < giants)."""
+        size = self.terms.size
+        m = math.isqrt(size - 1) + 1
+        giants = -(-size // m)
+        table = np.zeros(giants * m)
+        table[:size] = self.terms
+        frequencies = np.concatenate([self.start + self.step * np.arange(m),
+                                      -self.step * m * np.arange(giants)]).astype(float)
+        return table.reshape(giants, m), frequencies
 
 
 def _parity_split(c) -> _Split:
     c = np.asarray(c, dtype=float)
     if not c[1::2].any():
-        terms, start, step = c[0::2], 0, 2
-    elif not c[0::2].any():
-        terms, start, step = c[1::2], 1, 2
-    else:
-        terms, start, step = c, 0, 1
-    m = math.isqrt(terms.size - 1) + 1
-    giants = -(-terms.size // m)
-    table = np.zeros(giants * m)
-    table[:terms.size] = terms
-    frequencies = np.concatenate([start + step * np.arange(m),
-                                  -step * m * np.arange(giants)]).astype(float)
-    return _Split(c, terms, start, step, table.reshape(giants, m), frequencies)
+        return _Split(c, c[0::2], 0, 2)
+    if not c[0::2].any():
+        return _Split(c, c[1::2], 1, 2)
+    return _Split(c, c, 0, 1)
 
 
 def _chebval(x, c: np.ndarray):
@@ -171,14 +183,15 @@ def _evaluate(x, split: _Split):
     if flat.size >= split.terms.size:
         # many points; an odd series runs as a parity-free one
         if split.start == 0 and split.step == 2:
-            out = _cosine_series(split.terms, 2.0 * np.arccos(np.abs(flat)))
+            out = _cosine_series(split.terms, flat, lambda v: 2.0 * np.arccos(np.abs(v)))
         else:
-            out = _cosine_series(split.coefficients, np.arccos(flat))
+            out = _cosine_series(split.coefficients, flat, np.arccos)
         return out.reshape(x.shape)[()]
-    m = split.table.shape[1]
+    table, frequencies = split.tables
+    m = table.shape[1]
     out = np.empty(flat.size)
     for lo in range(0, flat.size, _CHUNK):
-        angle = np.multiply.outer(split.frequencies, np.arccos(flat[lo:lo + _CHUNK]))
+        angle = np.multiply.outer(frequencies, np.arccos(flat[lo:lo + _CHUNK]))
         points = angle.shape[1]
         # trig[f] is the (cos, sin) row pair of frequency f
         trig = np.empty((angle.shape[0], 2, points))
@@ -187,37 +200,96 @@ def _evaluate(x, split: _Split):
         # (cos, sin) of H_a = sum_b table[a, b] e^{i(s + t b) theta}; the giant
         # frequencies are negated, so sum_a Re(G_a H_a) with G_a = e^{i t m a theta}
         # is the dot product of the giants' (cos, sin) pairs with H's
-        inner = split.table @ trig[:m].reshape(m, 2 * points)
+        inner = table @ trig[:m].reshape(m, 2 * points)
         out[lo:lo + points] = np.einsum("ap,ap->p", trig[m:].reshape(-1, points),
                                         inner.reshape(-1, points))
     return out.reshape(x.shape)[()]
 
 
-def _cosine_series(a: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """sum_k a_k cos(k psi) for psi in [0, pi]: the many-point regime of the
-    module docstring."""
+def _fft_nodes(top: int) -> int:
+    """n_f for a series of highest frequency K = ``top``: the smallest power
+    of two at least 4 K."""
+    return 1 << (4 * top - 1).bit_length()
+
+
+def _taylor_rows(a: np.ndarray, reach: float) -> tuple[int, list[np.ndarray]]:
+    """The Taylor order L and the rows r_l = a_k (k/K)^l / l! of the
+    many-point regime.
+
+    L is the smallest order with reach^L sum|r_L| <= ``_FFT_TAIL`` sum|a_k|.
+    The rows are taken in pairs, so an odd L gets row L as well; the extra
+    term only shrinks the remainder.
+    """
+    frequency = np.arange(a.size) / max(a.size - 1, 1)
+    limit = _FFT_TAIL * float(np.abs(a).sum())
+    rows = [a]
+    while True:
+        row = rows[-1] * frequency
+        row /= len(rows)
+        if reach ** len(rows) * float(np.abs(row).sum()) <= limit:
+            break
+        rows.append(row)
+    order = len(rows)
+    if order % 2:
+        rows.append(row)
+    return order, rows
+
+
+def _pack(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` (zero between its ends) with rfft(out) = Re rfft(even) +
+    i Im rfft(odd) at every node, for real rows of T terms and 2T - 1 <=
+    len(out): out_0 = even_0, out_k = (even + odd)_k / 2 and
+    out_{n-k} = (even - odd)_k / 2 for 0 < k < T."""
+    terms = even.size
+    out[0] = even[0]
+    head = out[1:terms]
+    np.add(even[1:], odd[1:], out=head)
+    head *= 0.5
+    tail = out[out.size - terms + 1:]
+    np.subtract(even[:0:-1], odd[:0:-1], out=tail)
+    tail *= 0.5
+    return out
+
+
+def _cosine_series(a: np.ndarray, x: np.ndarray, angle) -> np.ndarray:
+    """sum_k a_k cos(k psi) at psi = angle(x) in [0, pi], for a flat x: the
+    many-point regime of the module docstring."""
     top = max(a.size - 1, 1)                      # K, the highest frequency
-    nodes = 1 << (4 * a.size - 1).bit_length()    # n_f >= 4 * terms, a power of two
-    reach = math.pi * top / nodes                 # |K delta| <= reach < pi / 4
-    order = 1
-    while reach ** order / math.factorial(order) * (order + 1) / (order + 1 - reach) > _FFT_TAIL:
-        order += 1
-    nearest = np.rint(psi * (nodes / math.tau)).astype(np.intp)   # in [0, nodes / 2]
-    # delta = psi - 2 pi j / n_f: j _TAU_HI / n_f is exact and so is its
-    # difference from psi, so only the small _TAU_LO term rounds
-    delta = (psi - nearest * (_TAU_HI / nodes)) - nearest * (_TAU_LO / nodes)
-    offset = top * delta                          # K delta
-    frequency = np.arange(a.size) / top
-    acc = np.zeros(psi.size)
-    for l in reversed(range(order)):
-        # Horner in K delta on G_l / l!.  Node j of rfft(v) is conj(sum_k v_k
-        # e^{ik psi_j}), so Re(i^l G_l) is the real part of the spectrum for
-        # even l and the imaginary part for odd l, negated when l % 4 >= 2.
-        sign = -1.0 if l % 4 >= 2 else 1.0
-        spectrum = np.fft.rfft(a * frequency ** l * (sign / math.factorial(l)), nodes)
-        acc *= offset
-        acc += (spectrum.imag if l % 2 else spectrum.real)[nearest]
-    return acc
+    nodes = _fft_nodes(top)
+    reach = math.pi * top / nodes                 # |K delta| <= reach <= pi / 4
+    _, rows = _taylor_rows(a, reach)
+    # node j of rfft(packed) is Re F r_l + i Im F r_{l+1}, with
+    # F r_l = conj G_l(psi_j) / l!, so Re(i^l G_l) / l! is (-1)^{floor(l/2)}
+    # times the real part for even l and the imaginary part for odd l
+    packed = np.zeros(nodes)
+    spectra = []
+    for l in range(0, len(rows), 2):
+        spectrum = np.fft.rfft(_pack(rows[l], rows[l + 1], packed))
+        spectra.append((np.ascontiguousarray(spectrum.real),
+                        np.ascontiguousarray(spectrum.imag)))
+    re_top, im_top = spectra.pop()
+    out = np.empty(x.size)
+    for lo in range(0, x.size, _BLOCK):
+        psi = angle(x[lo:lo + _BLOCK])
+        nearest = np.rint(psi * (nodes / math.tau))     # j, in [0, nodes / 2]
+        # delta = psi - 2 pi j / n_f: j _TAU_HI / n_f is exact and so is its
+        # difference from psi, so only the small _TAU_LO term rounds
+        offset = (psi - nearest * (_TAU_HI / nodes)) - nearest * (_TAU_LO / nodes)
+        offset *= top                                   # K delta
+        square = offset * offset
+        index = nearest.astype(np.intp)
+        # Horner in -(K delta)^2 on the even rows and on the odd rows, then
+        # sum = even + K delta odd
+        even = np.take(re_top, index)
+        odd = np.take(im_top, index)
+        for re, im in reversed(spectra):
+            even *= square
+            np.subtract(np.take(re, index), even, out=even)
+            odd *= square
+            np.subtract(np.take(im, index), odd, out=odd)
+        odd *= offset
+        np.add(even, odd, out=out[lo:lo + _BLOCK])
+    return out
 
 
 def _global_grid(degree: int, even: bool = False) -> np.ndarray:
@@ -240,11 +312,21 @@ def _global_grid(degree: int, even: bool = False) -> np.ndarray:
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
-    """Unnormalized type-2 DCT, y_k = 2 sum_j x_j cos(pi k (2j + 1) / 2n), from
-    one real FFT of the even extension [x, x reversed]."""
+    """Unnormalized type-2 DCT, y_k = 2 sum_j x_j cos(pi k (2j + 1) / 2n),
+    from one real FFT of length n (Makhoul, IEEE TASSP 1980).
+
+    The reordering v = [x_0, x_2, ..., x_3, x_1] has DFT V with
+    y_k = 2 Re W_k, W_k = e^{-i pi k / 2n} V_k; as V_{n-k} = conj V_k, the
+    upper half is y_{n-k} = -2 Im W_k, so the half spectrum rfft(v) gives all
+    of y.
+    """
     n = x.size
-    spectrum = np.fft.rfft(np.concatenate([x, x[::-1]]))[:n]
-    return (spectrum * np.exp(-0.5j * np.pi * np.arange(n) / n)).real
+    w = np.fft.rfft(np.concatenate([x[0::2], x[1::2][::-1]]))
+    w *= np.exp(-0.5j * np.pi * np.arange(w.size) / n)
+    y = np.empty(n)
+    np.multiply(w.real, 2.0, out=y[:w.size])
+    np.multiply(w.imag[n - w.size:0:-1], -2.0, out=y[w.size:])
+    return y
 
 
 def _chebyshev_fit(func: Callable[[np.ndarray], np.ndarray], degree: int) -> np.ndarray:

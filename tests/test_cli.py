@@ -111,6 +111,30 @@ MALFORMED_INPUTS = {
 }
 
 
+# numeric arguments that once escaped as tracebacks (exit 1) or named the
+# wrong argument; each exits 2 with a message naming the bad argument
+BAD_NUMBERS = {
+    "trace-power-alpha-nan": (["estimate", "--quantity", "trace-power", "--alpha", "nan",
+                               "--state", "{path}"], "--alpha must be finite"),
+    "renyi-alpha-nan": (["estimate", "--quantity", "renyi", "--alpha", "nan",
+                         "--state", "{path}"], "--alpha must be finite"),
+    "gen-state-seed-negative": (["gen-state", "--dim", "4", "--rank", "1", "--seed", "-1",
+                                 "--out", "{path}"], "--seed must be >= 0"),
+    "bench-scaling-sweep-r-zero": (["bench-scaling", "--quantity", "von-neumann",
+                                    "--sweep-r", "0"], "--sweep-r must be"),
+    "bench-scaling-sweep-r-not-numbers": (["bench-scaling", "--quantity", "von-neumann",
+                                           "--sweep-r", "a,b"], "--sweep-r must be"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NUMBERS))
+def test_bad_numeric_argument_exits_2_naming_it(tmp_path, capsys, case):
+    argv, message = BAD_NUMBERS[case]
+    state = write_state(tmp_path, "s.json")
+    assert run([arg.format(path=state) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, case):
     monkeypatch.setenv("BLOCKENC_DIM_CAP", "16")

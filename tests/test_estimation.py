@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -123,6 +124,22 @@ def test_sampled_trace_estimate_is_the_median_of_its_ae_samples(p, bound, epsilo
     want = float(np.median([est.ae_sample(p, reps, cfg.rng("trace", 0, t))
                             for t in range(2 * k + 1)]))
     assert est.trace_estimate(_oracle_with_trace(p), bound, epsilon, cfg) == (want, reps)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-6, 0.0123, 0.3, 0.5, 0.97, 1.0])
+@pytest.mark.parametrize("reps", [1, 2, 7, 146, 31731])
+def test_ae_draws_from_one_cdf_equal_generator_choice(p, reps):
+    # the CDF is formed once per distribution; each draw inverts it at one
+    # uniform variate, as Generator.choice does, so it consumes the same
+    # stream and lands on the same outcome
+    probs = est.ae_outcome_distribution(p, reps)
+    cdf = est._ae_cdf(probs)
+    for seed in range(5):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            m = theirs.choice(reps, p=probs)
+            assert est._ae_draw(cdf, mine) == float(np.sin(np.pi * m / reps) ** 2)
+        assert mine.random() == theirs.random()
 
 
 @pytest.mark.parametrize("p, reps, seed", [
@@ -285,6 +302,19 @@ def test_distribution_oracle_general():
     p = [0.5, 0.3, 0.2, 0.0]
     o = est.distribution_to_purified_oracle(p)
     assert np.allclose(o.extract(), np.diag(p), atol=1e-10)
+
+
+def test_distribution_oracle_factor_keeps_only_the_support():
+    # one column per p_i above the support cut; the circuit still prepares
+    # every p_i, so the extracted block is the full diagonal
+    p = np.array([0.5, 0.0, 0.3, 1e-15, 0.2, 0.0, 0.0, 0.0])
+    p = p / p.sum()
+    o = est.distribution_to_purified_oracle(p)
+    assert o.encoded.factor.shape == (8, 3)
+    assert np.allclose(o.encoded.factor @ o.encoded.factor.T,
+                       np.diag(np.where(p > SUPPORT_CUT, p, 0.0)), rtol=0.0, atol=1e-16)
+    assert np.allclose(o.extract(), np.diag(p), atol=1e-10)
+    assert est.distribution_to_purified_oracle(np.ones(4) / 4).encoded.factor.shape == (4, 4)
 
 
 def test_distribution_oracle_validation():
@@ -464,11 +494,12 @@ def test_rank_bound_checks_sigma_for_the_trace_distance_only():
 
 
 def test_rank_bound_counts_the_support_of_a_wider_factor():
-    # the distribution oracle's factor is diag(sqrt(p)), 8 columns here, of
-    # which two are nonzero
+    # a factor diag(sqrt(p)), 8 columns here, of which two are nonzero (the
+    # distribution oracle itself keeps only the support columns)
     p = np.zeros(8)
     p[[1, 6]] = [0.7, 0.3]
-    oracle = est.distribution_to_purified_oracle(p)
+    oracle = dataclasses.replace(est.distribution_to_purified_oracle(p),
+                                 encoded=SubnormalizedDensityOperator(np.diag(np.sqrt(p)), 3))
     assert oracle.encoded.factor.shape == (8, 8)
     rep = est.estimate_von_neumann(oracle, 2, 0.1, CFG)
     assert abs(rep.error) <= 0.1

@@ -319,13 +319,14 @@ def test_kernel_matches_clenshaw(case):
 def test_kernel_matches_clenshaw_at_the_cap_on_fft_nodes_and_midpoints(parity):
     # the many-point regime samples the series at psi_j = 2 pi j / n_f and
     # expands about the nearest one; midpoints are the largest offsets.  An
-    # even series is a series in psi = 2 arccos|x| with 4097 terms (n_f =
-    # 2^15); odd and parity-free ones run as parity-free series in
-    # psi = arccos x with 8193 terms (n_f = 2^16).
+    # even series is a series in psi = 2 arccos|x| with top frequency 4096
+    # (n_f = 2^14); odd and parity-free ones run as parity-free series in
+    # psi = arccos x with top frequency 8192 (n_f = 2^15).
     c = pa._apply_parity(np.random.default_rng(1).uniform(-1.0, 1.0, pa.DEGREE_CAP + 1),
                          parity)
-    terms = c[0::2].size if parity == "even" else c.size
-    nodes = 1 << (4 * terms - 1).bit_length()
+    top = c[0::2].size - 1 if parity == "even" else c.size - 1
+    nodes = pa._fft_nodes(top)
+    assert nodes == (2 ** 14 if parity == "even" else 2 ** 15)
     angle = 2.0 * np.pi / nodes * np.arange(0.0, nodes / 2 + 1, 0.5)   # nodes and midpoints
     x = np.cos(angle / 2.0) if parity == "even" else np.cos(angle)
     if parity == "even":
@@ -334,6 +335,50 @@ def test_kernel_matches_clenshaw_at_the_cap_on_fft_nodes_and_midpoints(parity):
     x = np.concatenate([[-1.0, 0.0, 1.0], picked])
     assert x.size == pa.GRID_POINTS
     assert_matches_clenshaw(x, c)
+
+
+@pytest.mark.parametrize("terms, nodes", [(1, 4), (2, 4), (3, 8), (4, 8), (1116, 4096),
+                                          (4097, 16384), (8193, 32768)])
+def test_one_packed_rfft_carries_two_taylor_rows(terms, nodes):
+    # the real part of row l and the imaginary part of row l + 1 from one
+    # real FFT; the rows hold T terms and 2T - 1 <= n_f
+    rng = np.random.default_rng(terms)
+    even, odd = rng.uniform(-1.0, 1.0, (2, terms))
+    packed = np.fft.rfft(pa._pack(even, odd, np.zeros(nodes)))
+    tol = 1e-15 * (np.abs(even).sum() + np.abs(odd).sum())
+    assert np.abs(packed.real - np.fft.rfft(even, nodes).real).max() <= tol
+    assert np.abs(packed.imag - np.fft.rfft(odd, nodes).imag).max() <= tol
+
+
+@pytest.mark.parametrize("seed, terms, decay", [(0, 1, 0.0), (1, 2, 0.0), (2, 1116, 1.0),
+                                                 (3, 4097, 2.0), (4, 8193, 0.0),
+                                                 (5, 8193, 3.0)])
+@pytest.mark.parametrize("reach", [0.1, math.pi / 8, math.pi / 4])
+def test_taylor_order_is_the_smallest_meeting_the_weighted_bound(seed, terms, decay, reach):
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, terms) / (1.0 + np.arange(terms)) ** decay
+    weight = np.arange(terms) / max(terms - 1, 1)
+
+    def remainder(order):   # reach^L / L! sum_k |a_k| (k/K)^L
+        return reach ** order / math.factorial(order) * np.sum(np.abs(a) * weight ** order)
+
+    order, rows = pa._taylor_rows(a, reach)
+    limit = pa._FFT_TAIL * np.abs(a).sum()
+    assert remainder(order) <= limit
+    assert all(remainder(smaller) > limit for smaller in range(1, order))
+    assert len(rows) == order + order % 2
+    for l, row in enumerate(rows):
+        assert np.allclose(row, a * weight ** l / math.factorial(l), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 635, 4562, 8192, 8193])
+def test_dct2_matches_the_even_extension_formula(n):
+    # |y_k| <= 2 sum |x_j|, so the tolerance is relative to sum |x_j|
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    want = (np.fft.rfft(np.concatenate([x, x[::-1]]))[:n]
+            * np.exp(-0.5j * np.pi * np.arange(n) / n)).real
+    got = pa._dct2(x)
+    assert got.shape == (n,)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(x).sum()
 
 
 @pytest.mark.parametrize("build, args, degree", ITEM_3_POINTS)
