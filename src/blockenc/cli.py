@@ -110,6 +110,9 @@ def _state_matrix(doc) -> np.ndarray:
         if dim > nm.dimension_cap():
             raise ValidationError(f"dimension {dim} exceeds the cap {nm.dimension_cap()}")
         spectrum = np.asarray(doc["payload"]["spectrum"], dtype=float)
+        if spectrum.size > dim:
+            raise ValidationError(f"spectrum has {spectrum.size} entries, more than "
+                                  f"the dimension {dim}")
         rng = np.random.default_rng(int(doc["payload"]["seed"]))
         basis = haar_unitary(dim, rng)[:, : spectrum.size]
         return (basis * spectrum) @ basis.conj().T
@@ -261,20 +264,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r["violations"] == 0 for r in results) else EXIT_VERIFY
 
 
-# The entries call through ``pa`` when they run, so a constructor rebound on
-# that module (for instance by a tracing harness) is the one used.
-POLY_FAMILIES = {
-    "pos-power": lambda a: pa.approx_positive_power(a.c, a.delta, a.epsilon),
-    "neg-power": lambda a: pa.approx_negative_power(a.c, a.delta, a.epsilon),
-    "threshold": lambda a: pa.approx_threshold(a.t, a.delta, a.epsilon),
-    "support-indicator": lambda a: pa.approx_support_indicator(a.delta, a.epsilon),
-    "interior-indicator": lambda a: pa.approx_interior_indicator(a.delta, a.epsilon),
-    "sqrt-neglog": lambda a: pa.approx_sqrt_neglog(a.delta, a.epsilon),
-}
-
-
 def cmd_approx_poly(args) -> int:
-    poly = POLY_FAMILIES[args.family](args)
+    """Build and dump one family of ``polyapprox.FAMILIES``; each constructor
+    parameter reads the flag of its name, and sqrt-neglog's delta' reads
+    --delta.  The constructor is looked up on ``pa`` when the command runs,
+    so one rebound on that module (for instance by a tracing harness) is the
+    one used."""
+    family = pa.FAMILIES[args.family]
+    poly = getattr(pa, family.constructor)(
+        **{p: getattr(args, "delta" if p == "delta_prime" else p) for p in family.ranges})
     _dump({"format": "blockenc-poly-v1", "tool_version": __version__,
            "family": poly.family, "params": poly.params,
            "degree": poly.degree, "parity": poly.parity,
@@ -392,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("approx-poly", help="construct and dump a certified polynomial")
-    p.add_argument("--family", choices=tuple(POLY_FAMILIES), required=True)
+    p.add_argument("--family", choices=tuple(pa.FAMILIES), required=True)
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--delta", type=float, required=True)

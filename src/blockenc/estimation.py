@@ -37,8 +37,10 @@ from .encodings import (SUPPORT_CUT, PurifiedAccessOracle, StatePreparationPair,
                         encoding_power, evolve, lcu, linear_combination_density,
                         unitary_from_first_column)
 from .numerics import ValidationError
-from .polyapprox import approx_interior_indicator, approx_sqrt_neglog, certified
-from .resources import QueryCost, ae_repetitions, degree_formula
+from .polyapprox import (approx_interior_indicator, approx_negative_power,
+                         approx_positive_power, approx_sqrt_neglog,
+                         approx_support_indicator, certified)
+from .resources import QueryCost, ae_repetitions
 from .transform import (QSVT_PRECISION, eigenvalue_threshold_projector,
                         positive_power_density, power_unitary, qsvt_density)
 
@@ -345,8 +347,8 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
     analysis, op, record = _schedule(
         "von-neumann", epsilon, solve, bound_fn,
         {"delta": OP_FLOORS["vn_delta"], "eps1": OP_FLOORS["vn_eps"]})
-    d_total = (degree_formula("sqrt-neglog", analysis["delta"], analysis["eps1"])
-               + degree_formula("interior-indicator", analysis["delta"], analysis["eps1"]))
+    d_total = (approx_sqrt_neglog.formula(analysis["delta"], analysis["eps1"])
+               + approx_interior_indicator.formula(analysis["delta"], analysis["eps1"]))
     ledger = _ledger(ae_repetitions(b(analysis), analysis["eps2"]),
                      d_total * (oracle.total_qubits + 1), [(oracle, 2 * d_total)])
 
@@ -396,8 +398,8 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
             "trace-power", epsilon, solve, bound_fn,
             {"delta1": OP_FLOORS["pow_delta"], "eps1": OP_FLOORS["pow_eps"]},
             lambda op: {"eps2": epsilon * op["delta1"] ** (1 - alpha) / 16.0})
-        d = degree_formula("neg-power", analysis["delta1"], analysis["eps1"],
-                           c=(1.0 - alpha) / 2.0)
+        d = approx_negative_power.formula((1.0 - alpha) / 2.0, analysis["delta1"],
+                                          analysis["eps1"])
         ledger = _ledger(ae_repetitions(b(analysis), analysis["eps2"]),
                          d * (oracle.total_qubits + 1), [(oracle, 2 * d)])
         expected = "O~(r^((3 - a^2) / 2a) / eps^((3 + a) / 2a))"
@@ -435,8 +437,8 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
             "trace-power", epsilon, solve, bound_fn,
             {"delta1": OP_FLOORS["powu_delta"], "eps1": OP_FLOORS["powu_eps"]},
             lambda op: {"eps2": epsilon / 8.0})
-        q1 = (degree_formula("pos-power", analysis["delta1"], analysis["eps1"])
-              + degree_formula("support-indicator", analysis["delta1"], analysis["eps1"]))
+        q1 = (approx_positive_power.formula(cfrac, analysis["delta1"], analysis["eps1"])
+              + approx_support_indicator.formula(analysis["delta1"], analysis["eps1"]))
         ledger = _ledger(ae_repetitions(b(analysis), analysis["eps2"]),
                          q1 * (oracle.total_qubits + 1), [(oracle, beta + q1)])
         expected = "O~(r^(1/frac) / eps^(1 + 1/frac))"
@@ -523,8 +525,8 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
     # the bound is the multiplicative part; the additive part is eps'
     op, record = _operational({"delta": delta, "eps1": eps1, "eps2": eps2},
                               2.0 * eps1 / delta, 0, {"eps1": OP_FLOORS["rank_eps"]})
-    d = (degree_formula("neg-power", delta / 2.0, eps1, c=0.5)
-         + degree_formula("support-indicator", delta / 2.0, eps1))
+    d = (approx_negative_power.formula(0.5, delta / 2.0, eps1)
+         + approx_support_indicator.formula(delta / 2.0, eps1))
     ledger = _ledger(ae_repetitions(1.0, eps2), d * (oracle.total_qubits + 1),
                      [(oracle, 2 * d)])
 
@@ -541,8 +543,8 @@ def _exact_rank(oracle: PurifiedAccessOracle, kappa: float | None,
                 config: AmplitudeEstimatorConfig) -> EstimateReport:
     """The rank estimator's report at delta = eps = Theta(1/kappa), its
     estimate rounded: the exact rank given Pi/kappa <= rho."""
-    if kappa is None or kappa < 1:
-        raise ValidationError(f"the exact rank needs kappa >= 1, got {kappa}")
+    if kappa is None or not 1 <= kappa < math.inf:
+        raise ValidationError(f"the exact rank needs a finite kappa >= 1, got {kappa}")
     w, _ = oracle.encoded.eigenpairs
     nonzero = w[w > nm.RANK_CUT]
     if nonzero.size and nonzero.min() < 1.0 / kappa - 1e-9:
@@ -569,6 +571,8 @@ def estimate_max_entropy(oracle: PurifiedAccessOracle, delta: float, epsilon: fl
     the truncated and plain max entropies coincide and s~ is additive-eps."""
     notes = ()
     if kappa is not None:
+        if not 0 < kappa < math.inf:
+            raise ValidationError(f"max entropy needs a finite kappa > 0, got {kappa}")
         delta = min(1.0 / (2.0 * kappa), 0.1)
         notes = (f"delta = 1/(2 kappa) = {delta} from the kappa assumption",)
     rank_rep = estimate_rank(oracle, delta, epsilon / 4.0, epsilon / 4.0, config)
@@ -676,14 +680,14 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
         {"delta1": OP_FLOORS["thr_delta"], "eps1": OP_FLOORS["thr_eps"],
          "delta2": OP_FLOORS["powu_delta"], "eps2": OP_FLOORS["powu_eps"]},
         lambda op: {"eps3": epsilon * op["delta1"] / (8.0 if even else 32.0)})
-    q1 = (degree_formula("neg-power", analysis["delta1"], analysis["eps1"], c=0.5)
-          + degree_formula("support-indicator", analysis["delta1"], analysis["eps1"]))
+    q1 = (approx_negative_power.formula(0.5, analysis["delta1"], analysis["eps1"])
+          + approx_support_indicator.formula(analysis["delta1"], analysis["eps1"]))
     if even:
         per_state = q1 * int(round(alpha))
         expected = "O~(r^3 / eps^4)"
     else:
-        q2 = (degree_formula("pos-power", analysis["delta2"], analysis["eps2"])
-              + degree_formula("support-indicator", analysis["delta2"], analysis["eps2"]))
+        q2 = (approx_positive_power.formula(sfrac, analysis["delta2"], analysis["eps2"])
+              + approx_support_indicator.formula(analysis["delta2"], analysis["eps2"]))
         per_state = q1 * (q2 + max(1, math.ceil(alpha)))
         if 0 < alpha < 1:
             expected = ("O~(r^(5/a) / eps^(5/a + 1)) or "
@@ -775,8 +779,8 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
             "fidelity", epsilon, solve, bound_fn,
             {"delta1": OP_FLOORS["fid_delta"], "eps1": OP_FLOORS["fid_eps"]},
             lambda op: {"eps2": epsilon * op["delta1"] ** (1.0 - alpha) / 8.0})
-        d1 = degree_formula("neg-power", analysis["delta1"], analysis["eps1"],
-                            c=(1.0 - alpha) / 2.0)
+        d1 = approx_negative_power.formula((1.0 - alpha) / 2.0, analysis["delta1"],
+                                           analysis["eps1"])
         b_ae = analysis["delta1"] ** (1.0 - alpha) + r * (analysis["delta1"] + analysis["eps1"])
         ledger = _ledger(ae_repetitions(b_ae, analysis["eps2"]),
                          d1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits),
@@ -813,10 +817,10 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
              "delta2": OP_FLOORS["fid_delta"], "eps2": OP_FLOORS["fid_eps"]},
             lambda op: {"eps3": epsilon * op["delta2"] ** (1.0 - alpha)
                         / (4.0 ** (alpha + 1.0) * 4.0)})
-        q1 = (degree_formula("pos-power", analysis["delta1"], analysis["eps1"])
-              + degree_formula("support-indicator", analysis["delta1"], analysis["eps1"]))
-        q2 = degree_formula("neg-power", analysis["delta2"], analysis["eps2"],
-                            c=(1.0 - alpha) / 2.0)
+        q1 = (approx_positive_power.formula(bfrac, analysis["delta1"], analysis["eps1"])
+              + approx_support_indicator.formula(analysis["delta1"], analysis["eps1"]))
+        q2 = approx_negative_power.formula((1.0 - alpha) / 2.0, analysis["delta2"],
+                                           analysis["eps2"])
         b_ae = analysis["delta2"] ** (1.0 - alpha)
         ledger = _ledger(ae_repetitions(b_ae, analysis["eps3"]), q1 * q2,
                          [(oracle_sigma, q2 * (q1 + b_floor)), (oracle_rho, q2)])

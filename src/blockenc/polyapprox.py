@@ -14,6 +14,17 @@ certificate is always a raised error, never a silent pass.  No product of approx
 here: a transform takes its certified factors and multiplies their values
 at the spectrum (see ``transform``).
 
+``FAMILIES`` is the one table of the six families: one ``Family`` record
+each, with the family's name, the range of each constructor parameter and
+the formula degree as a function of the constructor's arguments.  The
+``_family`` decorator writes a record and wraps the constructor: the
+wrapper checks the ranges, names the polynomial and its ``params``, and
+starts the ladder at the formula, so a constructor's body holds only its
+surrogate, target, interval and band check.  The CLI's ``approx-poly``
+takes its choices and arguments from the table, and each estimator's
+ledger reads the formula of the factor it charges for, as
+``approx_*.formula``.
+
 Every evaluation, on a polynomial's call and on the certificate grids, goes
 through one kernel, ``_evaluate``, on a parity split of the coefficients: a
 polynomial computes its split once and keeps it, and ``_chebval`` splits raw
@@ -67,16 +78,16 @@ In both regimes points outside [-1, 1] by more than rounding are an error.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 
 from .numerics import ValidationError
-from .resources import degree_formula
 
 DEGREE_CAP = 8192
 GRID_POINTS = 10001
@@ -370,8 +381,8 @@ def _degree_ladder(start: int) -> list[int]:
     return ladder
 
 
-def _build(family: str, params: dict, surrogate, target, interval: tuple[float, float],
-           epsilon: float, bound_limit: float, parity: str, start_degree: int,
+def _build(family: str, params: dict, epsilon: float, bound_limit: float, parity: str,
+           start_degree: int, surrogate, target, interval: tuple[float, float],
            check=None) -> CertifiedPolynomial:
     """Climb the degree ladder until a rung's certificate passes.
 
@@ -501,17 +512,71 @@ def _erf_band(x: np.ndarray, center: float, k: float) -> np.ndarray:
 # Families
 # ---------------------------------------------------------------------------
 
-def _check_range(name: str, value: float, lo: float, hi: float):
-    if not lo < value <= hi:
-        raise ValidationError(f"{name} must be in ({lo}, {hi}], got {value}")
+@dataclass(frozen=True)
+class Family:
+    """One polynomial family: its name, the range of each parameter of its
+    constructor, and its formula degree.
+
+    ``ranges`` maps each parameter, in the constructor's order, to
+    ``(lo, hi, bracket)``: the open interval (lo, hi), with hi included when
+    ``bracket`` is ``"]"``; a non-finite value is never in range.
+    ``formula`` takes the constructor's arguments and gives the asymptotic
+    degree with the ladder's starting constant 4, the degree a build starts
+    its ladder at and the ledgers charge.  ``constructor`` names the
+    ``approx_*`` function of this module that builds the family.
+    """
+
+    name: str
+    ranges: dict
+    formula: Callable[..., int]
+    constructor: str
 
 
+#: Every polynomial family, by name, in the order the constructors are defined.
+FAMILIES: dict[str, Family] = {}
+
+
+def _degree(delta: float, epsilon: float, c: float = 0.0) -> int:
+    """ceil(4 (c + 1) / delta ln(1 / epsilon))."""
+    return math.ceil(4.0 * (c + 1.0) / delta * math.log(1.0 / epsilon))
+
+
+def _family(name: str, formula: Callable[..., int], **ranges):
+    """Register the decorated constructor as family ``name`` of ``FAMILIES``.
+
+    The constructor's body checks what the ranges cannot (a relation between
+    its parameters) and returns ``(surrogate, target, interval)``, with the
+    band check of ``_build`` as a fourth item where it has one.  The decorated
+    function checks each argument against its range, then certifies an even
+    polynomial with |P| <= 1 within the argument ``epsilon``, starting the
+    degree ladder at ``formula``; the polynomial's ``params`` are the
+    arguments by name.  It carries ``formula`` as an attribute, so a ledger
+    reads the formula degree of the factor it charges for.
+    """
+    def register(body):
+        signature = inspect.signature(body)
+
+        @wraps(body)
+        def construct(*args, **kwargs):
+            params = signature.bind(*args, **kwargs).arguments
+            for key, value in params.items():
+                lo, hi, bracket = ranges[key]
+                if not (lo < value < hi or (bracket == "]" and value == hi)):
+                    raise ValidationError(f"{name} {key} must be in ({lo}, {hi}{bracket}, "
+                                          f"got {value}")
+            return _build(name, params, params["epsilon"], 1.0, "even", formula(**params),
+                          *body(**params))
+
+        construct.formula = formula
+        FAMILIES[name] = Family(name, ranges, formula, body.__name__)
+        return construct
+    return register
+
+
+@_family("pos-power", lambda c, delta, epsilon: _degree(delta, epsilon),
+         c=(0, 1, ")"), delta=(0, 0.5, "]"), epsilon=(0, 0.5, "]"))
 def approx_positive_power(c: float, delta: float, epsilon: float) -> CertifiedPolynomial:
     """Even P with |P - x^c / 2| <= epsilon on [delta, 1] and |P| <= 1 on [-1, 1]."""
-    if not 0 < c < 1:
-        raise ValidationError(f"positive power exponent must be in (0, 1), got {c}")
-    _check_range("delta", delta, 0.0, 0.5)
-    _check_range("epsilon", epsilon, 0.0, 0.5)
     a = 1.0 - c / 2.0
     t, w = _inverse_power_quadrature(a, delta ** 2, epsilon / 2.0)
 
@@ -521,11 +586,11 @@ def approx_positive_power(c: float, delta: float, epsilon: float) -> CertifiedPo
     def target(x):
         return 0.5 * np.abs(x) ** c
 
-    return _build("pos-power", {"c": c, "delta": delta, "epsilon": epsilon},
-                  surrogate, target, (delta, 1.0), epsilon, 1.0, "even",
-                  degree_formula("pos-power", delta, epsilon))
+    return surrogate, target, (delta, 1.0)
 
 
+@_family("neg-power", lambda c, delta, epsilon: _degree(delta, epsilon, c),
+         c=(0, math.inf, ")"), delta=(0, 0.5, "]"), epsilon=(0, 0.5, "]"))
 def approx_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPolynomial:
     """Even P with |P - (delta^c / 2) x^(-c)| <= epsilon on [delta, 1], |P| <= 1.
 
@@ -535,10 +600,6 @@ def approx_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPo
     erf window below x = delta, which limits how small delta can get before
     the degree cap bites.
     """
-    if c <= 0:
-        raise ValidationError(f"negative power exponent must be positive, got {c}")
-    _check_range("delta", delta, 0.0, 0.5)
-    _check_range("epsilon", epsilon, 0.0, 0.5)
     windowless = c <= 0.55
     lam_cap = None
     if windowless:
@@ -562,16 +623,14 @@ def approx_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPo
     def target(x):
         return (delta ** c / 2.0) * np.abs(x) ** (-c)
 
-    return _build("neg-power", {"c": c, "delta": delta, "epsilon": epsilon},
-                  surrogate, target, (delta, 1.0), epsilon, 1.0, "even",
-                  degree_formula("neg-power", delta, epsilon, c))
+    return surrogate, target, (delta, 1.0)
 
 
+@_family("threshold", lambda t, delta, epsilon: _degree(delta, epsilon),
+         t=(0, 1, ")"), delta=(0, 0.5, ")"), epsilon=(0, 0.5, ")"))
 def approx_threshold(t: float, delta: float, epsilon: float) -> CertifiedPolynomial:
     """Even P ~ indicator of |x| <= t: in [1-eps, 1] inside [-t+delta, t-delta],
     in [0, eps] outside [-t-delta, t+delta], |P| <= 1 globally."""
-    if not (0 < epsilon < 0.5 and 0 < delta < 0.5):
-        raise ValidationError("threshold needs delta, epsilon in (0, 1/2)")
     if not 0 < t - delta < t + delta < 1:
         raise ValidationError(f"band constraints violated: t={t}, delta={delta}")
     k = _erfcinv(epsilon / 2.0) / delta
@@ -579,15 +638,12 @@ def approx_threshold(t: float, delta: float, epsilon: float) -> CertifiedPolynom
     def surrogate(x):
         return _erf_band(np.asarray(x, dtype=float), t, k)
 
-    return _indicator_family("threshold", {"t": t, "delta": delta, "epsilon": epsilon},
-                             surrogate, (0.0, t - delta), (t + delta, 1.0))
+    return _indicator(epsilon, surrogate, (0.0, t - delta), (t + delta, 1.0))
 
 
-def _indicator_family(family, params, surrogate, one_band, zero_band):
-    """Even P in [1 - epsilon, 1] on ``one_band``, its certified interval, and
-    |P| <= epsilon on ``zero_band``; ``params`` names delta and epsilon."""
-    delta, epsilon = params["delta"], params["epsilon"]
-
+def _indicator(epsilon, surrogate, one_band, zero_band):
+    """The body of an indicator family: P in [1 - epsilon, 1] on ``one_band``,
+    its certified interval, and |P| <= epsilon on ``zero_band``."""
     band = GRID_POINTS // 4
     points = np.concatenate([np.linspace(*one_band, band), np.linspace(*zero_band, band)])
 
@@ -599,42 +655,37 @@ def _indicator_family(family, params, surrogate, one_band, zero_band):
               and zeros.max() <= epsilon)
         return ok, detail
 
-    return _build(family, params, surrogate,
-                  lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                  one_band, epsilon, 1.0, "even",
-                  degree_formula(family, delta, epsilon), (points, test))
+    return (surrogate, lambda x: np.ones_like(np.asarray(x, dtype=float)), one_band,
+            (points, test))
 
 
+@_family("support-indicator", _degree, delta=(0, 0.25, "]"), epsilon=(0, 0.25, "]"))
 def approx_support_indicator(delta: float, epsilon: float) -> CertifiedPolynomial:
     """Even R ~ 1 for |x| >= 2 delta, ~ 0 for |x| <= delta."""
-    _check_range("delta", delta, 0.0, 0.25)
-    _check_range("epsilon", epsilon, 0.0, 0.25)
     k = 2.0 * _erfcinv(epsilon / 2.0) / delta
 
     def surrogate(x):
         return 1.0 - _erf_band(np.asarray(x, dtype=float), 1.5 * delta, k)
 
-    return _indicator_family("support-indicator", {"delta": delta, "epsilon": epsilon},
-                             surrogate, (2.0 * delta, 1.0), (0.0, delta))
+    return _indicator(epsilon, surrogate, (2.0 * delta, 1.0), (0.0, delta))
 
 
+@_family("interior-indicator", _degree, delta=(0, 0.25, "]"), epsilon=(0, 0.25, "]"))
 def approx_interior_indicator(delta: float, epsilon: float) -> CertifiedPolynomial:
     """Even R ~ 1 on [-1+2 delta, 1-2 delta], ~ 0 for |x| >= 1 - delta."""
-    _check_range("delta", delta, 0.0, 0.25)
-    _check_range("epsilon", epsilon, 0.0, 0.25)
     k = 2.0 * _erfcinv(epsilon / 2.0) / delta
 
     def surrogate(x):
         return _erf_band(np.asarray(x, dtype=float), 1.0 - 1.5 * delta, k)
 
-    return _indicator_family("interior-indicator", {"delta": delta, "epsilon": epsilon},
-                             surrogate, (0.0, 1.0 - 2.0 * delta), (1.0 - delta, 1.0))
+    return _indicator(epsilon, surrogate, (0.0, 1.0 - 2.0 * delta), (1.0 - delta, 1.0))
 
 
+@_family("sqrt-neglog",
+         lambda delta_prime, epsilon: _degree(delta_prime, delta_prime * epsilon),
+         delta_prime=(0, 0.25, "]"), epsilon=(0, 0.25, "]"))
 def approx_sqrt_neglog(delta_prime: float, epsilon: float) -> CertifiedPolynomial:
     """Even P ~ sqrt(-ln x) / (2 sqrt(-ln delta')) on [delta', 1 - delta'], |P| <= 1."""
-    _check_range("delta_prime", delta_prime, 0.0, 0.25)
-    _check_range("epsilon", epsilon, 0.0, 0.25)
     big_l = np.log(1.0 / delta_prime)
     s = delta_prime * min(0.5, np.sqrt(2.0 * big_l * epsilon))
     margin = min(epsilon * np.sqrt(delta_prime * big_l), 0.05)
@@ -647,9 +698,7 @@ def approx_sqrt_neglog(delta_prime: float, epsilon: float) -> CertifiedPolynomia
     def target(x):
         return np.sqrt(-np.log(np.asarray(x, dtype=float))) / (2.0 * np.sqrt(big_l))
 
-    return _build("sqrt-neglog", {"delta_prime": delta_prime, "epsilon": epsilon},
-                  surrogate, target, (delta_prime, 1.0 - delta_prime),
-                  epsilon, 1.0, "even", degree_formula("sqrt-neglog", delta_prime, epsilon))
+    return surrogate, target, (delta_prime, 1.0 - delta_prime)
 
 
 def approx_taylor(series: np.ndarray, x0: float, r: float, delta: float,
@@ -707,8 +756,8 @@ def approx_taylor(series: np.ndarray, x0: float, r: float, delta: float,
     start = 4.0 / delta * np.log(max(bound, 1.0) / epsilon) + 4 * len(trunc)
     return _build("taylor", {"x0": x0, "r": r, "delta": delta, "bound": bound,
                              "epsilon": epsilon},
-                  surrogate, target, (x0 - r, x0 + r), epsilon,
-                  0.5, "none", int(start) + 1, (outside, test))
+                  epsilon, 0.5, "none", int(start) + 1,
+                  surrogate, target, (x0 - r, x0 + r), (outside, test))
 
 
 @lru_cache(maxsize=1024)

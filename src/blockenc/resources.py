@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .polyapprox import FAMILIES
+
 
 def _merge(a: tuple, b: tuple, k: int = 1) -> tuple:
     out: dict[str, int] = dict(a)
@@ -69,13 +71,14 @@ class QueryCost:
 # ---------------------------------------------------------------------------
 
 def degree_formula(family: str, delta: float, epsilon: float, c: float = 0.0) -> int:
-    """Asymptotic polynomial degree with the ladder's starting constant 4."""
-    if family == "neg-power":
-        return math.ceil(4.0 * (c + 1.0) / delta * math.log(1.0 / epsilon))
-    if family == "sqrt-neglog":
-        return math.ceil(4.0 / delta * math.log(1.0 / (delta * epsilon)))
-    # pos-power, threshold, support-indicator, interior-indicator
-    return math.ceil(4.0 / delta * math.log(1.0 / epsilon))
+    """The formula degree of ``polyapprox.FAMILIES[family]`` at delta (delta'
+    for sqrt-neglog), epsilon and, for the powers, c.
+
+    Every family's constructor ends in its delta and epsilon, and a third
+    parameter comes first: c, or threshold's t, which its formula ignores.
+    """
+    record = FAMILIES[family]
+    return record.formula(*(c, delta, epsilon)[-len(record.ranges):])
 
 
 def ae_repetitions(bound: float, epsilon: float) -> int:

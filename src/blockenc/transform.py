@@ -132,8 +132,6 @@ def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
     """
     if not 0 < c < 1:
         raise ValidationError("positive power exponent must be in (0, 1)")
-    if not (0 < delta <= 0.5 and 0 < epsilon <= 0.5):
-        raise ValidationError("delta, epsilon must lie in (0, 1/2]")
     poly = certified(approx_negative_power, (1.0 - c) / 2.0, delta, epsilon)
     # x f(x)^2 = delta^(2 cn) x^c / 4 increases in x, so its sup on [0, delta]
     # is its value at delta, delta / 4
@@ -152,12 +150,8 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
     eP + (2 delta)^c/2), doubled by the scale.  The target |A|^c is
     decomposed afresh only when a check reads it.
     """
-    if not 0 < c < 1:
-        raise ValidationError("positive power exponent must be in (0, 1)")
-    if not (0 < delta <= 0.25 and 0 < epsilon <= 0.25):
-        raise ValidationError("delta, epsilon must lie in (0, 1/4]")
-    p = certified(approx_positive_power, c, delta, epsilon)
     r = certified(approx_support_indicator, delta, epsilon)
+    p = certified(approx_positive_power, c, delta, epsilon)
 
     def target():
         return matrix_function(u.matrix, lambda x: np.abs(x) ** c, tol=1e-8)

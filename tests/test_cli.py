@@ -12,6 +12,7 @@ import pytest
 from blockenc import cli
 from blockenc import estimation as est
 from blockenc import numerics as nm
+from blockenc import polyapprox as pa
 from blockenc.fixtures import floored_spectrum_state, maximally_mixed, shared_support_pair
 
 
@@ -124,6 +125,16 @@ BAD_NUMBERS = {
                                     "--sweep-r", "0"], "--sweep-r must be"),
     "bench-scaling-sweep-r-not-numbers": (["bench-scaling", "--quantity", "von-neumann",
                                            "--sweep-r", "a,b"], "--sweep-r must be"),
+    "max-entropy-kappa-zero": (["estimate", "--quantity", "max-entropy", "--kappa", "0",
+                                "--state", "{path}"], "max entropy needs a finite kappa > 0"),
+    **{f"{quantity}-kappa-{kappa}": (
+        ["estimate", "--quantity", quantity, "--kappa", kappa, "--state", "{path}"]
+        + (["--alpha", "0"] if quantity in ("renyi", "tsallis") else []), message)
+       for kappa in ("nan", "inf")
+       for quantity, message in [("max-entropy", "max entropy needs a finite kappa > 0"),
+                                 ("renyi", "max entropy needs a finite kappa > 0"),
+                                 ("exact-rank", "the exact rank needs a finite kappa >= 1"),
+                                 ("tsallis", "the exact rank needs a finite kappa >= 1")]},
 }
 
 
@@ -144,6 +155,14 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, case):
         path.write_text(text)
     assert run([arg.format(path=path) for arg in argv]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_spectrum_longer_than_its_dimension_gives_both_lengths(tmp_path, capsys):
+    text, argv = MALFORMED_INPUTS["spectrum-longer-than-dimension"]
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert run([arg.format(path=path) for arg in argv]) == 2
+    assert "spectrum has 5 entries, more than the dimension 4" in capsys.readouterr().err
 
 
 def test_estimate_von_neumann_maximally_mixed(tmp_path):
@@ -290,8 +309,31 @@ def test_approx_poly_degree_within_formula_slack(tmp_path):
     assert run(["approx-poly", "--family", "sqrt-neglog", "--delta", "0.1",
                 "--epsilon", "0.01", "--out", out]) == 0
     doc = json.load(open(out))
-    formula = (1.0 / 0.1) * np.log(1.0 / (0.1 * 0.01))
-    assert doc["degree"] <= 64 * formula
+    assert doc["degree"] <= 16 * pa.approx_sqrt_neglog.formula(0.1, 0.01)
+
+
+#: a point where every family builds: the --c and --t defaults, and the
+#: --delta and --epsilon that CI builds each family at
+VALID_FLAGS = {"c": 0.5, "t": 0.5, "delta": 0.05, "epsilon": 0.01}
+
+
+def flag_of(parameter):
+    """sqrt-neglog's delta' reads --delta; every other parameter its own flag."""
+    return "delta" if parameter == "delta_prime" else parameter
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("family, parameter", [
+    (name, parameter) for name, record in pa.FAMILIES.items() for parameter in record.ranges])
+def test_out_of_range_family_parameter_exits_2_naming_it(capsys, family, parameter, value):
+    record = pa.FAMILIES[family]
+    flags = dict(VALID_FLAGS, **{flag_of(parameter): value})
+    message = f"{family} {parameter} must be in"
+    with pytest.raises(nm.ValidationError, match=message):
+        getattr(pa, record.constructor)(**{p: flags[flag_of(p)] for p in record.ranges})
+    assert run(["approx-poly", "--family", family]
+               + [f"--{flag}={v}" for flag, v in flags.items()]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bench_scaling_emits_slopes(tmp_path):
@@ -335,11 +377,11 @@ ALPHAS = {"renyi": 0.5, "tsallis": 2.0, "trace-power": 3.0, "fidelity": 0.5}
 RANK_DELTA, RANK_EPS_PRIME = 0.05, 0.1
 
 
-def quantity_choices(subcommand):
+def parser_choices(subcommand, dest="quantity"):
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     return next(a.choices for a in sub.choices[subcommand]._actions
-                if a.dest == "quantity")
+                if a.dest == dest)
 
 
 def test_parser_is_built_once():
@@ -347,9 +389,13 @@ def test_parser_is_built_once():
 
 
 def test_cli_table_and_runners_share_one_set_of_quantities():
-    assert (set(QUANTITY_NAMES) == set(quantity_choices("estimate"))
+    assert (set(QUANTITY_NAMES) == set(parser_choices("estimate"))
             == set(nm.QUANTITIES) == set(est.RUNNERS))
-    assert set(quantity_choices("bench-scaling")) <= set(nm.QUANTITIES)
+    assert set(parser_choices("bench-scaling")) <= set(nm.QUANTITIES)
+
+
+def test_approx_poly_families_are_the_table():
+    assert parser_choices("approx-poly", "family") == tuple(pa.FAMILIES)
 
 
 def broken_alpha_rule(quantity):

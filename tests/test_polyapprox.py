@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebval as clenshaw
 
 from blockenc import polyapprox as pa
+from blockenc import resources
 from blockenc.numerics import ValidationError
 
 
@@ -182,6 +183,44 @@ def test_evaluation_matches_compensated_monomial_summation():
         assert abs(math.fsum(terms) - d) < 1e-7
 
 
+#: each family's formula degree at three points, as the ledgers and the degree
+#: ladder have read it since the formulas were introduced
+FORMULA_DEGREES = [
+    ("pos-power", (0.5, 0.02, 1e-3), 1382),
+    ("pos-power", (0.3, 0.1, 0.01), 185),
+    ("pos-power", (0.9, 0.5, 0.5), 6),
+    ("neg-power", (0.5, 4e-3, 1e-3), 10362),
+    ("neg-power", (0.25, 0.02, 1e-3), 1727),
+    ("neg-power", (3.0, 0.1, 0.01), 737),
+    ("threshold", (0.5, 0.01, 5e-4), 3041),
+    ("threshold", (0.5, 0.05, 0.01), 369),
+    ("threshold", (0.3, 0.2, 0.25), 28),
+    ("support-indicator", (0.01, 1e-3), 2764),
+    ("support-indicator", (0.05, 0.01), 369),
+    ("support-indicator", (0.25, 0.25), 23),
+    ("interior-indicator", (0.01, 1.5e-3), 2601),
+    ("interior-indicator", (0.05, 0.01), 369),
+    ("interior-indicator", (0.25, 0.25), 23),
+    ("sqrt-neglog", (0.01, 1.5e-3), 4443),
+    ("sqrt-neglog", (0.1, 0.01), 277),
+    ("sqrt-neglog", (0.25, 0.25), 45),
+]
+
+
+@pytest.mark.parametrize("family, args, degree", FORMULA_DEGREES)
+def test_formula_degree_of_each_family(family, args, degree):
+    record = pa.FAMILIES[family]
+    assert getattr(pa, record.constructor).formula(*args) == record.formula(*args) == degree
+    # the reader by family name, at delta (delta'), epsilon and c
+    c = args[0] if len(args) == 3 else 0.0
+    assert resources.degree_formula(family, *args[-2:], c) == degree
+
+
+def test_every_family_is_in_the_table():
+    assert sorted(r.constructor for r in pa.FAMILIES.values()) == sorted(
+        name for name in vars(pa) if name.startswith("approx_") and name != "approx_taylor")
+
+
 def test_certification_failure_is_reported():
     with pytest.raises(pa.CertificationError):
         pa.approx_negative_power(3.0, 0.002, 1e-3)
@@ -191,8 +230,9 @@ def test_indicator_band_failure_raises_with_the_band_details():
     # a constant surrogate meets the one band and misses the zero band
     # at every rung, so only the band check can reject it
     with pytest.raises(pa.CertificationError) as failure:
-        pa._indicator_family("threshold", {"t": 0.5, "delta": 0.1, "epsilon": 0.01},
-                             np.ones_like, (0.0, 0.4), (0.6, 1.0))
+        pa._build("threshold", {"t": 0.5, "delta": 0.1, "epsilon": 0.01}, 0.01, 1.0, "even",
+                  pa.approx_threshold.formula(0.5, 0.1, 0.01),
+                  *pa._indicator(0.01, np.ones_like, (0.0, 0.4), (0.6, 1.0)))
     achieved = failure.value.achieved
     assert achieved["degree"] == pa.DEGREE_CAP
     assert achieved["interval_error"] < 1e-12
