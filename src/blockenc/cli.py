@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,10 +26,11 @@ from . import estimation as est
 from . import numerics as nm
 from . import polyapprox as pa
 from . import transform as tf
-from .encodings import SubnormalizedDensityOperator, purification_of
+from .encodings import SubnormalizedDensityOperator, _qubits, purification_of
 from .fixtures import (floored_spectrum_state, ginibre_state, haar_unitary,
                        named_fixture, shared_support_pair)
 from .numerics import ValidationError
+from .resources import QueryCost
 
 STATE_FORMAT = "blockenc-state-v1"
 REPORT_FORMAT = "blockenc-report-v1"
@@ -79,11 +81,22 @@ def state_payload(matrix: np.ndarray, kind: str = "explicit-matrix",
 
 def load_state(path: str) -> dict:
     """Read and validate a state file; an unreadable or malformed one raises
-    ``ValidationError`` naming the path."""
+    ``ValidationError`` naming the path.
+
+    A ``probability-vector`` state is decoded once, to its distribution
+    ``oracle``, whose factor keeps only the support, so no N x N array is
+    built; every other kind to its ``matrix_array`` and validated ``operator``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        matrix = _state_matrix(doc)
+        if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
+            raise ValidationError(f"not a {STATE_FORMAT} file")
+        if doc.get("kind") == "probability-vector":
+            doc["oracle"] = est.distribution_to_purified_oracle(
+                np.asarray(doc["payload"]["probabilities"], dtype=float))
+        else:
+            doc["matrix_array"] = _state_matrix(doc)
         rank = doc["rank"]
         if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
             raise ValidationError(f"rank must be an integer >= 1, got {rank!r}")
@@ -91,15 +104,13 @@ def load_state(path: str) -> dict:
         raise ValidationError(f"{path}: missing field {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    doc["matrix_array"] = matrix
-    # deserialized operator must pass the state invariants; oracles reuse it
-    doc["operator"] = SubnormalizedDensityOperator.from_matrix(matrix)
+    if doc.get("kind") != "probability-vector":
+        # deserialized operator must pass the state invariants; oracles reuse it
+        doc["operator"] = SubnormalizedDensityOperator.from_matrix(doc["matrix_array"])
     return doc
 
 
 def _state_matrix(doc) -> np.ndarray:
-    if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
-        raise ValidationError(f"not a {STATE_FORMAT} file")
     kind = doc.get("kind", "explicit-matrix")
     if kind == "explicit-matrix":
         return matrix_from_json(doc["matrix"])
@@ -116,16 +127,14 @@ def _state_matrix(doc) -> np.ndarray:
         rng = np.random.default_rng(int(doc["payload"]["seed"]))
         basis = haar_unitary(dim, rng)[:, : spectrum.size]
         return (basis * spectrum) @ basis.conj().T
-    if kind == "probability-vector":
-        return np.diag(np.asarray(doc["payload"]["probabilities"],
-                                  dtype=float)).astype(complex)
     raise ValidationError(f"unknown state kind {kind!r}")
 
 
 def _oracle_from_state(doc: dict, label: str):
     if doc.get("kind") == "probability-vector":
-        return est.distribution_to_purified_oracle(
-            np.asarray(doc["payload"]["probabilities"], dtype=float), label=label)
+        # the oracle load_state built, under this label
+        o = doc["oracle"]
+        return replace(o, label=label, cost=QueryCost.of(label, gates=o.cost.gates))
     return purification_of(doc["operator"], label=label)
 
 
@@ -134,10 +143,7 @@ def _oracle_from_state(doc: dict, label: str):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_state(args) -> int:
-    if args.rank > args.dim:
-        raise ValidationError("rank cannot exceed the dimension")
-    if args.dim < 1 or args.dim & (args.dim - 1):
-        raise ValidationError(f"dimension {args.dim} is not a power of two")
+    _qubits(args.dim, "state")
     if args.dim > nm.dimension_cap():
         raise ValidationError("dimension exceeds the cap")
     rng = np.random.default_rng(args.seed)
@@ -248,8 +254,6 @@ VERIFY_SUITES = {"weyl": _verify_weyl, "truncation": _verify_truncation,
 
 def cmd_verify(args) -> int:
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
-    if any(n not in VERIFY_SUITES for n in names):
-        raise ValidationError(f"unknown suite {args.suite!r}")
     if args.trials < 1:
         raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
@@ -323,6 +327,8 @@ def cmd_bench_scaling(args) -> int:
     alpha = nm.QUANTITIES[q].resolve_alpha(q, args.alpha)
     sweep_r = _positive_list(args.sweep_r, int, "--sweep-r")
     sweep_eps = _positive_list(args.sweep_eps, float, "--sweep-eps")
+    if args.r < 1:
+        raise ValidationError(f"--r must be at least 1, got {args.r}")
     config = est.AmplitudeEstimatorConfig(mode="analytic", seed=args.seed)
     runs = ([(r, args.epsilon, (args.seed, r)) for r in sweep_r]
             + [(args.r, eps, (args.seed, 1000)) for eps in sweep_eps])

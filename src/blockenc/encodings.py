@@ -245,13 +245,11 @@ class PurifiedAccessOracle:
         self.check(tol)
         return self
 
-    def prepared_state(self) -> np.ndarray:
-        return self.unitary[:, 0]
-
     def extract(self) -> np.ndarray:
         """Recompute the encoded operator from the unitary: trace out the
-        purifying register, then project the block ancillas onto <0|...|0>."""
-        psi = self.prepared_state()
+        purifying register of the prepared state, its first column, then
+        project the block ancillas onto <0|...|0>."""
+        psi = self.unitary[:, 0]
         keep = 2 ** (self.system_qubits + self.block_ancillas)
         rho = partial_trace(np.outer(psi, psi.conj()), keep, 2 ** self.purifying_ancillas)
         a = 2 ** self.block_ancillas
@@ -385,8 +383,6 @@ def purification_of(a, label: str = "oracle",
     if not isinstance(a, SubnormalizedDensityOperator):
         a = SubnormalizedDensityOperator.from_matrix(a)
     deficit = 1.0 - a.trace
-    if deficit < -TRACE_TOL:
-        raise ValidationError("trace exceeds one")
     f = a.factor
     block = 0
     if deficit > TRACE_TOL:
@@ -452,33 +448,29 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
     SUPPORT_CUT that ``eigenpairs`` drops.
 
     Swaps a fresh system register into the prepared purification, controlled
-    on the block ancillas being |0>; branches with nonzero block ancillas flag
-    an extra qubit so the block projection removes them.  Costs one query to
-    U and U^dag plus O(a) gates.
+    on the block ancillas being |0>; branches with nonzero block ancillas flip
+    a flag qubit so the block projection removes them; with no block ancilla
+    there is no such branch, and the flag register has one state.  Costs one
+    query to U and U^dag plus O(a) gates.
     """
     n = oracle.system_qubits
     dim_n = 2 ** n
     dim_blk = 2 ** oracle.block_ancillas
     dim_pur = 2 ** oracle.purifying_ancillas
-    flag = 1 if oracle.block_ancillas else 0
+    dim_flag = 2 if oracle.block_ancillas else 1
 
     def build():
-        if not flag:
-            ext = np.kron(oracle.unitary, np.eye(dim_n))
-            swap = permutation_gate((dim_n, dim_pur, dim_n), (2, 1, 0))
-            tilde = ext.conj().T @ swap @ ext
-            return permute_subsystems(tilde, (dim_n, dim_pur, dim_n), (2, 0, 1))
-        sub = (dim_n, dim_pur, dim_n, 2)          # [old sys][pur][new][flag]
-        swap_branch = np.kron(permutation_gate(sub[:3], (2, 1, 0)), np.eye(2))
-        x_branch = np.kron(np.eye(dim_n * dim_pur * dim_n),
-                           np.array([[0, 1], [1, 0]], dtype=complex))
-        gate = _select([swap_branch] + [x_branch] * (dim_blk - 1), dim_blk)
+        sub = (dim_n, dim_pur, dim_n, dim_flag)   # [old sys][pur][new][flag]
+        # the |0> branch of the block ancillas swaps; every other one flips the flag
+        swap = np.kron(permutation_gate(sub[:3], (2, 1, 0)), np.eye(dim_flag))
+        flip = np.kron(np.eye(math.prod(sub[:3])), np.eye(dim_flag)[::-1])
+        gate = _select([swap] + [flip] * (dim_blk - 1), dim_blk)
         # gate layout [blk][old sys][pur][new][flag] -> [old sys][blk][pur][new][flag]
-        dims = (dim_blk, dim_n, dim_pur, dim_n, 2)
+        dims = (dim_blk,) + sub
         gate = permute_subsystems(gate, dims, (1, 0, 2, 3, 4))
-        ext = np.kron(oracle.unitary, np.eye(dim_n * 2))
+        ext = np.kron(oracle.unitary, np.eye(dim_n * dim_flag))
         tilde = ext.conj().T @ gate @ ext
-        dims = (dim_n, dim_blk, dim_pur, dim_n, 2)
+        dims = (dim_n, dim_blk) + sub[1:]
         return permute_subsystems(tilde, dims, (3, 0, 1, 2, 4))
 
     ancillas = n + oracle.block_ancillas + oracle.purifying_ancillas
@@ -486,7 +478,7 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
     w, v = a.eigenpairs if a.factor.shape[1] < dim_n else (None, None)
     return UnitaryBlockEncoding(
         compression=a.matrix if v is None else np.diag(w), builder=build, system_qubits=n,
-        ancillas=ancillas, realized_ancillas=ancillas + flag,
+        ancillas=ancillas, realized_ancillas=ancillas + dim_flag - 1,
         scale=1.0, declared_error=0.0, target_builder=lambda: a.matrix,
         cost=(oracle.cost + oracle.cost).plus_gates(
             oracle.block_ancillas + oracle.purifying_ancillas),

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numerics as nm
 from .encodings import (SUPPORT_CUT, PurifiedAccessOracle, StatePreparationPair,
-                        SubnormalizedDensityOperator, block_encode_density,
+                        SubnormalizedDensityOperator, _qubits, block_encode_density,
                         encoding_power, evolve, lcu, linear_combination_density,
                         unitary_from_first_column)
 from .numerics import ValidationError
@@ -150,9 +150,9 @@ def ae_outcome_distribution(p: float, reps: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         num = np.sin(np.pi * reps * x) ** 2
         den = reps ** 2 * np.sin(np.pi * x) ** 2
-        out = np.where(np.abs(den) < 1e-300, 1.0, num / np.where(den == 0, 1.0, den))
+        # at an integer x the kernel's limit is one
         near = np.abs(x - np.round(x)) <= 1e-12
-        return np.where(near, 1.0, out)
+        return np.where(near, 1.0, num / np.where(near, 1.0, den))
 
     probs = 0.5 * (kernel(m / reps - omega) + kernel(m / reps + omega))
     return probs / probs.sum()
@@ -250,8 +250,12 @@ def _operational(analysis: dict, bound: float, rounds: int, floors: dict,
                 "bound_value": bound, "tightening_rounds": rounds, "clamped": clamped}
 
 
+#: Halvings of the analysis schedule ``_schedule`` tries before it gives up.
+MAX_ROUNDS = 6
+
+
 def _schedule(quantity: str, epsilon: float, solve, bound_fn, floors: dict,
-              derive=None, max_rounds: int = 6) -> tuple[dict, dict, dict]:
+              derive=None) -> tuple[dict, dict, dict]:
     """(analysis, operational, record) for an estimator.
 
     The analysis schedule ``solve(epsilon)`` is halved as a whole until
@@ -259,7 +263,7 @@ def _schedule(quantity: str, epsilon: float, solve, bound_fn, floors: dict,
     """
     analysis = solve(epsilon)
     bound, rounds = bound_fn(analysis), 0
-    while bound > epsilon and rounds < max_rounds:
+    while bound > epsilon and rounds < MAX_ROUNDS:
         analysis = {k: v / 2.0 for k, v in analysis.items()}
         bound = bound_fn(analysis)
         rounds += 1
@@ -597,11 +601,10 @@ def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOra
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValidationError("need a probability vector of length >= 2")
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-10:
-        raise ValidationError("probabilities must be nonnegative and sum to one")
-    n = int(p.size).bit_length() - 1
-    if 2 ** n != p.size:
-        raise ValidationError("distribution length must be a power of two")
+    # written so that a nan or an inf fails it
+    if not (p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-10):
+        raise ValidationError("probabilities must be finite, nonnegative and sum to one")
+    n = _qubits(p.size, "distribution")
 
     def build():
         # the CNOT fan |i>|j> -> |i>|i xor j> permutes the rows
@@ -621,14 +624,6 @@ def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOra
 # ---------------------------------------------------------------------------
 # Trace distance
 # ---------------------------------------------------------------------------
-
-def _nu_encoding(oracle_rho, oracle_sigma):
-    """Scale-1 encoding of nu = (rho - sigma)/2 via the (HX, H) pair."""
-    v_rho = block_encode_density(oracle_rho)
-    v_sigma = block_encode_density(oracle_sigma)
-    w = lcu(StatePreparationPair.plus_minus(), [v_rho, v_sigma])
-    return w.as_scale_one()
-
 
 def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
                             oracle_sigma: PurifiedAccessOracle, alpha: float,
@@ -701,7 +696,10 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
     mu_oracle = linear_combination_density([0.5, 0.5], [oracle_rho, oracle_sigma],
                                            label="mu")
     thr = eigenvalue_threshold_projector(mu_oracle, op["delta1"], op["eps1"])
-    w_nu = _nu_encoding(oracle_rho, oracle_sigma)
+    # scale-1 encoding of nu = (rho - sigma)/2 through the (HX, H) pair
+    w_nu = lcu(StatePreparationPair.plus_minus(),
+               [block_encode_density(oracle_rho), block_encode_density(oracle_sigma)]
+               ).as_scale_one()
     if even:
         half = encoding_power(w_nu, int(round(alpha)) // 2)
     else:

@@ -135,7 +135,7 @@ def curated_pairs(count: int, kind: str) -> list[tuple]:
 
 
 def named_fixture(name: str):
-    """Bundled states by name; 'orthogonal-pure-pair' returns a 2-tuple."""
+    """Bundled states by name."""
     if name.startswith("maximally-mixed-"):
         return maximally_mixed(int(name.rsplit("-", 1)[1]))
     if name == "pure-0":
@@ -144,6 +144,4 @@ def named_fixture(name: str):
         return maximally_mixed(2)
     if name == "diag-3-1":
         return np.diag([0.75, 0.25]).astype(complex)
-    if name == "orthogonal-pure-pair":
-        return pure_state(2, 0), pure_state(2, 1)
     raise ValidationError(f"unknown fixture {name!r}")

@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from statistics import NormalDist
@@ -359,9 +360,10 @@ def _apply_parity(coeffs: np.ndarray, parity: str) -> np.ndarray:
     return out
 
 
-def _trim_tail(coeffs: np.ndarray, rel: float = 1e-14) -> np.ndarray:
-    """Drop trailing coefficients at aliasing-noise level."""
-    cut = rel * max(1.0, float(np.abs(coeffs).max()))
+def _trim_tail(coeffs: np.ndarray) -> np.ndarray:
+    """Drop trailing coefficients at aliasing-noise level: at most 1e-14 times
+    the largest one (or one)."""
+    cut = 1e-14 * max(1.0, float(np.abs(coeffs).max()))
     keep = np.nonzero(np.abs(coeffs) > cut)[0]
     if keep.size == 0:
         return coeffs[:1]
@@ -573,8 +575,13 @@ def _family(name: str, formula: Callable[..., int], **ranges):
     return register
 
 
+#: The power families' smallest delta: their quadratures start at delta^2,
+#: which underflows to zero below this.
+_POWER_DELTA_MIN = math.sqrt(sys.float_info.min)
+
+
 @_family("pos-power", lambda c, delta, epsilon: _degree(delta, epsilon),
-         c=(0, 1, ")"), delta=(0, 0.5, "]"), epsilon=(0, 0.5, "]"))
+         c=(0, 1, ")"), delta=(_POWER_DELTA_MIN, 0.5, "]"), epsilon=(0, 0.5, "]"))
 def approx_positive_power(c: float, delta: float, epsilon: float) -> CertifiedPolynomial:
     """Even P with |P - x^c / 2| <= epsilon on [delta, 1] and |P| <= 1 on [-1, 1]."""
     a = 1.0 - c / 2.0
@@ -590,7 +597,7 @@ def approx_positive_power(c: float, delta: float, epsilon: float) -> CertifiedPo
 
 
 @_family("neg-power", lambda c, delta, epsilon: _degree(delta, epsilon, c),
-         c=(0, math.inf, ")"), delta=(0, 0.5, "]"), epsilon=(0, 0.5, "]"))
+         c=(0, math.inf, ")"), delta=(_POWER_DELTA_MIN, 0.5, "]"), epsilon=(0, 0.5, "]"))
 def approx_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPolynomial:
     """Even P with |P - (delta^c / 2) x^(-c)| <= epsilon on [delta, 1], |P| <= 1.
 

@@ -43,14 +43,13 @@ QSVT_PRECISION = 1e-12
 def _product(factors: tuple[CertifiedPolynomial, ...]):
     """w -> prod_i P_i(w) on w clipped to [-1, 1], and the summed degree.
 
-    Each factor must meet its QSVT limit; as each is then at most one in
-    absolute value, so is their product.
+    Each factor must meet its QSVT limit, the ``bound_limit`` it was certified
+    against; as each is then at most one in absolute value, so is their product.
     """
     for p in factors:
-        limit = 1.0 if p.parity in ("even", "odd") else 0.5
-        if p.global_bound > limit + 1e-9:
-            raise ValidationError(
-                f"polynomial bound {p.global_bound:.6f} violates the QSVT limit {limit}")
+        if p.global_bound > p.bound_limit + 1e-9:
+            raise ValidationError(f"polynomial bound {p.global_bound:.6f} violates "
+                                  f"the QSVT limit {p.bound_limit}")
 
     def f(w):
         w = np.clip(w, -1.0, 1.0)

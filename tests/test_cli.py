@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from blockenc import estimation as est
 from blockenc import numerics as nm
 from blockenc import polyapprox as pa
 from blockenc.fixtures import floored_spectrum_state, maximally_mixed, shared_support_pair
+from blockenc.resources import QueryCost
 
 
 def run(argv):
@@ -125,6 +127,14 @@ BAD_NUMBERS = {
                                     "--sweep-r", "0"], "--sweep-r must be"),
     "bench-scaling-sweep-r-not-numbers": (["bench-scaling", "--quantity", "von-neumann",
                                            "--sweep-r", "a,b"], "--sweep-r must be"),
+    **{f"bench-scaling-r-{r}": (["bench-scaling", "--quantity", "von-neumann",
+                                 "--sweep-eps", "0.2,0.1", "--r", r], "--r must be at least 1")
+       for r in ("0", "-1")},
+    # delta is in (0, 1/2], but the power families' quadratures start at
+    # delta^2, which underflows to zero
+    **{f"{family}-delta-squared-underflows": (
+        ["approx-poly", "--family", family, "--delta", "1e-200", "--epsilon", "0.01"],
+        f"{family} delta must be in") for family in ("pos-power", "neg-power")},
     "max-entropy-kappa-zero": (["estimate", "--quantity", "max-entropy", "--kappa", "0",
                                 "--state", "{path}"], "max entropy needs a finite kappa > 0"),
     **{f"{quantity}-kappa-{kappa}": (
@@ -155,6 +165,80 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, case):
         path.write_text(text)
     assert run([arg.format(path=path) for arg in argv]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+#: state documents that fail validation, and a fragment of each one's message
+BAD_STATE_DOCUMENTS = {
+    "format-not-v1": (_state_text("explicit-matrix", format="blockenc-state-v0"),
+                      "not a blockenc-state-v1 file"),
+    "unknown-kind": (_state_text("density-cloud"), "unknown state kind 'density-cloud'"),
+    "unknown-fixture": (_state_text("named-fixture", payload={"name": "pure-9"}),
+                        "unknown fixture 'pure-9'"),
+    "pair-fixture": (_state_text("named-fixture", payload={"name": "orthogonal-pure-pair"}),
+                     "unknown fixture 'orthogonal-pure-pair'"),
+    "probabilities-not-normalized": (
+        _state_text("probability-vector", payload={"probabilities": [0.5, 0.25, 0.125, 0.0]}),
+        "sum to one"),
+    # the finite entries sum to one, so only the finiteness test rejects it
+    "probabilities-nan": (
+        _state_text("probability-vector", rank=4,
+                    payload={"probabilities": [math.nan, 0.5, 0.25, 0.25]}),
+        "probabilities must be finite"),
+    "probabilities-length-not-power-of-two": (
+        _state_text("probability-vector", payload={"probabilities": [0.5, 0.25, 0.25]}),
+        "distribution dimension 3 is not a power of two"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_STATE_DOCUMENTS))
+def test_bad_state_document_exits_2_naming_the_file(tmp_path, capsys, case):
+    text, message = BAD_STATE_DOCUMENTS[case]
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert run(["estimate", "--quantity", "von-neumann", "--state", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
+
+
+@pytest.mark.parametrize("name, matrix", [
+    ("maximally-mixed-4", np.eye(4) / 4), ("pure-0", np.diag([1.0, 0.0])),
+    ("bell-reduced", np.eye(2) / 2), ("diag-3-1", np.diag([0.75, 0.25]))])
+def test_every_named_fixture_loads(tmp_path, name, matrix):
+    path = tmp_path / "n.json"
+    path.write_text(_state_text("named-fixture", payload={"name": name}))
+    doc = cli.load_state(str(path))
+    assert np.array_equal(doc["matrix_array"], matrix)
+    assert np.allclose(doc["operator"].matrix, matrix, atol=1e-15)
+
+
+def test_classical_state_file_builds_no_system_sized_array(tmp_path):
+    # one N x N complex array at d = 1024 is 16 MiB; a classical state is
+    # decoded to its oracle, whose factor keeps only the support
+    p = np.zeros(1024)
+    p[[0, 5, 77, 1023]] = [0.4, 0.3, 0.2, 0.1]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"format": cli.STATE_FORMAT, "kind": "probability-vector",
+                                "dimension": 1024, "rank": 4,
+                                "payload": {"probabilities": p.tolist()}}))
+    tracemalloc.start()
+    try:
+        oracle = cli._oracle_from_state(cli.load_state(str(path)), "rho")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    direct = est.distribution_to_purified_oracle(p, label="rho")
+    assert (oracle.label, oracle.cost) == (direct.label, direct.cost) == (
+        "rho", QueryCost.of("rho", gates=10))
+    assert np.array_equal(oracle.encoded.factor, direct.encoded.factor)
+
+
+def test_verify_unknown_suite_is_a_usage_error(capsys):
+    # argparse's choices reject it before the command runs
+    with pytest.raises(SystemExit) as exit_:
+        run(["verify", "--suite", "nope"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_spectrum_longer_than_its_dimension_gives_both_lengths(tmp_path, capsys):
@@ -345,6 +429,17 @@ def test_bench_scaling_emits_slopes(tmp_path):
     assert abs(doc["slope_r"]) < 1e-9
     assert doc["slope_eps"] > 0.5
     assert len(doc["points"]) == 4
+
+
+@pytest.mark.parametrize("argv, slope", [
+    (["--quantity", "trace-distance"], 5.2394),
+    (["--quantity", "fidelity", "--alpha", "0.5"], 6.8902)], ids=["trace-distance", "fidelity"])
+def test_bench_scaling_runs_the_two_state_fixture(tmp_path, argv, slope):
+    out = str(tmp_path / "b.json")
+    assert run(["bench-scaling", *argv, "--sweep-r", "2,4", "--out", out]) == 0
+    doc = json.load(open(out))
+    assert all(set(point["queries"]) == {"rho", "sigma"} for point in doc["points"])
+    assert doc["slope_r"] == pytest.approx(slope, abs=1e-4)
 
 
 def test_approx_poly_certification_failure_exit_code():

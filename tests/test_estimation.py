@@ -322,6 +322,13 @@ def test_distribution_oracle_validation():
         est.distribution_to_purified_oracle([0.5, 0.2])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_distribution_oracle_rejects_non_finite_probabilities(bad):
+    # the finite entries sum to one, so only the finiteness test rejects it
+    with pytest.raises(ValidationError, match="probabilities must be finite"):
+        est.distribution_to_purified_oracle([bad, 0.5, 0.25, 0.25])
+
+
 # -- trace distance ---------------------------------------------------------------
 
 def test_trace_distance_identical_states():
