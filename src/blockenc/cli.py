@@ -418,11 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """The numeric arguments several commands share: a finite --alpha and a
-    --seed >= 0."""
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None and not math.isfinite(alpha):
-        raise ValidationError(f"--alpha must be finite, got {alpha}")
+    """The --seed >= 0 several commands share; --alpha's range is each
+    estimator's."""
     if getattr(args, "seed", 0) < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
 

@@ -1,31 +1,30 @@
 """Purified access oracles, block-encodings, and their composition calculus.
 
-Register convention: system qubits first, block ancillas second, purifying
-ancillas last; every block projection applies the <0| pattern to the block
-ancilla register.  Each composition rule computes the composed operator and
-its query cost, which is all the estimators read; its literal circuit is built,
-under the dimension cap, the first time ``.unitary`` is read.  A density
-operator A is held as its purification factor F, with A = F F^dag: an input
-matrix is factored once, by pivoted Cholesky in O(N^2 k), a rule that makes a
-new operator (evolution, embedding, a convex mixture, a spectral transform)
-maps its input's factor, and a purification reads the factor directly.  A
-block-encoding holds its block B = Q M Q^dag + c (I - Q Q^dag) as a support Q
-(N x k), a k x k compression M and a kernel value c; a rule maps that form, so
-a sum, a product or a transform of blocks costs O(k^3) once the supports are
-joined.  Dense matrices are built only when read.
+Each composition rule computes the composed operator and its query cost,
+which is all the estimators read, and returns it with its construction
+record ``step``: the rule's name, its input operators and its parameters.
+``blockenc.circuits`` builds an operator's circuit and contract target from
+that record when a check asks for one; nothing here builds a circuit.  A
+density operator A is held as its purification factor F, with A = F F^dag:
+an input matrix is factored once, by pivoted Cholesky in O(N^2 k), a rule
+that makes a new operator (evolution, embedding, a convex mixture, a
+spectral transform) maps its input's factor, and a purification reads the
+factor directly.  A block-encoding holds its block
+B = Q M Q^dag + c (I - Q Q^dag) as a support Q (N x k), a k x k compression
+M and a kernel value c; a rule maps that form, so a sum, a product or a
+transform of blocks costs O(k^3) once the supports are joined.  Dense
+matrices are built only when read.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from typing import Callable
 
 import numpy as np
 
-from .numerics import (ValidationError, as_matrix, dimension_cap, partial_trace,
-                       require_hermitian, require_square, spectral_norm)
+from .numerics import (ValidationError, as_matrix, require_hermitian, require_square,
+                       spectral_norm)
 from .resources import QueryCost
 
 PSD_TOL = 1e-9
@@ -40,35 +39,6 @@ def _qubits(dim: int, what: str) -> int:
     if 2 ** n != dim:
         raise ValidationError(f"{what} dimension {dim} is not a power of two")
     return n
-
-
-def _materialize(builder: Callable[[], np.ndarray], dim: int) -> np.ndarray:
-    """Run a circuit builder for ``dim`` total dimensions, refusing any above the cap."""
-    cap = dimension_cap()
-    if dim > cap:
-        raise ValidationError(f"total dimension {dim} exceeds the cap {cap}")
-    u = as_matrix(builder())
-    if u.shape != (dim, dim):
-        raise ValidationError(f"circuit of shape {u.shape} does not match its registers")
-    return u
-
-
-def permute_subsystems(u: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
-    """Relabel the tensor factors of an operator on (x)_i C^{dims[i]}."""
-    k = len(dims)
-    total = int(np.prod(dims))
-    m = as_matrix(u).reshape(dims + dims)
-    axes = tuple(perm) + tuple(p + k for p in perm)
-    return m.transpose(axes).reshape(total, total)
-
-
-def permutation_gate(dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
-    """Unitary mapping |i_0 .. i_{k-1}> to the factor order given by perm."""
-    k = len(dims)
-    total = int(np.prod(dims))
-    m = np.eye(total).reshape(dims + dims)
-    axes = tuple(perm) + tuple(range(k, 2 * k))
-    return m.transpose(axes).reshape(total, total)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -97,16 +67,6 @@ def unitary_from_first_column(psi: np.ndarray) -> np.ndarray:
     return q
 
 
-def _select(blocks, count: int) -> np.ndarray:
-    """The select sum_k |k><k| (x) U_k over ``count`` branches: U_k is the k-th
-    of ``blocks``, and the identity on the branches past them."""
-    sub = blocks[0].shape[0]
-    out = np.eye(count * sub, dtype=complex)
-    for k, u in enumerate(blocks):
-        out[k * sub:(k + 1) * sub, k * sub:(k + 1) * sub] = u
-    return out
-
-
 def _pivoted_cholesky(h: np.ndarray) -> np.ndarray:
     """F (N x k) with F F^dag ~ h, by Cholesky with complete pivoting, in O(N k^2).
 
@@ -131,6 +91,18 @@ def _pivoted_cholesky(h: np.ndarray) -> np.ndarray:
         d[p] = 0.0
         k += 1
     return np.ascontiguousarray(lt[:k].T)
+
+
+@dataclass(frozen=True)
+class Step:
+    """The construction record of an operator: the ``rule`` that built it (a
+    name), its ``inputs`` (the operators the rule read) and its ``params``
+    (certified factors, weights, powers and the like).  ``blockenc.circuits``
+    reads it to build the operator's circuit and contract target."""
+
+    rule: str
+    inputs: tuple = ()
+    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -212,15 +184,16 @@ class SubnormalizedDensityOperator:
 @dataclass(frozen=True)
 class PurifiedAccessOracle:
     """Unitary preparing a purification whose block projection is ``encoded``,
-    built by ``builder`` the first time ``unitary`` is read.
+    on ``block_ancillas`` and ``purifying_ancillas`` next to the system.
 
     A block-encoding of a density operator: ``scale * encoded`` approximates
     the operator named by the transform that built the oracle within
     ``declared_error``, and an input oracle is (1, 0).  Rules read only
-    ``encoded``; no rule propagates the contract.
+    ``encoded``; no rule propagates the contract.  ``step`` records how the
+    oracle was built.
     """
 
-    builder: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    step: Step = field(repr=False, compare=False)
     system_qubits: int
     block_ancillas: int
     purifying_ancillas: int
@@ -230,36 +203,9 @@ class PurifiedAccessOracle:
     scale: float = 1.0
     declared_error: float = 0.0
 
-    @cached_property
-    def unitary(self) -> np.ndarray:
-        return _materialize(self.builder, 2 ** self.total_qubits)
-
     @property
     def total_qubits(self) -> int:
         return self.system_qubits + self.block_ancillas + self.purifying_ancillas
-
-    def validate(self, tol: float = 1e-9) -> "PurifiedAccessOracle":
-        """Unitarity plus extract-vs-declared check (contracts are lazy)."""
-        if unitarity_defect(self.unitary) > UNITARITY_TOL:
-            raise ValidationError("oracle matrix is not unitary within tolerance")
-        self.check(tol)
-        return self
-
-    def extract(self) -> np.ndarray:
-        """Recompute the encoded operator from the unitary: trace out the
-        purifying register of the prepared state, its first column, then
-        project the block ancillas onto <0|...|0>."""
-        psi = self.unitary[:, 0]
-        keep = 2 ** (self.system_qubits + self.block_ancillas)
-        rho = partial_trace(np.outer(psi, psi.conj()), keep, 2 ** self.purifying_ancillas)
-        a = 2 ** self.block_ancillas
-        return rho.reshape(2 ** self.system_qubits, a, 2 ** self.system_qubits, a)[:, 0, :, 0]
-
-    def check(self, tol: float = 1e-9) -> float:
-        defect = spectral_norm(self.extract() - self.encoded.matrix)
-        if defect > tol:
-            raise ValidationError(f"oracle block deviates from declared operator by {defect:.3e}")
-        return defect
 
 
 @dataclass(frozen=True)
@@ -269,13 +215,10 @@ class UnitaryBlockEncoding:
     The encoded block is B = Q M Q^dag + c (I - Q Q^dag): ``support`` is Q, an
     orthonormal N x k basis (None is the whole space, where M is B itself),
     ``compression`` is the k x k matrix M and ``kernel_value`` is c.  The dense
-    ``matrix`` is built the first time it is read.  ``builder`` builds the
-    unitary (None builds the SVD dilation of the block on one ancilla) and
-    ``target_builder`` the contract's target (None: the block itself), each
-    the first time it is read (only ``check`` reads the target).
-    ``ancillas`` is the declared contract used by the ledger; the circuit may
-    use another register, and block() always projects the built unitary on
-    the realized one.
+    ``matrix`` is built the first time it is read.  ``ancillas`` is the
+    declared contract the ledger reads, and ``realized_ancillas`` the
+    register a controlled use acts on, which the transform cost reads.
+    ``step`` records how the encoding was built.
     """
 
     compression: np.ndarray = field(repr=False, compare=False)
@@ -284,10 +227,7 @@ class UnitaryBlockEncoding:
     realized_ancillas: int
     scale: float
     declared_error: float
-    builder: Callable[[], np.ndarray] | None = field(default=None, repr=False,
-                                                   compare=False)
-    target_builder: Callable[[], np.ndarray] | None = field(default=None, repr=False,
-                                                          compare=False)
+    step: Step = field(repr=False, compare=False)
     cost: QueryCost = field(default_factory=QueryCost)
     support: np.ndarray | None = field(default=None, repr=False, compare=False)
     kernel_value: complex = 0.0
@@ -312,59 +252,12 @@ class UnitaryBlockEncoding:
             return self.compression @ x
         return q @ ((self.compression - c * np.eye(q.shape[1])) @ (q.conj().T @ x)) + c * x
 
-    @cached_property
-    def unitary(self) -> np.ndarray:
-        return _materialize(self.builder or self._svd_dilation,
-                            2 ** (self.system_qubits + self.realized_ancillas))
-
-    @cached_property
-    def target(self) -> np.ndarray:
-        return self.matrix if self.target_builder is None else self.target_builder()
-
-    def _svd_dilation(self) -> np.ndarray:
-        """Exact two-block unitary dilation of the block, a contraction, built
-        from its SVD so that it is unitary to machine precision; singular
-        values within tolerance above one are clamped."""
-        wl, s, vr = np.linalg.svd(self.matrix)
-        s = np.minimum(s, 1.0)
-        comp = np.sqrt(1.0 - s ** 2)
-        top_right = (wl * comp) @ wl.conj().T
-        bottom_left = (vr.conj().T * comp) @ vr
-        m_eff = (wl * s) @ vr
-        blockform = np.block([[m_eff, top_right], [bottom_left, -m_eff.conj().T]])
-        # blockform is ancilla-major; reorder to the system-first convention
-        return permute_subsystems(blockform, (2, 2 ** self.system_qubits), (1, 0))
-
-    def block(self) -> np.ndarray:
-        a = 2 ** self.realized_ancillas
-        n = 2 ** self.system_qubits
-        return self.unitary.reshape(n, a, n, a)[:, 0, :, 0]
-
-    def actual(self) -> np.ndarray:
-        return self.scale * self.block()
-
-    def check(self, slack: float = 1e-8) -> float:
-        """Circuit invariants: ||block - matrix|| <= slack, and the contract
-        ||scale * block - target|| <= declared_error + slack."""
-        block = self.block()
-        drift = spectral_norm(block - self.matrix)
-        if drift > slack:
-            raise ValidationError(f"circuit block deviates from the encoded matrix "
-                                  f"by {drift:.3e}")
-        defect = spectral_norm(self.scale * block - self.target)
-        if defect > self.declared_error + slack:
-            raise ValidationError(
-                f"encoding misses its target by {defect:.3e} > "
-                f"{self.declared_error:.3e} + {slack:.1e}")
-        return defect
-
     def as_scale_one(self) -> "UnitaryBlockEncoding":
         """Reinterpret as a scale-1 encoding of (target / scale)."""
         if self.scale == 1.0:
             return self
         return replace(self, scale=1.0, declared_error=self.declared_error / self.scale,
-                       target_builder=lambda: self.target / self.scale,
-                       builder=lambda: self.unitary)
+                       step=Step("as_scale_one", (self,)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,46 +269,26 @@ def purification_of(a, label: str = "oracle",
     """Minimal purified-access oracle for a subnormalized density operator.
 
     Normalized inputs need no block ancilla; a trace deficit is stored in the
-    |1> sector of one block ancilla so the <0| projection returns the input.
-    The purifying register has ceil(log2 k) qubits, at least one, for a
-    factor of k columns; the purification is the factor itself.
+    |1> sector of one block ancilla so the <0| projection returns the input,
+    and takes one more purifying index.  The purifying register has
+    ceil(log2 k) qubits, at least one, for k such indices; the purification
+    is the factor itself.
     """
     if not isinstance(a, SubnormalizedDensityOperator):
         a = SubnormalizedDensityOperator.from_matrix(a)
-    deficit = 1.0 - a.trace
-    f = a.factor
-    block = 0
-    if deficit > TRACE_TOL:
-        block = 1
-        # the factor in the <0|_a rows, the deficit on |0>_n |1>_a
-        ext = np.zeros((2 * a.dim, f.shape[1] + 1), dtype=complex)
-        ext[::2, :-1] = f
-        ext[1, -1] = np.sqrt(deficit)
-        f = ext
-    elif a.trace > 1.0:
-        f = f / np.sqrt(a.trace)
-    pur = max(1, (f.shape[1] - 1).bit_length())
-
-    def build():
-        # sum_k |F_k>|k>, purifying index last
-        psi = np.zeros((f.shape[0], 2 ** pur), dtype=complex)
-        psi[:, :f.shape[1]] = f
-        psi = psi.ravel()
-        return unitary_from_first_column(psi / np.linalg.norm(psi))
-
+    block = int(1.0 - a.trace > TRACE_TOL)
     return PurifiedAccessOracle(
-        builder=build, system_qubits=a.system_qubits, block_ancillas=block,
-        purifying_ancillas=pur, encoded=a,
-        cost=cost if cost is not None else QueryCost.of(label), label=label)
+        step=Step("purification", (a,)), system_qubits=a.system_qubits,
+        block_ancillas=block,
+        purifying_ancillas=max(1, (a.factor.shape[1] + block - 1).bit_length()),
+        encoded=a, cost=cost if cost is not None else QueryCost.of(label), label=label)
 
 
-def dilate(m: np.ndarray, target: Callable[[], np.ndarray] | None = None,
-           cost: QueryCost | None = None, scale: float = 1.0) -> UnitaryBlockEncoding:
+def dilate(m: np.ndarray, cost: QueryCost | None = None) -> UnitaryBlockEncoding:
     """Exact two-block unitary dilation of a contraction m (one extra qubit).
 
-    An SVD checks the norm on the call; the circuit is the encoding's SVD
-    dilation.  ``target`` builds the contract's target when a check reads
-    it; by default the target is m.
+    An SVD checks the norm on the call; the circuit is the SVD dilation of m,
+    and the target is m.
     """
     m = require_square(m)
     norm = spectral_norm(m)
@@ -423,15 +296,15 @@ def dilate(m: np.ndarray, target: Callable[[], np.ndarray] | None = None,
         raise ValidationError(f"operator norm {norm:.6f} exceeds one")
     return UnitaryBlockEncoding(
         compression=m, system_qubits=_qubits(m.shape[0], "contraction"),
-        ancillas=1, realized_ancillas=1, scale=scale, declared_error=0.0,
-        target_builder=target, cost=cost if cost is not None else QueryCost())
+        ancillas=1, realized_ancillas=1, scale=1.0, declared_error=0.0,
+        step=Step("dilate"), cost=cost if cost is not None else QueryCost())
 
 
 def identity_encoding(n: int) -> UnitaryBlockEncoding:
     """The identity as an empty support with kernel value one."""
     return UnitaryBlockEncoding(
         compression=np.zeros((0, 0)), system_qubits=n, ancillas=0, realized_ancillas=0,
-        scale=1.0, declared_error=0.0, builder=lambda: np.eye(2 ** n, dtype=complex),
+        scale=1.0, declared_error=0.0, step=Step("identity"),
         support=np.zeros((2 ** n, 0)), kernel_value=1.0)
 
 
@@ -447,39 +320,19 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
     at most PSD_TOL max(1, ||H||_F)) plus the eigenvalues at most
     SUPPORT_CUT that ``eigenpairs`` drops.
 
-    Swaps a fresh system register into the prepared purification, controlled
-    on the block ancillas being |0>; branches with nonzero block ancillas flip
-    a flag qubit so the block projection removes them; with no block ancilla
-    there is no such branch, and the flag register has one state.  Costs one
-    query to U and U^dag plus O(a) gates.
+    The circuit swaps a fresh system register into the prepared
+    purification, controlled on the block ancillas being |0>, and flags
+    every other branch.  Costs one query to U and U^dag plus O(a) gates.
     """
     n = oracle.system_qubits
-    dim_n = 2 ** n
-    dim_blk = 2 ** oracle.block_ancillas
-    dim_pur = 2 ** oracle.purifying_ancillas
-    dim_flag = 2 if oracle.block_ancillas else 1
-
-    def build():
-        sub = (dim_n, dim_pur, dim_n, dim_flag)   # [old sys][pur][new][flag]
-        # the |0> branch of the block ancillas swaps; every other one flips the flag
-        swap = np.kron(permutation_gate(sub[:3], (2, 1, 0)), np.eye(dim_flag))
-        flip = np.kron(np.eye(math.prod(sub[:3])), np.eye(dim_flag)[::-1])
-        gate = _select([swap] + [flip] * (dim_blk - 1), dim_blk)
-        # gate layout [blk][old sys][pur][new][flag] -> [old sys][blk][pur][new][flag]
-        dims = (dim_blk,) + sub
-        gate = permute_subsystems(gate, dims, (1, 0, 2, 3, 4))
-        ext = np.kron(oracle.unitary, np.eye(dim_n * dim_flag))
-        tilde = ext.conj().T @ gate @ ext
-        dims = (dim_n, dim_blk) + sub[1:]
-        return permute_subsystems(tilde, dims, (3, 0, 1, 2, 4))
-
     ancillas = n + oracle.block_ancillas + oracle.purifying_ancillas
     a = oracle.encoded
-    w, v = a.eigenpairs if a.factor.shape[1] < dim_n else (None, None)
+    w, v = a.eigenpairs if a.factor.shape[1] < 2 ** n else (None, None)
     return UnitaryBlockEncoding(
-        compression=a.matrix if v is None else np.diag(w), builder=build, system_qubits=n,
-        ancillas=ancillas, realized_ancillas=ancillas + dim_flag - 1,
-        scale=1.0, declared_error=0.0, target_builder=lambda: a.matrix,
+        compression=a.matrix if v is None else np.diag(w),
+        step=Step("block_encode_density", (oracle,)), system_qubits=n, ancillas=ancillas,
+        realized_ancillas=ancillas + (1 if oracle.block_ancillas else 0),
+        scale=1.0, declared_error=0.0,
         cost=(oracle.cost + oracle.cost).plus_gates(
             oracle.block_ancillas + oracle.purifying_ancillas),
         support=v)
@@ -497,9 +350,10 @@ def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
     if abs(v.scale - 1.0) > 1e-12:
         raise ValidationError("evolution requires a scale-1 block-encoding "
                               "(use as_scale_one())")
-    return purification_of(
+    out = purification_of(
         SubnormalizedDensityOperator(v._apply(oracle.encoded.factor), oracle.system_qubits),
         label=label or oracle.label, cost=oracle.cost + v.cost)
+    return replace(out, step=Step("evolve", (oracle, v)))
 
 
 def embed(oracle: PurifiedAccessOracle, extra_qubits: int) -> PurifiedAccessOracle:
@@ -508,16 +362,12 @@ def embed(oracle: PurifiedAccessOracle, extra_qubits: int) -> PurifiedAccessOrac
         raise ValidationError("extra_qubits must be nonnegative")
     if extra_qubits == 0:
         return oracle
-    dim_b = 2 ** extra_qubits
-    dims = (2 ** oracle.system_qubits, 2 ** (oracle.block_ancillas + oracle.purifying_ancillas),
-            dim_b)
-    zero = np.zeros((dim_b, 1), dtype=complex)
-    zero[0, 0] = 1.0
-    enc = SubnormalizedDensityOperator(np.kron(oracle.encoded.factor, zero),
-                                       oracle.system_qubits + extra_qubits)
+    # F (x) |0> on the new qubits
+    enc = SubnormalizedDensityOperator(
+        np.kron(oracle.encoded.factor, np.eye(2 ** extra_qubits, 1)),
+        oracle.system_qubits + extra_qubits)
     return PurifiedAccessOracle(
-        builder=lambda: permute_subsystems(np.kron(oracle.unitary, np.eye(dim_b)),
-                                           dims, (0, 2, 1)),
+        step=Step("embed", (oracle,), {"extra_qubits": extra_qubits}),
         system_qubits=oracle.system_qubits + extra_qubits,
         block_ancillas=oracle.block_ancillas,
         purifying_ancillas=oracle.purifying_ancillas,
@@ -552,26 +402,14 @@ def product(u: UnitaryBlockEncoding, v: UnitaryBlockEncoding) -> UnitaryBlockEnc
     on the joint support Q the block is (Q, M_u M_v, c_u c_v)."""
     if u.system_qubits != v.system_qubits:
         raise ValidationError("system dimension mismatch in product")
-    n = u.system_qubits
-    dim_n, dim_a, dim_b = 2 ** n, 2 ** u.realized_ancillas, 2 ** v.realized_ancillas
-
-    def build():
-        u_pad = np.kron(u.unitary, np.eye(dim_b))
-        v_pad = permute_subsystems(np.kron(v.unitary, np.eye(dim_a)),
-                                   (dim_n, dim_b, dim_a), (0, 2, 1))
-        return u_pad @ v_pad
-
-    def target():
-        return u.target @ v.target
-
     q, (mu, mv), (cu, cv) = _joint_support([u, v])
     return UnitaryBlockEncoding(
-        compression=mu @ mv, builder=build, system_qubits=n,
+        compression=mu @ mv, step=Step("product", (u, v)), system_qubits=u.system_qubits,
         ancillas=u.ancillas + v.ancillas,
         realized_ancillas=u.realized_ancillas + v.realized_ancillas,
         scale=u.scale * v.scale,
         declared_error=u.scale * v.declared_error + v.scale * u.declared_error,
-        target_builder=target, cost=u.cost + v.cost, support=q, kernel_value=cu * cv)
+        cost=u.cost + v.cost, support=q, kernel_value=cu * cv)
 
 
 def encoding_power(u: UnitaryBlockEncoding, k: int) -> UnitaryBlockEncoding:
@@ -606,40 +444,15 @@ def linear_combination_density(coefficients, oracles,
         raise ValidationError("all oracles must share the system dimension")
     deficit = max(0.0, 1.0 - total)
     junk = deficit > TRACE_TOL
-    a = max(o.block_ancillas for o in oracles)
-    if junk:
-        a = max(a, 1)
-    b = max(o.purifying_ancillas for o in oracles)
+    # the select register indexes the oracles and, with a deficit, its branch
     m = max(1, (len(oracles) + (1 if junk else 0) - 1).bit_length())
-    dim_m, dim_n, dim_a, dim_b = 2 ** m, 2 ** n, 2 ** a, 2 ** b
-
-    def padded(oracle: PurifiedAccessOracle) -> np.ndarray:
-        pa, pb = a - oracle.block_ancillas, b - oracle.purifying_ancillas
-        dims = (dim_n, 2 ** oracle.block_ancillas, 2 ** oracle.purifying_ancillas,
-                2 ** pa, 2 ** pb)
-        ext = np.kron(oracle.unitary, np.eye(2 ** (pa + pb)))
-        return permute_subsystems(ext, dims, (0, 1, 3, 2, 4))
-
-    def build():
-        coeff_state = np.zeros(dim_m, dtype=complex)
-        coeff_state[:alphas.size] = np.sqrt(alphas)
-        if junk:
-            coeff_state[alphas.size] = np.sqrt(deficit)
-        prep = unitary_from_first_column(coeff_state)
-        sub = dim_n * dim_a * dim_b
-        blocks = [padded(o) for o in oracles]
-        if junk:
-            x_first = np.zeros((dim_a, dim_a))
-            half = dim_a // 2
-            x_first[half:, :half] = np.eye(half)
-            x_first[:half, half:] = np.eye(half)
-            blocks.append(np.kron(np.kron(np.eye(dim_n), x_first), np.eye(dim_b)))
-        u_total = _select(blocks, dim_m) @ np.kron(prep, np.eye(sub))
-        # layout [m][n][a][b] -> [n][a][m][b]; the m register is traced out
-        return permute_subsystems(u_total, (dim_m, dim_n, dim_a, dim_b), (1, 2, 0, 3))
-
     return PurifiedAccessOracle(
-        builder=build, system_qubits=n, block_ancillas=a, purifying_ancillas=m + b,
+        step=Step("linear_combination_density", tuple(oracles),
+                  {"coefficients": alphas, "deficit": deficit if junk else 0.0,
+                   "select_qubits": m}),
+        system_qubits=n,
+        block_ancillas=max([o.block_ancillas for o in oracles] + [int(junk)]),
+        purifying_ancillas=m + max(o.purifying_ancillas for o in oracles),
         encoded=SubnormalizedDensityOperator(
             np.hstack([np.sqrt(al) * o.encoded.factor for al, o in zip(alphas, oracles)]), n),
         cost=sum((o.cost for o in oracles), QueryCost(gates=2 * m)),
@@ -717,8 +530,7 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
     """
     if len(encodings) == 0:
         raise ValidationError("need at least one encoding")
-    y = np.asarray(pair.coefficients, dtype=complex)
-    if y.size != len(encodings):
+    if np.size(pair.coefficients) != len(encodings):
         raise ValidationError("coefficient count must match the encoding count")
     n = encodings[0].system_qubits
     alpha = encodings[0].scale
@@ -726,27 +538,14 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         raise ValidationError("encodings must share the system dimension")
     if any(abs(e.scale - alpha) > 1e-12 for e in encodings):
         raise ValidationError("encodings must share the scale")
-    a = max(e.realized_ancillas for e in encodings)
-    dim_n, dim_a, dim_b = 2 ** n, 2 ** a, 2 ** pair.qubits
+    a = max(e.realized_ancillas for e in encodings) + pair.qubits
     err = alpha * pair.norm_bound * max(e.declared_error for e in encodings)
     weights = pair.left_unitary[:, 0].conj() * pair.right_unitary[:, 0]
     q, ms, cs = _joint_support(encodings)
-
-    def build():
-        sub = dim_n * dim_a
-        select = _select([np.kron(e.unitary, np.eye(2 ** (a - e.realized_ancillas)))
-                          for e in encodings], dim_b)
-        w = (np.kron(pair.left_unitary.conj().T, np.eye(sub)) @ select
-             @ np.kron(pair.right_unitary, np.eye(sub)))
-        # layout [b][n][a] -> [n][a][b]
-        return permute_subsystems(w, (dim_b, dim_n, dim_a), (1, 2, 0))
-
-    def target():
-        return np.asarray(sum(yk * e.target for yk, e in zip(y, encodings)))
-
     return UnitaryBlockEncoding(
-        compression=sum(wk * m for wk, m in zip(weights, ms)), builder=build,
-        system_qubits=n, ancillas=a + pair.qubits, realized_ancillas=a + pair.qubits,
-        scale=alpha * pair.norm_bound, declared_error=err, target_builder=target,
+        compression=sum(wk * m for wk, m in zip(weights, ms)),
+        step=Step("lcu", tuple(encodings), {"pair": pair}),
+        system_qubits=n, ancillas=a, realized_ancillas=a,
+        scale=alpha * pair.norm_bound, declared_error=err,
         cost=sum((e.cost for e in encodings), QueryCost(gates=pair.qubits ** 2)),
         support=q, kernel_value=sum(wk * c for wk, c in zip(weights, cs)))

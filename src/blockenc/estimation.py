@@ -32,10 +32,9 @@ from typing import Callable
 import numpy as np
 
 from . import numerics as nm
-from .encodings import (SUPPORT_CUT, PurifiedAccessOracle, StatePreparationPair,
+from .encodings import (SUPPORT_CUT, PurifiedAccessOracle, StatePreparationPair, Step,
                         SubnormalizedDensityOperator, _qubits, block_encode_density,
-                        encoding_power, evolve, lcu, linear_combination_density,
-                        unitary_from_first_column)
+                        encoding_power, evolve, lcu, linear_combination_density)
 from .numerics import ValidationError
 from .polyapprox import (approx_interior_indicator, approx_negative_power,
                          approx_positive_power, approx_sqrt_neglog,
@@ -284,7 +283,8 @@ def _report(quantity: str, oracles, alpha: float | None, estimate: float,
             epsilon: float, parameters: dict, ledger: QueryCost, expected: str,
             config: AmplitudeEstimatorConfig, notes: tuple = ()) -> EstimateReport:
     """The report of an estimate of ``quantity`` on the oracles' operators."""
-    # the operators, not the oracles, so no cached circuit stays alive
+    # the operators, not the oracles, so no construction record keeps the
+    # estimator's intermediate operators alive
     encoded = [o.encoded for o in oracles]
     note = (_median_success_probability(config.median_trials)
             if config.mode == "sampled" else 1.0)
@@ -302,25 +302,51 @@ def _validated_rank_bound(rank_bound: int, *oracles: PurifiedAccessOracle) -> in
     each given oracle's operator.
 
     A factor with at most r columns passes as it is; a wider one is counted
-    by its ``eigenpairs`` (the support, eigenvalues above
-    ``encodings.SUPPORT_CUT``), so a pivoted Cholesky factor counts its
-    columns and a classical distribution's diagonal factor the probabilities
-    above the cut.
+    as ``numerics.operator_rank`` counts, by its eigenvalues above
+    ``numerics.RANK_CUT``, read from its ``eigenpairs``.
     """
     r = int(rank_bound)
     if r < 1:
         raise ValidationError("rank bound must be at least one")
     for oracle in oracles:
         a = oracle.encoded
-        if a.factor.shape[1] > r and (rank := a.eigenpairs[0].size) > r:
+        if (a.factor.shape[1] > r
+                and (rank := np.count_nonzero(a.eigenpairs[0] > nm.RANK_CUT)) > r):
             raise ValidationError(f"rank bound {r} is below the rank {rank} "
                                   f"of input {oracle.label!r}")
     return r
 
 
+#: The target errors every estimator accepts.  Below QSVT_PRECISION no
+#: certificate means anything, and outside this range the schedules' powers
+#: of epsilon leave double precision.
+EPSILON_RANGE = (QSVT_PRECISION, 1e6)
+
+#: The alpha every estimator accepts.  An alpha < 1 schedule raises
+#: epsilon / r to powers near 1 / alpha, which for alpha >= 0.1 stay normal
+#: doubles at every epsilon in EPSILON_RANGE and every rank the dimension
+#: cap admits (the fidelity's fractional-beta powers 1 / (alpha frac(beta))
+#: are not bounded by it), and an integer power takes about alpha / 2
+#: products of encodings.
+ALPHA_RANGE = (0.1, 100.0)
+
+
 def _validated_epsilon(epsilon: float, name: str = "epsilon") -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValidationError(f"{name} must be finite and positive, got {epsilon}")
+    lo, hi = EPSILON_RANGE
+    if not lo <= epsilon <= hi:
+        raise ValidationError(f"{name} must be finite and positive, in [{lo:g}, {hi:g}], "
+                              f"got {epsilon}")
+
+
+def _validated_alpha(quantity: str, alpha: float, top: float = ALPHA_RANGE[1],
+                     one: bool = False) -> None:
+    """alpha in ALPHA_RANGE, capped at ``top``; alpha = 1 passes only with
+    ``one``, so top = 1 without it admits [0.1, 1)."""
+    lo = ALPHA_RANGE[0]
+    if not lo <= alpha <= top or (alpha == 1 and not one):
+        allowed = (f"[{lo:g}, {top:g}]" if one
+                   else f"[{lo:g}, 1)" + (f" or (1, {top:g}]" if top > 1 else ""))
+        raise ValidationError(f"{quantity} needs alpha in {allowed}, got {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +405,7 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
     alpha < 1, pure products for odd alpha, the block-encoded fractional
     power for other alpha > 1."""
     r = _validated_rank_bound(rank_bound, oracle)
-    if alpha <= 0 or alpha == 1:
-        raise ValidationError("trace power needs alpha in (0,1) or (1,inf)")
+    _validated_alpha("trace power", alpha)
     _validated_epsilon(epsilon)
     if 0 < alpha < 1:
         def solve(eps):
@@ -475,8 +500,7 @@ def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
         return replace(rep, quantity="renyi", alpha=0.0,
                        notes=rep.notes + ("alpha = 0 routed to max entropy "
                                           "under the kappa assumption",))
-    if alpha == 1 or alpha < 0:
-        raise ValidationError("Renyi entropy needs alpha in (0,1) or (1,inf)")
+    _validated_alpha("Renyi entropy", alpha)
     if 0 < alpha < 1:
         eps_inner = (1.0 - alpha) * epsilon / 2.0
         floor = 0.5
@@ -502,8 +526,7 @@ def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int
                        target_epsilon=epsilon, truth=lambda: rep.true_value - 1.0,
                        notes=rep.notes + ("alpha = 0 routed to exact rank "
                                           "under the kappa assumption",))
-    if alpha == 1 or alpha < 0:
-        raise ValidationError("Tsallis entropy needs alpha in (0,1) or (1,inf)")
+    _validated_alpha("Tsallis entropy", alpha)
     eps_inner = abs(1.0 - alpha) * epsilon
     tp = estimate_trace_power(oracle, alpha, r, eps_inner, config)
     return _report("tsallis", (oracle,), alpha, float((tp.estimate - 1.0) / (1.0 - alpha)),
@@ -597,7 +620,7 @@ def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOra
 
     The encoded operator's factor keeps one column sqrt(p_i) |i> per
     p_i > ``SUPPORT_CUT``, so its width is the support size, not N; the
-    circuit prepares every p_i."""
+    record keeps p, and the circuit prepares every p_i."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValidationError("need a probability vector of length >= 2")
@@ -605,19 +628,13 @@ def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOra
     if not (p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-10):
         raise ValidationError("probabilities must be finite, nonnegative and sum to one")
     n = _qubits(p.size, "distribution")
-
-    def build():
-        # the CNOT fan |i>|j> -> |i>|i xor j> permutes the rows
-        i, j = np.divmod(np.arange(p.size ** 2), p.size)
-        prep = unitary_from_first_column(np.sqrt(p).astype(complex))
-        return np.kron(prep, np.eye(p.size))[i * p.size + (i ^ j)]
-
     support = np.flatnonzero(p > SUPPORT_CUT)
     factor = np.zeros((p.size, support.size))
     factor[support, np.arange(support.size)] = np.sqrt(p[support])
     encoded = SubnormalizedDensityOperator(factor, n)
     return PurifiedAccessOracle(
-        builder=build, system_qubits=n, block_ancillas=0, purifying_ancillas=n,
+        step=Step("distribution", (), {"p": p}), system_qubits=n, block_ancillas=0,
+        purifying_ancillas=n,
         encoded=encoded, cost=QueryCost.of(label, gates=n), label=label)
 
 
@@ -633,8 +650,7 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
     support projector of mu = (rho + sigma)/2 sandwiched by |nu|^(alpha/2)."""
     r = _validated_rank_bound(rank_bound, oracle_rho, oracle_sigma)
     _validated_epsilon(epsilon)
-    if alpha <= 0:
-        raise ValidationError("alpha-trace-distance needs alpha > 0")
+    _validated_alpha("alpha-trace-distance", alpha, one=True)
     if oracle_rho.system_qubits != oracle_sigma.system_qubits:
         raise ValidationError("states must share the system dimension")
     even = abs(alpha - round(alpha)) < 1e-12 and int(round(alpha)) % 2 == 0
@@ -753,8 +769,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
     fractional beta composes the block-encoded power of sigma first."""
     r = _validated_rank_bound(rank_bound, oracle_rho)
     _validated_epsilon(epsilon)
-    if not 0 < alpha < 1:
-        raise ValidationError("alpha-fidelity needs alpha in (0, 1)")
+    _validated_alpha("alpha-fidelity", alpha, top=1.0)
     if oracle_rho.system_qubits != oracle_sigma.system_qubits:
         raise ValidationError("states must share the system dimension")
     beta = (1.0 - alpha) / (2.0 * alpha)

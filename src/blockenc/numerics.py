@@ -14,9 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-#: Largest total dimension of a circuit the simulator will build (a ``.unitary``
-#: read) and of a generated state.  Override with the BLOCKENC_DIM_CAP
-#: environment variable.
+#: Largest total dimension of a circuit the simulator will build (by
+#: ``blockenc.circuits``) and of a generated state.  Override with the
+#: BLOCKENC_DIM_CAP environment variable.
 DEFAULT_DIMENSION_CAP = 4096
 
 #: Relative tolerance for Hermiticity checks.

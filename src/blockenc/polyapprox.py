@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from statistics import NormalDist
@@ -575,9 +574,11 @@ def _family(name: str, formula: Callable[..., int], **ranges):
     return register
 
 
-#: The power families' smallest delta: their quadratures start at delta^2,
-#: which underflows to zero below this.
-_POWER_DELTA_MIN = math.sqrt(sys.float_info.min)
+#: The power families' smallest delta.  Their quadratures run up to
+#: t = lambda / delta^2, with lambda below 1e8 for the exponents and
+#: epsilons the families are used at, so delta^2 >= 1e-300 keeps that cutoff
+#: a finite double.
+_POWER_DELTA_MIN = 1e-150
 
 
 @_family("pos-power", lambda c, delta, epsilon: _degree(delta, epsilon),

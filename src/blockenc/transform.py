@@ -14,12 +14,13 @@ result's norm from those values.  A transform returns what it builds, a
 ``UnitaryBlockEncoding`` or a ``PurifiedAccessOracle``, with its contract on
 it: ``scale`` times the block or the prepared operator approximates the named
 target within ``declared_error``.  ``qsvt_unitary`` and ``qsvt_density`` do
-the transforms; each named transform calls one of them once and sets its own
-contract.  Circuits are built only if ``.unitary`` is read.  No phase-factor
-sequences are synthesized; the circuit-precision parameter becomes the
-declared ``QSVT_PRECISION``.  Every declared error bound is the proof's
-final inequality chain evaluated with the actual certified polynomial
-errors, with explicit constants instead of Theta(.)s.
+the transforms; each named transform calls one of them once, sets its own
+contract and re-labels the construction record with its own rule, its input
+and its certified factors, from which ``blockenc.circuits`` builds the
+target.  No phase-factor sequences are synthesized; the circuit-precision
+parameter becomes the declared ``QSVT_PRECISION``.  Every declared error
+bound is the proof's final inequality chain evaluated with the actual
+certified polynomial errors, with explicit constants instead of Theta(.)s.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .encodings import (PSD_TOL, PurifiedAccessOracle, SubnormalizedDensityOperator,
+from .encodings import (PSD_TOL, PurifiedAccessOracle, Step, SubnormalizedDensityOperator,
                         UnitaryBlockEncoding, encoding_power, product, purification_of)
-from .numerics import (ValidationError, matrix_function, spectral_decompose,
-                       spectral_norm)
+from .numerics import ValidationError, spectral_decompose, spectral_norm
 from .polyapprox import (CertifiedPolynomial, approx_negative_power,
                          approx_positive_power, approx_support_indicator, certified)
 
@@ -65,7 +65,7 @@ def _block_function(u: UnitaryBlockEncoding, f, **contract) -> UnitaryBlockEncod
     f(B) = (Q, v diag(f(w)) v^dag, f(c)) on u's support, and its norm
     max|f(w)| together with |f(c)| when Q leaves a complement; with the
     whole space as the support M is B itself.  ``contract`` holds the
-    output's remaining fields.
+    output's remaining fields, its construction record included.
     """
     m, c = u.compression, complex(u.kernel_value)
     if abs(c.imag) > 1e-8:
@@ -93,8 +93,9 @@ def qsvt_unitary(u: UnitaryBlockEncoding, *factors: CertifiedPolynomial
     if abs(u.scale - 1.0) > 1e-12:
         raise ValidationError("QSVT needs a scale-1 block-encoding")
     f, degree = _product(factors)
-    return _block_function(u, f, ancillas=u.ancillas + 2,
-                           scale=1.0, declared_error=QSVT_PRECISION,
+    return _block_function(u, f, ancillas=u.ancillas + 2, scale=1.0,
+                           declared_error=QSVT_PRECISION,
+                           step=Step("qsvt_unitary", (u,), {"factors": factors}),
                            cost=u.cost.transformed(degree, u.realized_ancillas + 1))
 
 
@@ -116,7 +117,8 @@ def qsvt_density(oracle: PurifiedAccessOracle, *factors: CertifiedPolynomial
     cost = oracle.cost.transformed(degree, oracle.total_qubits + 1)
     out = SubnormalizedDensityOperator(v * (np.sqrt(w) * f(w)), oracle.system_qubits)
     return replace(purification_of(out, label=oracle.label, cost=cost),
-                   declared_error=2.5 * QSVT_PRECISION)
+                   declared_error=2.5 * QSVT_PRECISION,
+                   step=Step("qsvt_density", (oracle,), {"factors": factors}))
 
 
 def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
@@ -136,7 +138,8 @@ def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
     # is its value at delta, delta / 4
     err = 2.0 * poly.certified_error + delta + delta / 4.0 + 2.5 * QSVT_PRECISION
     scale = 4.0 * delta ** (c - 1.0)
-    return replace(qsvt_density(oracle, poly), scale=scale, declared_error=scale * err)
+    return replace(qsvt_density(oracle, poly), scale=scale, declared_error=scale * err,
+                   step=Step("positive_power_density", (oracle,), {"factors": (poly,)}))
 
 
 def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
@@ -146,21 +149,18 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
     ``qsvt_unitary`` by the positive-power approximant P times the support
     indicator R, at degree deg(P) + deg(R); err evaluates the proof's three
     regions at the actual certified errors: max(eP + eR/2, eR + delta^c/2,
-    eP + (2 delta)^c/2), doubled by the scale.  The target |A|^c is
-    decomposed afresh only when a check reads it.
+    eP + (2 delta)^c/2), doubled by the scale.  The record carries c, so a
+    check builds the target |A|^c from it.
     """
     r = certified(approx_support_indicator, delta, epsilon)
     p = certified(approx_positive_power, c, delta, epsilon)
-
-    def target():
-        return matrix_function(u.matrix, lambda x: np.abs(x) ** c, tol=1e-8)
-
     e_p, e_r = p.certified_error, r.certified_error
     err_block = max(e_p + 0.5 * e_r,
                     e_r + 0.5 * delta ** c,
                     e_p + 0.5 * (2.0 * delta) ** c) + 2.0 * QSVT_PRECISION
     return replace(qsvt_unitary(u, p, r), ancillas=2 * u.ancillas + 4, scale=2.0,
-                   declared_error=2.0 * err_block, target_builder=target)
+                   declared_error=2.0 * err_block,
+                   step=Step("positive_power_unitary", (u,), {"factors": (p, r), "c": c}))
 
 
 def power_unitary(u: UnitaryBlockEncoding, exponent: float, delta: float,
@@ -197,9 +197,10 @@ def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
     if 32.0 * epsilon ** 2 > delta:
         raise ValidationError(f"precondition violated: 32 eps^2 = "
                               f"{32 * epsilon ** 2:.4g} > delta = {delta}")
-    out = qsvt_density(oracle, certified(approx_negative_power, 0.5, delta, epsilon),
-                       certified(approx_support_indicator, delta, epsilon))
-    return replace(out, declared_error=2.0 * QSVT_PRECISION)
+    factors = (certified(approx_negative_power, 0.5, delta, epsilon),
+               certified(approx_support_indicator, delta, epsilon))
+    return replace(qsvt_density(oracle, *factors), declared_error=2.0 * QSVT_PRECISION,
+                   step=Step("eigenvalue_threshold_projector", (oracle,), {"factors": factors}))
 
 
 def psd_order_holds(lower: np.ndarray, upper: np.ndarray) -> bool:

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from blockenc import circuits
 from blockenc import encodings as enc
 from blockenc import estimation as est
 from blockenc import numerics as nm
@@ -74,17 +75,17 @@ def test_criterion_2_block_encoding_calculus():
         o_r, o_s = oracle_for(rho, "rho"), oracle_for(sigma, "sigma")
         b = rng.uniform(0.2, 1.0) * haar_unitary(dim, rng)
         d_rho, d_b = enc.dilate(rho), enc.dilate(b)
-        dilation_defect = max(dilation_defect, enc.unitarity_defect(d_rho.unitary),
-                              enc.unitarity_defect(d_b.unitary))
+        dilation_defect = max(dilation_defect, enc.unitarity_defect(circuits.unitary(d_rho)),
+                              enc.unitarity_defect(circuits.unitary(d_b)))
         ev = enc.evolve(o_r, d_b)
         worst = max(worst, nm.spectral_norm(ev.encoded.matrix - b @ rho @ b.conj().T))
         pr = enc.product(d_rho, enc.dilate(sigma))
-        worst = max(worst, nm.spectral_norm(pr.actual() - rho @ sigma))
+        worst = max(worst, nm.spectral_norm(pr.scale * circuits.block(pr) - rho @ sigma))
         w = enc.lcu(enc.StatePreparationPair.plus_minus(), [d_rho, enc.dilate(sigma)])
-        worst = max(worst, nm.spectral_norm(w.actual() - (rho - sigma)))
+        worst = max(worst, nm.spectral_norm(w.scale * circuits.block(w) - (rho - sigma)))
         mix = enc.linear_combination_density([0.5, 0.5], [o_r, o_s])
         worst = max(worst, nm.spectral_norm(mix.encoded.matrix - (rho + sigma) / 2))
-        worst = max(worst, nm.spectral_norm(mix.extract() - (rho + sigma) / 2))
+        worst = max(worst, nm.spectral_norm(circuits.extract(mix) - (rho + sigma) / 2))
     announce(2, "block-encoding calculus",
              worst <= 1e-8 and dilation_defect <= 1e-9,
              f"[worst deviation {worst:.2e}, dilation defect {dilation_defect:.2e}]")

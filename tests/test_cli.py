@@ -118,9 +118,9 @@ MALFORMED_INPUTS = {
 # wrong argument; each exits 2 with a message naming the bad argument
 BAD_NUMBERS = {
     "trace-power-alpha-nan": (["estimate", "--quantity", "trace-power", "--alpha", "nan",
-                               "--state", "{path}"], "--alpha must be finite"),
+                               "--state", "{path}"], "trace power needs alpha in"),
     "renyi-alpha-nan": (["estimate", "--quantity", "renyi", "--alpha", "nan",
-                         "--state", "{path}"], "--alpha must be finite"),
+                         "--state", "{path}"], "Renyi entropy needs alpha in"),
     "gen-state-seed-negative": (["gen-state", "--dim", "4", "--rank", "1", "--seed", "-1",
                                  "--out", "{path}"], "--seed must be >= 0"),
     "bench-scaling-sweep-r-zero": (["bench-scaling", "--quantity", "von-neumann",
@@ -135,6 +135,25 @@ BAD_NUMBERS = {
     **{f"{family}-delta-squared-underflows": (
         ["approx-poly", "--family", family, "--delta", "1e-200", "--epsilon", "0.01"],
         f"{family} delta must be in") for family in ("pos-power", "neg-power")},
+    # just above sqrt(float min), delta^2 is normal but the quadrature's
+    # cutoff lambda / delta^2 overflowed (exit 1, OverflowError)
+    **{f"{family}-quadrature-cutoff-overflows": (
+        ["approx-poly", "--family", family, "--delta", "2e-154", "--epsilon", "0.01"],
+        f"{family} delta must be in") for family in ("pos-power", "neg-power")},
+    # each once exited 1 with a ZeroDivisionError or an OverflowError in the
+    # schedule's or the ledger's arithmetic
+    "von-neumann-epsilon-tiny": (["estimate", "--quantity", "von-neumann", "--epsilon",
+                                  "1e-308", "--state", "{path}"], "epsilon must be"),
+    "renyi-alpha-tiny": (["estimate", "--quantity", "renyi", "--alpha", "1e-308",
+                          "--state", "{path}"], "Renyi entropy needs alpha in"),
+    "renyi-alpha-tiny-epsilon-huge": (
+        ["estimate", "--quantity", "renyi", "--alpha", "1e-308", "--epsilon", "1e308",
+         "--state", "{path}"], "epsilon must be"),
+    "renyi-epsilon-tiny": (["estimate", "--quantity", "renyi", "--alpha", "3", "--epsilon",
+                            "1e-308", "--state", "{path}"], "epsilon must be"),
+    "trace-distance-alpha-huge": (
+        ["estimate", "--quantity", "trace-distance", "--alpha", "1e308", "--state", "{path}",
+         "--state2", "{path}"], "alpha-trace-distance needs alpha in"),
     "max-entropy-kappa-zero": (["estimate", "--quantity", "max-entropy", "--kappa", "0",
                                 "--state", "{path}"], "max entropy needs a finite kappa > 0"),
     **{f"{quantity}-kappa-{kappa}": (
@@ -456,6 +475,17 @@ def test_schedule_budget_failure_exit_code(tmp_path, capsys):
     assert run(["estimate", "--quantity", "von-neumann", "--epsilon", "1e-11",
                 "--state", state]) == 3
     assert "bound 1.281e-10 > target 1e-11" in capsys.readouterr().err
+
+
+def test_state_file_rank_counts_as_the_pipeline_does(tmp_path):
+    # an eigenvalue of 1e-12 lies above the support cut but below RANK_CUT:
+    # the file says rank 4, and the estimate's rank check counts 4 as well
+    m = np.diag([0.4, 0.3, 0.2, 0.1 - 1e-12, 1e-12, 0.0, 0.0, 0.0]).astype(complex)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(cli.state_payload(m)))
+    assert json.loads(path.read_text())["rank"] == 4
+    assert run(["estimate", "--quantity", "von-neumann", "--state", str(path),
+                "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_rank_bound_below_the_input_rank_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockenc import circuits
 from blockenc import encodings as enc
 from blockenc import polyapprox as pa
 from blockenc import transform as tf
@@ -13,18 +14,24 @@ def oracle_for(m, label="rho"):
     return enc.purification_of(enc.SubnormalizedDensityOperator.from_matrix(m), label=label)
 
 
+def actual(u):
+    """scale times the block of u's circuit: the side of u's contract that
+    approximates its target."""
+    return u.scale * circuits.block(u)
+
+
 # -- purification -------------------------------------------------------------
 
 def test_purification_of_pure_state():
     rho = np.diag([1.0, 0.0]).astype(complex)
     o = oracle_for(rho)
     assert o.block_ancillas == 0 and o.purifying_ancillas == 1
-    assert spectral_norm(o.extract() - rho) < 1e-9
+    assert spectral_norm(circuits.extract(o) - rho) < 1e-9
 
 
 def test_purification_of_maximally_mixed():
     o = oracle_for(maximally_mixed(2))
-    assert spectral_norm(o.extract() - maximally_mixed(2)) < 1e-10
+    assert spectral_norm(circuits.extract(o) - maximally_mixed(2)) < 1e-10
 
 
 def test_purification_roundtrip_rank3():
@@ -32,8 +39,8 @@ def test_purification_roundtrip_rank3():
     rho = ginibre_state(8, 3, rng)
     o = oracle_for(rho)
     assert o.purifying_ancillas == 2
-    assert spectral_norm(o.extract() - rho) < 1e-9
-    o.check()
+    assert spectral_norm(circuits.extract(o) - rho) < 1e-9
+    circuits.check(o)
 
 
 def test_purification_of_subnormalized_uses_block_ancilla():
@@ -41,7 +48,7 @@ def test_purification_of_subnormalized_uses_block_ancilla():
     a = 0.6 * ginibre_state(4, 2, rng)
     o = oracle_for(a)
     assert o.block_ancillas == 1
-    assert spectral_norm(o.extract() - a) < 1e-9
+    assert spectral_norm(circuits.extract(o) - a) < 1e-9
 
 
 @pytest.mark.parametrize("rank, purifying", [(3, 2), (4, 3)])
@@ -50,7 +57,7 @@ def test_purification_of_trace_deficit(rank, purifying):
     a = 0.6 * ginibre_state(8, rank, np.random.default_rng(11))
     o = oracle_for(a)
     assert (o.block_ancillas, o.purifying_ancillas) == (1, purifying)
-    assert spectral_norm(o.extract() - a) < 1e-9
+    assert spectral_norm(circuits.extract(o) - a) < 1e-9
 
 
 def test_density_operator_is_decomposed_once(linalg_calls):
@@ -155,7 +162,7 @@ def test_factor_constructor_builds_matrix_when_read(linalg_calls):
     assert spectral_norm((v * w) @ v.conj().T - a.matrix) < 1e-15
     o = enc.purification_of(a)
     assert (o.block_ancillas, o.purifying_ancillas) == (1, 2)
-    assert spectral_norm(o.extract() - a.matrix) < 1e-12
+    assert spectral_norm(circuits.extract(o) - a.matrix) < 1e-12
 
 
 def test_zero_factor_purifies_to_zero_operator():
@@ -164,7 +171,7 @@ def test_zero_factor_purifies_to_zero_operator():
     o = enc.purification_of(a)
     assert (o.block_ancillas, o.purifying_ancillas) == (1, 1)
     assert np.array_equal(a.matrix, np.zeros((4, 4)))
-    assert spectral_norm(o.extract()) < 1e-15
+    assert spectral_norm(circuits.extract(o)) < 1e-15
 
 
 def _rule_cases(rho, sigma):
@@ -216,7 +223,7 @@ def test_unitary_from_first_column(dim, kind):
 def test_block_encode_density_examples():
     for rho in (maximally_mixed(2), np.diag([0.75, 0.25]).astype(complex)):
         ube = enc.block_encode_density(oracle_for(rho))
-        assert spectral_norm(ube.actual() - rho) < 1e-9
+        assert spectral_norm(actual(ube) - rho) < 1e-9
         assert ube.scale == 1.0 and ube.declared_error == 0.0
         assert ube.ancillas >= ube.system_qubits
 
@@ -225,12 +232,12 @@ def test_block_encode_density_subnormalized():
     rng = np.random.default_rng(11)
     a = 0.5 * ginibre_state(4, 3, rng)
     ube = enc.block_encode_density(oracle_for(a))
-    assert spectral_norm(ube.actual() - a) < 1e-9
+    assert spectral_norm(actual(ube) - a) < 1e-9
 
 
 def test_block_encode_density_pure_state_rank_one():
     ube = enc.block_encode_density(oracle_for(np.diag([1.0, 0.0]).astype(complex)))
-    w = np.linalg.eigvalsh(ube.block())
+    w = np.linalg.eigvalsh(circuits.block(ube))
     assert np.sum(w > 1e-9) == 1
 
 
@@ -256,10 +263,10 @@ def test_block_encode_density_cost_charges_two_queries():
 
 def test_dilate_identity_and_zero():
     d_id = enc.dilate(np.eye(2, dtype=complex))
-    assert spectral_norm(d_id.block() - np.eye(2)) < 1e-10
+    assert spectral_norm(circuits.block(d_id) - np.eye(2)) < 1e-10
     d_zero = enc.dilate(np.zeros((2, 2), dtype=complex))
-    assert spectral_norm(d_zero.block()) < 1e-12
-    assert enc.unitarity_defect(d_zero.unitary) < 1e-12
+    assert spectral_norm(circuits.block(d_zero)) < 1e-12
+    assert enc.unitarity_defect(circuits.unitary(d_zero)) < 1e-12
 
 
 def test_dilate_random_contractions_roundtrip():
@@ -268,8 +275,8 @@ def test_dilate_random_contractions_roundtrip():
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = g / (np.linalg.norm(g, 2) * (1.0 + rng.uniform(0, 1)))
         d = enc.dilate(m)
-        assert enc.unitarity_defect(d.unitary) < 1e-9
-        assert spectral_norm(d.block() - m) < 1e-10
+        assert enc.unitarity_defect(circuits.unitary(d)) < 1e-9
+        assert spectral_norm(circuits.block(d) - m) < 1e-10
 
 
 def test_dilate_rejects_expansions():
@@ -309,31 +316,54 @@ def test_evolve_trace_inequality():
 
 
 def test_evolve_requires_scale_one():
+    # |A|^(1/2) at scale 2: the block B approximates (0.81 I)^(1/2) / 2 = 0.45 I
     o = oracle_for(maximally_mixed(2))
-    v = enc.dilate(0.5 * np.eye(2, dtype=complex), target=lambda: np.eye(2, dtype=complex),
-                   scale=2.0)
+    v = tf.positive_power_unitary(enc.dilate(0.81 * np.eye(2, dtype=complex)), 0.5, 0.05,
+                                  0.01)
+    assert v.scale == 2.0
     with pytest.raises(ValidationError):
         enc.evolve(o, v)
-    out = enc.evolve(o, v.as_scale_one())
-    # the realized block is B = I/2, so the output is B (I/2) B = I/8
-    assert spectral_norm(out.encoded.matrix - np.eye(2) / 8.0) < 1e-9
+    one = v.as_scale_one()
+    assert (one.scale, one.declared_error) == (1.0, v.declared_error / 2.0)
+    assert np.allclose(circuits.target(one), 0.45 * np.eye(2), rtol=0.0, atol=1e-15)
+    circuits.check(one)
+    out = enc.evolve(o, one)
+    # the output is B (I/2) B^dag
+    b = v.matrix
+    assert spectral_norm(out.encoded.matrix - b @ b.conj().T / 2.0) < 1e-12
+    assert spectral_norm(out.encoded.matrix - 0.45 ** 2 * np.eye(2) / 2.0) <= one.declared_error
 
 
-def test_evolution_literal_tensor_composition():
-    # (V (x) I_a)(U (x) I_b) prepares B A B^dag: checked on the literal tensor
-    # product, independently of the re-materialized evolve().
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_evolve_circuit_is_the_literal_composition(dim):
+    # the circuit of evolve(o, v) is (V (x) I)(U (x) I) on the system, U's
+    # purifying qubit and V's ancilla, which is the circuit's block register;
+    # the output declares the registers of its own minimal purification (a
+    # block ancilla for the trace deficit, two purifying qubits), and its
+    # block projection prepares B A B^dag
     rng = np.random.default_rng(29)
-    rho = ginibre_state(2, 2, rng)
+    rho = ginibre_state(dim, 2, rng)
     o = oracle_for(rho)
-    b = 0.8 * haar_unitary(2, rng)
-    v = enc.dilate(b)
-    dim_anc = 2 ** (o.block_ancillas + o.purifying_ancillas)
-    u_ext = np.kron(o.unitary, np.eye(2))
-    v_ext = enc.permute_subsystems(np.kron(v.unitary, np.eye(dim_anc)),
-                                   (2, 2, dim_anc), (0, 2, 1))
-    psi = (v_ext @ u_ext)[:, 0].reshape(2, dim_anc, 2)  # [sys][old anc][v anc]
-    block = np.einsum("ipa,jpa->ij", psi[:, :, :1], psi[:, :, :1].conj())
-    assert spectral_norm(block - b @ rho @ b.conj().T) < 1e-10
+    assert (o.block_ancillas, o.purifying_ancillas) == (0, 1)
+    b = 0.8 * haar_unitary(dim, rng)
+    out = enc.evolve(o, enc.dilate(b))
+    assert (out.block_ancillas, out.purifying_ancillas) == (1, 2)
+    assert circuits.unitary(out).shape == (4 * dim, 4 * dim)
+    assert spectral_norm(circuits.extract(out) - b @ rho @ b.conj().T) < 1e-10
+    circuits.check(out, 1e-10)
+
+
+def test_rules_read_an_evolved_oracle_on_its_realized_registers():
+    # an evolved oracle's circuit has registers of its own, wider in the
+    # block than it declares; embed, a mixture and block_encode_density read
+    # them from its record, and their circuits still encode their operators
+    rng = np.random.default_rng(31)
+    rho, sigma = ginibre_state(2, 2, rng), ginibre_state(2, 1, rng)
+    ev = enc.evolve(oracle_for(rho), enc.dilate(0.8 * haar_unitary(2, rng)))
+    for out in (enc.embed(ev, 1),
+                enc.linear_combination_density([0.5, 0.25], [ev, oracle_for(sigma)]),
+                enc.block_encode_density(ev)):
+        circuits.check(out, 1e-10)
 
 
 # -- embed --------------------------------------------------------------------
@@ -346,7 +376,7 @@ def test_embed_zero_is_identity():
 def test_embed_one_qubit_layout():
     out = enc.embed(oracle_for(maximally_mixed(2)), 1)
     assert np.allclose(out.encoded.matrix, np.diag([0.5, 0.0, 0.5, 0.0]), atol=1e-12)
-    assert spectral_norm(out.extract() - out.encoded.matrix) < 1e-10
+    assert spectral_norm(circuits.extract(out) - out.encoded.matrix) < 1e-10
 
 
 def test_embed_projection_returns_state():
@@ -361,14 +391,14 @@ def test_embed_projection_returns_state():
 
 def test_product_of_identities():
     p = enc.product(enc.identity_encoding(1), enc.identity_encoding(1))
-    assert spectral_norm(p.actual() - np.eye(2)) < 1e-12
+    assert spectral_norm(actual(p) - np.eye(2)) < 1e-12
 
 
 def test_product_exact_diagonals():
     u = enc.dilate(np.diag([1.0, 0.0]).astype(complex))
     v = enc.dilate(np.diag([0.5, 0.5]).astype(complex))
     p = enc.product(u, v)
-    assert spectral_norm(p.actual() - np.diag([0.5, 0.0])) < 1e-10
+    assert spectral_norm(actual(p) - np.diag([0.5, 0.0])) < 1e-10
     assert p.ancillas == 2
 
 
@@ -377,7 +407,7 @@ def test_product_power_matches_matrix_power():
     rho = ginibre_state(4, 3, rng)
     u = enc.dilate(rho)
     p3 = enc.encoding_power(u, 3)
-    assert spectral_norm(p3.block() - np.linalg.matrix_power(rho, 3)) < 1e-8
+    assert spectral_norm(circuits.block(p3) - np.linalg.matrix_power(rho, 3)) < 1e-8
 
 
 def test_product_cost_additivity():
@@ -392,21 +422,22 @@ def test_product_cost_additivity():
 # -- linear combinations ------------------------------------------------------
 
 def test_encoding_targets_are_built_when_checked():
-    built = []
-
-    def target():
-        built.append(1)
-        return np.diag([0.5, 0.25]).astype(complex)
-
-    u = enc.dilate(np.diag([0.5, 0.25]).astype(complex), target=target)
+    # the operators hold no target; a check builds one from the construction
+    # record: |A|^c for positive_power_unitary, a product's is the product of
+    # its inputs' targets, as_scale_one's its input's over the scale, an
+    # LCU's the combination of its inputs'
+    a = np.diag([0.5, 0.25]).astype(complex)
+    u = tf.positive_power_unitary(enc.dilate(a), 0.5, 0.05, 0.01)
     v = enc.dilate(np.eye(2, dtype=complex))
     prod = enc.product(u, v)
-    w = enc.lcu(enc.StatePreparationPair.plus_minus(), [prod, v])
-    assert not built
-    prod.check()
-    w.check()
-    assert len(built) == 1
-    assert np.allclose(w.target, np.diag([-0.5, -0.75]))
+    w = enc.lcu(enc.StatePreparationPair.plus_minus(), [prod.as_scale_one(), v])
+    assert not any(hasattr(x, "target") for x in (u, prod, w))
+    assert prod.step.rule == "product" and prod.step.inputs == (u, v)
+    circuits.check(prod)
+    circuits.check(w)
+    root = np.diag(np.sqrt([0.5, 0.25]))
+    assert np.allclose(circuits.target(prod), root, rtol=0.0, atol=1e-15)
+    assert np.allclose(circuits.target(w), root / 2.0 - np.eye(2), rtol=0.0, atol=1e-15)
 
 
 def test_linear_combination_single_term_unchanged():
@@ -419,7 +450,7 @@ def test_linear_combination_hadamard_mix():
     o2 = oracle_for(np.diag([0.0, 1.0]).astype(complex))
     out = enc.linear_combination_density([0.5, 0.5], [o1, o2])
     assert spectral_norm(out.encoded.matrix - maximally_mixed(2)) < 1e-9
-    assert spectral_norm(out.extract() - maximally_mixed(2)) < 1e-9
+    assert spectral_norm(circuits.extract(out) - maximally_mixed(2)) < 1e-9
 
 
 def test_linear_combination_three_terms():
@@ -430,7 +461,7 @@ def test_linear_combination_three_terms():
     out = enc.linear_combination_density(weights, oracles)
     want = sum(w * s for w, s in zip(weights, states))
     assert spectral_norm(out.encoded.matrix - want) < 1e-9
-    assert spectral_norm(out.extract() - want) < 1e-9
+    assert spectral_norm(circuits.extract(out) - want) < 1e-9
 
 
 def test_linear_combination_subnormalized_sum():
@@ -439,7 +470,7 @@ def test_linear_combination_subnormalized_sum():
     oracles = [oracle_for(s, f"s{i}") for i, s in enumerate(states)]
     out = enc.linear_combination_density([0.4, 0.3], oracles)
     want = 0.4 * states[0] + 0.3 * states[1]
-    assert spectral_norm(out.extract() - want) < 1e-9
+    assert spectral_norm(circuits.extract(out) - want) < 1e-9
 
 
 def test_linear_combination_validation():
@@ -465,7 +496,7 @@ def test_lcu_single_term_rescale():
     u = enc.dilate(np.diag([0.75, 0.25]).astype(complex))
     out = enc.lcu(pair, [u])
     assert abs(out.scale - 1.0) < 1e-12
-    assert spectral_norm(out.actual() - np.diag([0.75, 0.25])) < 1e-10
+    assert spectral_norm(actual(out) - np.diag([0.75, 0.25])) < 1e-10
 
 
 def test_lcu_difference_of_states():
@@ -475,9 +506,9 @@ def test_lcu_difference_of_states():
     w = enc.lcu(pair, [enc.dilate(rho), enc.dilate(sigma)])
     assert abs(w.scale - 2.0) < 1e-12
     # unscaled block is nu = (rho - sigma)/2
-    assert spectral_norm(w.block() - (rho - sigma) / 2.0) < 1e-9
-    assert spectral_norm(w.actual() - (rho - sigma)) < 1e-9
-    w.check()
+    assert spectral_norm(circuits.block(w) - (rho - sigma) / 2.0) < 1e-9
+    assert spectral_norm(actual(w) - (rho - sigma)) < 1e-9
+    circuits.check(w)
 
 
 @pytest.mark.parametrize("dim, ranks, columns", [
@@ -504,7 +535,7 @@ def test_lcu_random_combination():
     y = np.array([0.6, -0.25])
     pair = enc.StatePreparationPair.for_coefficients(y)
     w = enc.lcu(pair, [enc.dilate(a), enc.dilate(b)])
-    assert spectral_norm(w.actual() - (0.6 * a - 0.25 * b)) < 1e-9
+    assert spectral_norm(actual(w) - (0.6 * a - 0.25 * b)) < 1e-9
 
 
 def test_lcu_count_mismatch():
@@ -587,7 +618,7 @@ def test_transform_keeps_its_input_support_and_maps_the_kernel_value():
     assert t.support is u.support
     assert t.compression.shape == (3, 3)
     assert t.kernel_value == pytest.approx(-0.5)
-    t.check()
+    circuits.check(t)
 
 
 # -- seeded sweep over the calculus (criterion-2 style smoke) -----------------
@@ -606,4 +637,4 @@ def test_calculus_random_sweep():
             [0.5, 0.5], [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")])
         assert spectral_norm(mix.encoded.matrix - (rho + sigma) / 2.0) < 1e-8
         prod = enc.product(enc.dilate(rho), enc.dilate(sigma))
-        assert spectral_norm(prod.actual() - rho @ sigma) < 1e-8
+        assert spectral_norm(actual(prod) - rho @ sigma) < 1e-8

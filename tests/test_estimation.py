@@ -1,11 +1,18 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from blockenc import circuits
+from blockenc import encodings as enc
 from blockenc import estimation as est
 from blockenc import numerics as nm
 from blockenc.encodings import SUPPORT_CUT, SubnormalizedDensityOperator, purification_of
@@ -290,18 +297,19 @@ def test_tsallis_odd_alpha_ledger_is_rank_independent():
 def test_distribution_oracle_point_mass():
     o = est.distribution_to_purified_oracle([1.0, 0.0])
     assert np.allclose(o.encoded.matrix, pure_state(2), atol=1e-12)
-    o.validate()
+    assert enc.unitarity_defect(circuits.unitary(o)) <= enc.UNITARITY_TOL
+    circuits.check(o, 1e-9)
 
 
 def test_distribution_oracle_uniform():
     o = est.distribution_to_purified_oracle(np.ones(4) / 4)
-    assert np.allclose(o.extract(), maximally_mixed(4), atol=1e-10)
+    assert np.allclose(circuits.extract(o), maximally_mixed(4), atol=1e-10)
 
 
 def test_distribution_oracle_general():
     p = [0.5, 0.3, 0.2, 0.0]
     o = est.distribution_to_purified_oracle(p)
-    assert np.allclose(o.extract(), np.diag(p), atol=1e-10)
+    assert np.allclose(circuits.extract(o), np.diag(p), atol=1e-10)
 
 
 def test_distribution_oracle_factor_keeps_only_the_support():
@@ -313,7 +321,7 @@ def test_distribution_oracle_factor_keeps_only_the_support():
     assert o.encoded.factor.shape == (8, 3)
     assert np.allclose(o.encoded.factor @ o.encoded.factor.T,
                        np.diag(np.where(p > SUPPORT_CUT, p, 0.0)), rtol=0.0, atol=1e-16)
-    assert np.allclose(o.extract(), np.diag(p), atol=1e-10)
+    assert np.allclose(circuits.extract(o), np.diag(p), atol=1e-10)
     assert est.distribution_to_purified_oracle(np.ones(4) / 4).encoded.factor.shape == (4, 4)
 
 
@@ -582,22 +590,6 @@ NO_CIRCUIT_CASES = [("von-neumann", None), ("renyi", 0.5), ("renyi", 2.0),
 
 
 @pytest.mark.parametrize("quantity, alpha", NO_CIRCUIT_CASES)
-def test_estimators_build_no_circuit(monkeypatch, quantity, alpha):
-    # a cap of 16 admits no circuit with an ancilla on a d = 16 system, so a
-    # run that finishes has read only matrices and costs
-    monkeypatch.setenv("BLOCKENC_DIM_CAP", "16")
-    rho, sigma = shared_support_pair(16, 4, np.random.default_rng(3))
-    oracles = [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
-    w = np.linalg.eigvalsh(rho)
-    rep = est.RUNNERS[quantity](oracles, [4, 4], 0.1, CFG, alpha=alpha,
-                                kappa=1.0 / w[w > 1e-10].min(), delta=0.05,
-                                epsilon_prime=0.1)
-    assert math.isfinite(rep.estimate)
-    with pytest.raises(ValidationError, match="exceeds the cap"):
-        oracles[0].unitary
-
-
-@pytest.mark.parametrize("quantity, alpha", NO_CIRCUIT_CASES)
 def test_estimators_make_no_system_sized_decomposition(linalg_calls, quantity, alpha):
     # inputs are factored by pivoted Cholesky, and a unitary transform
     # decomposes only its block's compression to the block's support, so
@@ -643,6 +635,74 @@ def test_estimators_allocate_no_system_sized_array(pair_at_1024, quantity, alpha
 
 #: with the kappa routes these cases run every branch of every runner
 EVERY_BRANCH = NO_CIRCUIT_CASES + [("renyi", 0.0), ("tsallis", 0.0)]
+
+#: Runs every branch through ``estimation.RUNNERS``, then one CLI estimate and
+#: ``verify``, in a fresh interpreter; prints, as JSON, each run's estimate and
+#: whether ``blockenc.circuits`` had been imported by the time it finished.
+SEPARATION_SCRIPT = """
+import json, os, sys
+import numpy as np
+from blockenc import cli, estimation as est
+from blockenc.encodings import purification_of
+from blockenc.fixtures import shared_support_pair
+
+rho, sigma = shared_support_pair(16, 4, np.random.default_rng(3))
+w = np.linalg.eigvalsh(rho)
+config = est.AmplitudeEstimatorConfig(mode="analytic", seed=7)
+out = {}
+for quantity, alpha in json.loads(sys.argv[1]):
+    oracles = [purification_of(rho, label="rho"), purification_of(sigma, label="sigma")]
+    rep = est.RUNNERS[quantity](oracles, [4, 4], 0.1, config, alpha=alpha,
+                                kappa=1.0 / w[w > 1e-10].min(), delta=0.05,
+                                epsilon_prime=0.1)
+    out[f"{quantity}-{alpha}"] = [rep.estimate, "blockenc.circuits" in sys.modules]
+state = os.path.join(sys.argv[2], "rho.json")
+codes = [cli.main(["gen-state", "--dim", "16", "--rank", "4", "--out", state]),
+         cli.main(["estimate", "--quantity", "von-neumann", "--state", state,
+                   "--out", os.devnull]),
+         cli.main(["verify", "--trials", "2", "--out", os.devnull])]
+out["cli"] = [codes, "blockenc.circuits" in sys.modules]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def separation_run(tmp_path_factory):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c", SEPARATION_SCRIPT, json.dumps(EVERY_BRANCH),
+         str(tmp_path_factory.mktemp("separation"))],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("quantity, alpha", EVERY_BRANCH)
+def test_estimators_build_no_circuit(separation_run, quantity, alpha):
+    # the estimators read matrices and costs only: none of them imports the
+    # module that builds circuits
+    estimate, circuits_loaded = separation_run[f"{quantity}-{alpha}"]
+    assert math.isfinite(estimate)
+    assert not circuits_loaded
+
+
+def test_cli_builds_no_circuit(separation_run):
+    codes, circuits_loaded = separation_run["cli"]
+    assert codes == [0, 0, 0]
+    assert not circuits_loaded
+
+
+def test_circuit_above_the_cap_is_refused(monkeypatch):
+    # a cap of 16 admits no circuit with an ancilla on a d = 16 system
+    monkeypatch.setenv("BLOCKENC_DIM_CAP", "16")
+    rho = floored_spectrum_state(16, 4, np.random.default_rng(3))
+    oracle = oracle_for(rho)
+    est.estimate_von_neumann(oracle, 4, 0.1, CFG)
+    with pytest.raises(ValidationError, match="total dimension 64 exceeds the cap 16"):
+        circuits.unitary(oracle)
 
 _TP_FRACTIONAL = "O~(r^((3 - a^2) / 2a) / eps^((3 + a) / 2a))"
 _TP_UNITARY = "O~(r^(1/frac) / eps^(1 + 1/frac))"
@@ -944,7 +1004,7 @@ RUNNER_ALPHAS = {"renyi": 0.5, "tsallis": 2.0, "trace-power": 0.5, "trace-distan
                "fidelity": 0.5}
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf, 1e-308, 1e308])
 @pytest.mark.parametrize("quantity", list(est.RUNNERS))
 def test_every_runner_rejects_a_bad_epsilon(quantity, epsilon):
     oracles = [oracle_for(maximally_mixed(2), "rho"), oracle_for(maximally_mixed(2), "sigma")]

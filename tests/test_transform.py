@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockenc import circuits
 from blockenc import encodings as enc
 from blockenc import polyapprox as pa
 from blockenc import transform as tf
@@ -48,14 +49,14 @@ def test_qsvt_unitary_identity_polynomial():
     u = enc.dilate(rho, cost=QueryCost.of("rho"))
     out = tf.qsvt_unitary(u, identity_poly())
     assert (out.scale, out.declared_error) == (1.0, tf.QSVT_PRECISION)
-    assert spectral_norm(out.block() - rho) < 1e-9
+    assert spectral_norm(circuits.block(out) - rho) < 1e-9
 
 
 def test_qsvt_unitary_support_indicator_separates_spectrum():
     r = pa.approx_support_indicator(0.1, 0.01)
     a = np.diag([0.5, 0.05]).astype(complex)
     out = tf.qsvt_unitary(enc.dilate(a), r)
-    assert spectral_norm(out.block() - np.diag([1.0, 0.0])) < 0.02
+    assert spectral_norm(circuits.block(out) - np.diag([1.0, 0.0])) < 0.02
 
 
 @pytest.mark.parametrize("factors", [
@@ -68,7 +69,7 @@ def test_qsvt_unitary_cost_charges_degree_queries(factors):
     # the degrees of a product add
     assert out.cost.query_count("rho") == 2 * sum(p.degree for p in factors)
     assert dict(out.cost.controlled)["rho"] == 1
-    assert spectral_norm(out.block() - product_at(factors, 0.5) * np.eye(2)) < 1e-12
+    assert spectral_norm(circuits.block(out) - product_at(factors, 0.5) * np.eye(2)) < 1e-12
 
 
 @pytest.mark.parametrize("admissible", [
@@ -109,11 +110,12 @@ def test_transform_of_an_input_with_accepted_residual():
     assert u.support.shape == (16, 4)
     assert np.linalg.norm(u.matrix - ffh) <= 1e-12
     assert spectral_norm(u.matrix - h) <= tol
-    u.check(slack=tol)
+    circuits.check(u, slack=tol)
     # so an f with Lipschitz constant L moves f(h) by at most L ||B - h||_F
     lipschitz = 0.6
     f = lambda x: 0.3 + lipschitz * x  # noqa: E731
-    out = tf._block_function(u, f, ancillas=u.ancillas + 2, scale=1.0, declared_error=0.0)
+    out = tf._block_function(u, f, ancillas=u.ancillas + 2, scale=1.0, declared_error=0.0,
+                             step=enc.Step("qsvt_unitary", (u,)))
     assert out.kernel_value == pytest.approx(0.3)
     assert 0 < np.linalg.norm(out.matrix - matrix_function(h, f)) \
         <= lipschitz * (residual + 1e-12)
@@ -225,14 +227,14 @@ def test_positive_power_density_trace_of_sqrt():
 def test_positive_power_unitary_sign_symmetry():
     a = np.diag([1.0, -1.0]).astype(complex)
     out = tf.positive_power_unitary(enc.dilate(a), 0.5, 0.05, 0.01)
-    got = 2.0 * out.block()
+    got = 2.0 * circuits.block(out)
     assert spectral_norm(got - np.eye(2)) <= out.declared_error
 
 
 def test_positive_power_unitary_suppresses_small_eigenvalue():
     a = np.diag([0.5, 0.0]).astype(complex)
     out = tf.positive_power_unitary(enc.dilate(a), 0.5, 0.05, 0.01)
-    got = 2.0 * out.block()
+    got = 2.0 * circuits.block(out)
     assert abs(got[1, 1]) <= out.declared_error
     assert abs(got[0, 0] - np.sqrt(0.5)) <= out.declared_error
 
@@ -244,8 +246,8 @@ def test_positive_power_unitary_random_hermitian():
     a /= np.linalg.norm(a, 2) * 1.1
     out = tf.positive_power_unitary(enc.dilate(a), 0.5, 0.05, 0.01)
     want = matrix_function(a, lambda w: np.abs(w) ** 0.5)
-    assert spectral_norm(2.0 * out.block() - want) <= out.declared_error
-    out.check()
+    assert spectral_norm(2.0 * circuits.block(out) - want) <= out.declared_error
+    circuits.check(out)
 
 
 def test_positive_power_unitary_cost_is_sum_of_degrees():
@@ -269,7 +271,7 @@ def test_power_unitary_encodes_integer_times_fractional_power(exponent):
     want = (np.linalg.matrix_power(a, k)
             @ matrix_function(a, lambda w: np.abs(w) ** (exponent - k)))
     assert out.scale == 2.0
-    assert spectral_norm(out.scale * out.block() - want) <= out.declared_error
+    assert spectral_norm(out.scale * circuits.block(out) - want) <= out.declared_error
 
 
 # -- eigenvalue threshold projector -------------------------------------------
