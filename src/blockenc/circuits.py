@@ -18,10 +18,11 @@ recursion; nothing is cached past the call.
 
 Register convention: system qubits first, block ancillas second, purifying
 ancillas last; every block projection applies the <0| pattern to the block
-ancilla register.  The realized registers are the circuit's own, and may be
-wider than those an oracle declares, which are what the cost model reads:
-an evolution's circuit (V (x) I)(U (x) I) keeps V's ancillas as block
-ancillas next to U's.
+ancilla register.  The realized registers are the circuit's own, derived
+here from the records, and may differ from those an operator declares,
+which are what the costs read: an evolution's circuit (V (x) I)(U (x) I)
+keeps V's ancillas as block ancillas next to U's, and a transform's
+stand-in dilation has one ancilla.
 
 Stand-ins: no phase factors are synthesized, so a transform's circuit is
 not a QSVT sequence.  A unitary transform's circuit is the SVD dilation of
@@ -32,6 +33,8 @@ purification afresh.
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .encodings import PurifiedAccessOracle, UnitaryBlockEncoding, unitary_from_first_column
@@ -74,7 +77,7 @@ def _select(blocks, count: int) -> np.ndarray:
 def _registers(x) -> tuple[int, ...]:
     """The realized ancilla registers of x's circuit, in qubits: (block,
     purifying) of an oracle, (ancillas,) of a block-encoding."""
-    return RULES[x.step.rule][0](x)
+    return RULES[x.step.rule].registers(x)
 
 
 def _inputs(x) -> list:
@@ -84,6 +87,14 @@ def _inputs(x) -> list:
 
 def _declared(o: PurifiedAccessOracle) -> tuple[int, int]:
     return o.block_ancillas, o.purifying_ancillas
+
+
+def _first_input(x) -> tuple[int, ...]:
+    return _registers(x.step.inputs[0])
+
+
+def _one_ancilla(u: UnitaryBlockEncoding) -> tuple[int]:
+    return (1,)
 
 
 def _prepared(o: PurifiedAccessOracle, memo) -> np.ndarray:
@@ -221,11 +232,27 @@ def _dilation(u: UnitaryBlockEncoding, memo) -> np.ndarray:
     return permute_subsystems(blockform, (2, 2 ** u.system_qubits), (1, 0))
 
 
+def _no_ancilla(u: UnitaryBlockEncoding) -> tuple[int]:
+    return (0,)
+
+
+def _identity(u: UnitaryBlockEncoding, memo) -> np.ndarray:
+    return np.eye(2 ** u.system_qubits, dtype=complex)
+
+
+def _product_registers(w: UnitaryBlockEncoding) -> tuple[int]:
+    return (sum(a for (a,) in _inputs(w)),)
+
+
 def _product(w: UnitaryBlockEncoding, memo) -> np.ndarray:
     u, v = w.step.inputs
     (a,), (b,) = _inputs(w)
     return (np.kron(_unitary(u, memo), np.eye(2 ** b))
             @ _beside(v, memo, (2 ** w.system_qubits, 2 ** a, 2 ** b)))
+
+
+def _lcu_registers(w: UnitaryBlockEncoding) -> tuple[int]:
+    return (max(a for (a,) in _inputs(w)) + w.step.params["pair"].qubits,)
 
 
 def _lcu(w: UnitaryBlockEncoding, memo) -> np.ndarray:
@@ -242,8 +269,24 @@ def _lcu(w: UnitaryBlockEncoding, memo) -> np.ndarray:
                               (1, 2, 0))
 
 
-def _input_target(x, memo, i: int = 0) -> np.ndarray:
-    return _target(x.step.inputs[i], memo)
+def _scale_one(u: UnitaryBlockEncoding, memo) -> np.ndarray:
+    return _unitary(u.step.inputs[0], memo)
+
+
+def _density_target(u: UnitaryBlockEncoding, memo) -> np.ndarray:
+    """The input oracle's operator."""
+    return u.step.inputs[0].encoded.matrix
+
+
+def _product_target(w: UnitaryBlockEncoding, memo) -> np.ndarray:
+    u, v = w.step.inputs
+    return _target(u, memo) @ _target(v, memo)
+
+
+def _scale_one_target(u: UnitaryBlockEncoding, memo) -> np.ndarray:
+    """The input's target over the input's scale."""
+    (inner,) = u.step.inputs
+    return _target(inner, memo) / inner.scale
 
 
 def _lcu_target(w: UnitaryBlockEncoding, memo) -> np.ndarray:
@@ -259,36 +302,36 @@ def _power_target(u: UnitaryBlockEncoding, memo) -> np.ndarray:
     return matrix_function(u.step.inputs[0].matrix, lambda x: np.abs(x) ** c, tol=1e-8)
 
 
-#: a density transform's stand-in circuit: its output's purification,
-#: prepared afresh
-_FRESH = (_declared, _prepared, None)
-#: a unitary transform's stand-in circuit: the SVD dilation of its block
-_DILATED = (lambda u: (1,), _dilation, None)
+class Rule(NamedTuple):
+    """One rule's entry: ``registers(x)`` (see ``_registers``),
+    ``circuit(x, memo)``, and ``target(x, memo)``, the matrix x's contract
+    names, where None names the encoded block itself."""
 
-#: rule name -> (registers(x), circuit(x, memo), target(x, memo)); a target of
-#: None is the encoded block itself
+    registers: Callable
+    circuit: Callable
+    target: Callable | None = None
+
+
 RULES = {
-    "purification": (_declared, _prepared, None),
-    "distribution": (_declared, _distribution, None),
-    "evolve": (_evolve_registers, _evolve, None),
-    "embed": (lambda o: _inputs(o)[0], _embed, None),
-    "linear_combination_density": (_mixture_registers, _mixture, None),
-    "qsvt_density": _FRESH,
-    "positive_power_density": _FRESH,
-    "eigenvalue_threshold_projector": _FRESH,
-    "block_encode_density": (_density_registers, _density_block,
-                             lambda u, memo: u.step.inputs[0].encoded.matrix),
-    "dilate": _DILATED,
-    "identity": (lambda u: (0,), lambda u, memo: np.eye(2 ** u.system_qubits, dtype=complex),
-                 None),
-    "product": (lambda w: (sum(r[0] for r in _inputs(w)),), _product,
-                lambda w, memo: _input_target(w, memo) @ _input_target(w, memo, 1)),
-    "lcu": (lambda w: (max(r[0] for r in _inputs(w)) + w.step.params["pair"].qubits,), _lcu,
-            _lcu_target),
-    "as_scale_one": (lambda u: _inputs(u)[0], lambda u, memo: _unitary(u.step.inputs[0], memo),
-                     lambda u, memo: _input_target(u, memo) / u.step.inputs[0].scale),
-    "qsvt_unitary": _DILATED,
-    "positive_power_unitary": (lambda u: (1,), _dilation, _power_target),
+    "purification": Rule(_declared, _prepared),
+    "distribution": Rule(_declared, _distribution),
+    "evolve": Rule(_evolve_registers, _evolve),
+    "embed": Rule(_first_input, _embed),
+    "linear_combination_density": Rule(_mixture_registers, _mixture),
+    "block_encode_density": Rule(_density_registers, _density_block, _density_target),
+    "dilate": Rule(_one_ancilla, _dilation),
+    "identity": Rule(_no_ancilla, _identity),
+    "product": Rule(_product_registers, _product, _product_target),
+    "lcu": Rule(_lcu_registers, _lcu, _lcu_target),
+    "as_scale_one": Rule(_first_input, _scale_one, _scale_one_target),
+    # stand-ins until phase factors are synthesized: a density transform
+    # prepares its output's purification afresh, and a unitary transform's
+    # circuit is the SVD dilation of its block
+    "qsvt_density": Rule(_declared, _prepared),
+    "positive_power_density": Rule(_declared, _prepared),
+    "eigenvalue_threshold_projector": Rule(_declared, _prepared),
+    "qsvt_unitary": Rule(_one_ancilla, _dilation),
+    "positive_power_unitary": Rule(_one_ancilla, _dilation, _power_target),
 }
 
 
@@ -303,7 +346,7 @@ def _unitary(x, memo: dict) -> np.ndarray:
         cap = dimension_cap()
         if dim > cap:
             raise ValidationError(f"total dimension {dim} exceeds the cap {cap}")
-        u = as_matrix(RULES[x.step.rule][1](x, memo))
+        u = as_matrix(RULES[x.step.rule].circuit(x, memo))
         if u.shape != (dim, dim):
             raise ValidationError(f"circuit of shape {u.shape} does not match its registers")
         memo[id(x)] = u
@@ -312,7 +355,7 @@ def _unitary(x, memo: dict) -> np.ndarray:
 
 def _target(u: UnitaryBlockEncoding, memo: dict) -> np.ndarray:
     if id(u) not in memo:
-        build = RULES[u.step.rule][2]
+        build = RULES[u.step.rule].target
         memo[id(u)] = u.matrix if build is None else build(u, memo)
     return memo[id(u)]
 

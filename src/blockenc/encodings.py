@@ -216,15 +216,14 @@ class UnitaryBlockEncoding:
     orthonormal N x k basis (None is the whole space, where M is B itself),
     ``compression`` is the k x k matrix M and ``kernel_value`` is c.  The dense
     ``matrix`` is built the first time it is read.  ``ancillas`` is the
-    declared contract the ledger reads, and ``realized_ancillas`` the
-    register a controlled use acts on, which the transform cost reads.
-    ``step`` records how the encoding was built.
+    declared register, which the costs read; ``blockenc.circuits`` derives
+    the register a circuit realizes from ``step``, the record of how the
+    encoding was built.
     """
 
     compression: np.ndarray = field(repr=False, compare=False)
     system_qubits: int
     ancillas: int
-    realized_ancillas: int
     scale: float
     declared_error: float
     step: Step = field(repr=False, compare=False)
@@ -296,14 +295,14 @@ def dilate(m: np.ndarray, cost: QueryCost | None = None) -> UnitaryBlockEncoding
         raise ValidationError(f"operator norm {norm:.6f} exceeds one")
     return UnitaryBlockEncoding(
         compression=m, system_qubits=_qubits(m.shape[0], "contraction"),
-        ancillas=1, realized_ancillas=1, scale=1.0, declared_error=0.0,
+        ancillas=1, scale=1.0, declared_error=0.0,
         step=Step("dilate"), cost=cost if cost is not None else QueryCost())
 
 
 def identity_encoding(n: int) -> UnitaryBlockEncoding:
     """The identity as an empty support with kernel value one."""
     return UnitaryBlockEncoding(
-        compression=np.zeros((0, 0)), system_qubits=n, ancillas=0, realized_ancillas=0,
+        compression=np.zeros((0, 0)), system_qubits=n, ancillas=0,
         scale=1.0, declared_error=0.0, step=Step("identity"),
         support=np.zeros((2 ** n, 0)), kernel_value=1.0)
 
@@ -325,13 +324,12 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
     every other branch.  Costs one query to U and U^dag plus O(a) gates.
     """
     n = oracle.system_qubits
-    ancillas = n + oracle.block_ancillas + oracle.purifying_ancillas
     a = oracle.encoded
     w, v = a.eigenpairs if a.factor.shape[1] < 2 ** n else (None, None)
     return UnitaryBlockEncoding(
         compression=a.matrix if v is None else np.diag(w),
-        step=Step("block_encode_density", (oracle,)), system_qubits=n, ancillas=ancillas,
-        realized_ancillas=ancillas + (1 if oracle.block_ancillas else 0),
+        step=Step("block_encode_density", (oracle,)), system_qubits=n,
+        ancillas=n + oracle.block_ancillas + oracle.purifying_ancillas,
         scale=1.0, declared_error=0.0,
         cost=(oracle.cost + oracle.cost).plus_gates(
             oracle.block_ancillas + oracle.purifying_ancillas),
@@ -406,7 +404,6 @@ def product(u: UnitaryBlockEncoding, v: UnitaryBlockEncoding) -> UnitaryBlockEnc
     return UnitaryBlockEncoding(
         compression=mu @ mv, step=Step("product", (u, v)), system_qubits=u.system_qubits,
         ancillas=u.ancillas + v.ancillas,
-        realized_ancillas=u.realized_ancillas + v.realized_ancillas,
         scale=u.scale * v.scale,
         declared_error=u.scale * v.declared_error + v.scale * u.declared_error,
         cost=u.cost + v.cost, support=q, kernel_value=cu * cv)
@@ -538,14 +535,14 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         raise ValidationError("encodings must share the system dimension")
     if any(abs(e.scale - alpha) > 1e-12 for e in encodings):
         raise ValidationError("encodings must share the scale")
-    a = max(e.realized_ancillas for e in encodings) + pair.qubits
+    a = max(e.ancillas for e in encodings) + pair.qubits
     err = alpha * pair.norm_bound * max(e.declared_error for e in encodings)
     weights = pair.left_unitary[:, 0].conj() * pair.right_unitary[:, 0]
     q, ms, cs = _joint_support(encodings)
     return UnitaryBlockEncoding(
         compression=sum(wk * m for wk, m in zip(weights, ms)),
         step=Step("lcu", tuple(encodings), {"pair": pair}),
-        system_qubits=n, ancillas=a, realized_ancillas=a,
+        system_qubits=n, ancillas=a,
         scale=alpha * pair.norm_bound, declared_error=err,
         cost=sum((e.cost for e in encodings), QueryCost(gates=pair.qubits ** 2)),
         support=q, kernel_value=sum(wk * c for wk, c in zip(weights, cs)))

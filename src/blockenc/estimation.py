@@ -322,13 +322,15 @@ def _validated_rank_bound(rank_bound: int, *oracles: PurifiedAccessOracle) -> in
 #: of epsilon leave double precision.
 EPSILON_RANGE = (QSVT_PRECISION, 1e6)
 
-#: The alpha every estimator accepts.  An alpha < 1 schedule raises
-#: epsilon / r to powers near 1 / alpha, which for alpha >= 0.1 stay normal
-#: doubles at every epsilon in EPSILON_RANGE and every rank the dimension
-#: cap admits (the fidelity's fractional-beta powers 1 / (alpha frac(beta))
-#: are not bounded by it), and an integer power takes about alpha / 2
-#: products of encodings.
-ALPHA_RANGE = (0.1, 100.0)
+#: The schedules' powers of epsilon / r stay within 1e-302 and 1e302: the
+#: degree formulas take 8 ln(1 / delta) / delta at a power halved up to
+#: MAX_ROUNDS times, which leaves double range near 1e-303.
+POWER_LIMIT = 302.0 * math.log(10.0)
+
+#: An integer power of an encoding is a chain of products, each kept alive by
+#: the next one's record (about 6 KB apiece at d = 16: 10^4 of them take
+#: 0.8 s and 60 MB).
+MAX_PRODUCTS = 10 ** 5
 
 
 def _validated_epsilon(epsilon: float, name: str = "epsilon") -> None:
@@ -338,15 +340,36 @@ def _validated_epsilon(epsilon: float, name: str = "epsilon") -> None:
                               f"got {epsilon}")
 
 
-def _validated_alpha(quantity: str, alpha: float, top: float = ALPHA_RANGE[1],
-                     one: bool = False) -> None:
-    """alpha in ALPHA_RANGE, capped at ``top``; alpha = 1 passes only with
-    ``one``, so top = 1 without it admits [0.1, 1)."""
-    lo = ALPHA_RANGE[0]
-    if not lo <= alpha <= top or (alpha == 1 and not one):
-        allowed = (f"[{lo:g}, {top:g}]" if one
-                   else f"[{lo:g}, 1)" + (f" or (1, {top:g}]" if top > 1 else ""))
+def _validated_alpha(quantity: str, alpha: float, allowed: str, inside: bool) -> None:
+    """A finite alpha in the quantity's domain: ``inside``, written ``allowed``."""
+    if not (math.isfinite(alpha) and inside):
         raise ValidationError(f"{quantity} needs alpha in {allowed}, got {alpha}")
+
+
+def _validated_schedule(quantity: str, alpha: float, products: float, *powers) -> None:
+    """An alpha whose schedule the doubles hold: at most MAX_PRODUCTS
+    products of encodings, and each (base, exponent) in ``powers``, a base
+    epsilon / (c r) raised to its largest exponent, within POWER_LIMIT (the
+    base itself too)."""
+    if products > MAX_PRODUCTS:
+        raise ValidationError(f"{quantity} at alpha = {alpha} takes {products:.3g} products "
+                              f"of encodings, above {MAX_PRODUCTS}")
+    for base, exponent in powers:
+        if not (base > 0 and max(exponent, 1.0) * abs(math.log(base)) <= POWER_LIMIT):
+            raise ValidationError(
+                f"{quantity} at alpha = {alpha} raises epsilon / r to the power "
+                f"{exponent:.3g}, beyond double range at this epsilon and rank bound")
+
+
+def _validated_power_schedule(quantity: str, alpha: float, epsilon: float, r: int) -> None:
+    """``_validated_schedule`` for the trace power at alpha, epsilon and r:
+    (epsilon / 4r)^(1/alpha) below one, (epsilon / 4r)^(1/frac) above, and
+    (alpha - 1) / 2 products."""
+    x = (alpha - 1.0) / 2.0
+    frac = x - math.floor(x)
+    exponent = (1.0 / alpha if alpha < 1 else 0.0 if _is_odd_integer(alpha)
+                else 1.0 / frac if frac else math.inf)
+    _validated_schedule(quantity, alpha, x, (epsilon / (4.0 * r), exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +428,16 @@ def estimate_trace_power(oracle: PurifiedAccessOracle, alpha: float,
     alpha < 1, pure products for odd alpha, the block-encoded fractional
     power for other alpha > 1."""
     r = _validated_rank_bound(rank_bound, oracle)
-    _validated_alpha("trace power", alpha)
     _validated_epsilon(epsilon)
-    if 0 < alpha < 1:
+    _validated_alpha("trace power", alpha, "(0, 1) or (1, inf)", alpha > 0 and alpha != 1)
+    _validated_power_schedule("trace power", alpha, epsilon, r)
+    return _trace_power(oracle, alpha, r, epsilon, config)
+
+
+def _trace_power(oracle: PurifiedAccessOracle, alpha: float, r: int, epsilon: float,
+                 config: AmplitudeEstimatorConfig) -> EstimateReport:
+    """``estimate_trace_power`` on arguments its callers have validated."""
+    if alpha < 1:
         def solve(eps):
             d1 = (eps / (4.0 * r)) ** (1.0 / alpha)
             return {"delta1": min(d1, 0.25),
@@ -500,14 +530,17 @@ def estimate_renyi(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int,
         return replace(rep, quantity="renyi", alpha=0.0,
                        notes=rep.notes + ("alpha = 0 routed to max entropy "
                                           "under the kappa assumption",))
-    _validated_alpha("Renyi entropy", alpha)
-    if 0 < alpha < 1:
+    _validated_alpha("Renyi entropy", alpha, "(0, 1) or (1, inf), or 0 with kappa",
+                     alpha > 0 and alpha != 1)
+    _validated_rank_bound(r, oracle)
+    if alpha < 1:
         eps_inner = (1.0 - alpha) * epsilon / 2.0
         floor = 0.5
     else:
         eps_inner = (alpha - 1.0) * r ** (1.0 - alpha) * epsilon / 2.0
         floor = r ** (1.0 - alpha) / 2.0
-    tp = estimate_trace_power(oracle, alpha, r, eps_inner, config)
+    _validated_power_schedule("Renyi entropy", alpha, eps_inner, r)
+    tp = _trace_power(oracle, alpha, r, eps_inner, config)
     x = max(tp.estimate, floor)
     return _report("renyi", (oracle,), alpha, float(np.log(x) / (1.0 - alpha)), epsilon,
                    tp.parameters, tp.ledger, tp.expected_complexity, config)
@@ -526,9 +559,12 @@ def estimate_tsallis(oracle: PurifiedAccessOracle, alpha: float, rank_bound: int
                        target_epsilon=epsilon, truth=lambda: rep.true_value - 1.0,
                        notes=rep.notes + ("alpha = 0 routed to exact rank "
                                           "under the kappa assumption",))
-    _validated_alpha("Tsallis entropy", alpha)
+    _validated_alpha("Tsallis entropy", alpha, "(0, 1) or (1, inf), or 0 with kappa",
+                     alpha > 0 and alpha != 1)
+    _validated_rank_bound(r, oracle)
     eps_inner = abs(1.0 - alpha) * epsilon
-    tp = estimate_trace_power(oracle, alpha, r, eps_inner, config)
+    _validated_power_schedule("Tsallis entropy", alpha, eps_inner, r)
+    tp = _trace_power(oracle, alpha, r, eps_inner, config)
     return _report("tsallis", (oracle,), alpha, float((tp.estimate - 1.0) / (1.0 - alpha)),
                    epsilon, tp.parameters, tp.ledger, tp.expected_complexity, config)
 
@@ -543,10 +579,17 @@ def estimate_rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
 
     Threshold projector at delta/2, trace estimation, rescale by 8/delta.
     """
-    if not 0 < delta <= 0.1:
-        raise ValidationError("rank estimation needs delta in (0, 1/10]")
     _validated_epsilon(epsilon)
     _validated_epsilon(epsilon_prime, "epsilon'")
+    return _rank(oracle, delta, epsilon, epsilon_prime, config)
+
+
+def _rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
+          epsilon_prime: float, config: AmplitudeEstimatorConfig) -> EstimateReport:
+    """``estimate_rank`` on epsilons its callers have validated or derived
+    from validated ones."""
+    if not 0 < delta <= 0.1:
+        raise ValidationError("rank estimation needs delta in (0, 1/10]")
     eps1 = min(delta * epsilon / 2.0, math.sqrt(delta / 64.0), 0.1)
     eps2 = delta * epsilon_prime / 8.0
     # the bound is the multiplicative part; the additive part is eps'
@@ -580,7 +623,7 @@ def _exact_rank(oracle: PurifiedAccessOracle, kappa: float | None,
             f"{nonzero.min():.4g} < 1/kappa = {1.0 / kappa:.4g}")
     delta = min(1.0 / (2.0 * kappa), 0.1)
     eps = min(1.0 / (5.0 * kappa), 0.1)
-    rep = estimate_rank(oracle, delta, eps, 0.2, config)
+    rep = _rank(oracle, delta, eps, 0.2, config)
     return replace(rep, quantity="exact-rank", estimate=float(round(rep.estimate)),
                    target_epsilon=0.0)
 
@@ -597,12 +640,13 @@ def estimate_max_entropy(oracle: PurifiedAccessOracle, delta: float, epsilon: fl
     """s~ with S^max_delta(rho) - eps <= s~ <= S^max(rho) + eps; with kappa
     the truncated and plain max entropies coincide and s~ is additive-eps."""
     notes = ()
+    _validated_epsilon(epsilon)
     if kappa is not None:
         if not 0 < kappa < math.inf:
             raise ValidationError(f"max entropy needs a finite kappa > 0, got {kappa}")
         delta = min(1.0 / (2.0 * kappa), 0.1)
         notes = (f"delta = 1/(2 kappa) = {delta} from the kappa assumption",)
-    rank_rep = estimate_rank(oracle, delta, epsilon / 4.0, epsilon / 4.0, config)
+    rank_rep = _rank(oracle, delta, epsilon / 4.0, epsilon / 4.0, config)
     expected = "O~(kappa^2 / eps)" if kappa is not None else "O~(1 / (delta^2 eps))"
     return _report("max-entropy", (oracle,), None,
                    float(np.log(max(rank_rep.estimate, 0.5))), epsilon,
@@ -650,11 +694,14 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
     support projector of mu = (rho + sigma)/2 sandwiched by |nu|^(alpha/2)."""
     r = _validated_rank_bound(rank_bound, oracle_rho, oracle_sigma)
     _validated_epsilon(epsilon)
-    _validated_alpha("alpha-trace-distance", alpha, one=True)
+    _validated_alpha("alpha-trace-distance", alpha, "(0, inf)", alpha > 0)
     if oracle_rho.system_qubits != oracle_sigma.system_qubits:
         raise ValidationError("states must share the system dimension")
     even = abs(alpha - round(alpha)) < 1e-12 and int(round(alpha)) % 2 == 0
     sfrac = alpha / 2.0 - math.floor(alpha / 2.0)  # = 1/2 for odd integer alpha
+    _validated_schedule("alpha-trace-distance", alpha, alpha / 2.0,
+                        (epsilon / (10.0 * r), 2.0 / min(alpha, 1.0)),
+                        *([] if even else [(epsilon / (25.0 * r), 1.0 / sfrac)]))
     t_cap = 1.0 if alpha >= 1 else (2.0 * r) ** (1.0 - alpha)
     s_exp = min(alpha, 1.0) / 2.0
 
@@ -769,11 +816,14 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
     fractional beta composes the block-encoded power of sigma first."""
     r = _validated_rank_bound(rank_bound, oracle_rho)
     _validated_epsilon(epsilon)
-    _validated_alpha("alpha-fidelity", alpha, top=1.0)
+    _validated_alpha("alpha-fidelity", alpha, "(0, 1)", 0 < alpha < 1)
     if oracle_rho.system_qubits != oracle_sigma.system_qubits:
         raise ValidationError("states must share the system dimension")
     beta = (1.0 - alpha) / (2.0 * alpha)
-    integer = abs(beta - round(beta)) < 1e-9
+    bfrac = beta % 1.0  # nan at beta = inf, whose product count is refused
+    integer = min(bfrac, 1.0 - bfrac) < 1e-9
+    _validated_schedule("alpha-fidelity", alpha, beta,
+                        (epsilon / (6.0 * r), 1.0 / (alpha if integer else alpha * bfrac)))
 
     if integer:
         b_int = int(round(beta))
@@ -808,7 +858,6 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         estimate = ppd.scale * p_tilde
 
     else:
-        bfrac = beta - math.floor(beta)
         b_floor = int(math.floor(beta))
 
         def solve(eps):

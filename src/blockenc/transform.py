@@ -79,7 +79,7 @@ def _block_function(u: UnitaryBlockEncoding, f, **contract) -> UnitaryBlockEncod
     fm = (v * fw) @ v.conj().T
     return UnitaryBlockEncoding(
         compression=(fm + fm.conj().T) / 2.0, system_qubits=u.system_qubits,
-        realized_ancillas=1, support=u.support, kernel_value=fc, **contract)
+        support=u.support, kernel_value=fc, **contract)
 
 
 def qsvt_unitary(u: UnitaryBlockEncoding, *factors: CertifiedPolynomial
@@ -96,7 +96,7 @@ def qsvt_unitary(u: UnitaryBlockEncoding, *factors: CertifiedPolynomial
     return _block_function(u, f, ancillas=u.ancillas + 2, scale=1.0,
                            declared_error=QSVT_PRECISION,
                            step=Step("qsvt_unitary", (u,), {"factors": factors}),
-                           cost=u.cost.transformed(degree, u.realized_ancillas + 1))
+                           cost=u.cost.transformed(degree, u.ancillas + 1))
 
 
 def qsvt_density(oracle: PurifiedAccessOracle, *factors: CertifiedPolynomial

@@ -145,7 +145,7 @@ BAD_NUMBERS = {
     "von-neumann-epsilon-tiny": (["estimate", "--quantity", "von-neumann", "--epsilon",
                                   "1e-308", "--state", "{path}"], "epsilon must be"),
     "renyi-alpha-tiny": (["estimate", "--quantity", "renyi", "--alpha", "1e-308",
-                          "--state", "{path}"], "Renyi entropy needs alpha in"),
+                          "--state", "{path}"], "Renyi entropy at alpha = 1e-308 raises"),
     "renyi-alpha-tiny-epsilon-huge": (
         ["estimate", "--quantity", "renyi", "--alpha", "1e-308", "--epsilon", "1e308",
          "--state", "{path}"], "epsilon must be"),
@@ -153,7 +153,12 @@ BAD_NUMBERS = {
                             "1e-308", "--state", "{path}"], "epsilon must be"),
     "trace-distance-alpha-huge": (
         ["estimate", "--quantity", "trace-distance", "--alpha", "1e308", "--state", "{path}",
-         "--state2", "{path}"], "alpha-trace-distance needs alpha in"),
+         "--state2", "{path}"], "alpha-trace-distance at alpha = 1e+308 takes"),
+    # beta = (1 - alpha) / (2 alpha) just above an integer: the schedule raised
+    # epsilon / 6r to about 1 / (alpha frac(beta)) = 300
+    "fidelity-alpha-fractional-beta-underflows": (
+        ["estimate", "--quantity", "fidelity", "--alpha", "0.331", "--state", "{path}",
+         "--state2", "{path}"], "alpha-fidelity at alpha = 0.331 raises epsilon / r"),
     "max-entropy-kappa-zero": (["estimate", "--quantity", "max-entropy", "--kappa", "0",
                                 "--state", "{path}"], "max entropy needs a finite kappa > 0"),
     **{f"{quantity}-kappa-{kappa}": (

@@ -1014,6 +1014,49 @@ def test_every_runner_rejects_a_bad_epsilon(quantity, epsilon):
                               epsilon_prime=0.1)
 
 
+#: runs that lie inside every estimator's range: small and large alpha, and
+#: epsilon at its floor where Renyi, Tsallis and the max entropy pass a
+#: smaller derived epsilon on to the trace power or the rank
+RANGE_EDGES = [("trace-power", 0.05, 0.1), ("renyi", 0.05, 0.1), ("tsallis", 0.05, 0.1),
+               ("fidelity", 0.05, 0.1), ("trace-distance", 0.05, 1000.0),
+               ("trace-distance", 200.0, 0.1), ("trace-power", 201.0, 0.1),
+               ("tsallis", 0.5, 1e-12), ("renyi", 0.1, 1e-12), ("renyi", 0.0, 1e-12),
+               ("max-entropy", None, 1e-12)]
+
+
+@pytest.mark.parametrize("quantity, alpha, epsilon", RANGE_EDGES)
+def test_estimators_run_at_the_edges_of_their_ranges(quantity, alpha, epsilon):
+    rho, sigma = shared_support_pair(16, 4, np.random.default_rng(3))
+    oracles = [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
+    rep = est.RUNNERS[quantity](oracles, [4, 4], epsilon, CFG, alpha=alpha, kappa=30.0,
+                                delta=0.05)
+    assert math.isfinite(rep.estimate)
+
+
+#: (quantity, alpha, epsilon, the refusal): each once exited with a
+#: ZeroDivisionError or an OverflowError
+ALPHA_ESCAPES = [
+    ("trace-power", 1e-308, 0.1, "raises epsilon / r to the power 1e\\+308"),
+    ("renyi", 0.01, 1e-4, "beyond double range"),
+    ("trace-power", 3.0001, 0.1, "beyond double range"),
+    ("trace-power", 1e308, 0.1, "products of encodings, above 100000"),
+    ("trace-distance", 2e5 + 4, 0.1, "products of encodings, above 100000"),
+    ("fidelity", 0.331, 0.1, "beyond double range"),
+    ("fidelity", 0.999, 0.1, "beyond double range"),
+    ("fidelity", 1e-6, 0.1, "products of encodings"),
+    ("fidelity", 5e-324, 0.1, "takes inf products of encodings"),
+]
+
+
+@pytest.mark.parametrize("quantity, alpha, epsilon, message", ALPHA_ESCAPES)
+def test_alpha_whose_schedule_leaves_double_range_is_refused(quantity, alpha, epsilon,
+                                                             message):
+    rho, sigma = shared_support_pair(16, 4, np.random.default_rng(3))
+    oracles = [oracle_for(rho, "rho"), oracle_for(sigma, "sigma")]
+    with pytest.raises(ValidationError, match=message):
+        est.RUNNERS[quantity](oracles, [4, 4], epsilon, CFG, alpha=alpha)
+
+
 @pytest.mark.parametrize("epsilon_prime", [0.0, -1.0, math.nan, math.inf])
 def test_rank_rejects_a_bad_epsilon_prime(epsilon_prime):
     with pytest.raises(ValidationError, match="epsilon' must be finite and positive"):
