@@ -26,8 +26,7 @@ from .polyapprox import (CertificationError, CertifiedPolynomial,
                          approx_positive_power, approx_sqrt_neglog,
                          approx_support_indicator, approx_taylor, approx_threshold)
 from .resources import QueryCost
-from .transform import (eigenvalue_threshold_projector, positive_power_density,
-                        positive_power_unitary, power_unitary, qsvt_density,
-                        qsvt_unitary)
+from .transform import (eigenvalue_threshold_projector, neglog_density, positive_power_density,
+                        positive_power_unitary, power_unitary, qsvt_density, qsvt_unitary)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -36,12 +36,9 @@ from .encodings import (SUPPORT_CUT, PurifiedAccessOracle, StatePreparationPair,
                         SubnormalizedDensityOperator, _qubits, block_encode_density,
                         encoding_power, evolve, lcu, linear_combination_density)
 from .numerics import ValidationError
-from .polyapprox import (approx_interior_indicator, approx_negative_power,
-                         approx_positive_power, approx_sqrt_neglog,
-                         approx_support_indicator, certified)
 from .resources import QueryCost, ae_repetitions
-from .transform import (QSVT_PRECISION, eigenvalue_threshold_projector,
-                        positive_power_density, power_unitary, qsvt_density)
+from .transform import (QSVT_PRECISION, eigenvalue_threshold_projector, neglog_density,
+                        positive_power_density, positive_power_unitary, power_unitary)
 
 MODES = ("analytic", "adversarial", "sampled")
 
@@ -133,15 +130,28 @@ def ae_error_bound(p: float, reps: int) -> float:
             + math.pi ** 2 / reps ** 2)
 
 
+#: The most outcomes ``ae_outcome_distribution`` holds.  Building the
+#: distribution and its cumulative sum peaks at 57 bytes per outcome
+#: (``tracemalloc``: 57.0 MiB at M = 2^20, 228 MiB at 2^22), so at 2^22 it
+#: stays under 256 MB; a sampled trace estimate reaches that M near
+#: epsilon = 3e-6 at trace bound one.
+AE_OUTCOME_CAP = 2 ** 22
+
+
 def ae_outcome_distribution(p: float, reps: int) -> np.ndarray:
     """Exact phase-estimation outcome distribution over m = 0..M-1.
 
     The prepared state splits evenly onto the two Grover eigenphases
     +-omega with sin^2(pi omega) = p; measuring the M-point estimation
-    register lands on m with the Fejer-type kernel below.
+    register lands on m with the Fejer-type kernel below.  M is at most
+    ``AE_OUTCOME_CAP``.
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError("amplitude must lie in [0, 1]")
+    if reps > AE_OUTCOME_CAP:
+        raise ValidationError(f"sampled amplitude estimation draws from all M = {reps} "
+                              f"outcomes, above the cap {AE_OUTCOME_CAP}; a larger "
+                              f"epsilon needs fewer")
     omega = math.asin(math.sqrt(p)) / math.pi
     m = np.arange(reps)
 
@@ -249,6 +259,16 @@ def _operational(analysis: dict, bound: float, rounds: int, floors: dict,
                 "bound_value": bound, "tightening_rounds": rounds, "clamped": clamped}
 
 
+#: The smallest delta the rank estimator takes: its threshold projector at
+#: delta / 2 needs 32 eps1^2 <= delta / 2, and eps1 runs at or above its
+#: floor, so delta >= 64 floor^2 (1.6e-5).
+RANK_DELTA_MIN = 64.0 * OP_FLOORS["rank_eps"] ** 2
+
+#: The largest kappa the max entropy and the exact rank take: they run the
+#: rank estimator at delta = 1 / (2 kappa), which must be RANK_DELTA_MIN or
+#: more.
+KAPPA_MAX = 1.0 / (2.0 * RANK_DELTA_MIN)
+
 #: Halvings of the analysis schedule ``_schedule`` tries before it gives up.
 MAX_ROUNDS = 6
 
@@ -298,8 +318,9 @@ def _report(quantity: str, oracles, alpha: float | None, estimate: float,
 
 
 def _validated_rank_bound(rank_bound: int, *oracles: PurifiedAccessOracle) -> int:
-    """The rank bound r, which must be at least one and at least the rank of
-    each given oracle's operator.
+    """The rank bound r, which must be at least one, and at least the rank
+    and at most the dimension N of each given oracle's operator (no rank
+    exceeds N, and r <= N keeps every schedule's epsilon / (c r) a double).
 
     A factor with at most r columns passes as it is; a wider one is counted
     as ``numerics.operator_rank`` counts, by its eigenvalues above
@@ -310,6 +331,9 @@ def _validated_rank_bound(rank_bound: int, *oracles: PurifiedAccessOracle) -> in
         raise ValidationError("rank bound must be at least one")
     for oracle in oracles:
         a = oracle.encoded
+        if r > a.dim:
+            raise ValidationError(f"rank bound {r} is above the dimension {a.dim} "
+                                  f"of input {oracle.label!r}")
         if (a.factor.shape[1] > r
                 and (rank := np.count_nonzero(a.eigenpairs[0] > nm.RANK_CUT)) > r):
             raise ValidationError(f"rank bound {r} is below the rank {rank} "
@@ -400,13 +424,11 @@ def estimate_von_neumann(oracle: PurifiedAccessOracle, rank_bound: int,
     analysis, op, record = _schedule(
         "von-neumann", epsilon, solve, bound_fn,
         {"delta": OP_FLOORS["vn_delta"], "eps1": OP_FLOORS["vn_eps"]})
-    d_total = (approx_sqrt_neglog.formula(analysis["delta"], analysis["eps1"])
-               + approx_interior_indicator.formula(analysis["delta"], analysis["eps1"]))
+    d_total = neglog_density.formula(analysis["delta"], analysis["eps1"])
     ledger = _ledger(ae_repetitions(b(analysis), analysis["eps2"]),
                      d_total * (oracle.total_qubits + 1), [(oracle, 2 * d_total)])
 
-    out = qsvt_density(oracle, certified(approx_sqrt_neglog, op["delta"], op["eps1"]),
-                       certified(approx_interior_indicator, op["delta"], op["eps1"]))
+    out = neglog_density(oracle, op["delta"], op["eps1"])
     p_tilde, _ = trace_estimate(out, b(op), op["eps2"], config)
     return _report("von-neumann", (oracle,), None,
                    4.0 * math.log(1.0 / op["delta"]) * p_tilde, epsilon, record, ledger,
@@ -457,8 +479,7 @@ def _trace_power(oracle: PurifiedAccessOracle, alpha: float, r: int, epsilon: fl
             "trace-power", epsilon, solve, bound_fn,
             {"delta1": OP_FLOORS["pow_delta"], "eps1": OP_FLOORS["pow_eps"]},
             lambda op: {"eps2": epsilon * op["delta1"] ** (1 - alpha) / 16.0})
-        d = approx_negative_power.formula((1.0 - alpha) / 2.0, analysis["delta1"],
-                                          analysis["eps1"])
+        d = positive_power_density.formula(alpha, analysis["delta1"], analysis["eps1"])
         ledger = _ledger(ae_repetitions(b(analysis), analysis["eps2"]),
                          d * (oracle.total_qubits + 1), [(oracle, 2 * d)])
         expected = "O~(r^((3 - a^2) / 2a) / eps^((3 + a) / 2a))"
@@ -496,8 +517,7 @@ def _trace_power(oracle: PurifiedAccessOracle, alpha: float, r: int, epsilon: fl
             "trace-power", epsilon, solve, bound_fn,
             {"delta1": OP_FLOORS["powu_delta"], "eps1": OP_FLOORS["powu_eps"]},
             lambda op: {"eps2": epsilon / 8.0})
-        q1 = (approx_positive_power.formula(cfrac, analysis["delta1"], analysis["eps1"])
-              + approx_support_indicator.formula(analysis["delta1"], analysis["eps1"]))
+        q1 = positive_power_unitary.formula(cfrac, analysis["delta1"], analysis["eps1"])
         ledger = _ledger(ae_repetitions(b(analysis), analysis["eps2"]),
                          q1 * (oracle.total_qubits + 1), [(oracle, beta + q1)])
         expected = "O~(r^(1/frac) / eps^(1 + 1/frac))"
@@ -588,15 +608,15 @@ def _rank(oracle: PurifiedAccessOracle, delta: float, epsilon: float,
           epsilon_prime: float, config: AmplitudeEstimatorConfig) -> EstimateReport:
     """``estimate_rank`` on epsilons its callers have validated or derived
     from validated ones."""
-    if not 0 < delta <= 0.1:
-        raise ValidationError("rank estimation needs delta in (0, 1/10]")
+    if not RANK_DELTA_MIN <= delta <= 0.1:
+        raise ValidationError(f"rank estimation needs delta in [{RANK_DELTA_MIN:g}, 1/10], "
+                              f"got {delta}")
     eps1 = min(delta * epsilon / 2.0, math.sqrt(delta / 64.0), 0.1)
     eps2 = delta * epsilon_prime / 8.0
     # the bound is the multiplicative part; the additive part is eps'
     op, record = _operational({"delta": delta, "eps1": eps1, "eps2": eps2},
                               2.0 * eps1 / delta, 0, {"eps1": OP_FLOORS["rank_eps"]})
-    d = (approx_negative_power.formula(0.5, delta / 2.0, eps1)
-         + approx_support_indicator.formula(delta / 2.0, eps1))
+    d = eigenvalue_threshold_projector.formula(delta / 2.0, eps1)
     ledger = _ledger(ae_repetitions(1.0, eps2), d * (oracle.total_qubits + 1),
                      [(oracle, 2 * d)])
 
@@ -613,15 +633,16 @@ def _exact_rank(oracle: PurifiedAccessOracle, kappa: float | None,
                 config: AmplitudeEstimatorConfig) -> EstimateReport:
     """The rank estimator's report at delta = eps = Theta(1/kappa), its
     estimate rounded: the exact rank given Pi/kappa <= rho."""
-    if kappa is None or not 1 <= kappa < math.inf:
-        raise ValidationError(f"the exact rank needs a finite kappa >= 1, got {kappa}")
+    delta = min(1.0 / (2.0 * kappa), 0.1) if kappa is not None and 1 <= kappa < math.inf else 0
+    if delta < RANK_DELTA_MIN:
+        raise ValidationError(f"the exact rank needs a finite kappa >= 1 and at most "
+                              f"{KAPPA_MAX:g}, got {kappa}")
     w, _ = oracle.encoded.eigenpairs
     nonzero = w[w > nm.RANK_CUT]
     if nonzero.size and nonzero.min() < 1.0 / kappa - 1e-9:
         raise ValidationError(
             f"kappa assumption violated: min nonzero eigenvalue "
             f"{nonzero.min():.4g} < 1/kappa = {1.0 / kappa:.4g}")
-    delta = min(1.0 / (2.0 * kappa), 0.1)
     eps = min(1.0 / (5.0 * kappa), 0.1)
     rep = _rank(oracle, delta, eps, 0.2, config)
     return replace(rep, quantity="exact-rank", estimate=float(round(rep.estimate)),
@@ -642,9 +663,10 @@ def estimate_max_entropy(oracle: PurifiedAccessOracle, delta: float, epsilon: fl
     notes = ()
     _validated_epsilon(epsilon)
     if kappa is not None:
-        if not 0 < kappa < math.inf:
-            raise ValidationError(f"max entropy needs a finite kappa > 0, got {kappa}")
-        delta = min(1.0 / (2.0 * kappa), 0.1)
+        delta = min(1.0 / (2.0 * kappa), 0.1) if 0 < kappa < math.inf else 0
+        if delta < RANK_DELTA_MIN:
+            raise ValidationError(f"max entropy needs a finite kappa > 0 and at most "
+                                  f"{KAPPA_MAX:g}, got {kappa}")
         notes = (f"delta = 1/(2 kappa) = {delta} from the kappa assumption",)
     rank_rep = _rank(oracle, delta, epsilon / 4.0, epsilon / 4.0, config)
     expected = "O~(kappa^2 / eps)" if kappa is not None else "O~(1 / (delta^2 eps))"
@@ -738,14 +760,12 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
         {"delta1": OP_FLOORS["thr_delta"], "eps1": OP_FLOORS["thr_eps"],
          "delta2": OP_FLOORS["powu_delta"], "eps2": OP_FLOORS["powu_eps"]},
         lambda op: {"eps3": epsilon * op["delta1"] / (8.0 if even else 32.0)})
-    q1 = (approx_negative_power.formula(0.5, analysis["delta1"], analysis["eps1"])
-          + approx_support_indicator.formula(analysis["delta1"], analysis["eps1"]))
+    q1 = eigenvalue_threshold_projector.formula(analysis["delta1"], analysis["eps1"])
     if even:
         per_state = q1 * int(round(alpha))
         expected = "O~(r^3 / eps^4)"
     else:
-        q2 = (approx_positive_power.formula(sfrac, analysis["delta2"], analysis["eps2"])
-              + approx_support_indicator.formula(analysis["delta2"], analysis["eps2"]))
+        q2 = positive_power_unitary.formula(sfrac, analysis["delta2"], analysis["eps2"])
         per_state = q1 * (q2 + max(1, math.ceil(alpha)))
         if 0 < alpha < 1:
             expected = ("O~(r^(5/a) / eps^(5/a + 1)) or "
@@ -842,8 +862,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
             "fidelity", epsilon, solve, bound_fn,
             {"delta1": OP_FLOORS["fid_delta"], "eps1": OP_FLOORS["fid_eps"]},
             lambda op: {"eps2": epsilon * op["delta1"] ** (1.0 - alpha) / 8.0})
-        d1 = approx_negative_power.formula((1.0 - alpha) / 2.0, analysis["delta1"],
-                                           analysis["eps1"])
+        d1 = positive_power_density.formula(alpha, analysis["delta1"], analysis["eps1"])
         b_ae = analysis["delta1"] ** (1.0 - alpha) + r * (analysis["delta1"] + analysis["eps1"])
         ledger = _ledger(ae_repetitions(b_ae, analysis["eps2"]),
                          d1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits),
@@ -879,10 +898,8 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
              "delta2": OP_FLOORS["fid_delta"], "eps2": OP_FLOORS["fid_eps"]},
             lambda op: {"eps3": epsilon * op["delta2"] ** (1.0 - alpha)
                         / (4.0 ** (alpha + 1.0) * 4.0)})
-        q1 = (approx_positive_power.formula(bfrac, analysis["delta1"], analysis["eps1"])
-              + approx_support_indicator.formula(analysis["delta1"], analysis["eps1"]))
-        q2 = approx_negative_power.formula((1.0 - alpha) / 2.0, analysis["delta2"],
-                                           analysis["eps2"])
+        q1 = positive_power_unitary.formula(bfrac, analysis["delta1"], analysis["eps1"])
+        q2 = positive_power_density.formula(alpha, analysis["delta2"], analysis["eps2"])
         b_ae = analysis["delta2"] ** (1.0 - alpha)
         ledger = _ledger(ae_repetitions(b_ae, analysis["eps3"]), q1 * q2,
                          [(oracle_sigma, q2 * (q1 + b_floor)), (oracle_rho, q2)])

@@ -33,8 +33,9 @@ import numpy as np
 from .encodings import (PSD_TOL, PurifiedAccessOracle, Step, SubnormalizedDensityOperator,
                         UnitaryBlockEncoding, encoding_power, product, purification_of)
 from .numerics import ValidationError, spectral_decompose, spectral_norm
-from .polyapprox import (CertifiedPolynomial, approx_negative_power,
-                         approx_positive_power, approx_support_indicator, certified)
+from .polyapprox import (CertifiedPolynomial, approx_interior_indicator,
+                         approx_negative_power, approx_positive_power, approx_sqrt_neglog,
+                         approx_support_indicator, certified)
 
 #: Declared precision of the (not synthesized) phase-factor computation.
 QSVT_PRECISION = 1e-12
@@ -121,6 +122,25 @@ def qsvt_density(oracle: PurifiedAccessOracle, *factors: CertifiedPolynomial
                    step=Step("qsvt_density", (oracle,), {"factors": factors}))
 
 
+def _factors(families):
+    """Give the decorated named transform its polynomial families.
+
+    ``families(*params)``, on the transform's arguments after its input
+    (which end in delta and epsilon), lists each factor as (``approx_*``
+    constructor, leading arguments); every factor is certified at the
+    transform's own delta and epsilon, which end each constructor's
+    arguments.  The transform's ``factors(*params)`` certifies them, and its
+    ``formula(*params)`` sums their formula degrees: the degree at which the
+    factors start their ladders, which an estimator's ledger charges.
+    """
+    def register(transform):
+        transform.factors = lambda *p: tuple(certified(f, *a, *p[-2:]) for f, a in families(*p))
+        transform.formula = lambda *p: sum(f.formula(*a, *p[-2:]) for f, a in families(*p))
+        return transform
+    return register
+
+
+@_factors(lambda c, delta, epsilon: [(approx_negative_power, ((1.0 - c) / 2.0,))])
 def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
                            epsilon: float) -> PurifiedAccessOracle:
     """Oracle for B with 4 delta^(c-1) B ~ A^c, for c in (0, 1), at that scale.
@@ -133,7 +153,7 @@ def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
     """
     if not 0 < c < 1:
         raise ValidationError("positive power exponent must be in (0, 1)")
-    poly = certified(approx_negative_power, (1.0 - c) / 2.0, delta, epsilon)
+    (poly,) = positive_power_density.factors(c, delta, epsilon)
     # x f(x)^2 = delta^(2 cn) x^c / 4 increases in x, so its sup on [0, delta]
     # is its value at delta, delta / 4
     err = 2.0 * poly.certified_error + delta + delta / 4.0 + 2.5 * QSVT_PRECISION
@@ -142,6 +162,7 @@ def positive_power_density(oracle: PurifiedAccessOracle, c: float, delta: float,
                    step=Step("positive_power_density", (oracle,), {"factors": (poly,)}))
 
 
+@_factors(lambda c, delta, epsilon: [(approx_positive_power, (c,)), (approx_support_indicator, ())])
 def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
                            epsilon: float) -> UnitaryBlockEncoding:
     """(2, 2a+4, err)-block-encoding of |A|^c from a scale-1 encoding of A.
@@ -152,8 +173,7 @@ def positive_power_unitary(u: UnitaryBlockEncoding, c: float, delta: float,
     eP + (2 delta)^c/2), doubled by the scale.  The record carries c, so a
     check builds the target |A|^c from it.
     """
-    r = certified(approx_support_indicator, delta, epsilon)
-    p = certified(approx_positive_power, c, delta, epsilon)
+    p, r = positive_power_unitary.factors(c, delta, epsilon)
     e_p, e_r = p.certified_error, r.certified_error
     err_block = max(e_p + 0.5 * e_r,
                     e_r + 0.5 * delta ** c,
@@ -183,6 +203,7 @@ def sandwich_coefficients(delta: float, epsilon: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+@_factors(lambda delta, epsilon: [(approx_negative_power, (0.5,)), (approx_support_indicator, ())])
 def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
                                    epsilon: float) -> PurifiedAccessOracle:
     """Oracle for B with lo(d,e) P_supp_2d(A) <= B <= hi(d,e) P_supp(A).
@@ -197,10 +218,23 @@ def eigenvalue_threshold_projector(oracle: PurifiedAccessOracle, delta: float,
     if 32.0 * epsilon ** 2 > delta:
         raise ValidationError(f"precondition violated: 32 eps^2 = "
                               f"{32 * epsilon ** 2:.4g} > delta = {delta}")
-    factors = (certified(approx_negative_power, 0.5, delta, epsilon),
-               certified(approx_support_indicator, delta, epsilon))
+    factors = eigenvalue_threshold_projector.factors(delta, epsilon)
     return replace(qsvt_density(oracle, *factors), declared_error=2.0 * QSVT_PRECISION,
                    step=Step("eigenvalue_threshold_projector", (oracle,), {"factors": factors}))
+
+
+@_factors(lambda delta, epsilon: [(approx_sqrt_neglog, ()), (approx_interior_indicator, ())])
+def neglog_density(oracle: PurifiedAccessOracle, delta: float,
+                   epsilon: float) -> PurifiedAccessOracle:
+    """Oracle for B ~ A (-ln A) / (4 ln(1/delta)) on the eigenvalues in
+    [delta, 1 - 2 delta], so tr(B) ~ S(A) / (4 ln(1/delta)) up to the
+    eigenvalues outside.
+
+    B is A (P(A) R(A))^2 with P the sqrt(-ln) approximant and R the interior
+    indicator at (delta, epsilon), applied as one transform of the two
+    factors; the contract is ``qsvt_density``'s.
+    """
+    return qsvt_density(oracle, *neglog_density.factors(delta, epsilon))
 
 
 def psd_order_holds(lower: np.ndarray, upper: np.ndarray) -> bool:

@@ -151,6 +151,19 @@ BAD_NUMBERS = {
          "--state", "{path}"], "epsilon must be"),
     "renyi-epsilon-tiny": (["estimate", "--quantity", "renyi", "--alpha", "3", "--epsilon",
                             "1e-308", "--state", "{path}"], "epsilon must be"),
+    # the schedules' epsilon / (c r) cannot hold a rank bound beyond double
+    # range (exit 1, OverflowError), and no rank exceeds the dimension
+    **{f"rank-bound-{name}": (
+        ["estimate", "--quantity", "von-neumann", "--rank-bound", bound, "--state", "{path}"],
+        f"rank bound {bound} is above the dimension 2 of input 'rho'")
+       for name, bound in [("above-dimension", "3"), ("401-digits", str(10 ** 400))]},
+    # a sampled estimate draws from all M outcomes: here M = 1.26e13, which
+    # once failed to allocate 91.4 TiB (exit 1)
+    "sampled-outcomes-above-cap": (
+        ["estimate", "--quantity", "trace-power", "--alpha", "3", "--epsilon", "1e-12",
+         "--ae-mode", "sampled", "--state", "{path}"],
+        "sampled amplitude estimation draws from all M = 12566376897545 outcomes, above the "
+        "cap 4194304; a larger epsilon needs fewer"),
     "trace-distance-alpha-huge": (
         ["estimate", "--quantity", "trace-distance", "--alpha", "1e308", "--state", "{path}",
          "--state2", "{path}"], "alpha-trace-distance at alpha = 1e+308 takes"),
@@ -161,10 +174,17 @@ BAD_NUMBERS = {
          "--state2", "{path}"], "alpha-fidelity at alpha = 0.331 raises epsilon / r"),
     "max-entropy-kappa-zero": (["estimate", "--quantity", "max-entropy", "--kappa", "0",
                                 "--state", "{path}"], "max entropy needs a finite kappa > 0"),
+    # delta once reached the ledger's degree formula, which overflowed (exit
+    # 1), or, below 1.6e-5, the threshold projector, whose message named
+    # eps^2 and delta / 2; 2 kappa = inf made delta zero
+    **{f"{quantity}-delta-{delta}": (
+        ["estimate", "--quantity", quantity, "--delta", delta, "--state", "{path}"],
+        "rank estimation needs delta in [1.6e-05, 1/10], got")
+       for quantity in ("rank", "max-entropy") for delta in ("1e-308", "1e-160", "1.5e-05")},
     **{f"{quantity}-kappa-{kappa}": (
         ["estimate", "--quantity", quantity, "--kappa", kappa, "--state", "{path}"]
         + (["--alpha", "0"] if quantity in ("renyi", "tsallis") else []), message)
-       for kappa in ("nan", "inf")
+       for kappa in ("nan", "inf", "1e308", "31251")
        for quantity, message in [("max-entropy", "max entropy needs a finite kappa > 0"),
                                  ("renyi", "max entropy needs a finite kappa > 0"),
                                  ("exact-rank", "the exact rank needs a finite kappa >= 1"),

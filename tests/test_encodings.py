@@ -638,3 +638,126 @@ def test_calculus_random_sweep():
         assert spectral_norm(mix.encoded.matrix - (rho + sigma) / 2.0) < 1e-8
         prod = enc.product(enc.dilate(rho), enc.dilate(sigma))
         assert spectral_norm(actual(prod) - rho @ sigma) < 1e-8
+
+
+# -- refusals of the calculus -------------------------------------------------
+
+def _encoding(n=1, scale=1.0, kernel_value=0.0):
+    """A scale-``scale`` encoding of diag(1/2, 0, ...) on n qubits, with the
+    given kernel value off its one-dimensional support."""
+    return enc.UnitaryBlockEncoding(
+        compression=np.array([[0.5]]), system_qubits=n, ancillas=0, scale=scale,
+        declared_error=0.0, step=enc.Step("dilate"), support=np.eye(2 ** n, 1),
+        kernel_value=kernel_value)
+
+
+def _pair(left, right, coefficients, norm_bound=1.0):
+    return enc.StatePreparationPair(np.asarray(left, dtype=complex),
+                                    np.asarray(right, dtype=complex),
+                                    np.asarray(coefficients), norm_bound)
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+#: one call per refusal of the calculus, with a fragment of its message
+CALCULUS_REFUSALS = {
+    "first-column-not-normalized": (
+        lambda: enc.unitary_from_first_column(np.array([1.0, 1.0])),
+        "state vector is not normalized"),
+    "encoding-block-shape": (
+        lambda: enc.UnitaryBlockEncoding(np.eye(3), 1, 0, 1.0, 0.0, enc.Step("dilate")),
+        "encoded block does not match the system register"),
+    "encoding-scale-negative": (
+        lambda: enc.UnitaryBlockEncoding(np.eye(2), 1, 0, -1.0, 0.0, enc.Step("dilate")),
+        "scale and declared error must be nonnegative"),
+    "encoding-declared-error-negative": (
+        lambda: enc.UnitaryBlockEncoding(np.eye(2), 1, 0, 1.0, -1e-3, enc.Step("dilate")),
+        "scale and declared error must be nonnegative"),
+    "evolve-dimension": (
+        lambda: enc.evolve(oracle_for(maximally_mixed(2)), enc.identity_encoding(2)),
+        "system dimension mismatch between oracle and encoding"),
+    "product-dimension": (
+        lambda: enc.product(enc.identity_encoding(1), enc.identity_encoding(2)),
+        "system dimension mismatch in product"),
+    "embed-negative": (
+        lambda: enc.embed(oracle_for(maximally_mixed(2)), -1),
+        "extra_qubits must be nonnegative"),
+    "power-zero": (
+        lambda: enc.encoding_power(enc.identity_encoding(1), 0),
+        "power must be at least one"),
+    "mixture-count": (
+        lambda: enc.linear_combination_density([0.5], [oracle_for(maximally_mixed(2))] * 2),
+        "coefficient count must match the oracle count"),
+    "mixture-negative": (
+        lambda: enc.linear_combination_density([-0.5, 0.5],
+                                               [oracle_for(maximally_mixed(2))] * 2),
+        "coefficients must be nonnegative"),
+    "mixture-sum": (
+        lambda: enc.linear_combination_density([0.7, 0.7],
+                                               [oracle_for(maximally_mixed(2))] * 2),
+        "coefficient sum 1.4 exceeds one"),
+    "mixture-dimension": (
+        lambda: enc.linear_combination_density(
+            [0.5, 0.5], [oracle_for(maximally_mixed(2)), oracle_for(maximally_mixed(4))]),
+        "all oracles must share the system dimension"),
+    "lcu-empty": (
+        lambda: enc.lcu(enc.StatePreparationPair.plus_minus(), []),
+        "need at least one encoding"),
+    "lcu-count": (
+        lambda: enc.lcu(enc.StatePreparationPair.plus_minus(), [_encoding()]),
+        "coefficient count must match the encoding count"),
+    "lcu-dimension": (
+        lambda: enc.lcu(enc.StatePreparationPair.plus_minus(), [_encoding(1), _encoding(2)]),
+        "encodings must share the system dimension"),
+    "lcu-scale": (
+        lambda: enc.lcu(enc.StatePreparationPair.plus_minus(),
+                        [_encoding(scale=1.0), _encoding(scale=2.0)]),
+        "encodings must share the scale"),
+    "pair-dimensions": (
+        lambda: _pair(np.eye(2), np.eye(4), [1.0]),
+        "pair unitaries must share dimensions"),
+    "pair-not-unitary": (
+        lambda: _pair(2.0 * np.eye(2), np.eye(2), [2.0]),
+        "state-preparation pair member is not unitary"),
+    "pair-coefficients-too-long": (
+        lambda: _pair(np.eye(2), np.eye(2), [1.0, 0.0, 0.0]),
+        "coefficient vector longer than the register"),
+    "pair-l1-defect": (
+        lambda: _pair(np.eye(2), np.eye(2), [0.5]),
+        "pair prepares y with l1 defect 5.000e-01"),
+    "pair-weight-beyond-coefficients": (
+        lambda: _pair(_HADAMARD, _HADAMARD, [0.5]),
+        "c_j* d_j must vanish beyond the coefficient vector"),
+    "pair-for-zero-coefficients": (
+        lambda: enc.StatePreparationPair.for_coefficients([0.0, 0.0]),
+        "coefficient vector must be nonzero"),
+    "transform-complex-kernel-value": (
+        lambda: tf.qsvt_unitary(_encoding(kernel_value=0.5j), KERNEL_POLY),
+        "kernel value 0.5j of the block is not real"),
+    # a certificate that understates its polynomial: P = 2 claims |P| <= 1
+    "transform-norm-above-one": (
+        lambda: tf.qsvt_unitary(_encoding(), pa.CertifiedPolynomial(
+            coefficients=np.array([2.0]), parity="even", target=None,
+            certified_interval=(-1.0, 1.0), certified_error=0.0, global_bound=1.0,
+            bound_limit=1.0)),
+        "operator norm 2.000000 exceeds one"),
+    "qsvt-unitary-scale": (
+        lambda: tf.qsvt_unitary(_encoding(scale=2.0), KERNEL_POLY),
+        "QSVT needs a scale-1 block-encoding"),
+    **{f"positive-power-density-c-{c}": (
+        lambda c=c: tf.positive_power_density(oracle_for(maximally_mixed(2)), c, 0.05, 0.01),
+        "positive power exponent must be in (0, 1)") for c in (0.0, 1.0)},
+    **{f"threshold-projector-{name}": (
+        lambda d=d, e=e: tf.eigenvalue_threshold_projector(oracle_for(maximally_mixed(2)), d, e),
+        "delta, epsilon must lie in (0, 1/10]")
+       for name, d, e in [("delta-zero", 0.0, 0.01), ("delta-above", 0.2, 0.01),
+                          ("epsilon-zero", 0.05, 0.0), ("epsilon-above", 0.05, 0.2)]},
+}
+
+
+@pytest.mark.parametrize("case", list(CALCULUS_REFUSALS))
+def test_calculus_refuses_bad_arguments_naming_them(case):
+    call, message = CALCULUS_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert message in str(info.value)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -693,6 +694,20 @@ def test_cli_builds_no_circuit(separation_run):
     codes, circuits_loaded = separation_run["cli"]
     assert codes == [0, 0, 0]
     assert not circuits_loaded
+
+
+def test_estimation_names_no_polynomial_family():
+    # each family choice has one home, the named transform that certifies it:
+    # the estimators import nothing from polyapprox and certify nothing
+    tree = ast.parse(Path(est.__file__).read_text(encoding="utf-8"))
+    modules = ([n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+               + [a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                  for a in n.names])
+    assert modules and not [m for m in modules if "polyapprox" in m]
+    called = [getattr(n.func, "id", getattr(n.func, "attr", None))
+              for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert "certified" not in called and not [c for c in called
+                                              if c and c.startswith("approx_")]
 
 
 def test_circuit_above_the_cap_is_refused(monkeypatch):

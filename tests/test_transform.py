@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -337,3 +339,35 @@ def test_positive_power_density_c_near_one_sanity():
     out = tf.positive_power_density(oracle_for(rho), 0.99, 0.02, 1e-2)
     got = out.scale * out.encoded.trace
     assert abs(got - 1.0) <= 0.05
+
+
+# -- named transforms own their polynomial families ---------------------------
+
+#: each named transform at two parameter points (its arguments after its
+#: input), and whether its input is an oracle or a block-encoding
+NAMED_TRANSFORMS = [
+    (tf.positive_power_density, "oracle", (0.5, 0.05, 0.01)),
+    (tf.positive_power_density, "oracle", (0.25, 0.02, 1e-3)),
+    (tf.positive_power_unitary, "encoding", (0.5, 0.05, 0.01)),
+    (tf.positive_power_unitary, "encoding", (0.75, 0.02, 1e-3)),
+    (tf.eigenvalue_threshold_projector, "oracle", (0.05, 0.01)),
+    (tf.eigenvalue_threshold_projector, "oracle", (0.02, 1e-3)),
+    (tf.neglog_density, "oracle", (0.05, 0.01)),
+    (tf.neglog_density, "oracle", (0.01, 1.5e-3)),
+]
+
+
+@pytest.mark.parametrize("transform, kind, params", NAMED_TRANSFORMS,
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_named_transform_formula_sums_its_recorded_factors(transform, kind, params):
+    # the formula degree a ledger charges is the families' formula at the
+    # factors the transform certified and recorded
+    oracle = oracle_for(floored_spectrum_state(4, 2, np.random.default_rng(5), floor=0.1))
+    out = transform(oracle if kind == "oracle" else enc.block_encode_density(oracle), *params)
+    factors = out.step.params["factors"]
+    assert factors == transform.factors(*params)
+    assert transform.formula(*params) == sum(pa.FAMILIES[p.family].formula(**p.params)
+                                             for p in factors)
+    # a tracer that wraps the transform keeps its families
+    wrapped = functools.wraps(transform)(lambda *args: transform(*args))
+    assert wrapped.formula(*params) == transform.formula(*params)
