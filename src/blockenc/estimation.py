@@ -5,9 +5,11 @@ Each estimator gets two parameter schedules from one function, ``_schedule``:
 * the *analysis schedule*: the complexity analysis's settings instantiated with
   explicit constants, all halved together (up to six rounds) until the
   proof's composite error bound evaluates at or below the target epsilon.
-  The query ledger is computed from this schedule via the degree formulas and
-  amplitude-estimation repetition counts, so its scaling follows the stated
-  complexities.
+  The query ledger is computed from this schedule via amplitude-estimation
+  repetition counts and the formula degree of each transform the pipeline
+  runs, read as ``formula`` from the named transform itself (the transform
+  lists its polynomial families; this module names none), so its scaling
+  follows the stated complexities.
 * the *operational schedule*: the analysis values raised to the estimator's
   ``OP_FLOORS`` entries, so every required polynomial certificate stays
   constructible under the degree cap, with the amplitude-estimation precision
@@ -19,6 +21,12 @@ The rank estimator and the odd-alpha trace power take their analysis values
 as given and use only the clamping half, ``_operational``.  Reports, built by
 ``_report``, carry both schedules, the evaluated bound, the ledger, and the
 exact value from ``numerics.QUANTITIES``, computed the first time it is read.
+
+Each argument's range is decided once, where an estimator first reads it:
+epsilon (``EPSILON_RANGE``), alpha and its schedule, the rank bound (between
+the input's rank and its dimension), the rank estimator's delta
+(``RANK_DELTA_MIN``) and kappa (``KAPPA_MAX``); a sampled trace estimate
+holds at most ``AE_OUTCOME_CAP`` outcomes.
 """
 
 from __future__ import annotations

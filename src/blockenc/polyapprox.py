@@ -21,9 +21,10 @@ the formula degree as a function of the constructor's arguments.  The
 wrapper checks the ranges, names the polynomial and its ``params``, and
 starts the ladder at the formula, so a constructor's body holds only its
 surrogate, target, interval and band check.  The CLI's ``approx-poly``
-takes its choices and arguments from the table, and each estimator's
-ledger reads the formula of the factor it charges for, as
-``approx_*.formula``.
+takes its choices and arguments from the table.  Each named transform of
+``transform`` lists the families of its factors and sums their formulas,
+as ``approx_*.formula``, into the degree an estimator's ledger charges, so
+no estimator names a family.
 
 Every evaluation, on a polynomial's call and on the certificate grids, goes
 through one kernel, ``_evaluate``, on a parity split of the coefficients: a
@@ -551,8 +552,8 @@ def _family(name: str, formula: Callable[..., int], **ranges):
     function checks each argument against its range, then certifies an even
     polynomial with |P| <= 1 within the argument ``epsilon``, starting the
     degree ladder at ``formula``; the polynomial's ``params`` are the
-    arguments by name.  It carries ``formula`` as an attribute, so a ledger
-    reads the formula degree of the factor it charges for.
+    arguments by name.  It carries ``formula`` as an attribute, so a named
+    transform reads the formula degree of each of its factors.
     """
     def register(body):
         signature = inspect.signature(body)

@@ -17,10 +17,18 @@ target within ``declared_error``.  ``qsvt_unitary`` and ``qsvt_density`` do
 the transforms; each named transform calls one of them once, sets its own
 contract and re-labels the construction record with its own rule, its input
 and its certified factors, from which ``blockenc.circuits`` builds the
-target.  No phase-factor sequences are synthesized; the circuit-precision
-parameter becomes the declared ``QSVT_PRECISION``.  Every declared error
-bound is the proof's final inequality chain evaluated with the actual
-certified polynomial errors, with explicit constants instead of Theta(.)s.
+target (``neglog_density`` keeps ``qsvt_density``'s contract and record).
+No phase-factor sequences are synthesized; the circuit-precision parameter
+becomes the declared ``QSVT_PRECISION``.  Every declared error bound is the
+proof's final inequality chain evaluated with the actual certified
+polynomial errors, with explicit constants instead of Theta(.)s.
+
+This module is the one home of each named transform's polynomial families.
+A named transform lists them once, through ``_factors``: its ``factors``
+certifies them at the transform's delta and epsilon, and its ``formula``
+sums their formula degrees, the degree at which their ladders start.  The
+estimators run the transforms on their operational schedule and charge
+``formula`` on their analysis schedule, so ``estimation`` names no family.
 """
 
 from __future__ import annotations
@@ -125,13 +133,13 @@ def qsvt_density(oracle: PurifiedAccessOracle, *factors: CertifiedPolynomial
 def _factors(families):
     """Give the decorated named transform its polynomial families.
 
-    ``families(*params)``, on the transform's arguments after its input
-    (which end in delta and epsilon), lists each factor as (``approx_*``
-    constructor, leading arguments); every factor is certified at the
-    transform's own delta and epsilon, which end each constructor's
-    arguments.  The transform's ``factors(*params)`` certifies them, and its
-    ``formula(*params)`` sums their formula degrees: the degree at which the
-    factors start their ladders, which an estimator's ledger charges.
+    ``families(*params)``, on the transform's arguments after its input,
+    lists each factor as (``approx_*`` constructor, leading arguments).  A
+    factor takes the transform's own delta and epsilon, which end both the
+    transform's arguments and every constructor's.  The transform's
+    ``factors(*params)`` certifies them, and its ``formula(*params)`` sums
+    their formula degrees: the degree at which the factors start their
+    ladders, which an estimator's ledger charges.
     """
     def register(transform):
         transform.factors = lambda *p: tuple(certified(f, *a, *p[-2:]) for f, a in families(*p))
