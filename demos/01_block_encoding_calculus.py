@@ -4,8 +4,8 @@ Builds purified access oracles for a pair of random states, then walks
 through the basic manipulations: extracting the encoded block, unitary
 dilation, evolution B rho B^dag, convex mixtures, and the (HX, H) linear
 combination that block-encodes (rho - sigma)/2.  The calculus computes
-operators and costs only; each circuit is built by ``blockenc.circuits``
-from the operator's construction record when the demo checks it.
+operators only; each circuit is built by ``blockenc.circuits`` from the
+operator's construction record when the demo checks it.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ ube = block_encode_density(o_rho)
 print("\nblock-encoding of rho: scale =", ube.scale,
       "declared ancillas =", ube.ancillas,
       "block deviation =", f"{spectral_norm(ube.scale * circuits.block(ube) - rho):.2e}")
-print("cost so far:", dict(ube.cost.queries))
+print("construction record:", ube.step.rule, "of oracle", repr(ube.step.inputs[0].label))
 
 b = 0.8 * haar_unitary(4, rng)
 evolved = evolve(o_rho, dilate(b))
@@ -41,7 +41,7 @@ print("its circuit (V x I)(U x I) prepares it within",
 print("trace shrinks to", f"{evolved.encoded.trace:.4f}",
       "<= ||B||^2 =", f"{np.linalg.norm(b, 2) ** 2:.4f}")
 
-mix = linear_combination_density([0.5, 0.5], [o_rho, o_sigma], label="mu")
+mix = linear_combination_density([0.5, 0.5], [o_rho, o_sigma])
 print("\nconvex mixture (rho + sigma)/2 deviation =",
       f"{spectral_norm(mix.encoded.matrix - (rho + sigma) / 2):.2e}")
 

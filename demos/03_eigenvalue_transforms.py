@@ -24,7 +24,7 @@ print("sqrt(rho) via the density-power route:")
 print("  scale  =", f"{out.scale:.4f}")
 print("  measured deviation =", f"{spectral_norm(got - want):.2e}")
 print("  declared bound     =", f"{out.declared_error:.2e}")
-print("  queries charged    =", dict(out.cost.queries))
+print("  recorded degree    =", sum(p.degree for p in out.step.params["factors"]))
 
 delta, eps = 0.05, 0.01
 thr = eigenvalue_threshold_projector(oracle, delta, eps)

@@ -4,8 +4,9 @@ Every oracle and block-encoding carries ``step``, the construction record of
 the rule that built it: the rule's name, its input operators and its
 parameters.  ``RULES`` holds one entry per rule, giving the rule's circuit,
 its realized registers and its contract target, each read from the operator
-and its record.  The estimators never build a circuit; a check builds one
-here, under the dimension cap (``numerics.dimension_cap``):
+and its record, and what it reads of its inputs.  The estimators never
+build a circuit; a check builds one here, under the dimension cap
+(``numerics.dimension_cap``):
 
 * ``unitary(x)`` is the circuit of an oracle or a block-encoding;
 * ``block(u)`` is the top-left block of a block-encoding's circuit;
@@ -13,14 +14,18 @@ here, under the dimension cap (``numerics.dimension_cap``):
 * ``target(u)`` is the matrix a block-encoding's contract names;
 * ``check(x)`` compares the circuit with the operator and its contract.
 
-One call reads each input's circuit once, through a memo passed down the
-recursion; nothing is cached past the call.
+One call walks the records below x once, on an explicit stack, so a record
+of any depth is read without recursion; it then fills its memo bottom-up,
+each operator after the inputs it reads, and a rule reads its inputs'
+registers, circuits or targets from that memo, so each is built once.  The
+cap is checked on every circuit before any is built; nothing is cached past
+the call.
 
 Register convention: system qubits first, block ancillas second, purifying
 ancillas last; every block projection applies the <0| pattern to the block
 ancilla register.  The realized registers are the circuit's own, derived
 here from the records, and may differ from those an operator declares,
-which are what the costs read: an evolution's circuit (V (x) I)(U (x) I)
+which are the paper's constructions': an evolution's circuit (V (x) I)(U (x) I)
 keeps V's ancillas as block ancillas next to U's, and a transform's
 stand-in dilation has one ancilla.
 
@@ -74,30 +79,24 @@ def _select(blocks, count: int) -> np.ndarray:
 # One entry per rule: its realized registers, its circuit and its target
 # ---------------------------------------------------------------------------
 
-def _registers(x) -> tuple[int, ...]:
-    """The realized ancilla registers of x's circuit, in qubits: (block,
-    purifying) of an oracle, (ancillas,) of a block-encoding."""
-    return RULES[x.step.rule].registers(x)
-
-
-def _inputs(x) -> list:
+def _inputs(x, regs) -> list:
     """The realized registers of each input of x."""
-    return [_registers(i) for i in x.step.inputs]
+    return [regs[id(i)] for i in x.step.inputs]
 
 
-def _declared(o: PurifiedAccessOracle) -> tuple[int, int]:
+def _declared(o: PurifiedAccessOracle, regs) -> tuple[int, int]:
     return o.block_ancillas, o.purifying_ancillas
 
 
-def _first_input(x) -> tuple[int, ...]:
-    return _registers(x.step.inputs[0])
+def _first_input(x, regs) -> tuple[int, ...]:
+    return regs[id(x.step.inputs[0])]
 
 
-def _one_ancilla(u: UnitaryBlockEncoding) -> tuple[int]:
+def _one_ancilla(u: UnitaryBlockEncoding, regs) -> tuple[int]:
     return (1,)
 
 
-def _prepared(o: PurifiedAccessOracle, memo) -> np.ndarray:
+def _prepared(o: PurifiedAccessOracle, regs, memo) -> np.ndarray:
     """A fresh preparation of sum_k |F_k>|k> for the factor F of o's operator,
     purifying index last.  A trace deficit takes the |1> sector of the block
     ancilla, on one more purifying index."""
@@ -117,7 +116,7 @@ def _prepared(o: PurifiedAccessOracle, memo) -> np.ndarray:
     return unitary_from_first_column(psi / np.linalg.norm(psi))
 
 
-def _distribution(o: PurifiedAccessOracle, memo) -> np.ndarray:
+def _distribution(o: PurifiedAccessOracle, regs, memo) -> np.ndarray:
     """Prepare sum_i sqrt(p_i) |i>, then the CNOT fan |i>|j> -> |i>|i xor j>,
     which permutes the rows."""
     p = o.step.params["p"]
@@ -129,48 +128,48 @@ def _distribution(o: PurifiedAccessOracle, memo) -> np.ndarray:
 def _beside(x, memo, dims) -> np.ndarray:
     """x's circuit on the factors dims[0] dims[2] (the system and x's
     ancillas), with the identity on dims[1], in that order."""
-    return permute_subsystems(np.kron(_unitary(x, memo), np.eye(dims[1])),
+    return permute_subsystems(np.kron(memo[id(x)], np.eye(dims[1])),
                               (dims[0], dims[2], dims[1]), (0, 2, 1))
 
 
-def _evolve_registers(o: PurifiedAccessOracle) -> tuple[int, int]:
-    (blk, pur), (anc,) = _inputs(o)
+def _evolve_registers(o: PurifiedAccessOracle, regs) -> tuple[int, int]:
+    (blk, pur), (anc,) = _inputs(o, regs)
     return blk + anc, pur
 
 
-def _evolve(o: PurifiedAccessOracle, memo) -> np.ndarray:
+def _evolve(o: PurifiedAccessOracle, regs, memo) -> np.ndarray:
     """(V (x) I)(U (x) I): U prepares the input's purification, and V, on the
     system and its own ancillas, applies B; V's ancillas join the block
     register, so the block projection returns B A B^dag."""
     inner, v = o.step.inputs
-    (blk, pur), (anc,) = _inputs(o)
+    (blk, pur), (anc,) = _inputs(o, regs)
     n = 2 ** o.system_qubits
-    u = np.kron(_unitary(inner, memo), np.eye(2 ** anc))
+    u = np.kron(memo[id(inner)], np.eye(2 ** anc))
     # layout [n][blk][pur][v] -> [n][blk][v][pur]
     return permute_subsystems(_beside(v, memo, (n, 2 ** (blk + pur), 2 ** anc)) @ u,
                               (n, 2 ** blk, 2 ** pur, 2 ** anc), (0, 1, 3, 2))
 
 
-def _embed(o: PurifiedAccessOracle, memo) -> np.ndarray:
-    ((blk, pur),) = _inputs(o)
+def _embed(o: PurifiedAccessOracle, regs, memo) -> np.ndarray:
+    ((blk, pur),) = _inputs(o, regs)
     return _beside(o.step.inputs[0], memo, (2 ** o.step.inputs[0].system_qubits,
                                             2 ** o.step.params["extra_qubits"],
                                             2 ** (blk + pur)))
 
 
-def _mixture_registers(o: PurifiedAccessOracle) -> tuple[int, int]:
-    blk, pur = zip(*_inputs(o))
+def _mixture_registers(o: PurifiedAccessOracle, regs) -> tuple[int, int]:
+    blk, pur = zip(*_inputs(o, regs))
     return (max(blk + (int(o.step.params["deficit"] > 0),)),
             o.step.params["select_qubits"] + max(pur))
 
 
-def _mixture(o: PurifiedAccessOracle, memo) -> np.ndarray:
+def _mixture(o: PurifiedAccessOracle, regs, memo) -> np.ndarray:
     """A preparation of the coefficients' square roots on the select register
     controls the inputs, each padded to the widest block and purifying
     registers; a deficit branch flips the block ancilla."""
     params = o.step.params
     alphas, deficit, m = params["coefficients"], params["deficit"], params["select_qubits"]
-    a, b = _registers(o)
+    a, b = regs[id(o)]
     b -= m
     dim_m, dim_n, dim_a, dim_b = 2 ** m, 2 ** o.system_qubits, 2 ** a, 2 ** b
     coeff_state = np.zeros(dim_m, dtype=complex)
@@ -178,8 +177,8 @@ def _mixture(o: PurifiedAccessOracle, memo) -> np.ndarray:
     if deficit:
         coeff_state[alphas.size] = np.sqrt(deficit)
     blocks = []
-    for inner, (ia, ib) in zip(o.step.inputs, _inputs(o)):
-        ext = np.kron(_unitary(inner, memo), np.eye(2 ** (a - ia + b - ib)))
+    for inner, (ia, ib) in zip(o.step.inputs, _inputs(o, regs)):
+        ext = np.kron(memo[id(inner)], np.eye(2 ** (a - ia + b - ib)))
         blocks.append(permute_subsystems(
             ext, (dim_n, 2 ** ia, 2 ** ib, 2 ** (a - ia), 2 ** (b - ib)), (0, 1, 3, 2, 4)))
     if deficit:
@@ -192,17 +191,17 @@ def _mixture(o: PurifiedAccessOracle, memo) -> np.ndarray:
     return permute_subsystems(u, (dim_m, dim_n, dim_a, dim_b), (1, 2, 0, 3))
 
 
-def _density_registers(u: UnitaryBlockEncoding) -> tuple[int]:
-    ((blk, pur),) = _inputs(u)
+def _density_registers(u: UnitaryBlockEncoding, regs) -> tuple[int]:
+    ((blk, pur),) = _inputs(u, regs)
     return (u.system_qubits + blk + pur + (1 if blk else 0),)
 
 
-def _density_block(u: UnitaryBlockEncoding, memo) -> np.ndarray:
+def _density_block(u: UnitaryBlockEncoding, regs, memo) -> np.ndarray:
     """Swap a fresh system register into the prepared purification,
     controlled on the block ancillas being |0>; every other branch flips a
     flag qubit so the block projection removes it.  With no block ancilla
     there is no such branch, and the flag register has one state."""
-    ((blk, pur),) = _inputs(u)
+    ((blk, pur),) = _inputs(u, regs)
     dim_n, dim_blk, dim_pur = 2 ** u.system_qubits, 2 ** blk, 2 ** pur
     dim_flag = 2 if blk else 1
     sub = (dim_n, dim_pur, dim_n, dim_flag)   # [old sys][pur][new][flag]
@@ -212,12 +211,12 @@ def _density_block(u: UnitaryBlockEncoding, memo) -> np.ndarray:
     gate = _select([swap] + [flip] * (dim_blk - 1), dim_blk)
     # gate layout [blk][old sys][pur][new][flag] -> [old sys][blk][pur][new][flag]
     gate = permute_subsystems(gate, (dim_blk,) + sub, (1, 0, 2, 3, 4))
-    ext = np.kron(_unitary(u.step.inputs[0], memo), np.eye(dim_n * dim_flag))
+    ext = np.kron(memo[id(u.step.inputs[0])], np.eye(dim_n * dim_flag))
     return permute_subsystems(ext.conj().T @ gate @ ext, (dim_n, dim_blk) + sub[1:],
                               (3, 0, 1, 2, 4))
 
 
-def _dilation(u: UnitaryBlockEncoding, memo) -> np.ndarray:
+def _dilation(u: UnitaryBlockEncoding, regs, memo) -> np.ndarray:
     """Exact two-block unitary dilation of the block, a contraction, built
     from its SVD so that it is unitary to machine precision; singular values
     within tolerance above one are clamped."""
@@ -232,36 +231,36 @@ def _dilation(u: UnitaryBlockEncoding, memo) -> np.ndarray:
     return permute_subsystems(blockform, (2, 2 ** u.system_qubits), (1, 0))
 
 
-def _no_ancilla(u: UnitaryBlockEncoding) -> tuple[int]:
+def _no_ancilla(u: UnitaryBlockEncoding, regs) -> tuple[int]:
     return (0,)
 
 
-def _identity(u: UnitaryBlockEncoding, memo) -> np.ndarray:
+def _identity(u: UnitaryBlockEncoding, regs, memo) -> np.ndarray:
     return np.eye(2 ** u.system_qubits, dtype=complex)
 
 
-def _product_registers(w: UnitaryBlockEncoding) -> tuple[int]:
-    return (sum(a for (a,) in _inputs(w)),)
+def _product_registers(w: UnitaryBlockEncoding, regs) -> tuple[int]:
+    return (sum(a for (a,) in _inputs(w, regs)),)
 
 
-def _product(w: UnitaryBlockEncoding, memo) -> np.ndarray:
+def _product(w: UnitaryBlockEncoding, regs, memo) -> np.ndarray:
     u, v = w.step.inputs
-    (a,), (b,) = _inputs(w)
-    return (np.kron(_unitary(u, memo), np.eye(2 ** b))
+    (a,), (b,) = _inputs(w, regs)
+    return (np.kron(memo[id(u)], np.eye(2 ** b))
             @ _beside(v, memo, (2 ** w.system_qubits, 2 ** a, 2 ** b)))
 
 
-def _lcu_registers(w: UnitaryBlockEncoding) -> tuple[int]:
-    return (max(a for (a,) in _inputs(w)) + w.step.params["pair"].qubits,)
+def _lcu_registers(w: UnitaryBlockEncoding, regs) -> tuple[int]:
+    return (max(a for (a,) in _inputs(w, regs)) + w.step.params["pair"].qubits,)
 
 
-def _lcu(w: UnitaryBlockEncoding, memo) -> np.ndarray:
+def _lcu(w: UnitaryBlockEncoding, regs, memo) -> np.ndarray:
     """(L^dag (x) I) select (R (x) I) for the preparation pair (L, R)."""
     pair = w.step.params["pair"]
-    a = _registers(w)[0] - pair.qubits
+    a = regs[id(w)][0] - pair.qubits
     sub = 2 ** (w.system_qubits + a)
-    select = _select([np.kron(_unitary(e, memo), np.eye(2 ** (a - ea)))
-                      for e, (ea,) in zip(w.step.inputs, _inputs(w))], 2 ** pair.qubits)
+    select = _select([np.kron(memo[id(e)], np.eye(2 ** (a - ea)))
+                      for e, (ea,) in zip(w.step.inputs, _inputs(w, regs))], 2 ** pair.qubits)
     out = (np.kron(pair.left_unitary.conj().T, np.eye(sub)) @ select
            @ np.kron(pair.right_unitary, np.eye(sub)))
     # layout [b][n][a] -> [n][a][b]
@@ -269,8 +268,8 @@ def _lcu(w: UnitaryBlockEncoding, memo) -> np.ndarray:
                               (1, 2, 0))
 
 
-def _scale_one(u: UnitaryBlockEncoding, memo) -> np.ndarray:
-    return _unitary(u.step.inputs[0], memo)
+def _scale_one(u: UnitaryBlockEncoding, regs, memo) -> np.ndarray:
+    return memo[id(u.step.inputs[0])]
 
 
 def _density_target(u: UnitaryBlockEncoding, memo) -> np.ndarray:
@@ -280,19 +279,19 @@ def _density_target(u: UnitaryBlockEncoding, memo) -> np.ndarray:
 
 def _product_target(w: UnitaryBlockEncoding, memo) -> np.ndarray:
     u, v = w.step.inputs
-    return _target(u, memo) @ _target(v, memo)
+    return memo[id(u)] @ memo[id(v)]
 
 
 def _scale_one_target(u: UnitaryBlockEncoding, memo) -> np.ndarray:
     """The input's target over the input's scale."""
     (inner,) = u.step.inputs
-    return _target(inner, memo) / inner.scale
+    return memo[id(inner)] / inner.scale
 
 
 def _lcu_target(w: UnitaryBlockEncoding, memo) -> np.ndarray:
     """sum_k y_k T_k over the inputs' targets T_k."""
     pair = w.step.params["pair"]
-    return np.asarray(sum(yk * _target(e, memo)
+    return np.asarray(sum(yk * memo[id(e)]
                           for yk, e in zip(pair.coefficients, w.step.inputs)))
 
 
@@ -303,27 +302,34 @@ def _power_target(u: UnitaryBlockEncoding, memo) -> np.ndarray:
 
 
 class Rule(NamedTuple):
-    """One rule's entry: ``registers(x)`` (see ``_registers``),
-    ``circuit(x, memo)``, and ``target(x, memo)``, the matrix x's contract
-    names, where None names the encoded block itself."""
+    """One rule's entry: ``registers(x, regs)``, the realized ancilla
+    registers of x's circuit in qubits, (block, purifying) of an oracle and
+    (ancillas,) of a block-encoding; ``circuit(x, regs, memo)``; and
+    ``target(x, memo)``, the matrix x's contract names, where None names the
+    encoded block itself.  ``reads`` names what the rule reads of its
+    inputs: "circuit" (their registers and circuits) and "target"; a rule
+    reads these from ``regs`` and ``memo``, by the input's id."""
 
     registers: Callable
     circuit: Callable
     target: Callable | None = None
+    reads: tuple = ()
 
 
 RULES = {
     "purification": Rule(_declared, _prepared),
     "distribution": Rule(_declared, _distribution),
-    "evolve": Rule(_evolve_registers, _evolve),
-    "embed": Rule(_first_input, _embed),
-    "linear_combination_density": Rule(_mixture_registers, _mixture),
-    "block_encode_density": Rule(_density_registers, _density_block, _density_target),
+    "evolve": Rule(_evolve_registers, _evolve, reads=("circuit",)),
+    "embed": Rule(_first_input, _embed, reads=("circuit",)),
+    "linear_combination_density": Rule(_mixture_registers, _mixture, reads=("circuit",)),
+    "block_encode_density": Rule(_density_registers, _density_block, _density_target,
+                                 ("circuit",)),
     "dilate": Rule(_one_ancilla, _dilation),
     "identity": Rule(_no_ancilla, _identity),
-    "product": Rule(_product_registers, _product, _product_target),
-    "lcu": Rule(_lcu_registers, _lcu, _lcu_target),
-    "as_scale_one": Rule(_first_input, _scale_one, _scale_one_target),
+    "product": Rule(_product_registers, _product, _product_target, ("circuit", "target")),
+    "lcu": Rule(_lcu_registers, _lcu, _lcu_target, ("circuit", "target")),
+    "as_scale_one": Rule(_first_input, _scale_one, _scale_one_target,
+                         ("circuit", "target")),
     # stand-ins until phase factors are synthesized: a density transform
     # prepares its output's purification afresh, and a unitary transform's
     # circuit is the SVD dilation of its block
@@ -339,45 +345,59 @@ RULES = {
 # Reading circuits and targets
 # ---------------------------------------------------------------------------
 
-def _unitary(x, memo: dict) -> np.ndarray:
-    """x's circuit, read once per memo; refused above the dimension cap."""
-    if id(x) not in memo:
-        dim = 2 ** (x.system_qubits + sum(_registers(x)))
-        cap = dimension_cap()
-        if dim > cap:
-            raise ValidationError(f"total dimension {dim} exceeds the cap {cap}")
-        u = as_matrix(RULES[x.step.rule].circuit(x, memo))
-        if u.shape != (dim, dim):
-            raise ValidationError(f"circuit of shape {u.shape} does not match its registers")
-        memo[id(x)] = u
-    return memo[id(x)]
+def _walk(x, kind: str) -> list:
+    """x and every operator whose ``kind`` it reads through the records, each
+    once and after all it reads, on an explicit stack."""
+    order, seen, stack = [], set(), [(x, False)]
+    while stack:
+        y, done = stack.pop()
+        if done:
+            order.append(y)
+        elif id(y) not in seen:
+            seen.add(id(y))
+            stack.append((y, True))
+            if kind in RULES[y.step.rule].reads:
+                stack.extend((i, False) for i in y.step.inputs)
+    return order
 
 
-def _target(u: UnitaryBlockEncoding, memo: dict) -> np.ndarray:
-    if id(u) not in memo:
-        build = RULES[u.step.rule].target
-        memo[id(u)] = u.matrix if build is None else build(u, memo)
-    return memo[id(u)]
+def _circuits(x) -> tuple[dict, dict]:
+    """The realized registers and the circuit of x and of each operator whose
+    circuit x's reads, by id; refused above the dimension cap."""
+    order, regs, memo = _walk(x, "circuit"), {}, {}
+    for y in order:
+        regs[id(y)] = RULES[y.step.rule].registers(y, regs)
+    dims = [2 ** (y.system_qubits + sum(regs[id(y)])) for y in order]
+    if max(dims) > (cap := dimension_cap()):
+        raise ValidationError(f"total dimension {max(dims)} exceeds the cap {cap}")
+    for y, dim in zip(order, dims):
+        memo[id(y)] = as_matrix(RULES[y.step.rule].circuit(y, regs, memo))
+        if memo[id(y)].shape != (dim, dim):
+            raise ValidationError(f"circuit of shape {memo[id(y)].shape} does not "
+                                  "match its registers")
+    return regs, memo
 
 
 def unitary(x) -> np.ndarray:
     """The circuit of an oracle or a block-encoding, on the system and its
     realized registers."""
-    return _unitary(x, {})
+    return _circuits(x)[1][id(x)]
 
 
 def block(u: UnitaryBlockEncoding) -> np.ndarray:
     """The circuit's block on the <0| pattern of its realized ancillas."""
-    a, n = 2 ** _registers(u)[0], 2 ** u.system_qubits
-    return unitary(u).reshape(n, a, n, a)[:, 0, :, 0]
+    regs, memo = _circuits(u)
+    a, n = 2 ** regs[id(u)][0], 2 ** u.system_qubits
+    return memo[id(u)].reshape(n, a, n, a)[:, 0, :, 0]
 
 
 def extract(o: PurifiedAccessOracle) -> np.ndarray:
     """The operator the oracle's circuit prepares: trace out the purifying
     register of the prepared state, its first column, then project the block
     ancillas onto <0|...|0>."""
-    blk, pur = _registers(o)
-    psi = unitary(o)[:, 0]
+    regs, memo = _circuits(o)
+    blk, pur = regs[id(o)]
+    psi = memo[id(o)][:, 0]
     rho = partial_trace(np.outer(psi, psi.conj()), 2 ** (o.system_qubits + blk), 2 ** pur)
     n, a = 2 ** o.system_qubits, 2 ** blk
     return rho.reshape(n, a, n, a)[:, 0, :, 0]
@@ -386,7 +406,11 @@ def extract(o: PurifiedAccessOracle) -> np.ndarray:
 def target(u: UnitaryBlockEncoding) -> np.ndarray:
     """The matrix the encoding's contract names: ``scale`` times its block
     lies within ``declared_error`` of it."""
-    return _target(u, {})
+    memo = {}
+    for y in _walk(u, "target"):
+        build = RULES[y.step.rule].target
+        memo[id(y)] = y.matrix if build is None else build(y, memo)
+    return memo[id(u)]
 
 
 def check(x, slack: float = 1e-8) -> float:

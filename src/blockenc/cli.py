@@ -30,7 +30,6 @@ from .encodings import SubnormalizedDensityOperator, _qubits, purification_of
 from .fixtures import (floored_spectrum_state, ginibre_state, haar_unitary,
                        named_fixture, shared_support_pair)
 from .numerics import ValidationError
-from .resources import QueryCost
 
 STATE_FORMAT = "blockenc-state-v1"
 REPORT_FORMAT = "blockenc-report-v1"
@@ -133,8 +132,7 @@ def _state_matrix(doc) -> np.ndarray:
 def _oracle_from_state(doc: dict, label: str):
     if doc.get("kind") == "probability-vector":
         # the oracle load_state built, under this label
-        o = doc["oracle"]
-        return replace(o, label=label, cost=QueryCost.of(label, gates=o.cost.gates))
+        return replace(doc["oracle"], label=label)
     return purification_of(doc["operator"], label=label)
 
 
@@ -290,11 +288,12 @@ def cmd_approx_poly(args) -> int:
 
 BENCH_QUANTITIES = ("von-neumann", "renyi", "tsallis", "trace-power",
                     "trace-distance", "fidelity")
+#: The largest dimension of a bench-scaling fixture, so its largest rank.
+BENCH_DIM_MAX = 16
 
 
 def _bench_fixture(quantity: str, r: int, rng: np.random.Generator):
-    dim = max(4, 1 << (2 * r - 1).bit_length())
-    dim = min(dim, 16)
+    dim = min(max(4, 1 << (2 * r - 1).bit_length()), BENCH_DIM_MAX)
     if nm.QUANTITIES[quantity].states == 2:
         floor = min(0.2, 0.8 / r)
         a, b = shared_support_pair(dim, r, rng, floor=floor)
@@ -329,6 +328,10 @@ def cmd_bench_scaling(args) -> int:
     sweep_eps = _positive_list(args.sweep_eps, float, "--sweep-eps")
     if args.r < 1:
         raise ValidationError(f"--r must be at least 1, got {args.r}")
+    for flag, ranks in (("--sweep-r", sweep_r), ("--r", [args.r] if sweep_eps else [])):
+        if any(r > BENCH_DIM_MAX for r in ranks):
+            raise ValidationError(f"{flag} must be at most the fixture's dimension "
+                                  f"{BENCH_DIM_MAX}, got {max(ranks)}")
     config = est.AmplitudeEstimatorConfig(mode="analytic", seed=args.seed)
     runs = ([(r, args.epsilon, (args.seed, r)) for r in sweep_r]
             + [(args.r, eps, (args.seed, 1000)) for eps in sweep_eps])

@@ -1,8 +1,11 @@
 """Purified access oracles, block-encodings, and their composition calculus.
 
-Each composition rule computes the composed operator and its query cost,
-which is all the estimators read, and returns it with its construction
-record ``step``: the rule's name, its input operators and its parameters.
+Each composition rule computes the composed operator, which is all the
+estimators read, and returns it with its construction record ``step``: the
+rule's name, its input operators and its parameters.  A rule computes no
+cost: the record holds every input and every certified factor with its
+degree, so a construction's queries can be read from it, and each
+estimator's ledger (``blockenc.resources``) states the paper's cost.
 ``blockenc.circuits`` builds an operator's circuit and contract target from
 that record when a check asks for one; nothing here builds a circuit.  A
 density operator A is held as its purification factor F, with A = F F^dag:
@@ -25,7 +28,6 @@ import numpy as np
 
 from .numerics import (ValidationError, as_matrix, require_hermitian, require_square,
                        spectral_norm)
-from .resources import QueryCost
 
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -198,7 +200,6 @@ class PurifiedAccessOracle:
     block_ancillas: int
     purifying_ancillas: int
     encoded: SubnormalizedDensityOperator
-    cost: QueryCost = field(default_factory=QueryCost)
     label: str = "oracle"
     scale: float = 1.0
     declared_error: float = 0.0
@@ -216,9 +217,9 @@ class UnitaryBlockEncoding:
     orthonormal N x k basis (None is the whole space, where M is B itself),
     ``compression`` is the k x k matrix M and ``kernel_value`` is c.  The dense
     ``matrix`` is built the first time it is read.  ``ancillas`` is the
-    declared register, which the costs read; ``blockenc.circuits`` derives
-    the register a circuit realizes from ``step``, the record of how the
-    encoding was built.
+    register the paper's construction declares; ``blockenc.circuits``
+    derives the register a circuit realizes from ``step``, the record of how
+    the encoding was built.
     """
 
     compression: np.ndarray = field(repr=False, compare=False)
@@ -227,7 +228,6 @@ class UnitaryBlockEncoding:
     scale: float
     declared_error: float
     step: Step = field(repr=False, compare=False)
-    cost: QueryCost = field(default_factory=QueryCost)
     support: np.ndarray | None = field(default=None, repr=False, compare=False)
     kernel_value: complex = 0.0
 
@@ -263,8 +263,7 @@ class UnitaryBlockEncoding:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def purification_of(a, label: str = "oracle",
-                    cost: QueryCost | None = None) -> PurifiedAccessOracle:
+def purification_of(a, label: str = "oracle") -> PurifiedAccessOracle:
     """Minimal purified-access oracle for a subnormalized density operator.
 
     Normalized inputs need no block ancilla; a trace deficit is stored in the
@@ -280,10 +279,10 @@ def purification_of(a, label: str = "oracle",
         step=Step("purification", (a,)), system_qubits=a.system_qubits,
         block_ancillas=block,
         purifying_ancillas=max(1, (a.factor.shape[1] + block - 1).bit_length()),
-        encoded=a, cost=cost if cost is not None else QueryCost.of(label), label=label)
+        encoded=a, label=label)
 
 
-def dilate(m: np.ndarray, cost: QueryCost | None = None) -> UnitaryBlockEncoding:
+def dilate(m: np.ndarray) -> UnitaryBlockEncoding:
     """Exact two-block unitary dilation of a contraction m (one extra qubit).
 
     An SVD checks the norm on the call; the circuit is the SVD dilation of m,
@@ -296,7 +295,7 @@ def dilate(m: np.ndarray, cost: QueryCost | None = None) -> UnitaryBlockEncoding
     return UnitaryBlockEncoding(
         compression=m, system_qubits=_qubits(m.shape[0], "contraction"),
         ancillas=1, scale=1.0, declared_error=0.0,
-        step=Step("dilate"), cost=cost if cost is not None else QueryCost())
+        step=Step("dilate"))
 
 
 def identity_encoding(n: int) -> UnitaryBlockEncoding:
@@ -321,7 +320,7 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
 
     The circuit swaps a fresh system register into the prepared
     purification, controlled on the block ancillas being |0>, and flags
-    every other branch.  Costs one query to U and U^dag plus O(a) gates.
+    every other branch.  Uses one query to U and U^dag plus O(a) gates.
     """
     n = oracle.system_qubits
     a = oracle.encoded
@@ -330,18 +329,14 @@ def block_encode_density(oracle: PurifiedAccessOracle) -> UnitaryBlockEncoding:
         compression=a.matrix if v is None else np.diag(w),
         step=Step("block_encode_density", (oracle,)), system_qubits=n,
         ancillas=n + oracle.block_ancillas + oracle.purifying_ancillas,
-        scale=1.0, declared_error=0.0,
-        cost=(oracle.cost + oracle.cost).plus_gates(
-            oracle.block_ancillas + oracle.purifying_ancillas),
-        support=v)
+        scale=1.0, declared_error=0.0, support=v)
 
 
-def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
-           label: str | None = None) -> PurifiedAccessOracle:
+def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding) -> PurifiedAccessOracle:
     """Prepare B A B^dag from an oracle for A and a scale-1 encoding of B.
 
     The output's factor is B F = Q (M - c I)(Q^dag F) + c F, in O(N k m) for
-    a factor of m columns; the cost charges one query to each input.
+    a factor of m columns; the construction uses one query to each input.
     """
     if v.system_qubits != oracle.system_qubits:
         raise ValidationError("system dimension mismatch between oracle and encoding")
@@ -350,7 +345,7 @@ def evolve(oracle: PurifiedAccessOracle, v: UnitaryBlockEncoding,
                               "(use as_scale_one())")
     out = purification_of(
         SubnormalizedDensityOperator(v._apply(oracle.encoded.factor), oracle.system_qubits),
-        label=label or oracle.label, cost=oracle.cost + v.cost)
+        label=oracle.label)
     return replace(out, step=Step("evolve", (oracle, v)))
 
 
@@ -369,7 +364,7 @@ def embed(oracle: PurifiedAccessOracle, extra_qubits: int) -> PurifiedAccessOrac
         system_qubits=oracle.system_qubits + extra_qubits,
         block_ancillas=oracle.block_ancillas,
         purifying_ancillas=oracle.purifying_ancillas,
-        encoded=enc, cost=oracle.cost, label=oracle.label)
+        encoded=enc, label=oracle.label)
 
 
 def _joint_support(encodings) -> tuple[np.ndarray | None, list, list]:
@@ -406,7 +401,7 @@ def product(u: UnitaryBlockEncoding, v: UnitaryBlockEncoding) -> UnitaryBlockEnc
         ancillas=u.ancillas + v.ancillas,
         scale=u.scale * v.scale,
         declared_error=u.scale * v.declared_error + v.scale * u.declared_error,
-        cost=u.cost + v.cost, support=q, kernel_value=cu * cv)
+        support=q, kernel_value=cu * cv)
 
 
 def encoding_power(u: UnitaryBlockEncoding, k: int) -> UnitaryBlockEncoding:
@@ -416,15 +411,14 @@ def encoding_power(u: UnitaryBlockEncoding, k: int) -> UnitaryBlockEncoding:
     return reduce(product, [u] * k)
 
 
-def linear_combination_density(coefficients, oracles,
-                               label: str | None = None) -> PurifiedAccessOracle:
+def linear_combination_density(coefficients, oracles) -> PurifiedAccessOracle:
     """Convex combination sum_k alpha_k A_k of subnormalized density operators.
 
     Literal select construction: a coefficient-preparation unitary over
     sqrt(alpha_k) controls the padded oracles, with register alignment at the
     maxima of the input ancilla counts.  A coefficient deficit 1 - sum(alpha)
     is parked on a branch that flips a block ancilla, so the block projection
-    still returns the declared combination.  One query to each input.
+    still returns the declared combination.  Uses one query to each input.
     """
     alphas = np.asarray(coefficients, dtype=float)
     if alphas.ndim != 1 or alphas.size != len(oracles) or alphas.size == 0:
@@ -452,8 +446,7 @@ def linear_combination_density(coefficients, oracles,
         purifying_ancillas=m + max(o.purifying_ancillas for o in oracles),
         encoded=SubnormalizedDensityOperator(
             np.hstack([np.sqrt(al) * o.encoded.factor for al, o in zip(alphas, oracles)]), n),
-        cost=sum((o.cost for o in oracles), QueryCost(gates=2 * m)),
-        label=label or oracles[0].label)
+        label=oracles[0].label)
 
 
 @dataclass(frozen=True)
@@ -520,8 +513,8 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
     """Linear combination of block-encoded operators through a preparation pair.
 
     Output contract (alpha beta, a+b, alpha beta eps) on sum_k y_k A_k for
-    scale-alpha inputs with errors at most eps, since the pair is exact; one
-    query to each controlled input and to the pair members.
+    scale-alpha inputs with errors at most eps, since the pair is exact; uses
+    one query to each controlled input and to the pair members.
     On the joint support Q the block is (Q, sum_k w_k M_k, sum_k w_k c_k),
     with w_k the pair's weights c_k^* d_k.
     """
@@ -543,6 +536,5 @@ def lcu(pair: StatePreparationPair, encodings) -> UnitaryBlockEncoding:
         compression=sum(wk * m for wk, m in zip(weights, ms)),
         step=Step("lcu", tuple(encodings), {"pair": pair}),
         system_qubits=n, ancillas=a,
-        scale=alpha * pair.norm_bound, declared_error=err,
-        cost=sum((e.cost for e in encodings), QueryCost(gates=pair.qubits ** 2)),
-        support=q, kernel_value=sum(wk * c for wk, c in zip(weights, cs)))
+        scale=alpha * pair.norm_bound, declared_error=err, support=q,
+        kernel_value=sum(wk * c for wk, c in zip(weights, cs)))

@@ -709,7 +709,7 @@ def distribution_to_purified_oracle(p, label: str = "dist") -> PurifiedAccessOra
     return PurifiedAccessOracle(
         step=Step("distribution", (), {"p": p}), system_qubits=n, block_ancillas=0,
         purifying_ancillas=n,
-        encoded=encoded, cost=QueryCost.of(label, gates=n), label=label)
+        encoded=encoded, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +784,7 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
                      q1 * (oracle_rho.total_qubits + oracle_sigma.total_qubits),
                      [(oracle_rho, per_state), (oracle_sigma, per_state)])
 
-    mu_oracle = linear_combination_density([0.5, 0.5], [oracle_rho, oracle_sigma],
-                                           label="mu")
+    mu_oracle = linear_combination_density([0.5, 0.5], [oracle_rho, oracle_sigma])
     thr = eigenvalue_threshold_projector(mu_oracle, op["delta1"], op["eps1"])
     # scale-1 encoding of nu = (rho - sigma)/2 through the (HX, H) pair
     w_nu = lcu(StatePreparationPair.plus_minus(),
@@ -795,7 +794,7 @@ def estimate_trace_distance(oracle_rho: PurifiedAccessOracle,
         half = encoding_power(w_nu, int(round(alpha)) // 2)
     else:
         half = power_unitary(w_nu, alpha / 2.0, op["delta2"], op["eps2"])
-    eta = evolve(thr, half.as_scale_one(), label="eta")
+    eta = evolve(thr, half.as_scale_one())
     p_tilde, _ = trace_estimate(eta, op["delta1"], op["eps3"], config)
     return _report("trace-distance", (oracle_rho, oracle_sigma), alpha,
                    half.scale ** 2 * 4.0 / op["delta1"] * p_tilde, epsilon, record,
@@ -878,7 +877,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
         expected = "O~(r^((3-a)/2a) / eps^((3+a)/2a))"
 
         u_beta = encoding_power(block_encode_density(oracle_sigma), b_int)
-        eta = evolve(oracle_rho, u_beta, label="eta")
+        eta = evolve(oracle_rho, u_beta)
         ppd = positive_power_density(eta, alpha, op["delta1"], op["eps1"])
         b_op = op["delta1"] ** (1.0 - alpha) * (r ** (1.0 - alpha) + 1.0) / 4.0
         p_tilde, _ = trace_estimate(ppd, b_op, op["eps2"], config)
@@ -916,7 +915,7 @@ def estimate_fidelity(oracle_rho: PurifiedAccessOracle,
 
         u_beta = power_unitary(block_encode_density(oracle_sigma), beta,
                                op["delta1"], op["eps1"])
-        eta = evolve(oracle_rho, u_beta.as_scale_one(), label="eta")
+        eta = evolve(oracle_rho, u_beta.as_scale_one())
         ppd = positive_power_density(eta, alpha, op["delta2"], op["eps2"])
         b_op = op["delta2"] ** (1.0 - alpha) * r ** (1.0 - alpha) / 4.0
         p_tilde, _ = trace_estimate(ppd, b_op, op["eps3"], config)

@@ -172,6 +172,9 @@ class _Split:
 
 def _parity_split(c) -> _Split:
     c = np.asarray(c, dtype=float)
+    # a non-finite sum never meets the many-point regime's stop test
+    if not np.isfinite(c).all():
+        raise ValidationError("Chebyshev series has a non-finite coefficient")
     if not c[1::2].any():
         return _Split(c, c[0::2], 0, 2)
     if not c[0::2].any():
@@ -397,8 +400,10 @@ def _build(family: str, params: dict, epsilon: float, bound_limit: float, parity
     check_grid, test = check if check is not None else (np.empty(0), None)
     achieved: dict = {}
     for degree in _degree_ladder(start_degree):
-        coeffs = _apply_parity(_chebyshev_fit(surrogate, degree), parity)
-        coeffs = _trim_tail(coeffs)
+        coeffs = _chebyshev_fit(surrogate, degree)
+        if not np.isfinite(coeffs).all():
+            raise ValidationError(f"the {family} surrogate is not finite at {params}")
+        coeffs = _trim_tail(_apply_parity(coeffs, parity))
         # one kernel call samples the interval, global and check grids, so the
         # many-point regime pays for its FFTs once
         global_grid = _global_grid(degree, parity == "even")
@@ -566,8 +571,12 @@ def _family(name: str, formula: Callable[..., int], **ranges):
                 if not (lo < value < hi or (bracket == "]" and value == hi)):
                     raise ValidationError(f"{name} {key} must be in ({lo}, {hi}{bracket}, "
                                           f"got {value}")
-            return _build(name, params, params["epsilon"], 1.0, "even", formula(**params),
-                          *body(**params))
+            try:
+                start, parts = formula(**params), body(**params)
+            except OverflowError:
+                raise ValidationError(f"the {name} formula degree or surrogate is not "
+                                      f"finite at {params}") from None
+            return _build(name, params, params["epsilon"], 1.0, "even", start, *parts)
 
         construct.formula = formula
         FAMILIES[name] = Family(name, ranges, formula, body.__name__)

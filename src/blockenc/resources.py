@@ -1,9 +1,10 @@
-"""Query and gate accounting for oracles, encodings, and estimators.
+"""Query and gate accounting for the estimators.
 
-One cost algebra, ``QueryCost``, serves both levels.  Oracles and encodings
-carry a cost that composes additively through the calculus; each estimator's
-ledger is a ``QueryCost`` evaluated from its formulas (degree formulas times
-amplitude-estimation repetitions).
+The estimators' ledgers are the one cost model: each is a ``QueryCost``
+evaluated from the estimator's formulas (degree formulas times
+amplitude-estimation repetitions).  The calculus computes no cost; an
+operator's construction record (``encodings.Step``) holds its inputs and
+its certified factors with their degrees.
 """
 
 from __future__ import annotations
@@ -23,18 +24,17 @@ def _merge(a: tuple, b: tuple, k: int = 1) -> tuple:
 
 @dataclass(frozen=True)
 class QueryCost:
-    """Additive oracle-query and gate counter attached to values and
-    reported as an estimator's ledger."""
+    """Additive oracle-query and gate counter, reported as an estimator's
+    ledger."""
 
     queries: tuple = ()        # ((oracle label, count to U and U^dag), ...)
     controlled: tuple = ()
     gates: int = 0
 
     @staticmethod
-    def of(label: str, queries: int = 1, controlled: int = 0, gates: int = 0) -> "QueryCost":
+    def of(label: str, queries: int = 1, controlled: int = 0) -> "QueryCost":
         return QueryCost(queries=((label, queries),),
-                         controlled=((label, controlled),) if controlled else (),
-                         gates=gates)
+                         controlled=((label, controlled),) if controlled else ())
 
     def __add__(self, other: "QueryCost") -> "QueryCost":
         return QueryCost(queries=_merge(self.queries, other.queries),
@@ -48,13 +48,6 @@ class QueryCost:
 
     def plus_gates(self, gates: int) -> "QueryCost":
         return QueryCost(self.queries, self.controlled, self.gates + gates)
-
-    def transformed(self, degree: int, width: int) -> "QueryCost":
-        """Cost of a degree-d eigenvalue transform of an encoding with this
-        cost: 2d uses of U and U^dag, one controlled use of U, and d gates on
-        each of ``width`` qubits."""
-        return self.scaled(2 * degree) + QueryCost(controlled=self.queries,
-                                                   gates=width * degree)
 
     def query_count(self, label: str | None = None) -> int:
         if label is None:

@@ -1,11 +1,11 @@
 """Eigenvalue transformations of block-encodings and density-operator oracles.
 
-Polynomial transforms are realized semantically, while query costs are
-charged per the originating analysis.  A transform takes its certified
-factors P_1, ..., P_m, checks each against its QSVT limit, applies the
-product of their values at the spectrum, and charges one transform at the
-summed degree (the degrees of a product add, Gilyen, Su, Low and Wiebe,
-arXiv:1806.01838).  A density transform maps the input operator's
+Polynomial transforms are realized semantically, and a transform computes
+no query cost.  A transform takes its certified factors P_1, ..., P_m,
+checks each against its QSVT limit, applies the product of their values at
+the spectrum, and records the factors: the construction is one transform at
+their summed degree (the degrees of a product add, Gilyen, Su, Low and
+Wiebe, arXiv:1806.01838).  A density transform maps the input operator's
 eigenpairs, read from a thin SVD of its purification factor, to the output's
 factor, so no dense matrix is decomposed; a unitary transform decomposes the
 k x k compression of the encoded block, applies the polynomial to that
@@ -27,8 +27,9 @@ This module is the one home of each named transform's polynomial families.
 A named transform lists them once, through ``_factors``: its ``factors``
 certifies them at the transform's delta and epsilon, and its ``formula``
 sums their formula degrees, the degree at which their ladders start.  The
-estimators run the transforms on their operational schedule and charge
-``formula`` on their analysis schedule, so ``estimation`` names no family.
+estimators run the transforms on their operational schedule and their
+ledgers charge ``formula`` on their analysis schedule, so ``estimation``
+names no family.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ QSVT_PRECISION = 1e-12
 
 
 def _product(factors: tuple[CertifiedPolynomial, ...]):
-    """w -> prod_i P_i(w) on w clipped to [-1, 1], and the summed degree.
+    """w -> prod_i P_i(w) on w clipped to [-1, 1].
 
     Each factor must meet its QSVT limit, the ``bound_limit`` it was certified
     against; as each is then at most one in absolute value, so is their product.
@@ -64,7 +65,7 @@ def _product(factors: tuple[CertifiedPolynomial, ...]):
         w = np.clip(w, -1.0, 1.0)
         return math.prod((p(w) for p in factors), start=np.ones(np.shape(w)))
 
-    return f, sum(p.degree for p in factors)
+    return f
 
 
 def _block_function(u: UnitaryBlockEncoding, f, **contract) -> UnitaryBlockEncoding:
@@ -96,16 +97,14 @@ def qsvt_unitary(u: UnitaryBlockEncoding, *factors: CertifiedPolynomial
     """(1, a+2, precision)-block-encoding of P(A), P the product of ``factors``,
     from a scale-1 encoding of A.
 
-    Charges the transform cost at d = sum of the factors' degrees: 2d uses of
-    U and U^dag and one controlled use.
+    The transform at d = sum of the factors' degrees uses U and U^dag 2d
+    times and one controlled U.
     """
     if abs(u.scale - 1.0) > 1e-12:
         raise ValidationError("QSVT needs a scale-1 block-encoding")
-    f, degree = _product(factors)
-    return _block_function(u, f, ancillas=u.ancillas + 2, scale=1.0,
+    return _block_function(u, _product(factors), ancillas=u.ancillas + 2, scale=1.0,
                            declared_error=QSVT_PRECISION,
-                           step=Step("qsvt_unitary", (u,), {"factors": factors}),
-                           cost=u.cost.transformed(degree, u.ancillas + 1))
+                           step=Step("qsvt_unitary", (u,), {"factors": factors}))
 
 
 def qsvt_density(oracle: PurifiedAccessOracle, *factors: CertifiedPolynomial
@@ -117,15 +116,14 @@ def qsvt_density(oracle: PurifiedAccessOracle, *factors: CertifiedPolynomial
     P reads an eigenvalue above one (by at most the input's trace tolerance)
     as one.
     The composition constant from the proof is 5/2, so the declared error of
-    the prepared operator is 2.5 * QSVT_PRECISION, at scale one.  Charges the
-    transform cost at d = sum of the factors' degrees: 2d uses of the oracle
-    and its inverse and one controlled use.
+    the prepared operator is 2.5 * QSVT_PRECISION, at scale one.  The
+    transform at d = sum of the factors' degrees uses the oracle and its
+    inverse 2d times and one controlled oracle.
     """
-    f, degree = _product(factors)
+    f = _product(factors)
     w, v = oracle.encoded.eigenpairs
-    cost = oracle.cost.transformed(degree, oracle.total_qubits + 1)
     out = SubnormalizedDensityOperator(v * (np.sqrt(w) * f(w)), oracle.system_qubits)
-    return replace(purification_of(out, label=oracle.label, cost=cost),
+    return replace(purification_of(out, label=oracle.label),
                    declared_error=2.5 * QSVT_PRECISION,
                    step=Step("qsvt_density", (oracle,), {"factors": factors}))
 

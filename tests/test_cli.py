@@ -15,7 +15,6 @@ from blockenc import estimation as est
 from blockenc import numerics as nm
 from blockenc import polyapprox as pa
 from blockenc.fixtures import floored_spectrum_state, maximally_mixed, shared_support_pair
-from blockenc.resources import QueryCost
 
 
 def run(argv):
@@ -130,6 +129,14 @@ BAD_NUMBERS = {
     **{f"bench-scaling-r-{r}": (["bench-scaling", "--quantity", "von-neumann",
                                  "--sweep-eps", "0.2,0.1", "--r", r], "--r must be at least 1")
        for r in ("0", "-1")},
+    # the fixture's dimension is at most 16, so a larger rank once failed in
+    # the fixture (exit 1); --r is read only with --sweep-eps
+    **{f"bench-scaling-{name}": (["bench-scaling", "--quantity", quantity, *argv],
+                                 f"{flag} must be at most the fixture's dimension 16, got {r}")
+       for name, quantity, argv, flag, r in [
+           ("sweep-r-17", "von-neumann", ["--sweep-r", "16,17"], "--sweep-r", 17),
+           ("two-states-sweep-r-18", "trace-distance", ["--sweep-r", "17,18"], "--sweep-r", 18),
+           ("r-17", "von-neumann", ["--sweep-eps", "0.2,0.1", "--r", "17"], "--r", 17)]},
     # delta is in (0, 1/2], but the power families' quadratures start at
     # delta^2, which underflows to zero
     **{f"{family}-delta-squared-underflows": (
@@ -181,6 +188,20 @@ BAD_NUMBERS = {
         ["estimate", "--quantity", quantity, "--delta", delta, "--state", "{path}"],
         "rank estimation needs delta in [1.6e-05, 1/10], got")
        for quantity in ("rank", "max-entropy") for delta in ("1e-308", "1e-160", "1.5e-05")},
+    # the quadrature's weights exp(a u - lgamma(a)) overflow, and the nan
+    # they make once kept the kernel's order loop running without end; at
+    # c = 1e306 the formula degree, and at delta = epsilon = 0.5 lgamma,
+    # overflowed (exit 1)
+    **{f"neg-power-c-{c}-delta-{delta}-epsilon-{eps}": (
+        ["approx-poly", "--family", "neg-power", "--c", c, "--delta", delta,
+         "--epsilon", eps], f"the neg-power {what} not finite at {{'c': {float(c)}, "
+                            f"'delta': {float(delta)}, 'epsilon': {float(eps)}}}")
+       for c, delta, eps, what in [
+           ("1000", "0.1", "0.01", "surrogate is"), ("300", "0.1", "0.01", "surrogate is"),
+           ("1e305", "0.1", "0.01", "surrogate is"), ("150", "0.01", "1e-3", "surrogate is"),
+           ("100", "1e-3", "1e-6", "surrogate is"),
+           ("1e306", "0.1", "0.01", "formula degree or surrogate is"),
+           ("1e306", "0.5", "0.5", "formula degree or surrogate is")]},
     **{f"{quantity}-kappa-{kappa}": (
         ["estimate", "--quantity", quantity, "--kappa", kappa, "--state", "{path}"]
         + (["--alpha", "0"] if quantity in ("renyi", "tsallis") else []), message)
@@ -272,8 +293,7 @@ def test_classical_state_file_builds_no_system_sized_array(tmp_path):
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     direct = est.distribution_to_purified_oracle(p, label="rho")
-    assert (oracle.label, oracle.cost) == (direct.label, direct.cost) == (
-        "rho", QueryCost.of("rho", gates=10))
+    assert oracle.label == direct.label == "rho"
     assert np.array_equal(oracle.encoded.factor, direct.encoded.factor)
 
 
@@ -486,10 +506,28 @@ def test_bench_scaling_runs_the_two_state_fixture(tmp_path, argv, slope):
     assert doc["slope_r"] == pytest.approx(slope, abs=1e-4)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--quantity", "von-neumann", "--sweep-r", "16"],
+    ["--quantity", "trace-distance", "--sweep-r", "16"],
+    # --r is read only with --sweep-eps
+    ["--quantity", "von-neumann", "--r", "17"]], ids=["one-state", "two-states", "r-unread"])
+def test_bench_scaling_runs_up_to_the_fixture_dimension(tmp_path, argv):
+    assert run(["bench-scaling", *argv, "--out", str(tmp_path / "b.json")]) == 0
+
+
 def test_approx_poly_certification_failure_exit_code():
     # large exponent at tiny delta cannot certify under the degree cap
     assert run(["approx-poly", "--family", "neg-power", "--c", "3.0",
                 "--delta", "0.002", "--epsilon", "0.001"]) == 3
+
+
+@pytest.mark.parametrize("c", ["10", "100"])
+def test_approx_poly_large_finite_exponent_still_fails_certification(capsys, c):
+    # the quadrature's weights are finite here, so the build runs its ladder
+    # and fails to certify; from c = 300 at this delta and epsilon they are not
+    assert run(["approx-poly", "--family", "neg-power", "--c", c, "--delta", "0.1",
+                "--epsilon", "0.01", "--out", os.devnull]) == 3
+    assert "certification of neg-power failed" in capsys.readouterr().err
 
 
 def test_schedule_budget_failure_exit_code(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,19 @@ def actual(u):
     """scale times the block of u's circuit: the side of u's contract that
     approximates its target."""
     return u.scale * circuits.block(u)
+
+
+def test_calculus_computes_no_cost():
+    # the estimators' ledgers are the one cost model: no rule of the calculus
+    # or of a transform imports the cost algebra, and no value carries a cost
+    for module in (enc, tf):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        imported += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                     for a in n.names]
+        assert imported and not [m for m in imported if "resources" in m]
+    for cls in (enc.PurifiedAccessOracle, enc.UnitaryBlockEncoding):
+        assert "cost" not in [f.name for f in dataclasses.fields(cls)]
 
 
 # -- purification -------------------------------------------------------------
@@ -254,11 +271,6 @@ def test_block_encode_density_support(linalg_calls, rank, support):
     assert linalg_calls.shapes == ([] if q is None else [("svd", (16, rank))])
 
 
-def test_block_encode_density_cost_charges_two_queries():
-    o = oracle_for(maximally_mixed(2))
-    assert enc.block_encode_density(o).cost.query_count("rho") == 2
-
-
 # -- dilation -----------------------------------------------------------------
 
 def test_dilate_identity_and_zero():
@@ -402,21 +414,30 @@ def test_product_exact_diagonals():
     assert p.ancillas == 2
 
 
+def test_circuits_read_a_deep_record_without_recursion():
+    # each call walks a record on an explicit stack: 2000 levels stay far
+    # under the cap here, and above it the cap, not the recursion, refuses
+    chain = enc.encoding_power(enc.identity_encoding(1), 2000)
+    assert np.array_equal(circuits.unitary(chain), np.eye(2))
+    assert np.array_equal(circuits.target(chain), np.eye(2))
+    assert circuits.check(chain) == 0.0
+    o = oracle_for(maximally_mixed(2))
+    evolved = o
+    for _ in range(2000):
+        evolved = enc.evolve(evolved, enc.identity_encoding(1))
+    assert np.array_equal(circuits.extract(evolved), circuits.extract(o))
+    power = enc.encoding_power(enc.block_encode_density(o), 2000)
+    for read in (circuits.unitary, circuits.block, circuits.check):
+        with pytest.raises(ValidationError, match="exceeds the cap"):
+            read(power)
+
+
 def test_product_power_matches_matrix_power():
     rng = np.random.default_rng(37)
     rho = ginibre_state(4, 3, rng)
     u = enc.dilate(rho)
     p3 = enc.encoding_power(u, 3)
     assert spectral_norm(circuits.block(p3) - np.linalg.matrix_power(rho, 3)) < 1e-8
-
-
-def test_product_cost_additivity():
-    o1 = oracle_for(maximally_mixed(2), "rho")
-    o2 = oracle_for(maximally_mixed(2), "sigma")
-    u, v = enc.block_encode_density(o1), enc.block_encode_density(o2)
-    p = enc.product(u, v)
-    assert p.cost.query_count("rho") == u.cost.query_count("rho")
-    assert p.cost.query_count("sigma") == v.cost.query_count("sigma")
 
 
 # -- linear combinations ------------------------------------------------------

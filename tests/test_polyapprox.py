@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,6 +514,35 @@ def test_mixture_surrogate_memory_is_bounded_by_its_chunk():
         tracemalloc.stop()
     assert p.degree == pa.DEGREE_CAP
     assert peak < 3 * 2 ** 20
+
+
+#: Evaluates series with a non-finite coefficient in both regimes and
+#: prints each refusal.
+NON_FINITE_SCRIPT = """
+import numpy as np
+from blockenc import polyapprox as pa
+from blockenc.numerics import ValidationError
+x = np.linspace(-1.0, 1.0, pa.GRID_POINTS)
+for c in ([1.0, np.nan, 0.5], [np.nan], [0.5, 0.0, np.inf]):
+    for points in (x, x[:1]):
+        try:
+            pa._chebval(points, np.array(c))
+        except ValidationError as exc:
+            print(exc)
+"""
+
+
+def test_kernel_refuses_a_non_finite_series():
+    # the many-point regime's order loop never met its stop test on a nan sum
+    # and appended rows without end; the timeout turns such a hang into a failure
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", NON_FINITE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == ["Chebyshev series has a non-finite coefficient"] * 6
 
 
 def test_kernel_domain_clamps_rounding_and_rejects_the_rest():
