@@ -367,12 +367,14 @@ def _circuits(x) -> tuple[dict, dict]:
     order, regs, memo = _walk(x, "circuit"), {}, {}
     for y in order:
         regs[id(y)] = RULES[y.step.rule].registers(y, regs)
-    dims = [2 ** (y.system_qubits + sum(regs[id(y)])) for y in order]
-    if max(dims) > (cap := dimension_cap()):
-        raise ValidationError(f"total dimension {max(dims)} exceeds the cap {cap}")
-    for y, dim in zip(order, dims):
+    qubits = [y.system_qubits + sum(regs[id(y)]) for y in order]
+    if 2 ** (q := max(qubits)) > (cap := dimension_cap()):
+        # a dimension past 2^63 is named by its qubit count, not its digits
+        raise ValidationError(f"total dimension {2 ** q if q < 64 else f'2^{q}'} "
+                              f"exceeds the cap {cap}")
+    for y, q in zip(order, qubits):
         memo[id(y)] = as_matrix(RULES[y.step.rule].circuit(y, regs, memo))
-        if memo[id(y)].shape != (dim, dim):
+        if memo[id(y)].shape != (2 ** q, 2 ** q):
             raise ValidationError(f"circuit of shape {memo[id(y)].shape} does not "
                                   "match its registers")
     return regs, memo

@@ -6,13 +6,14 @@ sqrt(-ln x)), builds a smooth surrogate that is cheap to sample, projects it
 onto the Chebyshev basis by discrete cosine quadrature, and then certifies
 the result on a dense grid: sup error against the target on the certified
 interval, the global bound on [-1, 1], and any band conditions.  Each rung
-of the degree ladder samples all of these grids in one kernel call; an even
-series is evaluated at |x|, so its global grid is the distinct |x| of the
-[-1, 1] grid.  Degrees start at four times the family's asymptotic formula
-and double until the certificate passes or the degree cap is hit; a failed
-certificate is always a raised error, never a silent pass.  No product of approximants is formed
-here: a transform takes its certified factors and multiplies their values
-at the spectrum (see ``transform``).
+of the degree ladder plans its series once and streams all of these grids
+through the plan (see ``_build``); an even series is evaluated at |x|, so
+its global grid is the distinct |x| of the [-1, 1] grid.  Degrees start at
+four times the family's asymptotic formula and double until the
+certificate passes or the degree cap is hit; a failed certificate, a NaN
+sample included, is always a raised error, never a silent pass.  No product
+of approximants is formed here: a transform takes its certified factors
+and multiplies their values at the spectrum (see ``transform``).
 
 ``FAMILIES`` is the one table of the six families: one ``Family`` record
 each, with the family's name, the range of each constructor parameter and
@@ -67,9 +68,12 @@ decaying series the families certify.  The rows a_k (k/K)^l / l! come from
 a running product, and the G_l at the nodes from real FFTs of length n_f,
 two rows to an FFT: Re(i^l G_l) needs the real part of an even row's
 spectrum and the imaginary part of an odd row's, and one real FFT of a
-packed array carries both (``_pack``).  The L / 2 spectra are held at
-once, and the points run through them in blocks of ``_BLOCK``, so that the
-per-point arrays stay in cache and the allocator reuses them.  The cost is
+packed array carries both (``_pack``).  A series' plan (``_plan``) holds its
+L / 2 spectra in one complex array, each written there by its FFT and read
+through the array's real and imaginary views.  Points run through a plan
+in blocks of ``_BLOCK`` (``_series``), so the per-point arrays stay in
+cache and the allocator reuses them: a caller that reduces each block as it
+comes, as ``_build`` does, forms no array of its grids' size.  The cost is
 O(L n_f log n_f / 2 + L points) against O(points x terms).  This is the
 Taylor-series nonuniform FFT of Anderson and Dahleh (SIAM J. Sci. Comput.
 1996); see also Dutt and Rokhlin (SIAM J. Sci. Comput. 1993).
@@ -187,21 +191,22 @@ def _chebval(x, c: np.ndarray):
     return _evaluate(x, _parity_split(c))
 
 
-def _evaluate(x, split: _Split):
-    """sum_k c_k T_k(x) for the series ``split`` holds, shaped like x."""
-    x = np.asarray(x, dtype=float)
+def _domain(x: np.ndarray) -> np.ndarray:
+    """x flat and clipped to [-1, 1]; a point further out than rounding is an
+    error."""
     flat = x.ravel()
     # a NaN maximum fails the test too
     if not np.abs(flat).max(initial=0.0) <= 1.0 + _DOMAIN_SLACK:
         raise ValidationError("Chebyshev series evaluated outside [-1, 1]")
-    flat = flat.clip(-1.0, 1.0)
+    return flat.clip(-1.0, 1.0)
+
+
+def _evaluate(x, split: _Split):
+    """sum_k c_k T_k(x) for the series ``split`` holds, shaped like x."""
+    x = np.asarray(x, dtype=float)
+    flat = _domain(x)
     if flat.size >= split.terms.size:
-        # many points; an odd series runs as a parity-free one
-        if split.start == 0 and split.step == 2:
-            out = _cosine_series(split.terms, flat, lambda v: 2.0 * np.arccos(np.abs(v)))
-        else:
-            out = _cosine_series(split.coefficients, flat, np.arccos)
-        return out.reshape(x.shape)[()]
+        return _cosine_series(_plan(split), flat, np.empty(flat.size)).reshape(x.shape)[()]
     table, frequencies = split.tables
     m = table.shape[1]
     out = np.empty(flat.size)
@@ -266,50 +271,94 @@ def _pack(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cosine_series(a: np.ndarray, x: np.ndarray, angle) -> np.ndarray:
-    """sum_k a_k cos(k psi) at psi = angle(x) in [0, pi], for a flat x: the
-    many-point regime of the module docstring."""
+def _plan(split: _Split) -> tuple:
+    """The many-point regime's per-series part, (K, n_f, spectra, angle): the
+    L / 2 packed spectra in one complex array, and psi as a function of x."""
+    if split.start == 0 and split.step == 2:
+        a, angle = split.terms, lambda v: 2.0 * np.arccos(np.abs(v))
+    else:       # an odd series runs as a parity-free one
+        a, angle = split.coefficients, np.arccos
     top = max(a.size - 1, 1)                      # K, the highest frequency
     nodes = _fft_nodes(top)
     reach = math.pi * top / nodes                 # |K delta| <= reach <= pi / 4
     _, rows = _taylor_rows(a, reach)
-    # node j of rfft(packed) is Re F r_l + i Im F r_{l+1}, with
-    # F r_l = conj G_l(psi_j) / l!, so Re(i^l G_l) / l! is (-1)^{floor(l/2)}
-    # times the real part for even l and the imaginary part for odd l
     packed = np.zeros(nodes)
-    spectra = []
-    for l in range(0, len(rows), 2):
-        spectrum = np.fft.rfft(_pack(rows[l], rows[l + 1], packed))
-        spectra.append((np.ascontiguousarray(spectrum.real),
-                        np.ascontiguousarray(spectrum.imag)))
-    re_top, im_top = spectra.pop()
-    out = np.empty(x.size)
+    spectra = np.empty((len(rows) // 2, nodes // 2 + 1), dtype=complex)
+    for l, spectrum in zip(range(0, len(rows), 2), spectra):
+        np.fft.rfft(_pack(rows[l], rows[l + 1], packed), out=spectrum)
+    return top, nodes, spectra, angle
+
+
+def _series(plan: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k a_k cos(k psi) at psi = angle(x), for the series ``plan`` was
+    made from and at most ``_BLOCK`` points x in [-1, 1], into ``out``."""
+    top, nodes, spectra, angle = plan
+    psi = angle(x)
+    nearest = np.rint(psi * (nodes / math.tau))     # j, in [0, nodes / 2]
+    # delta = psi - 2 pi j / n_f: j _TAU_HI / n_f is exact and so is its
+    # difference from psi, so only the small _TAU_LO term rounds
+    offset = (psi - nearest * (_TAU_HI / nodes)) - nearest * (_TAU_LO / nodes)
+    offset *= top                                   # K delta
+    square = offset * offset
+    index = nearest.astype(np.intp)
+    # node j of spectrum l / 2 is Re F r_l + i Im F r_{l+1}, with
+    # F r_l = conj G_l(psi_j) / l!, so Re(i^l G_l) / l! is (-1)^{floor(l/2)}
+    # times the real part for even l and the imaginary part for odd l.
+    # Horner in -(K delta)^2 on the even rows and on the odd rows, then
+    # sum = even + K delta odd
+    re, im = spectra.real, spectra.imag
+    even, odd = re[-1][index], im[-1][index]
+    for l in range(len(spectra) - 2, -1, -1):
+        even *= square
+        np.subtract(re[l][index], even, out=even)
+        odd *= square
+        np.subtract(im[l][index], odd, out=odd)
+    odd *= offset
+    return np.add(even, odd, out=out)
+
+
+def _cosine_series(plan: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The planned series at every point of a flat x in [-1, 1], into
+    ``out``, ``_BLOCK`` points at a time."""
     for lo in range(0, x.size, _BLOCK):
-        psi = angle(x[lo:lo + _BLOCK])
-        nearest = np.rint(psi * (nodes / math.tau))     # j, in [0, nodes / 2]
-        # delta = psi - 2 pi j / n_f: j _TAU_HI / n_f is exact and so is its
-        # difference from psi, so only the small _TAU_LO term rounds
-        offset = (psi - nearest * (_TAU_HI / nodes)) - nearest * (_TAU_LO / nodes)
-        offset *= top                                   # K delta
-        square = offset * offset
-        index = nearest.astype(np.intp)
-        # Horner in -(K delta)^2 on the even rows and on the odd rows, then
-        # sum = even + K delta odd
-        even = np.take(re_top, index)
-        odd = np.take(im_top, index)
-        for re, im in reversed(spectra):
-            even *= square
-            np.subtract(np.take(re, index), even, out=even)
-            odd *= square
-            np.subtract(np.take(im, index), odd, out=odd)
-        odd *= offset
-        np.add(even, odd, out=out[lo:lo + _BLOCK])
+        _series(plan, x[lo:lo + _BLOCK], out[lo:lo + _BLOCK])
     return out
 
 
-def _global_grid(degree: int, even: bool = False) -> np.ndarray:
-    """GRID_POINTS equispaced points on [-1, 1] and +-cos(pi k / degree) for
-    k < _EXTREMA.
+def _peak(plan: tuple, x: np.ndarray, shrink: float = 1.0, f=None,
+          limit: float = math.inf) -> float:
+    """max |shrink P(x) - f(x)| over a flat x in [-1, 1] (f = 0 when None),
+    streamed through the plan ``_BLOCK`` points at a time.  It stops at the
+    first block whose maximum is not at most ``limit``; a NaN sample makes a
+    NaN maximum."""
+    peak, out = 0.0, np.empty(min(x.size, _BLOCK))
+    for lo in range(0, x.size, _BLOCK):
+        block = x[lo:lo + _BLOCK]
+        values = _series(plan, block, out[:block.size])
+        values *= shrink
+        if f is not None:
+            values -= f[lo:lo + _BLOCK]
+        peak = np.maximum(peak, np.abs(values, out=values).max())
+        if not peak <= limit:
+            break
+    return float(peak)
+
+
+@lru_cache(maxsize=2)
+def _grid_base(even: bool) -> np.ndarray:
+    """The global grid's equispaced points (their distinct |x| when
+    ``even``), made once and read-only."""
+    base = np.linspace(-1.0, 1.0, GRID_POINTS)
+    if even:
+        size = np.abs(base)
+        base = size[(base >= 0.0) | (size != size[::-1])]
+    base.flags.writeable = False
+    return base
+
+
+def _global_grid(degree: int, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """GRID_POINTS equispaced points on [-1, 1], and +-cos(pi k / degree) for
+    k < _EXTREMA, as two arrays.
 
     With ``even``, every |x| of those points instead, each about once: an
     even series is evaluated at |x|, so its maximum there is the same number.
@@ -317,13 +366,10 @@ def _global_grid(degree: int, even: bool = False) -> np.ndarray:
     third of the negative ones are), so x >= 0 alone would not do: a negative
     point is kept unless its mirror image has its magnitude.
     """
-    base = np.linspace(-1.0, 1.0, GRID_POINTS)
     extrema = np.cos(np.pi * np.arange(_EXTREMA) / max(degree, _EXTREMA))
     if even:
-        size = np.abs(base)
-        return np.concatenate([size[(base >= 0.0) | (size != size[::-1])],
-                               np.abs(extrema)])
-    return np.concatenate([base, extrema, -extrema])
+        return _grid_base(True), np.abs(extrema)
+    return _grid_base(False), np.concatenate([extrema, -extrema])
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
@@ -393,37 +439,49 @@ def _build(family: str, params: dict, epsilon: float, bound_limit: float, parity
 
     ``check``, if given, is ``(points, test)``: ``test`` receives the rung's
     values at ``points`` and returns ``(ok, detail)``.
+
+    A rung makes one plan of its series (``_plan``) and streams the grids
+    through it in blocks of ``_BLOCK`` points, reducing each block as it
+    comes: the global grid gives max |P| and so the rescale, the interval
+    grid max |P - f| against the target sampled once per build, and only
+    then is the check grid evaluated, into one array for ``test``.  A rung
+    below the cap stops at its first failed reduction; the last rung
+    evaluates every grid it reports on.  A non-finite target sample is an
+    error, and a non-finite rung sample fails its rung.
     """
     lo, hi = interval
     grid = np.linspace(lo, hi, GRID_POINTS)
-    f_grid = np.asarray(target(grid), dtype=float)
     check_grid, test = check if check is not None else (np.empty(0), None)
+    points, check_points = _domain(grid), _domain(check_grid)
+    f_grid = np.asarray(target(grid), dtype=float)
+    if not np.isfinite(f_grid).all():
+        raise ValidationError(f"the {family} target is not finite at {params}")
+    checked = np.empty(check_points.size)
+    ladder = _degree_ladder(start_degree)
     achieved: dict = {}
-    for degree in _degree_ladder(start_degree):
+    for degree in ladder:
         coeffs = _chebyshev_fit(surrogate, degree)
         if not np.isfinite(coeffs).all():
             raise ValidationError(f"the {family} surrogate is not finite at {params}")
         coeffs = _trim_tail(_apply_parity(coeffs, parity))
-        # one kernel call samples the interval, global and check grids, so the
-        # many-point regime pays for its FFTs once
-        global_grid = _global_grid(degree, parity == "even")
-        sampled = _chebval(np.concatenate([grid, global_grid, check_grid]), coeffs)
-        values, on_global, checked = np.split(sampled, [grid.size,
-                                                        grid.size + global_grid.size])
-        gmax = float(np.abs(on_global).max())
+        plan = _plan(_parity_split(coeffs))
+        base, extrema = _global_grid(degree, parity == "even")
+        gmax = float(np.maximum(_peak(plan, base), _peak(plan, extrema)))
+        shrink = 1.0
         if gmax > bound_limit:
             # the series is linear in its coefficients, so the rescaled
             # series' samples are the sampled ones times the same factor
             shrink = bound_limit / (gmax * (1.0 + 1e-12))
             coeffs = coeffs * shrink
-            values = values * shrink
-            checked = checked * shrink
             gmax *= shrink
-        err = float(np.abs(values - f_grid).max())
+        err = _peak(plan, points, shrink, f_grid,
+                    math.inf if degree == ladder[-1] else epsilon)
         achieved = {"degree": degree, "interval_error": err, "global_max": gmax}
-        if err > epsilon or gmax > bound_limit + 1e-9:
+        if not (err <= epsilon and gmax <= bound_limit + 1e-9):
             continue
         if test is not None:
+            _cosine_series(plan, check_points, checked)
+            checked *= shrink
             ok, detail = test(checked)
             achieved.update(detail)
             if not ok:
@@ -466,7 +524,8 @@ def _inverse_power_quadrature(a: float, y_min: float, eps: float,
         n = int(np.ceil((hi - lo) / h)) + 1
         u = lo + h * np.arange(n)
         u = u[u <= hi + 1e-12]
-        w = h * np.exp(a * u - math.lgamma(a))
+        with np.errstate(over="ignore"):    # an infinite weight is the caller's to refuse
+            w = h * np.exp(a * u - math.lgamma(a))
         w[0] *= 0.5
         w[-1] *= 0.5
         return (np.concatenate([[0.0], np.exp(u)]),
@@ -625,6 +684,11 @@ def approx_negative_power(c: float, delta: float, epsilon: float) -> CertifiedPo
         bulge_coeff = (2.0 / c) / (2.0 * np.exp(math.lgamma(c / 2.0)))
         lam_cap = (0.96 / bulge_coeff) ** (2.0 / c)
     t, w = _inverse_power_quadrature(c / 2.0, delta ** 2, epsilon / 2.0, lam_cap)
+    # weights past double range make the surrogate nan; the target's scale
+    # delta^-c overflows only beyond them
+    if not np.isfinite(w).all():
+        raise ValidationError(f"the neg-power surrogate is not finite at "
+                              f"{dict(c=c, delta=delta, epsilon=epsilon)}")
     if windowless:
         def surrogate(x):
             return (delta ** c / 2.0) * _gaussian_mixture(x, t, w)

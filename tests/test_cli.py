@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,17 @@ def test_bad_numeric_argument_exits_2_naming_it(tmp_path, capsys, case):
     argv, message = BAD_NUMBERS[case]
     state = write_state(tmp_path, "s.json")
     assert run([arg.format(path=state) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [case for case in BAD_NUMBERS if case.startswith("neg-power-c-")])
+def test_neg_power_refusal_warns_nothing(capsys, case):
+    # the weights' overflow is refused before the surrogate or the target is
+    # sampled; numpy once printed up to five RuntimeWarnings first
+    argv, message = BAD_NUMBERS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
     assert message in capsys.readouterr().err
 
 

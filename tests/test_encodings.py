@@ -432,6 +432,14 @@ def test_circuits_read_a_deep_record_without_recursion():
             read(power)
 
 
+def test_cap_refusal_names_a_huge_dimension_by_its_qubits():
+    # the refusal once printed 2^4001 in decimal, 1242 characters
+    power = enc.encoding_power(enc.block_encode_density(oracle_for(maximally_mixed(2))), 2000)
+    with pytest.raises(ValidationError, match=r"total dimension 2\^4001 exceeds the cap") as refusal:
+        circuits.unitary(power)
+    assert len(str(refusal.value)) < 200
+
+
 def test_product_power_matches_matrix_power():
     rng = np.random.default_rng(37)
     rho = ginibre_state(4, 3, rng)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -679,6 +680,16 @@ def separation_run(tmp_path_factory):
         env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_fingerprint_records_every_branch():
+    # scripts/fingerprint.py records the reports of its own case list, which
+    # must stay the branches this file runs
+    path = Path(__file__).resolve().parent.parent / "scripts" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    assert fingerprint.CASES == EVERY_BRANCH
 
 
 @pytest.mark.parametrize("quantity, alpha", EVERY_BRANCH)

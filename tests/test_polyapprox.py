@@ -141,6 +141,24 @@ def test_taylor_exponential_window():
     assert p.global_bound <= 0.5 + 1e-9
 
 
+def test_taylor_interval_past_the_domain_is_refused():
+    # the interval grid is checked before any rung streams it through the
+    # kernel, whose node lookup would otherwise index past its spectra
+    with pytest.raises(ValidationError, match=r"evaluated outside \[-1, 1\]"):
+        pa.approx_taylor(np.array([0.1, 0.2]), 0.8, 0.5, 0.1, 0.3, 0.01)
+
+
+def test_non_finite_target_sample_is_refused_before_the_ladder():
+    # a nan maximum once passed both certificate comparisons: this returned a
+    # degree-105 polynomial with certified_error nan
+    def target(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0.4, np.nan, 0.1 + 0.5 * x + 0.2 * x ** 2)
+
+    with pytest.raises(ValidationError, match="the taylor target is not finite"):
+        pa.approx_taylor(np.array([0.1, 0.5, 0.2]), 0.0, 0.5, 0.2, 0.3, 0.01, target=target)
+
+
 def test_taylor_rejects_oversized_bound():
     with pytest.raises(ValidationError):
         pa.approx_taylor(np.array([2.0]), 0.0, 0.5, 0.1, 2.0, 0.01)
@@ -433,7 +451,8 @@ def test_kernel_matches_clenshaw_on_certificate_grids(build, args, degree):
     assert p.certified_error == pytest.approx(certified_error, rel=1e-12, abs=1e-14)
     assert p.global_bound == pytest.approx(global_bound, rel=1e-12)
     tol = 1e-12 * max(1.0, float(np.abs(p.coefficients).sum()))
-    for grid in (pa._global_grid(p.degree), np.linspace(*p.certified_interval, pa.GRID_POINTS)):
+    for grid in (np.concatenate(pa._global_grid(p.degree)),
+                 np.linspace(*p.certified_interval, pa.GRID_POINTS)):
         assert np.abs(p(grid) - clenshaw(grid, p.coefficients)).max() <= tol
 
 
@@ -443,7 +462,8 @@ def test_even_global_bound_is_the_maximum_over_the_full_global_grid(build, args,
     # kernel evaluates exactly as it does the signed points
     p = pa.certified(build, *args)
     assert p.parity == "even"
-    full, half = pa._global_grid(p.degree), pa._global_grid(p.degree, even=True)
+    full = np.concatenate(pa._global_grid(p.degree))
+    half = np.concatenate(pa._global_grid(p.degree, even=True))
     assert np.array_equal(np.unique(half), np.unique(np.abs(full)))
     assert np.abs(p(full)).max() == np.abs(p(half)).max()
     assert np.abs(p(full)).max() == pytest.approx(p.global_bound, rel=1e-15)
@@ -487,6 +507,42 @@ def _kernel_peak(c, x):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("parity", ["even", "odd", "none"])
+def test_kernel_blocks_do_not_move_a_bit(parity):
+    # every many-point reduction is elementwise, so a grid evaluated whole and
+    # split off the block boundaries gives the same bits
+    c = _polynomial(parity, degree=2001).coefficients
+    x = np.linspace(-1.0, 1.0, pa.GRID_POINTS)
+    cut = pa._BLOCK + 1001
+    assert cut % pa._BLOCK and min(cut, x.size - cut) >= c.size
+    whole = pa._chebval(x, c)
+    assert np.array_equal(whole, np.concatenate([pa._chebval(x[:cut], c),
+                                                 pa._chebval(x[cut:], c)]))
+
+
+def test_streamed_maximum_keeps_a_nan():
+    # Python's max(0.0, nan) is 0.0; the streamed reduction must not drop it
+    x = np.linspace(-1.0, 1.0, pa.GRID_POINTS)
+    plan = pa._plan(pa._parity_split(_polynomial("none").coefficients))
+    f = np.zeros(x.size)
+    f[-1] = np.nan
+    assert math.isnan(pa._peak(plan, x, f=f))
+    assert math.isfinite(pa._peak(plan, x))
+
+
+def test_build_memory_is_bounded_by_its_blocks():
+    # a rung streams its grids through the kernel in blocks and forms no
+    # array of the concatenated grids; unstreamed this build peaked at 2.79 MiB
+    tracemalloc.start()
+    try:
+        p = pa.approx_support_indicator(0.01, 5e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.degree > 0
+    assert peak < 2.25 * 2 ** 20
 
 
 def test_kernel_memory_is_bounded_by_its_chunk():
