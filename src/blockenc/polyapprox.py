@@ -69,11 +69,12 @@ a running product, and the G_l at the nodes from real FFTs of length n_f,
 two rows to an FFT: Re(i^l G_l) needs the real part of an even row's
 spectrum and the imaginary part of an odd row's, and one real FFT of a
 packed array carries both (``_pack``).  A series' plan (``_plan``) holds its
-L / 2 spectra in one complex array, each written there by its FFT and read
-through the array's real and imaginary views.  Points run through a plan
-in blocks of ``_BLOCK`` (``_series``), so the per-point arrays stay in
-cache and the allocator reuses them: a caller that reduces each block as it
-comes, as ``_build`` does, forms no array of its grids' size.  The cost is
+L / 2 spectra as the rows of one complex array: each FFT writes its row
+(``out=``, new in NumPy 2.0), and the rows are read through the array's
+real and imaginary views, not copied.  Points run through a plan in blocks
+of ``_BLOCK`` (``_series``), so the per-point arrays stay in cache and the
+allocator reuses them: a caller that reduces each block as it comes, as
+``_build`` does, forms no array of its grids' size.  The cost is
 O(L n_f log n_f / 2 + L points) against O(points x terms).  This is the
 Taylor-series nonuniform FFT of Anderson and Dahleh (SIAM J. Sci. Comput.
 1996); see also Dutt and Rokhlin (SIAM J. Sci. Comput. 1993).
@@ -325,12 +326,10 @@ def _cosine_series(plan: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _peak(plan: tuple, x: np.ndarray, shrink: float = 1.0, f=None,
-          limit: float = math.inf) -> float:
+def _peak(plan: tuple, x: np.ndarray, shrink: float = 1.0, f=None) -> float:
     """max |shrink P(x) - f(x)| over a flat x in [-1, 1] (f = 0 when None),
-    streamed through the plan ``_BLOCK`` points at a time.  It stops at the
-    first block whose maximum is not at most ``limit``; a NaN sample makes a
-    NaN maximum."""
+    streamed through the plan ``_BLOCK`` points at a time; a NaN sample makes
+    a NaN maximum."""
     peak, out = 0.0, np.empty(min(x.size, _BLOCK))
     for lo in range(0, x.size, _BLOCK):
         block = x[lo:lo + _BLOCK]
@@ -339,21 +338,7 @@ def _peak(plan: tuple, x: np.ndarray, shrink: float = 1.0, f=None,
         if f is not None:
             values -= f[lo:lo + _BLOCK]
         peak = np.maximum(peak, np.abs(values, out=values).max())
-        if not peak <= limit:
-            break
     return float(peak)
-
-
-@lru_cache(maxsize=2)
-def _grid_base(even: bool) -> np.ndarray:
-    """The global grid's equispaced points (their distinct |x| when
-    ``even``), made once and read-only."""
-    base = np.linspace(-1.0, 1.0, GRID_POINTS)
-    if even:
-        size = np.abs(base)
-        base = size[(base >= 0.0) | (size != size[::-1])]
-    base.flags.writeable = False
-    return base
 
 
 def _global_grid(degree: int, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -366,10 +351,12 @@ def _global_grid(degree: int, even: bool = False) -> tuple[np.ndarray, np.ndarra
     third of the negative ones are), so x >= 0 alone would not do: a negative
     point is kept unless its mirror image has its magnitude.
     """
+    base = np.linspace(-1.0, 1.0, GRID_POINTS)
     extrema = np.cos(np.pi * np.arange(_EXTREMA) / max(degree, _EXTREMA))
     if even:
-        return _grid_base(True), np.abs(extrema)
-    return _grid_base(False), np.concatenate([extrema, -extrema])
+        size = np.abs(base)
+        return size[(base >= 0.0) | (size != size[::-1])], np.abs(extrema)
+    return base, np.concatenate([extrema, -extrema])
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
@@ -444,10 +431,9 @@ def _build(family: str, params: dict, epsilon: float, bound_limit: float, parity
     through it in blocks of ``_BLOCK`` points, reducing each block as it
     comes: the global grid gives max |P| and so the rescale, the interval
     grid max |P - f| against the target sampled once per build, and only
-    then is the check grid evaluated, into one array for ``test``.  A rung
-    below the cap stops at its first failed reduction; the last rung
-    evaluates every grid it reports on.  A non-finite target sample is an
-    error, and a non-finite rung sample fails its rung.
+    then is the check grid evaluated, into one array for ``test``.  A
+    non-finite target sample is an error, and a non-finite rung sample fails
+    its rung.
     """
     lo, hi = interval
     grid = np.linspace(lo, hi, GRID_POINTS)
@@ -457,9 +443,8 @@ def _build(family: str, params: dict, epsilon: float, bound_limit: float, parity
     if not np.isfinite(f_grid).all():
         raise ValidationError(f"the {family} target is not finite at {params}")
     checked = np.empty(check_points.size)
-    ladder = _degree_ladder(start_degree)
     achieved: dict = {}
-    for degree in ladder:
+    for degree in _degree_ladder(start_degree):
         coeffs = _chebyshev_fit(surrogate, degree)
         if not np.isfinite(coeffs).all():
             raise ValidationError(f"the {family} surrogate is not finite at {params}")
@@ -474,8 +459,7 @@ def _build(family: str, params: dict, epsilon: float, bound_limit: float, parity
             shrink = bound_limit / (gmax * (1.0 + 1e-12))
             coeffs = coeffs * shrink
             gmax *= shrink
-        err = _peak(plan, points, shrink, f_grid,
-                    math.inf if degree == ladder[-1] else epsilon)
+        err = _peak(plan, points, shrink, f_grid)
         achieved = {"degree": degree, "interval_error": err, "global_max": gmax}
         if not (err <= epsilon and gmax <= bound_limit + 1e-9):
             continue
